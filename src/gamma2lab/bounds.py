@@ -22,20 +22,19 @@ from math import comb
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse.linalg
 
 from .canonical import (CanonicalForm, canonical_from_lambdas,
                         correlation_measures, youla_decompose)
-from .fock import (DEFAULT_MAX_SECTOR, SectorSizeError, SectorVector,
-                   apply_annihilate_vector, enumerate_sector)
-from .pairing import (PairOperator, apply_B, apply_B_star, build_pairing_state,
-                      dense_b_matrix, norm_sq_oracle, pair_number_diagonal,
-                      seniority_b_matrix)
-from .rdm import compute_gamma2, expectation_fast, spectral_decompose
+from .fock import (SectorSizeError, SectorVector, apply_annihilate_vector,
+                   enumerate_sector)
+from .pairing import (DENSE_CAP, PairOperator, apply_B, apply_B_star,
+                      build_pairing_state, dense_b_matrix, norm_sq_oracle,
+                      pair_b_blocks, pair_blocks, pair_expectation,
+                      pairing_states)
+from .rdm import compute_gamma2, spectral_decompose
 
 BOUND_TOL = 1e-8
 STRUCTURE_TOL = 1e-10
-DENSE_CAP = 5000
 
 
 @dataclass
@@ -140,8 +139,8 @@ def verify_theorem2(phi, N: int, tol: float = BOUND_TOL) -> TheoremReport:
     state = build_pairing_state(op, N // 2)
     if state.degenerate:
         return skipped("pairing state vanishes: support smaller than N/2")
-    psi_hat = state.vector.normalized()
-    observed = expectation_fast(canonical_from_lambdas(lams), psi_hat)
+    phi_form = canonical_from_lambdas(lams)  # rejects non-canonical coefficients
+    observed = pair_expectation(phi_form.lambdas, state)
     bound = theorem2_floor(N, s4, lmax_sq)
     margin = observed - bound
     return TheoremReport(kind="thm2", params=params, observed=observed,
@@ -158,25 +157,28 @@ class GapResult(NamedTuple):
 def proposition_gap(op: PairOperator, N: int) -> GapResult:
     """Positivity and optimality of the pair-operator inequality.
 
-    Forms D = N/2 - (N-2)/4 sum lam^2 (n_up + n_down) - B*B densely on the
-    (d, N) sector.  D is positive semidefinite, and the M = N/2 pairing state
-    spans (part of) its kernel whenever that state is nonzero; the returned
-    kernel residual is ||D Psi|| / ||Psi|| (NaN for a vanishing state).
+    D = N/2 - (N-2)/4 sum lam^2 (n_up + n_down) - B*B is block diagonal over
+    the pair blocks of the (d, N) sector (see :func:`pairing.pair_blocks`), so
+    its smallest eigenvalue is the minimum over one batched dense solve per
+    seniority; the full sector is never built.  D is positive semidefinite,
+    and the M = N/2 pairing state spans (part of) its kernel whenever that
+    state is nonzero; the returned kernel residual is ||D Psi|| / ||Psi||,
+    taken on the seniority-zero block (NaN for a vanishing state).
     """
     if N < 2 or N % 2:
         raise ValueError("N must be a positive even integer")
-    sec = enumerate_sector(op.basis.d, N)
-    bmat = dense_b_matrix(op, N)
-    gap = -(bmat.T @ bmat).astype(np.complex128)
-    diag = 0.5 * N - 0.25 * (N - 2) * pair_number_diagonal(op, sec)
-    gap[np.diag_indices_from(gap)] += diag
-    min_eig = float(np.linalg.eigvalsh(gap).min())
-    state = build_pairing_state(op, N // 2)
-    if state.degenerate:
-        return GapResult(min_eig, float("nan"), True)
-    amps = state.vector.amplitudes
-    residual = float(np.linalg.norm(gap @ amps) / np.linalg.norm(amps))
-    return GapResult(min_eig, residual, False)
+    min_eig = np.inf
+    for blocks in pair_blocks(op.lambdas, N):
+        gap = -np.matmul(blocks.b.transpose(0, 2, 1), blocks.b)
+        diag = np.arange(gap.shape[-1])
+        gap[:, diag, diag] += 0.5 * N - 0.25 * (N - 2) * blocks.pair_number
+        min_eig = min(min_eig, float(np.linalg.eigvalsh(gap).min()))
+        if blocks.seniority == 0:
+            state = build_pairing_state(op, N // 2)
+            amps = state.pair_amplitudes
+            residual = (float("nan") if state.degenerate else
+                        float(np.linalg.norm(gap[0] @ amps) / np.linalg.norm(amps)))
+    return GapResult(min_eig, residual, state.degenerate)
 
 
 def proposition_report(op: PairOperator, N: int,
@@ -251,9 +253,10 @@ def norm_recursion_check(op: PairOperator, M_max: int,
     lmax_sq = float(np.max(op.lambdas) ** 2)
     s4 = float(np.sum(op.lambdas ** 4))
     reports = []
-    prev = build_pairing_state(op, 0).norm_sq
-    for M in range(1, M_max + 1):
-        built = build_pairing_state(op, M).norm_sq
+    states = pairing_states(op, M_max)
+    prev = next(states).norm_sq
+    for M, state in enumerate(states, start=1):
+        built = state.norm_sq
         oracle = norm_sq_oracle(op.lambdas, M)
         agree = abs(built - oracle) / max(1.0, abs(oracle))
         lower = (1.0 - (M - 1) * lmax_sq) * M * prev
@@ -275,14 +278,15 @@ def norm_recursion_check(op: PairOperator, M_max: int,
     return reports
 
 
-def sup_over_states(phi, N: int, method: str = "dense", *,
-                    dense_cap: int = DENSE_CAP) -> float:
+def sup_over_states(phi, N: int, method: str = "dense") -> float:
     """sup over normalized N-particle states of <phi, G_psi phi>.
 
     The supremum equals twice the largest eigenvalue of B*B on the N-particle
     sector, with B built from phi's coefficients; no search is involved.
     ``dense`` diagonalizes the assembled matrix, ``iterative`` runs a
     matrix-free Lanczos iteration; the two must agree to 1e-8 where both run.
+    Both work on the full sector and serve as oracles for the pair-block
+    supremum that :func:`explore_conjecture` uses.
     """
     lams = _as_lambdas(phi)
     op = PairOperator.from_lambdas(lams)
@@ -291,13 +295,15 @@ def sup_over_states(phi, N: int, method: str = "dense", *,
         raise ValueError(f"no admissible sector (d={d}, N={N})")
     sec = enumerate_sector(d, N)
     if method == "dense":
-        if sec.dim > dense_cap:
+        if sec.dim > DENSE_CAP:
             raise SectorSizeError(
-                f"sector dim {sec.dim} exceeds the dense cap {dense_cap}")
+                f"sector dim {sec.dim} exceeds the dense cap {DENSE_CAP}")
         bmat = dense_b_matrix(op, N)
         top = float(np.linalg.eigvalsh(bmat.T @ bmat).max())
         return 2.0 * top
     if method == "iterative":
+        import scipy.sparse.linalg
+
         def matvec(x):
             vec = SectorVector(sec, x)
             return apply_B_star(op, apply_B(op, vec)).amplitudes
@@ -312,34 +318,54 @@ def sup_over_states(phi, N: int, method: str = "dense", *,
     raise ValueError(f"unknown method {method!r}")
 
 
+def _top_sup(b: np.ndarray) -> float:
+    """Twice the largest eigenvalue of B*B over a batch of blocks of B."""
+    if b.shape[1] == 0:
+        return 0.0
+    bt = b.transpose(0, 2, 1)
+    gram = np.matmul(b, bt) if b.shape[1] < b.shape[2] else np.matmul(bt, b)
+    return 2.0 * float(np.linalg.eigvalsh(gram).max())
+
+
+def block_sups(phi, N: int) -> dict[int, float]:
+    """Twice the largest eigenvalue of B*B in the pair blocks of each seniority.
+
+    Keys are the numbers s of broken pairs present in the (d, N) sector; the
+    largest value is sup <phi, G phi> over the whole sector, the one at s = 0
+    the seniority-zero supremum.
+    """
+    op = PairOperator.from_lambdas(_as_lambdas(phi))
+    sups: dict[int, float] = {}
+    for blocks in pair_blocks(op.lambdas, N):
+        s = blocks.seniority
+        sups[s] = max(sups.get(s, 0.0), _top_sup(blocks.b))
+    return sups
+
+
 def seniority_sup(op: PairOperator, N: int) -> float:
     """Twice the largest eigenvalue of B*B restricted to seniority zero."""
     if N % 2:
         raise ValueError("the seniority-zero subspace holds even N only")
-    M = N // 2
-    if M == 0:
-        return 0.0
-    bsen = seniority_b_matrix(op, M)
-    return 2.0 * float(np.linalg.eigvalsh(bsen.T @ bsen).max())
+    return _top_sup(pair_b_blocks(op.lambdas[None, :], N // 2))
 
 
-def explore_conjecture(phi, N_list, tol: float = BOUND_TOL, *,
-                       dense_cap: int = DENSE_CAP,
-                       sector_cap: int | None = None) -> list[TheoremReport]:
+def explore_conjecture(phi, N_list, tol: float = BOUND_TOL) -> list[TheoremReport]:
     """Empirical constant for the highly correlated regime, reporting only.
 
-    For each admissible even N the supremum S = sup <phi, G phi> is computed
-    and the constant C_emp = (S/N - 1 + (N-2)/2 sum lam^4) / (N lam_max^2)^2
-    is reported, together with the trial-state floor and ceiling for context.
-    The statement being probed is open, so no report here ever passes or
-    fails.  The seniority-zero value is recorded alongside the full-sector
-    one whenever the latter is feasible, so any discrepancy is visible.
+    For each admissible even N the supremum S = sup <phi, G phi> over the
+    full (d, N) sector is computed and the constant
+    C_emp = (S/N - 1 + (N-2)/2 sum lam^4) / (N lam_max^2)^2 is reported,
+    together with the trial-state floor and ceiling for context.  The
+    statement being probed is open, so no report here ever passes or fails.
+    S is the largest of the :func:`block_sups`; the seniority-zero value is
+    recorded too, and ``seniority_gap`` is S minus it, so any gain from
+    broken pairs is visible.  Inputs whose pair blocks exceed the caps raise
+    :class:`SectorSizeError`.
     """
     lams = _as_lambdas(phi)
     s4 = float(np.sum(lams ** 4))
     lmax_sq = float(np.max(lams) ** 2)
-    op = PairOperator.from_lambdas(lams)
-    d = op.basis.d
+    d = PairOperator.from_lambdas(lams).basis.d
     reports = []
     for N in N_list:
         params = {"N": int(N), "K": len(lams), "sum_lambda4": s4,
@@ -353,31 +379,15 @@ def explore_conjecture(phi, N_list, tol: float = BOUND_TOL, *,
                 kind="conjecture", params=params, passed=None,
                 note=f"skipped: N*lambda_max^2 = {N * lmax_sq!r} > 1"))
             continue
-        dim = comb(d, N)
-        sup_sen = seniority_sup(op, N)
-        details = {"sup_seniority_zero": sup_sen, "sector_dim": dim}
-        note = ""
-        cap = DEFAULT_MAX_SECTOR if sector_cap is None else sector_cap
-        if dim <= dense_cap:
-            sup_full = sup_over_states(lams, N, "dense", dense_cap=dense_cap)
-        elif dim <= cap:
-            sup_full = sup_over_states(lams, N, "iterative")
-        else:
-            sup_full = None
-            note = "full sector above cap; seniority-zero value used"
-        if sup_full is not None:
-            details["sup_full"] = sup_full
-            details["seniority_gap"] = sup_full - sup_sen
-            sup = sup_full
-        else:
-            sup = sup_sen
+        sups = block_sups(lams, N)
+        sup_sen, sup = sups[0], max(sups.values())
         c_emp = (sup / N - 1.0 + 0.5 * (N - 2) * s4) / (N * lmax_sq) ** 2
-        details["c_emp"] = c_emp
-        details["floor"] = theorem2_floor(N, s4, lmax_sq)
-        details["ceiling"] = theorem1_rhs(N, s4)
+        details = {"sup_seniority_zero": sup_sen, "sector_dim": comb(d, N),
+                   "sup_full": sup, "seniority_gap": sup - sup_sen,
+                   "c_emp": c_emp, "floor": theorem2_floor(N, s4, lmax_sq),
+                   "ceiling": theorem1_rhs(N, s4)}
         reports.append(TheoremReport(kind="conjecture", params=params,
-                                     observed=sup, passed=None,
-                                     details=details, note=note))
+                                     observed=sup, passed=None, details=details))
     return reports
 
 
@@ -403,9 +413,9 @@ def counterexample_driver(lambda_profile, N: int,
         raise ValueError(f"profile too short: need at least N={N} coefficients")
     uniform = np.zeros(K)
     uniform[:N] = 1.0 / np.sqrt(N)
-    op = PairOperator.from_lambdas(uniform)
-    psi_hat = build_pairing_state(op, N // 2).vector.normalized()
-    observed = expectation_fast(canonical_from_lambdas(lams), psi_hat)
+    phi_form = canonical_from_lambdas(lams)  # rejects non-canonical coefficients
+    state = build_pairing_state(PairOperator.from_lambdas(uniform), N // 2)
+    observed = pair_expectation(phi_form.lambdas, state)
     head_sum = float(np.sum(lams[:N]))
     overlap_floor = (0.5 * N + 1.0) * head_sum ** 2 / N
     half_floor = 0.5 * head_sum ** 2

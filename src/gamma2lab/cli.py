@@ -414,7 +414,8 @@ def main(argv=None) -> int:
     failure = None
     try:
         config, checks = handlers[args.command](args)
-    except (ValueError, ArithmeticError, RuntimeError, OSError) as exc:
+    except (ValueError, ArithmeticError, RuntimeError, OSError,
+            MemoryError) as exc:
         config = {"argv": argv if argv is not None else sys.argv[1:]}
         checks = [bounds.TheoremReport(kind="error", params={}, passed=False,
                                        note=f"{type(exc).__name__}: {exc}")]

@@ -17,28 +17,41 @@ construction before the test suite trusts it as an oracle.
 
 States Psi_M live in the seniority-zero subspace (every pair jointly
 occupied or empty), so they are built on the K-bit pair-occupation basis of
-dimension binomial(K, M) and only embedded into the full sector at the end.
+dimension binomial(K, M) and embedded into the full sector only on demand.
 In the operator-product basis |S>> = prod_{k in S} b*_k |vacuum> the pair
 creators act without signs; fermionic signs enter only in the embedding.
+
+The same holds away from seniority zero.  B, B* and the pair numbers keep
+fixed the set of broken pairs (exactly one member occupied) and the spins on
+them, so on the (2K, N) sector they split into pair blocks: with s broken
+pairs, B acts as the sign-free seniority-zero B of the other K - s pairs
+(coefficients not renormalized) on (N - s)/2 pairs.  :func:`pair_blocks`
+enumerates one spin copy of each block; the smallest eigenvalue of the gap
+operator and the largest of B*B are a min or max over them, so no pairing
+computation needs the full sector.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
-from math import factorial
+from functools import cached_property, lru_cache
+from itertools import combinations, islice
+from math import comb, factorial
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .fock import (OrbitalBasis, SectorMismatchError, SectorSizeError,
-                   SectorVector, apply_annihilate, apply_create,
-                   enumerate_sector, occupation_masks, operator_matrix,
-                   vacuum_state)
+from .fock import (DEFAULT_MAX_SECTOR, OrbitalBasis, SectorMismatchError,
+                   SectorSizeError, SectorVector, apply_annihilate,
+                   apply_create, enumerate_sector, occupation_masks,
+                   operator_matrix)
 
 NORM_TOL = 1e-10
-
-_TRANSITIONS: dict[tuple, list] = {}
+DENSE_CAP = 5000          # rows or columns of a dense block, in basis states
+MAX_PAIRS = 62            # pair-occupation masks are int64
+BATCH_ENTRIES = 1 << 22   # float64 entries per batch of blocks (32 MB)
 
 
 @dataclass
@@ -85,11 +98,9 @@ def _pair_sign_data(basis: OrbitalBasis, k: int) -> tuple[int, int, int]:
     return bits, between, base
 
 
+@lru_cache(maxsize=8)
 def _pair_transitions(basis: OrbitalBasis, N: int):
     """Per-pair scatter maps for B between the (d, N) and (d, N-2) sectors."""
-    key = (basis.d, basis.pair_map, N)
-    if key in _TRANSITIONS:
-        return _TRANSITIONS[key]
     src = enumerate_sector(basis.d, N)
     tgt = enumerate_sector(basis.d, N - 2)
     maps = []
@@ -100,7 +111,6 @@ def _pair_transitions(basis: OrbitalBasis, N: int):
         par = np.bitwise_count((src.states[cols] & between).astype(np.uint64))
         signs = 1.0 - 2.0 * ((par.astype(np.int64) + base) & 1)
         maps.append((rows, cols, signs))
-    _TRANSITIONS[key] = maps
     return maps
 
 
@@ -163,22 +173,63 @@ def pair_number_diagonal(op: PairOperator, sector) -> np.ndarray:
     return vals
 
 
+def _admit(K: int, states: int, cap: int, what: str) -> None:
+    """Refuse a pair basis on K pairs needing ``states`` states above ``cap``."""
+    if K > MAX_PAIRS:
+        raise SectorSizeError(f"{K} pairs exceed the mask width of {MAX_PAIRS}")
+    if states > cap:
+        raise SectorSizeError(f"{what} on {K} pairs needs {states} pair states, "
+                              f"cap is {cap}")
+
+
+def _admit_block(K: int, M: int) -> None:
+    """A dense block of B, M -> M-1 pairs, must fit ``DENSE_CAP`` on both sides."""
+    _admit(K, max(comb(K, M), comb(K, M - 1) if M else 0), DENSE_CAP,
+           "dense pair block")
+
+
+def _pair_hops(K: int, M: int):
+    """Index maps of the sign-free pair annihilators from M to M-1 pairs.
+
+    Yields ``(k, rows, cols)`` per pair k: ``cols`` lists the masks of
+    ``occupation_masks(K, M)`` holding pair k, and ``rows`` the positions of
+    the same masks with pair k removed in ``occupation_masks(K, M - 1)``.
+    """
+    src, tgt = occupation_masks(K, M), occupation_masks(K, M - 1)
+    for k in range(K):
+        bit = 1 << k
+        cols = np.flatnonzero(src & bit)
+        yield k, np.searchsorted(tgt, src[cols] ^ bit), cols
+
+
 @dataclass
 class PairingState:
     """Psi_M = (B*)^M |vacuum> with its exact squared norm.
 
     ``pair_masks`` / ``pair_amplitudes`` hold the seniority-zero coefficients
-    in the operator-product basis; ``vector`` is the full-sector embedding.
-    A state whose coefficient support is smaller than M is flagged degenerate
-    (it is exactly zero) rather than rejected.
+    in the operator-product basis; ``vector`` is the full-sector embedding,
+    built on first access.  A state whose coefficient support is smaller than
+    M is flagged degenerate (it is exactly zero) rather than rejected.
     """
 
     M: int
-    vector: SectorVector
+    basis: OrbitalBasis
     norm_sq: float
     degenerate: bool
     pair_masks: np.ndarray
     pair_amplitudes: np.ndarray
+
+    @cached_property
+    def vector(self) -> SectorVector:
+        sector = enumerate_sector(self.basis.d, 2 * self.M)
+        full = np.zeros(sector.dim, dtype=np.complex128)
+        support = np.nonzero(self.pair_amplitudes)[0]
+        if len(support):
+            masks = self.pair_masks[support]
+            signs = _embedding_signs(self.basis, masks)
+            idx = sector.index_of(_full_masks(self.basis, masks))
+            full[idx] = signs * self.pair_amplitudes[support]
+        return SectorVector(sector, full)
 
 
 def _embedding_signs(basis: OrbitalBasis, masks: np.ndarray) -> np.ndarray:
@@ -205,39 +256,91 @@ def _full_masks(basis: OrbitalBasis, masks: np.ndarray) -> np.ndarray:
     return full
 
 
-def build_pairing_state(op: PairOperator, M: int) -> PairingState:
-    """Apply B* to the vacuum M times, working on the pair-occupation basis."""
-    if M < 0:
+def pairing_states(op: PairOperator, M_max: int) -> Iterator[PairingState]:
+    """Psi_0, ..., Psi_{M_max}, each from the previous by one B*.
+
+    Works on the pair-occupation basis.  Admission is arithmetic: if the
+    largest pair basis on the way, C(K, min(M_max, K // 2)) states, exceeds
+    ``DEFAULT_MAX_SECTOR`` nothing is enumerated or allocated.
+    """
+    if M_max < 0:
         raise ValueError("M must be non-negative")
-    if 2 * M > op.basis.d:
+    if 2 * M_max > op.basis.d:
         raise SectorSizeError("sector overflow: 2M exceeds the orbital count")
     K = op.n_pairs
+    _admit(K, comb(K, min(M_max, K // 2)), DEFAULT_MAX_SECTOR, "pairing state")
     amps = np.ones(1, dtype=np.float64)
-    for m in range(M):
-        cur = occupation_masks(K, m)
-        nxt = occupation_masks(K, m + 1)
-        new = np.zeros(len(nxt), dtype=np.float64)
-        for k in range(K):
-            lam = op.lambdas[k]
-            if lam == 0.0:
-                continue
-            bit = 1 << k
-            src = np.nonzero((cur & bit) == 0)[0]
-            tgt = np.searchsorted(nxt, cur[src] | bit)
-            new[tgt] += lam * amps[src]
-        amps = new
-    masks = occupation_masks(K, M)
-    norm_sq = float(np.sum(amps ** 2))
-    sector = enumerate_sector(op.basis.d, 2 * M)
-    full = np.zeros(sector.dim, dtype=np.complex128)
-    support = np.nonzero(amps)[0]
-    if len(support):
-        signs = _embedding_signs(op.basis, masks[support])
-        idx = sector.index_of(_full_masks(op.basis, masks[support]))
-        full[idx] = signs * amps[support]
-    return PairingState(M=M, vector=SectorVector(sector, full), norm_sq=norm_sq,
-                        degenerate=norm_sq == 0.0, pair_masks=masks,
-                        pair_amplitudes=amps)
+    for M in range(M_max + 1):
+        if M:
+            new = np.zeros(comb(K, M), dtype=np.float64)
+            for k, rows, cols in _pair_hops(K, M):
+                lam = op.lambdas[k]
+                if lam != 0.0:
+                    new[cols] += lam * amps[rows]
+            amps = new
+        norm_sq = float(np.sum(amps ** 2))
+        yield PairingState(M=M, basis=op.basis, norm_sq=norm_sq,
+                           degenerate=norm_sq == 0.0,
+                           pair_masks=occupation_masks(K, M), pair_amplitudes=amps)
+
+
+def build_pairing_state(op: PairOperator, M: int) -> PairingState:
+    """Apply B* to the vacuum M times (see :func:`pairing_states`)."""
+    for state in pairing_states(op, M):
+        pass
+    return state
+
+
+def pair_expectation(lambdas, state: PairingState) -> float:
+    """<phi, G phi> = 2 ||B Psi||^2 / ||Psi||^2 without leaving the pair basis.
+
+    phi is the canonical form with coefficients ``lambdas`` on the state's
+    pairs (u_k, v_k the up and down members), so B = sum_k lam_k b_k acts on
+    the pair amplitudes without signs, whatever the orbital layout.
+    """
+    lams = np.asarray(lambdas, dtype=np.float64)
+    if lams.shape != (state.basis.n_pairs,):
+        raise SectorMismatchError("need one coefficient per pair of the state")
+    if state.degenerate:
+        raise ValueError("cannot normalize the zero vector")
+    if state.M == 0:
+        return 0.0
+    amps = state.pair_amplitudes
+    out = np.zeros(comb(len(lams), state.M - 1), dtype=np.float64)
+    for k, rows, cols in _pair_hops(len(lams), state.M):
+        if lams[k] != 0.0:
+            out[rows] += lams[k] * amps[cols]
+    return 2.0 * float(np.sum(out ** 2)) / state.norm_sq
+
+
+@lru_cache(maxsize=32)
+def _block_pattern(K: int, M: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cols, pair) of every nonzero of the sign-free B, M -> M-1 pairs."""
+    hops = list(_pair_hops(K, M))
+    rows = np.concatenate([r for _, r, _ in hops])
+    cols = np.concatenate([c for _, _, c in hops])
+    pairs = np.concatenate([np.full(len(c), k) for k, _, c in hops])
+    return rows, cols, pairs
+
+
+def pair_b_blocks(coeffs, M: int) -> np.ndarray:
+    """Sign-free B from M to M-1 pairs on a batch of pair blocks.
+
+    ``coeffs`` has shape (n_blocks, K') and need not be normalized; block b
+    represents sum_k coeffs[b, k] b_k on the basis ``occupation_masks(K', M)``.
+    Returns shape (n_blocks, C(K', M-1), C(K', M)), with no rows for M = 0.
+    All blocks share one sparsity pattern, so the batch is one gather.
+    Blocks with more than ``DENSE_CAP`` rows or columns are refused before
+    allocation.
+    """
+    coeffs = np.asarray(coeffs, dtype=np.float64)
+    n, K = coeffs.shape
+    _admit_block(K, M)
+    out = np.zeros((n, comb(K, M - 1) if M else 0, comb(K, M)), dtype=np.float64)
+    if M:
+        rows, cols, pairs = _block_pattern(K, M)
+        out[:, rows, cols] = coeffs[:, pairs]
+    return out
 
 
 def seniority_b_matrix(op: PairOperator, M: int) -> np.ndarray:
@@ -248,19 +351,60 @@ def seniority_b_matrix(op: PairOperator, M: int) -> np.ndarray:
     """
     if M < 1:
         raise ValueError("need at least one pair")
-    K = op.n_pairs
-    src = occupation_masks(K, M)
-    tgt = occupation_masks(K, M - 1)
-    mat = np.zeros((len(tgt), len(src)), dtype=np.float64)
-    for k in range(K):
-        lam = op.lambdas[k]
-        if lam == 0.0:
-            continue
-        bit = 1 << k
-        cols = np.nonzero((src & bit) != 0)[0]
-        rows = np.searchsorted(tgt, src[cols] & ~bit)
-        mat[rows, cols] = lam
-    return mat
+    return pair_b_blocks(op.lambdas[None, :], M)[0]
+
+
+class PairBlocks(NamedTuple):
+    """A batch of pair blocks with the same number s of broken pairs.
+
+    ``b`` is the sign-free B of each block, shape (n, C(K-s, M-1), C(K-s, M))
+    with M = (N-s)/2; ``pair_number`` is the diagonal of
+    sum_k lam_k^2 (n_up + n_down) on each block, shape (n, C(K-s, M)); it
+    includes the constant sum_{k broken} lam_k^2.
+    """
+
+    seniority: int
+    b: np.ndarray
+    pair_number: np.ndarray
+
+
+def pair_blocks(lambdas, N: int) -> Iterator[PairBlocks]:
+    """Every pair block of the (2K, N) sector, one spin copy each, in batches.
+
+    A block is fixed by its set S of s broken pairs (s = N mod 2, ..., up to
+    min(N, 2K - N)); its 2**s spin copies are identical and yielded once.
+    Seniorities come in ascending order, so the seniority-zero block (even N)
+    comes first, alone.  Admission is arithmetic and happens before anything
+    is built: the largest block (the first) must fit ``DENSE_CAP`` and all
+    blocks together ``DEFAULT_MAX_SECTOR`` states.
+    """
+    lams = np.asarray(lambdas, dtype=np.float64)
+    K = len(lams)
+    if N < 0 or N > 2 * K:
+        raise SectorSizeError(f"no (d={2 * K}, N={N}) sector")
+    seniorities = range(N % 2, min(N, 2 * K - N) + 1, 2)
+    _admit_block(K - N % 2, (N - N % 2) // 2)
+    total = sum(comb(K, s) * comb(K - s, (N - s) // 2) for s in seniorities)
+    if total > DEFAULT_MAX_SECTOR:
+        raise SectorSizeError(
+            f"pair blocks of (d={2 * K}, N={N}) hold {total} states, "
+            f"cap is {DEFAULT_MAX_SECTOR}")
+    lam2 = lams ** 2
+    for s in seniorities:
+        M = (N - s) // 2
+        masks = occupation_masks(K - s, M)
+        occupied = ((masks[:, None] >> np.arange(K - s)) & 1).astype(np.float64)
+        rows = comb(K - s, M - 1) if M else 0
+        per_batch = max(1, BATCH_ENTRIES // (len(masks) * (rows + len(masks))))
+        subsets = combinations(range(K), s)
+        while chunk := list(islice(subsets, per_batch)):
+            broken = np.array(chunk, dtype=np.intp).reshape(len(chunk), s)
+            kept = np.ones((len(chunk), K), dtype=bool)
+            kept[np.arange(len(chunk))[:, None], broken] = False
+            coeffs = np.broadcast_to(lams, kept.shape)[kept].reshape(len(chunk), K - s)
+            pair_number = (lam2[broken].sum(axis=1)[:, None]
+                           + 2.0 * (coeffs ** 2) @ occupied.T)
+            yield PairBlocks(s, pair_b_blocks(coeffs, M), pair_number)
 
 
 def elementary_symmetric(values, order: int) -> float:

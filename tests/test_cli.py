@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from gamma2lab import cli
 from gamma2lab.canonical import random_tensor, write_tensor_text
 from gamma2lab.cli import (build_report, main, parse_lambda_spec, random_state,
                            report_to_csv)
@@ -151,6 +152,25 @@ class TestSubcommands:
         kinds = [c["kind"] for c in report["checks"]]
         assert kinds.count("counterexample") == 3  # 2 runs + growth row
         assert report["checks"][0]["params"]["K"] == 4
+
+    def test_counterexample_beyond_full_sector_cap(self, tmp_path):
+        # K = N = 14 means d = 28, above the full-sector cap; the pair basis
+        # of the check holds C(14, 7) = 3432 states.
+        code, report = run_cli(tmp_path, "counterexample", "--lambda",
+                               "power:1:14", "--particles", "14", "--k-equals-n")
+        assert code == 0
+        assert [c["pass"] for c in report["checks"]] == [True]
+
+    def test_memory_error_writes_error_report(self, tmp_path, monkeypatch):
+        def exhausted(args):
+            raise MemoryError("cannot allocate")
+
+        monkeypatch.setattr(cli, "_cmd_explore", exhausted)
+        code, report = run_cli(tmp_path, "explore", "--lambda", "uniform:4",
+                               "--particles", "2")
+        assert code == 1
+        assert report["checks"][0]["kind"] == "error"
+        assert report["checks"][0]["note"].startswith("MemoryError")
 
     def test_missing_lambda_is_usage_error(self, tmp_path):
         code = main(["verify", "thm2", "--particles", "4",

@@ -1,0 +1,226 @@
+"""Pair-block fast paths against full-sector oracles, and their admission.
+
+Every pairing-operator check runs on the pair blocks of ``pairing.pair_blocks``.
+Here each is compared with the brute-force computation on the full (2K, N)
+sector: the dense gap operator, the dense and Lanczos suprema, and the
+quadratic form of the embedded pairing state.
+"""
+
+import subprocess
+import sys
+from itertools import combinations
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import gamma2lab.pairing as pairing
+from gamma2lab.bounds import (block_sups, counterexample_driver,
+                              explore_conjecture, proposition_gap,
+                              sup_over_states, verify_theorem2)
+from gamma2lab.canonical import canonical_from_lambdas
+from gamma2lab.fock import OrbitalBasis, SectorSizeError, enumerate_sector
+from gamma2lab.pairing import (PairOperator, build_pairing_state,
+                               dense_b_matrix, pair_b_blocks, pair_blocks,
+                               pair_expectation, pair_number_diagonal)
+from gamma2lab.rdm import expectation_fast
+
+ORACLE_TOL = 1e-10
+
+# Up to six pairs; zero coefficients make some pairing states vanish.
+profiles = st.lists(st.one_of(st.just(0.0), st.floats(0.05, 2.0)),
+                    min_size=1, max_size=6).filter(lambda raw: any(raw))
+
+
+def normalized(raw):
+    """Unit-norm profile, sorted descending as canonical forms require."""
+    raw = np.sort(np.asarray(raw, dtype=float))[::-1]
+    return raw / np.linalg.norm(raw)
+
+
+def dense_gap(op, N):
+    """min eig D and ||D Psi|| / ||Psi|| with D formed densely on (d, N)."""
+    sec = enumerate_sector(op.basis.d, N)
+    bmat = dense_b_matrix(op, N)
+    gap = -(bmat.T @ bmat)
+    gap[np.diag_indices_from(gap)] += (0.5 * N - 0.25 * (N - 2)
+                                       * pair_number_diagonal(op, sec))
+    min_eig = float(np.linalg.eigvalsh(gap).min())
+    state = build_pairing_state(op, N // 2)
+    if state.degenerate:
+        return min_eig, float("nan")
+    amps = state.vector.amplitudes
+    return min_eig, float(np.linalg.norm(gap @ amps) / np.linalg.norm(amps))
+
+
+def embedded_expectation(lams, state):
+    """<phi, G phi> through the full-sector embedding of the pairing state."""
+    return expectation_fast(canonical_from_lambdas(lams), state.vector.normalized())
+
+
+class TestOracles:
+    @given(profiles)
+    @settings(max_examples=25, deadline=None)
+    def test_gap_matches_dense(self, raw):
+        op = PairOperator.from_lambdas(normalized(raw))
+        for N in range(2, 2 * op.n_pairs + 1, 2):
+            result = proposition_gap(op, N)
+            min_eig, residual = dense_gap(op, N)
+            assert abs(result.min_eigenvalue - min_eig) <= ORACLE_TOL
+            assert result.degenerate == np.isnan(residual)
+            if not result.degenerate:
+                assert result.kernel_residual < ORACLE_TOL
+                assert residual < ORACLE_TOL
+
+    @given(profiles)
+    @settings(max_examples=25, deadline=None)
+    def test_sup_matches_dense(self, raw):
+        lams = normalized(raw)
+        for N in range(2, 2 * len(lams) + 1, 2):
+            sups = block_sups(lams, N)
+            dense = sup_over_states(lams, N, "dense")
+            assert abs(max(sups.values()) - dense) <= ORACLE_TOL
+            assert sups[0] <= dense + ORACLE_TOL
+
+    @given(profiles)
+    @settings(max_examples=25, deadline=None)
+    def test_pair_expectation_matches_embedding(self, raw):
+        lams = normalized(raw)
+        op = PairOperator.from_lambdas(lams)
+        for N in range(2, 2 * len(lams) + 1, 2):
+            state = build_pairing_state(op, N // 2)
+            if state.degenerate:
+                continue
+            oracle = embedded_expectation(lams, state)
+            assert abs(pair_expectation(lams, state) - oracle) <= ORACLE_TOL
+            report = verify_theorem2(lams, N)
+            if report.observed is not None:
+                assert abs(report.observed - oracle) <= ORACLE_TOL
+
+    @given(profiles)
+    @settings(max_examples=25, deadline=None)
+    def test_counterexample_matches_embedding(self, raw):
+        lams = normalized(raw)
+        K = len(lams)
+        for N in range(2, K + 1, 2):
+            uniform = np.zeros(K)
+            uniform[:N] = 1.0 / np.sqrt(N)
+            state = build_pairing_state(PairOperator.from_lambdas(uniform), N // 2)
+            report = counterexample_driver(lams, N)
+            assert abs(report.observed - embedded_expectation(lams, state)) <= ORACLE_TOL
+
+    def test_explore_matches_lanczos(self):
+        lams = normalized(np.linspace(1.1, 0.9, 8))
+        for report in explore_conjecture(lams, [2, 4, 6]):
+            lanczos = sup_over_states(lams, report.params["N"], "iterative")
+            assert abs(report.details["sup_full"] - lanczos) <= 1e-8
+            assert report.details["seniority_gap"] >= 0.0
+
+
+class TestBlockStructure:
+    @pytest.mark.parametrize("K", [1, 2, 3, 4])
+    def test_block_spectra_cover_the_sector(self, K):
+        # Each block stands for its 2**s spin copies; together they must
+        # reproduce the spectrum of B*B and the pair-number diagonal on
+        # the full sector, odd N included.
+        op = PairOperator.from_lambdas(normalized(np.arange(K, 0, -1) + 0.5))
+        for N in range(2, 2 * K + 1):
+            sec = enumerate_sector(2 * K, N)
+            bmat = dense_b_matrix(op, N)
+            eigs, numbers = [], []
+            for blocks in pair_blocks(op.lambdas, N):
+                copies = 2 ** blocks.seniority
+                gram = blocks.b.transpose(0, 2, 1) @ blocks.b
+                eigs += [np.linalg.eigvalsh(gram).ravel()] * copies
+                numbers += [blocks.pair_number.ravel()] * copies
+            assert np.allclose(np.sort(np.concatenate(eigs)),
+                               np.linalg.eigvalsh(bmat.T @ bmat), atol=1e-12)
+            assert np.allclose(np.sort(np.concatenate(numbers)),
+                               np.sort(pair_number_diagonal(op, sec)), atol=1e-12)
+
+    def test_scrambled_pair_map(self):
+        basis = OrbitalBasis(6, ((0, 3), (4, 1), (2, 5)))
+        op = PairOperator(basis, normalized([2.0, 1.0, 1.0]))
+        for N in (2, 4, 6):
+            result = proposition_gap(op, N)
+            min_eig, _ = dense_gap(op, N)
+            assert abs(result.min_eigenvalue - min_eig) <= ORACLE_TOL
+            assert result.kernel_residual < ORACLE_TOL
+
+    def test_batched_blocks_match_reference(self):
+        # Masks of M occupied pairs in ascending order; b_k removes pair k.
+        def masks(K, M):
+            return sorted(sum(1 << k for k in c) for c in combinations(range(K), M))
+
+        coeffs = np.random.default_rng(4).uniform(0.0, 2.0, size=(5, 6))
+        coeffs[1, 2] = 0.0
+        batch = pair_b_blocks(coeffs, 3)
+        src, tgt = masks(6, 3), masks(6, 2)
+        for row, block in zip(coeffs, batch):
+            ref = np.zeros((len(tgt), len(src)))
+            for j, m in enumerate(src):
+                for k in range(6):
+                    if m >> k & 1:
+                        ref[tgt.index(m ^ (1 << k)), j] = row[k]
+            assert np.array_equal(block, ref)
+
+
+class TestAdmission:
+    @pytest.fixture
+    def no_enumeration(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("pair basis enumerated before admission")
+        monkeypatch.setattr(pairing, "occupation_masks", refuse)
+
+    def test_pairing_state_refused_by_arithmetic(self, no_enumeration):
+        # C(40, 20) ~ 1.4e11 pair states: refused before any enumeration.
+        op = PairOperator.from_lambdas(np.full(40, 1 / np.sqrt(40)))
+        with pytest.raises(SectorSizeError):
+            build_pairing_state(op, 20)
+        # C(40, 38) = 780 is small, but the build passes through C(40, 20).
+        with pytest.raises(SectorSizeError):
+            build_pairing_state(op, 38)
+
+    def test_gap_refused_by_arithmetic(self, no_enumeration):
+        op = PairOperator.from_lambdas(np.full(40, 1 / np.sqrt(40)))
+        with pytest.raises(SectorSizeError):
+            proposition_gap(op, 40)
+        with pytest.raises(SectorSizeError):
+            explore_conjecture(op.lambdas, [40])
+
+    def test_block_total_refused(self, no_enumeration):
+        # Largest block C(100, 2) = 4950 fits, all blocks together do not.
+        with pytest.raises(SectorSizeError):
+            next(pair_blocks(np.ones(100), 4))
+
+    def test_oversized_block_refused(self, no_enumeration):
+        with pytest.raises(SectorSizeError):
+            pair_b_blocks(np.ones((1, 16)), 8)
+        # 4368 columns fit, but B has C(16, 10) = 8008 rows.
+        with pytest.raises(SectorSizeError):
+            pair_b_blocks(np.ones((1, 16)), 11)
+
+    def test_mask_width(self, no_enumeration):
+        with pytest.raises(SectorSizeError):
+            build_pairing_state(PairOperator.from_lambdas(np.full(70, 1 / np.sqrt(70))), 1)
+
+    def test_beyond_full_sector_cap(self):
+        # d = 28 is above the full-sector cap, the pair basis (3432 states)
+        # is not; the embedding is only built, and refused, on demand.
+        op = PairOperator.from_lambdas(np.full(14, 1 / np.sqrt(14)))
+        state = build_pairing_state(op, 7)
+        assert len(state.pair_amplitudes) == 3432
+        with pytest.raises(SectorSizeError):
+            state.vector
+        assert abs(pair_expectation(op.lambdas, state) - 8.0) < 1e-12  # N/2 + 1
+
+
+def test_cli_import_defers_sparse_linalg():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import gamma2lab.cli; "
+            "print('scipy.sparse.linalg' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code, str(src)],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
