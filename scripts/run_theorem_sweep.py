@@ -24,13 +24,12 @@ def main():
     parser.add_argument("--trials", type=int, default=100)
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--tol", type=float, default=1e-8)
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--outdir", type=Path, default=Path("results"))
     args = parser.parse_args()
 
     common = ["--dim", str(args.dim), "--particles", str(args.particles),
               "--trials", str(args.trials), "--seed", str(args.seed),
-              "--tol", repr(args.tol), "--threads", str(args.threads)]
+              "--tol", repr(args.tol)]
     status = 0
     for check in ("thm1", "occupation"):
         out = args.outdir / f"{check}_d{args.dim}_n{args.particles}.json"

@@ -33,7 +33,6 @@ import os
 import platform
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -211,16 +210,6 @@ def _particles_list(text: str) -> list[int]:
     return [int(p) for p in text.split(",") if p]
 
 
-def _sweep(worker, trials: int, threads: int) -> list:
-    """Run trial workers, merging results in trial order regardless of threads."""
-    if threads <= 1:
-        chunks = [worker(t) for t in range(trials)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(worker, range(trials)))
-    return [rep for chunk in chunks for rep in chunk]
-
-
 def _cmd_canonical(args) -> tuple[dict, list]:
     tensor = canonical.read_tensor_text(args.tensor)
     note = ""
@@ -288,7 +277,7 @@ def _cmd_verify(args) -> tuple[dict, list]:
                     psi, spectral, tol=args.tol, tag=tag)
             return rows
 
-        return config, _sweep(worker, args.trials, args.threads)
+        return config, [row for t in range(args.trials) for row in worker(t)]
 
     spec = parse_lambda_spec(args.lambda_spec)
     config["lambda"] = {"spec": spec.label,
@@ -370,7 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="particle number, or comma list where applicable")
     ver.add_argument("--trials", type=int, default=20)
     ver.add_argument("--seed", type=int, default=0)
-    ver.add_argument("--threads", type=int, default=1)
+    ver.add_argument("--threads", type=int, default=1,
+                     help="recorded in the report; trials always run in order")
     ver.add_argument("--lambda", dest="lambda_spec", type=str, default=None,
                      help="coefficient profile, e.g. uniform:4 or power:1:8")
     ver.add_argument("--m-max", type=int, default=None)

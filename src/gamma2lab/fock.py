@@ -8,6 +8,16 @@ convention: acting on orbital ``i`` picks up ``(-1)**(number of occupied
 orbitals below i)``, which makes the canonical anticommutation relations
 exact at the bit level.
 
+Every operator is built from one primitive, the hop table of the
+annihilator c_i from popcount-n masks to popcount-(n-1) masks: ``cols``
+lists the positions of the masks holding orbital i, ``rows`` the positions
+of the same masks with that bit cleared.  Creation scatters along the same
+table in the other direction.  The fermion operators attach the
+Jordan-Wigner sign to each entry; the sign-free pair-occupation bases of
+:mod:`gamma2lab.pairing` use the table as it is.  Only the signed tables
+are cached, per (d, n, orbital) in a bounded LRU cache; the pair bases use
+each table once per build, so theirs are rebuilt on demand.
+
 Orbitals may optionally be grouped into pairs (k, up) / (k, down) through an
 :class:`OrbitalBasis`; the standard layout puts the up member of pair ``k``
 at orbital ``2k`` and the down member at ``2k + 1``.
@@ -25,6 +35,8 @@ import numpy as np
 
 DEFAULT_MAX_DIM = 24
 DEFAULT_MAX_SECTOR = 3_000_000
+MASK_CACHE = 64                   # occupation-mask arrays kept, one per (d, n)
+HOP_CACHE = 2 * DEFAULT_MAX_DIM   # Gamma2 assembly cycles through 2d hop tables
 
 
 class SectorSizeError(ValueError):
@@ -67,7 +79,7 @@ class OrbitalBasis:
         return self.pair_map[k][1]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MASK_CACHE)
 def occupation_masks(d: int, n: int) -> np.ndarray:
     """All d-bit masks with popcount ``n``, ascending (Gosper's hack)."""
     if n == 0:
@@ -110,14 +122,9 @@ class SectorBasis:
         return f"SectorBasis(d={self.d}, N={self.N}, dim={self.dim})"
 
 
-@lru_cache(maxsize=None)
-def _sector(d: int, N: int) -> SectorBasis:
-    return SectorBasis(d, N, occupation_masks(d, N))
-
-
 def enumerate_sector(d: int, N: int, *, max_dim: int | None = None,
                      max_states: int | None = None) -> SectorBasis:
-    """Basis of the (d, N) sector, cached per (d, N).
+    """Basis of the (d, N) sector over the cached masks of that sector.
 
     Rejects N < 0, N > d, d above the dimension cap, and sectors larger than
     the state-count cap.  Caps are soft configuration, not physics.
@@ -131,7 +138,7 @@ def enumerate_sector(d: int, N: int, *, max_dim: int | None = None,
     if comb(d, N) > max_states:
         raise SectorSizeError(
             f"sector (d={d}, N={N}) has {comb(d, N)} states, cap is {max_states}")
-    return _sector(d, N)
+    return SectorBasis(d, N, occupation_masks(d, N))
 
 
 @dataclass
@@ -204,28 +211,75 @@ def slater_state(d: int, orbitals) -> SectorVector:
     return basis_state(d, mask)
 
 
-def _parity_signs(masks: np.ndarray, orbital: int) -> np.ndarray:
-    """(-1)**(occupied orbitals below `orbital`) for each mask."""
-    below = masks.astype(np.uint64) & np.uint64((1 << orbital) - 1)
-    return 1.0 - 2.0 * (np.bitwise_count(below).astype(np.int64) & 1)
+def _hops(d: int, n: int, orbital: int) -> tuple[np.ndarray, np.ndarray]:
+    """Hop table ``(rows, cols)`` of the annihilator on ``orbital``.
+
+    ``cols`` lists the positions in ``occupation_masks(d, n)`` of the masks
+    holding ``orbital``; ``rows`` the positions in ``occupation_masks(d, n-1)``
+    of the same masks with that bit cleared.  Both are read-only.
+    """
+    src = occupation_masks(d, n)
+    bit = 1 << orbital
+    cols = np.flatnonzero(src & bit)
+    rows = np.searchsorted(occupation_masks(d, n - 1), src[cols] ^ bit)
+    for table in (rows, cols):
+        table.setflags(write=False)
+    return rows, cols
+
+
+@lru_cache(maxsize=HOP_CACHE)
+def _fermion_hops(d: int, n: int,
+                  orbital: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_hops` plus the Jordan-Wigner sign of each entry as ``int8``.
+
+    The sign is (-1)**(occupied orbitals below ``orbital``), the same for the
+    annihilator on the ``cols`` mask and the creator on the ``rows`` mask.
+    """
+    rows, cols = _hops(d, n, orbital)
+    below = occupation_masks(d, n)[cols] & ((1 << orbital) - 1)
+    signs = 1 - 2 * (np.bitwise_count(below) & 1).astype(np.int8)
+    signs.setflags(write=False)
+    return rows, cols, signs
+
+
+def _scatter(vec: SectorVector, terms, create: bool) -> SectorVector:
+    """sum of coef * c*_orbital vec (``create``) or coef * c_orbital vec.
+
+    ``terms`` lists ``(orbital, coef)``; the result lives one sector up or
+    down.
+    """
+    basis = vec.basis
+    if create and basis.N + 1 > basis.d:
+        raise SectorMismatchError("sector is already full")
+    if not create and basis.N < 1:
+        raise SectorMismatchError("cannot annihilate in the vacuum sector")
+    n = basis.N + 1 if create else basis.N
+    target = enumerate_sector(basis.d, basis.N + (1 if create else -1))
+    out = np.zeros(target.dim, dtype=np.complex128)
+    for orbital, coef in terms:
+        rows, cols, signs = _fermion_hops(basis.d, n, orbital)
+        dst, src = (cols, rows) if create else (rows, cols)
+        out[dst] += coef * signs * vec.amplitudes[src]
+    return SectorVector(target, out)
+
+
+def _check_orbital(orbital: int, basis: SectorBasis) -> None:
+    if not 0 <= orbital < basis.d:
+        raise SectorMismatchError(f"orbital {orbital} outside 0..{basis.d - 1}")
+
+
+def _coefficient_terms(coeffs, basis: SectorBasis) -> list:
+    """``(orbital, coef)`` for the nonzero entries of a length-d vector."""
+    coeffs = np.asarray(coeffs, dtype=np.complex128)
+    if coeffs.shape != (basis.d,):
+        raise SectorMismatchError("coefficient vector has wrong length")
+    return [(int(i), coeffs[i]) for i in np.flatnonzero(np.abs(coeffs) > 0)]
 
 
 def apply_create(orbital: int, vec: SectorVector) -> SectorVector:
     """Creation operator on one orbital, (d, N) -> (d, N+1)."""
-    basis = vec.basis
-    if not 0 <= orbital < basis.d:
-        raise SectorMismatchError(f"orbital {orbital} outside 0..{basis.d - 1}")
-    if basis.N + 1 > basis.d:
-        raise SectorMismatchError("sector is already full")
-    target = enumerate_sector(basis.d, basis.N + 1)
-    bit = 1 << orbital
-    states = basis.states
-    src = np.nonzero((states & bit) == 0)[0]
-    out = np.zeros(target.dim, dtype=np.complex128)
-    if len(src):
-        signs = _parity_signs(states[src], orbital)
-        out[target.index_of(states[src] | bit)] = signs * vec.amplitudes[src]
-    return SectorVector(target, out)
+    _check_orbital(orbital, vec.basis)
+    return _scatter(vec, [(orbital, 1)], create=True)
 
 
 def apply_annihilate(orbital: int, vec: SectorVector) -> SectorVector:
@@ -233,61 +287,19 @@ def apply_annihilate(orbital: int, vec: SectorVector) -> SectorVector:
 
     Adjoint of :func:`apply_create`: <w, c_i v> = <c*_i w, v>.
     """
-    basis = vec.basis
-    if not 0 <= orbital < basis.d:
-        raise SectorMismatchError(f"orbital {orbital} outside 0..{basis.d - 1}")
-    if basis.N < 1:
-        raise SectorMismatchError("cannot annihilate in the vacuum sector")
-    target = enumerate_sector(basis.d, basis.N - 1)
-    bit = 1 << orbital
-    states = basis.states
-    src = np.nonzero((states & bit) != 0)[0]
-    out = np.zeros(target.dim, dtype=np.complex128)
-    if len(src):
-        signs = _parity_signs(states[src], orbital)
-        out[target.index_of(states[src] & ~bit)] = signs * vec.amplitudes[src]
-    return SectorVector(target, out)
+    _check_orbital(orbital, vec.basis)
+    return _scatter(vec, [(orbital, 1)], create=False)
 
 
 def apply_create_vector(coeffs, vec: SectorVector) -> SectorVector:
     """Creation of the single-particle state sum_i coeffs[i] e_i (linear)."""
-    basis = vec.basis
-    coeffs = np.asarray(coeffs, dtype=np.complex128)
-    if coeffs.shape != (basis.d,):
-        raise SectorMismatchError("coefficient vector has wrong length")
-    if basis.N + 1 > basis.d:
-        raise SectorMismatchError("sector is already full")
-    target = enumerate_sector(basis.d, basis.N + 1)
-    out = np.zeros(target.dim, dtype=np.complex128)
-    states = basis.states
-    for i in np.nonzero(np.abs(coeffs) > 0)[0]:
-        bit = 1 << int(i)
-        src = np.nonzero((states & bit) == 0)[0]
-        if len(src):
-            signs = _parity_signs(states[src], int(i))
-            out[target.index_of(states[src] | bit)] += coeffs[i] * signs * vec.amplitudes[src]
-    return SectorVector(target, out)
+    return _scatter(vec, _coefficient_terms(coeffs, vec.basis), create=True)
 
 
 def apply_annihilate_vector(coeffs, vec: SectorVector) -> SectorVector:
     """Annihilation of sum_i coeffs[i] e_i; conjugate-linear in coeffs."""
-    basis = vec.basis
-    coeffs = np.asarray(coeffs, dtype=np.complex128)
-    if coeffs.shape != (basis.d,):
-        raise SectorMismatchError("coefficient vector has wrong length")
-    if basis.N < 1:
-        raise SectorMismatchError("cannot annihilate in the vacuum sector")
-    target = enumerate_sector(basis.d, basis.N - 1)
-    out = np.zeros(target.dim, dtype=np.complex128)
-    states = basis.states
-    for i in np.nonzero(np.abs(coeffs) > 0)[0]:
-        bit = 1 << int(i)
-        src = np.nonzero((states & bit) != 0)[0]
-        if len(src):
-            signs = _parity_signs(states[src], int(i))
-            out[target.index_of(states[src] & ~bit)] += (
-                np.conj(coeffs[i]) * signs * vec.amplitudes[src])
-    return SectorVector(target, out)
+    terms = _coefficient_terms(coeffs, vec.basis)
+    return _scatter(vec, [(i, np.conj(c)) for i, c in terms], create=False)
 
 
 def occupation(vec: SectorVector, orbital: int) -> float:

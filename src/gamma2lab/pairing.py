@@ -44,9 +44,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .fock import (DEFAULT_MAX_SECTOR, OrbitalBasis, SectorMismatchError,
-                   SectorSizeError, SectorVector, apply_annihilate,
-                   apply_create, enumerate_sector, occupation_masks,
-                   operator_matrix)
+                   SectorSizeError, SectorVector, _fermion_hops, _hops,
+                   apply_annihilate, apply_create, enumerate_sector,
+                   occupation_masks, operator_matrix)
 
 NORM_TOL = 1e-10
 DENSE_CAP = 5000          # rows or columns of a dense block, in basis states
@@ -82,35 +82,24 @@ class PairOperator:
         return self.basis.n_pairs
 
 
-def _pair_sign_data(basis: OrbitalBasis, k: int) -> tuple[int, int, int]:
-    """(pair bits, between-mask, base parity) for pair k.
-
-    Annihilating c_down c_up on a mask with both bits set gives the sign
-    (-1)**(occupied orbitals strictly between the two members + base), where
-    base is 1 when the down orbital sits below the up orbital.  The creator
-    c*_up c*_down carries the same sign on the stripped mask.
-    """
-    a, b = basis.pair_map[k]
-    bits = (1 << a) | (1 << b)
-    lo, hi = (a, b) if a < b else (b, a)
-    between = ((1 << hi) - 1) ^ ((1 << (lo + 1)) - 1)
-    base = 1 if b < a else 0
-    return bits, between, base
-
-
 @lru_cache(maxsize=8)
 def _pair_transitions(basis: OrbitalBasis, N: int):
-    """Per-pair scatter maps for B between the (d, N) and (d, N-2) sectors."""
-    src = enumerate_sector(basis.d, N)
-    tgt = enumerate_sector(basis.d, N - 2)
+    """Per-pair scatter maps for B between the (d, N) and (d, N-2) sectors.
+
+    The map of b_k = c_down c_up is the hop of c_up followed by the hop of
+    c_down, and its sign the product of theirs.
+    """
+    d = basis.d
     maps = []
-    for k in range(basis.n_pairs):
-        bits, between, base = _pair_sign_data(basis, k)
-        cols = np.nonzero((src.states & bits) == bits)[0]
-        rows = tgt.index_of(src.states[cols] & ~bits)
-        par = np.bitwise_count((src.states[cols] & between).astype(np.uint64))
-        signs = 1.0 - 2.0 * ((par.astype(np.int64) + base) & 1)
-        maps.append((rows, cols, signs))
+    for up, down in basis.pair_map:
+        rows_up, cols_up, signs_up = _fermion_hops(d, N, up)
+        rows_down, cols_down, signs_down = _fermion_hops(d, N - 1, down)
+        hop = np.full(comb(d, N - 1), -1)
+        hop[cols_down] = np.arange(len(cols_down))
+        hop = hop[rows_up]
+        keep = hop >= 0
+        hop = hop[keep]
+        maps.append((rows_down[hop], cols_up[keep], signs_up[keep] * signs_down[hop]))
     return maps
 
 
@@ -195,11 +184,8 @@ def _pair_hops(K: int, M: int):
     ``occupation_masks(K, M)`` holding pair k, and ``rows`` the positions of
     the same masks with pair k removed in ``occupation_masks(K, M - 1)``.
     """
-    src, tgt = occupation_masks(K, M), occupation_masks(K, M - 1)
     for k in range(K):
-        bit = 1 << k
-        cols = np.flatnonzero(src & bit)
-        yield k, np.searchsorted(tgt, src[cols] ^ bit), cols
+        yield k, *_hops(K, M, k)
 
 
 @dataclass
@@ -225,35 +211,27 @@ class PairingState:
         full = np.zeros(sector.dim, dtype=np.complex128)
         support = np.nonzero(self.pair_amplitudes)[0]
         if len(support):
-            masks = self.pair_masks[support]
-            signs = _embedding_signs(self.basis, masks)
-            idx = sector.index_of(_full_masks(self.basis, masks))
-            full[idx] = signs * self.pair_amplitudes[support]
+            masks, signs = _embed(self.basis, self.pair_masks[support])
+            full[sector.index_of(masks)] = signs * self.pair_amplitudes[support]
         return SectorVector(sector, full)
 
 
-def _embedding_signs(basis: OrbitalBasis, masks: np.ndarray) -> np.ndarray:
-    """Sign relating |S>> to the Fock basis state with all pairs of S filled."""
-    signs = np.ones(len(masks), dtype=np.float64)
-    data = [_pair_sign_data(basis, k) for k in range(basis.n_pairs)]
-    for i, s in enumerate(masks):
-        full = 0
-        parity = 0
-        for k in range(basis.n_pairs):
-            if (int(s) >> k) & 1:
-                bits, between, base = data[k]
-                parity += int(full & between).bit_count() + base
-                full |= bits
-        signs[i] = -1.0 if parity & 1 else 1.0
-    return signs
+def _embed(basis: OrbitalBasis,
+           pair_masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Fock masks and signs of |S>> = prod_{k in S} b*_k |vacuum>.
 
-
-def _full_masks(basis: OrbitalBasis, masks: np.ndarray) -> np.ndarray:
-    full = np.zeros(len(masks), dtype=np.int64)
-    for k in range(basis.n_pairs):
-        bits = (1 << basis.up(k)) | (1 << basis.down(k))
-        full |= np.where((masks >> k) & 1, bits, 0)
-    return full
+    The creators act in ascending k, each b*_k = c*_up c*_down with c*_down
+    first, so every creator picks up the parity of the orbitals below it
+    that the lower pairs already filled.
+    """
+    full = np.zeros(len(pair_masks), dtype=np.int64)
+    parity = np.zeros(len(pair_masks), dtype=np.int64)
+    for k, (up, down) in enumerate(basis.pair_map):
+        held = (pair_masks >> k) & 1
+        for orbital in (down, up):
+            parity += held * np.bitwise_count(full & ((1 << orbital) - 1))
+            full |= held << orbital
+    return full, 1.0 - 2.0 * (parity & 1)
 
 
 def pairing_states(op: PairOperator, M_max: int) -> Iterator[PairingState]:

@@ -67,11 +67,10 @@ def compute_gamma2(psi: SectorVector, *, norm_tol: float = 1e-10,
     pairs = wedge_pairs(d)
     lower = enumerate_sector(d, N - 2)
     y = np.empty((lower.dim, len(pairs)), dtype=np.complex128)
-    partial: dict[int, SectorVector] = {}
     for p, (i, j) in enumerate(pairs):
-        if i not in partial:
-            partial[i] = apply_annihilate(i, psi)
-        y[:, p] = apply_annihilate(j, partial[i]).amplitudes
+        if j == i + 1:  # wedge_pairs is row-major: row i starts here
+            partial = apply_annihilate(i, psi)
+        y[:, p] = apply_annihilate(j, partial).amplitudes
     gram = y.conj().T @ y
     g = 2.0 * gram.T
     defect = float(np.max(np.abs(g - g.conj().T))) if g.size else 0.0
@@ -131,14 +130,14 @@ def apply_pair_annihilator(phi, psi: SectorVector) -> SectorVector:
         if phi.d != basis.d:
             raise SectorMismatchError("tensor dimension does not match the state")
         amps = phi.wedge_amplitudes()
-        partial: dict[int, SectorVector] = {}
+        partial_of = None
         for p, (i, j) in enumerate(wedge_pairs(basis.d)):
             c = np.conj(amps[p])
             if c == 0.0:
                 continue
-            if i not in partial:
-                partial[i] = apply_annihilate(i, psi)
-            out += c * apply_annihilate(j, partial[i]).amplitudes
+            if partial_of != i:  # wedge_pairs is row-major: one c_i psi at a time
+                partial, partial_of = apply_annihilate(i, psi), i
+            out += c * apply_annihilate(j, partial).amplitudes
     else:
         raise TypeError("phi must be a CanonicalForm or AntisymmetricTensor")
     return SectorVector(target, out)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gamma2lab import fock
 from gamma2lab.fock import (OrbitalBasis, SectorMismatchError, SectorSizeError,
                             SectorVector, apply_annihilate,
                             apply_annihilate_vector, apply_create,
@@ -104,15 +105,28 @@ class TestCreationAnnihilation:
 
     @pytest.mark.parametrize("d", [2, 4, 6])
     def test_matches_dense_bit_oracle(self, d):
-        # compare sector-wise application against the independent dense build
-        for i in range(d):
-            full = dense_annihilator(d, i)
-            for n in range(1, d + 1):
-                src = enumerate_sector(d, n)
-                tgt = enumerate_sector(d, n - 1)
-                block = full[np.ix_(tgt.states, src.states)]
+        # compare sector-wise application against the independent dense build;
+        # every matrix entry comes from one orbital, so agreement is exact
+        rng = np.random.default_rng(d)
+        u = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        ann = [dense_annihilator(d, i) for i in range(d)]
+        ann_u = sum(np.conj(u[i]) * ann[i] for i in range(d))
+        for n in range(1, d + 1):
+            src = enumerate_sector(d, n)
+            tgt = enumerate_sector(d, n - 1)
+
+            def block(full):
+                return full[np.ix_(tgt.states, src.states)]
+
+            for i in range(d):
                 ours = operator_matrix(lambda w: apply_annihilate(i, w), src, tgt)
-                assert np.max(np.abs(block - ours)) == 0.0
+                assert np.max(np.abs(block(ann[i]) - ours)) == 0.0
+                ours = operator_matrix(lambda w: apply_create(i, w), tgt, src)
+                assert np.max(np.abs(block(ann[i]).T - ours)) == 0.0
+            ours = operator_matrix(lambda w: apply_annihilate_vector(u, w), src, tgt)
+            assert np.max(np.abs(block(ann_u) - ours)) == 0.0
+            ours = operator_matrix(lambda w: apply_create_vector(u, w), tgt, src)
+            assert np.max(np.abs(block(ann_u).conj().T - ours)) == 0.0
 
 
 class TestCAR:
@@ -212,3 +226,12 @@ class TestOrbitalBasis:
     def test_rejects_odd_dimension(self):
         with pytest.raises(ValueError):
             OrbitalBasis(3, ((0, 1),))
+
+
+class TestCaches:
+    def test_every_cache_is_bounded(self):
+        caches = {name: f for name, f in vars(fock).items()
+                  if hasattr(f, "cache_info")}
+        assert {"occupation_masks", "_fermion_hops"} <= set(caches)
+        for f in caches.values():
+            assert f.cache_info().maxsize is not None

@@ -17,6 +17,8 @@ from gamma2lab.pairing import (PairOperator, annihilation_identity_check,
                                pair_number_diagonal, seniority_b_matrix,
                                write_state_text)
 
+from test_fock import dense_annihilator
+
 UNIFORM4 = np.full(4, 0.5)
 
 PROFILES = {
@@ -89,6 +91,19 @@ class TestApplyB:
         lhs = apply_B(op, apply_B_star(op, v)) - apply_B_star(op, apply_B(op, v))
         rhs = SectorVector(sec, (1.0 - pair_number_diagonal(op, sec)) * v.amplitudes)
         assert (lhs - rhs).norm() < 1e-12
+
+    def test_dense_b_matches_bit_oracle(self):
+        # B = sum_k lam_k c_down c_up from the dense bit-loop annihilators,
+        # on a pair map whose members are neither adjacent nor ordered
+        basis = OrbitalBasis(6, ((0, 3), (4, 1), (2, 5)))
+        op = PairOperator(basis, np.array([1.0, 2.0, 3.0]) / np.sqrt(14.0))
+        ann = [dense_annihilator(6, i) for i in range(6)]
+        full = sum(lam * ann[down] @ ann[up]
+                   for lam, (up, down) in zip(op.lambdas, basis.pair_map))
+        for n in range(2, 7):
+            src, tgt = enumerate_sector(6, n), enumerate_sector(6, n - 2)
+            assert np.array_equal(dense_b_matrix(op, n),
+                                  full[np.ix_(tgt.states, src.states)])
 
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_commutator_dense(self, n):
