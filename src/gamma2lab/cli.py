@@ -239,10 +239,12 @@ def _cmd_canonical(args) -> tuple[dict, list]:
     return config, [check]
 
 
-def _spectrum_row(g, spectral, tag, args) -> bounds.TheoremReport:
-    """Informational per-trial dump: eigenvalues always, more on request."""
+def _spectrum_row(psi, g, spectral, tag, args) -> bounds.TheoremReport:
+    """Informational per-trial dump: eigenvalues and health residuals always,
+    more on request."""
     details = {"eigenvalues": [float(x) for x in spectral.eigenvalues],
-               "hermiticity_defect": g.hermiticity_defect}
+               "hermiticity_defect": g.hermiticity_defect,
+               "partial_trace_residual": rdm.partial_trace_residual(g, psi)}
     if args.eigenvectors:
         details["eigenvectors"] = [
             {"re": t.wedge_amplitudes().real.tolist(),
@@ -268,7 +270,7 @@ def _cmd_verify(args) -> tuple[dict, list]:
             tag = {"seed": args.seed + t, "trial": t}
             g = rdm.compute_gamma2(psi)
             spectral = rdm.spectral_decompose(g)
-            rows = [_spectrum_row(g, spectral, tag, args)]
+            rows = [_spectrum_row(psi, g, spectral, tag, args)]
             if args.check == "thm1":
                 rows += bounds.verify_theorem1(psi, tol=args.tol, tag=tag,
                                                spectral=spectral)

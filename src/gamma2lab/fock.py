@@ -35,6 +35,7 @@ import numpy as np
 
 DEFAULT_MAX_DIM = 24
 DEFAULT_MAX_SECTOR = 3_000_000
+DEFAULT_MAX_GAMMA2_BYTES = 2 * 2 ** 30  # c_j c_i psi vectors of one Gamma2 assembly
 MASK_CACHE = 64                   # occupation-mask arrays kept, one per (d, n)
 HOP_CACHE = 2 * DEFAULT_MAX_DIM   # Gamma2 assembly cycles through 2d hop tables
 

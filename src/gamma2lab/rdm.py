@@ -2,11 +2,23 @@
 
 The reduced operator of a normalized sector vector is represented on the
 antisymmetric two-particle subspace, i.e. on the wedge basis e_i ^ e_j with
-i < j, which has dimension d(d-1)/2.  Its matrix element between e_i ^ e_j
-and e_k ^ e_l equals 2 <psi, c*_k c*_l c_j c_i psi>, so the whole operator
-is assembled from the Gram matrix of the pair-annihilated vectors
+i < j, which has dimension P = d(d-1)/2.  Its matrix element between
+e_i ^ e_j and e_k ^ e_l equals 2 <psi, c*_k c*_l c_j c_i psi>, so the whole
+operator is assembled from the Gram matrix of the pair-annihilated vectors
 c_j c_i psi.  This makes positivity and the trace value N(N-1) structural
-rather than accidental.
+rather than accidental.  The vectors are gathered pair-major along the cached
+hop tables and the Gram matrix is summed over fixed-size chunks of the
+(N-2)-particle sector; their total size is admitted by arithmetic before
+anything is allocated.
+
+Two more quantities come from identities instead of per-vector work:
+
+* the one-body matrix gamma1[i, k] = <c_i psi, c_k psi> is a partial trace,
+  sum_j G[i, j, k, j] = 2 (N-1) <c_k psi, c_i psi> with G the antisymmetric
+  extension of the operator, so it costs O(P d) once the operator exists;
+* sum lam**4 and lam_max of an eigenvector's canonical form are unitary
+  invariants of its coefficient matrix A: sum lam**4 = 2 ||A^H A||_F**2 and
+  lam_max = sqrt(2) ||A||_2, batched over all eigenvectors at once.
 
 Quadratic forms <phi, G phi> can also be evaluated without assembling G:
 with phi in canonical form, the pair annihilator
@@ -15,16 +27,23 @@ B = sum_k lam_k c(v_k) c(u_k) satisfies <phi, G phi> = 2 ||B psi||^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from math import comb
 
 import numpy as np
 
-from .canonical import (AntisymmetricTensor, CanonicalForm,
-                        tensor_from_wedge_amplitudes, wedge_pairs)
-from .fock import (SectorMismatchError, SectorVector, apply_annihilate,
-                   apply_annihilate_vector, enumerate_sector)
+from .canonical import (NORM_TOL, AntisymmetricTensor, CanonicalForm,
+                        NotNormalizedError, tensor_from_wedge_amplitudes,
+                        wedge_pairs)
+from .fock import (DEFAULT_MAX_GAMMA2_BYTES, SectorMismatchError,
+                   SectorSizeError, SectorVector, _fermion_hops,
+                   apply_annihilate, apply_annihilate_vector,
+                   enumerate_sector, occupation)
 
 HERMITICITY_TOL = 1e-10
+GRAM_CHUNK = 4096   # (N-2)-particle states per block of the Gram sum
+COMPLEX_BYTES = 16
 
 
 @dataclass
@@ -43,35 +62,67 @@ class TwoBodyOperator:
 
 @dataclass
 class SpectralData:
-    """Full eigensystem, descending, with eigenvectors as antisymmetric tensors."""
+    """Full eigensystem of a reduced operator, eigenvalues descending.
+
+    Column k of ``wedge_vectors`` is the k-th eigenvector on the wedge basis;
+    the same vectors as antisymmetric tensors are built on first access to
+    ``eigenvectors``.
+    """
 
     eigenvalues: np.ndarray
-    eigenvectors: list[AntisymmetricTensor] = field(default_factory=list)
+    wedge_vectors: np.ndarray
+    operator: TwoBodyOperator
+
+    @cached_property
+    def eigenvectors(self) -> list[AntisymmetricTensor]:
+        return [tensor_from_wedge_amplitudes(self.operator.d, x)
+                for x in self.wedge_vectors.T]
+
+
+def gamma2_bytes(d: int, N: int) -> int:
+    """Bytes of the pair-annihilated vectors c_j c_i psi of a (d, N) state."""
+    return comb(d, N - 2) * (d * (d - 1) // 2) * COMPLEX_BYTES
 
 
 def compute_gamma2(psi: SectorVector, *, norm_tol: float = 1e-10,
                    hermiticity_tol: float = HERMITICITY_TOL) -> TwoBodyOperator:
     """Assemble the two-body reduced operator of a normalized state.
 
-    Builds y_ij = c_j c_i psi for every ordered pair and returns twice the
-    transposed Gram matrix of those columns.  The pre-hermitization asymmetry
-    is recorded; anything above ``hermiticity_tol`` aborts, since at these
-    sizes a larger defect signals an implementation bug, not roundoff.
+    Gathers y_ij = c_j c_i psi for every ordered pair into the rows of one
+    pair-major array and returns twice the transposed Gram matrix of those
+    rows, summed over chunks of ``GRAM_CHUNK`` columns.  A state whose rows
+    would exceed ``DEFAULT_MAX_GAMMA2_BYTES`` is refused with
+    :class:`SectorSizeError` before anything is allocated.  The asymmetry of
+    the unsymmetrized product is recorded; anything above
+    ``hermiticity_tol`` aborts, since at these sizes a larger defect signals
+    an implementation bug, not roundoff.
     """
     basis = psi.basis
     d, N = basis.d, basis.N
     if N < 2:
         raise SectorMismatchError("two-body reduction needs at least two particles")
+    need = gamma2_bytes(d, N)
+    if need > DEFAULT_MAX_GAMMA2_BYTES:
+        raise SectorSizeError(
+            f"reduced operator of (d={d}, N={N}) needs {need} bytes of "
+            f"pair-annihilated vectors, budget is {DEFAULT_MAX_GAMMA2_BYTES}")
     if abs(psi.norm() - 1.0) > norm_tol:
         raise ValueError("state must be normalized")
-    pairs = wedge_pairs(d)
-    lower = enumerate_sector(d, N - 2)
-    y = np.empty((lower.dim, len(pairs)), dtype=np.complex128)
-    for p, (i, j) in enumerate(pairs):
-        if j == i + 1:  # wedge_pairs is row-major: row i starts here
-            partial = apply_annihilate(i, psi)
-        y[:, p] = apply_annihilate(j, partial).amplitudes
-    gram = y.conj().T @ y
+    lower_dim = comb(d, N - 2)
+    y = np.zeros((d * (d - 1) // 2, lower_dim), dtype=np.complex128)
+    p = 0
+    for i in range(d - 1):  # wedge pairs are row-major: one c_i psi at a time
+        rows, cols, signs = _fermion_hops(d, N, i)
+        partial = np.zeros(comb(d, N - 1), dtype=np.complex128)
+        partial[rows] = signs * psi.amplitudes[cols]
+        for j in range(i + 1, d):
+            rows, cols, signs = _fermion_hops(d, N - 1, j)
+            y[p, rows] = signs * partial[cols]
+            p += 1
+    gram = np.zeros((len(y), len(y)), dtype=np.complex128)
+    for start in range(0, lower_dim, GRAM_CHUNK):
+        blk = y[:, start:start + GRAM_CHUNK]
+        gram += blk.conj() @ blk.T
     g = 2.0 * gram.T
     defect = float(np.max(np.abs(g - g.conj().T))) if g.size else 0.0
     if defect > hermiticity_tol:
@@ -81,18 +132,68 @@ def compute_gamma2(psi: SectorVector, *, norm_tol: float = 1e-10,
 
 
 def spectral_decompose(g: TwoBodyOperator) -> SpectralData:
-    """Full eigensystem of the reduced operator, eigenvalues descending.
-
-    Eigenvectors are returned as antisymmetric tensors, ready for the
-    canonical decomposition.
-    """
+    """Full eigensystem of the reduced operator, eigenvalues descending."""
     try:
         evals, evecs = np.linalg.eigh(g.mat)
     except np.linalg.LinAlgError as exc:
         raise ArithmeticError("eigensolver did not converge") from exc
     order = np.argsort(-evals, kind="stable")
-    tensors = [tensor_from_wedge_amplitudes(g.d, evecs[:, k]) for k in order]
-    return SpectralData(eigenvalues=evals[order], eigenvectors=tensors)
+    return SpectralData(eigenvalues=evals[order], wedge_vectors=evecs[:, order],
+                        operator=g)
+
+
+def correlation_invariants(d: int, wedge_vectors) -> tuple[np.ndarray, np.ndarray]:
+    """sum lam**4 and lam_max of the canonical form of each column, no decomposition.
+
+    Column k holds the wedge amplitudes of a unit tensor with coefficient
+    matrix A_k; then sum lam**4 = 2 ||A_k^H A_k||_F**2 and
+    lam_max = sqrt(2 * largest eigenvalue of A_k^H A_k), evaluated for all
+    columns with one batched product.  A column whose norm is off 1 by more
+    than ``canonical.NORM_TOL`` raises :class:`NotNormalizedError`, as
+    :func:`canonical.youla_decompose` does.
+    """
+    x = np.asarray(wedge_vectors, dtype=np.complex128)
+    norms = np.linalg.norm(x, axis=0)
+    off = np.abs(norms - 1.0)
+    if np.any(off > NORM_TOL):
+        k = int(np.argmax(off))
+        raise NotNormalizedError(
+            f"tensor norm {float(norms[k])!r} is not 1 within {NORM_TOL:.1e}")
+    iu, ju = np.triu_indices(d, 1)
+    a = np.zeros((x.shape[1], d, d), dtype=np.complex128)
+    a[:, iu, ju] = x.T / np.sqrt(2.0)
+    a[:, ju, iu] = -a[:, iu, ju]
+    gram = np.matmul(a.conj().transpose(0, 2, 1), a)
+    sum_lambda4 = 2.0 * np.sum(np.abs(gram) ** 2, axis=(1, 2))
+    lambda_max = np.sqrt(2.0 * np.linalg.eigvalsh(gram)[:, -1])
+    return sum_lambda4, lambda_max
+
+
+def one_body_matrix(g: TwoBodyOperator) -> np.ndarray:
+    """gamma1[i, k] = <c_i psi, c_k psi> by partial trace of the reduced operator.
+
+    With G[i, j, k, l] the antisymmetric extension of the wedge matrix,
+    sum_j G[i, j, k, j] = 2 (N-1) <c_k psi, c_i psi>; one gather of d**3
+    entries evaluates all of it.  Then ||c(u) psi||**2 = u^T gamma1 conj(u).
+    """
+    d = g.d
+    iu, ju = np.triu_indices(d, 1)
+    index = np.zeros((d, d), dtype=np.intp)
+    sign = np.zeros((d, d))
+    index[iu, ju] = index[ju, iu] = np.arange(len(iu))
+    sign[iu, ju], sign[ju, iu] = 1.0, -1.0
+    # G[i, j, k, j] = sign[j, i] * sign[j, k] * blocks[j, i, k], where
+    # blocks[j, i, k] is the wedge entry of pairs {j, i} and {j, k}; the sign
+    # is 0 when j equals i or k
+    blocks = g.mat[index[:, :, None], index[:, None, :]]
+    trace2 = np.einsum("jik,ji,jk->ik", blocks, sign, sign)
+    return trace2.T / (2.0 * (g.n_particles - 1))
+
+
+def partial_trace_residual(g: TwoBodyOperator, psi: SectorVector) -> float:
+    """max_i |gamma1[i, i] - <n_i>|: the partial trace against direct occupations."""
+    diag = np.diagonal(one_body_matrix(g)).real
+    return max(abs(float(diag[i]) - occupation(psi, i)) for i in range(g.d))
 
 
 def expectation(phi: AntisymmetricTensor, g: TwoBodyOperator) -> float:

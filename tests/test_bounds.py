@@ -11,10 +11,16 @@ from gamma2lab.bounds import (counterexample_driver, counterexample_sweep,
                               proposition_report, seniority_sup,
                               sup_over_states, theorem1_rhs, theorem2_floor,
                               verify_theorem1, verify_theorem2)
-from gamma2lab.canonical import canonical_from_lambdas
+from types import SimpleNamespace
+
+import gamma2lab.bounds as bounds
+from gamma2lab.canonical import (canonical_from_lambdas, correlation_measures,
+                                 youla_decompose)
 from gamma2lab.cli import parse_lambda_spec, random_state
-from gamma2lab.fock import slater_state
-from gamma2lab.pairing import PairOperator, build_pairing_state
+from gamma2lab.fock import apply_annihilate_vector, slater_state
+from gamma2lab.pairing import (PairOperator, build_pairing_state,
+                               norm_sq_oracle, pairing_states)
+from gamma2lab.rdm import compute_gamma2, spectral_decompose
 
 UNIFORM4 = np.full(4, 0.5)
 
@@ -26,6 +32,32 @@ def uniform(k):
 def yang_state(n_pairs, m):
     op = PairOperator.from_lambdas(uniform(n_pairs))
     return build_pairing_state(op, m).vector.normalized()
+
+
+@st.composite
+def small_states(draw):
+    """Random states, Slater determinants and pairing states with d <= 10."""
+    kind = draw(st.sampled_from(["random", "slater", "pairing"]))
+    if kind == "pairing":
+        k = draw(st.integers(1, 5))
+        return yang_state(k, draw(st.integers(1, k)))
+    d = draw(st.integers(2, 10))
+    n = draw(st.integers(2, d))
+    if kind == "slater":
+        return slater_state(d, draw(st.permutations(range(d)))[:n])
+    return random_state(d, n, draw(st.integers(0, 2 ** 31)))
+
+
+def occupation_oracle(psi, lam_eig, tensor):
+    """{(k, spin): (occupation, excess)} by annihilating psi directly."""
+    form = youla_decompose(tensor)
+    rows = {}
+    for k in range(form.n_pairs):
+        need = 0.5 * lam_eig * form.lambdas[k] ** 2
+        for label, vec in (("up", form.u(k)), ("down", form.v(k))):
+            occ = apply_annihilate_vector(vec, psi).norm() ** 2
+            rows[k, label] = (occ, occ - need)
+    return rows
 
 
 class TestTheorem1Rhs:
@@ -82,6 +114,20 @@ class TestVerifyTheorem1:
     def test_kernel_eigenvalues_excluded(self):
         reports = verify_theorem1(slater_state(4, [0, 1]))
         assert len(reports) == 1  # rank-one operator: single nonzero eigenpair
+
+    @given(small_states())
+    @settings(max_examples=30, deadline=None)
+    def test_matches_canonical_form_oracle(self, psi):
+        sd = spectral_decompose(compute_gamma2(psi))
+        reports = verify_theorem1(psi, spectral=sd)
+        kept = [k for k, lam in enumerate(sd.eigenvalues) if lam > 1e-8]
+        assert [r.params["eigen_index"] for r in reports] == kept
+        for r in reports:
+            tensor = sd.eigenvectors[r.params["eigen_index"]]
+            ref = correlation_measures(youla_decompose(tensor))
+            assert abs(r.details["sum_lambda4"] - ref.sum_lambda4) < 1e-12
+            assert abs(r.details["lambda_max"] - ref.lambda_max) < 1e-12
+            assert abs(r.bound - theorem1_rhs(psi.basis.N, ref.sum_lambda4)) < 1e-12
 
 
 class TestVerifyTheorem2:
@@ -175,6 +221,22 @@ class TestOccupationCheck:
         for report in eigenvector_occupation_check(random_state(8, 4, 50 + seed)):
             assert report.margin >= -1e-8
 
+    @given(st.integers(2, 10).flatmap(
+        lambda d: st.tuples(st.just(d), st.integers(2, d), st.integers(0, 2 ** 31))))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_annihilation_oracle(self, case):
+        psi = random_state(*case)
+        sd = spectral_decompose(compute_gamma2(psi))
+        for r in eigenvector_occupation_check(psi, sd):
+            idx = r.params["eigen_index"]
+            rows = occupation_oracle(psi, float(sd.eigenvalues[idx]),
+                                     sd.eigenvectors[idx])
+            occ, excess = rows[r.details["k"], r.details["spin"]]
+            assert abs(r.observed - occ) < 1e-12
+            assert abs(r.margin - excess) < 1e-12
+            # u_k and v_k tie exactly at N = 2, so either may be reported
+            assert abs(r.margin - min(e for _, e in rows.values())) < 1e-12
+
 
 class TestNormRecursion:
     def test_uniform_saturates_lower_bound(self):
@@ -201,6 +263,30 @@ class TestNormRecursion:
     def test_m_max_validated(self):
         with pytest.raises(ValueError):
             norm_recursion_check(PairOperator.from_lambdas(UNIFORM4), 5)
+
+    def test_saturated_bound_passes_at_large_norm(self):
+        # At M = 22 the norm is ~3.7e12 and sits ~2.5e-15 (relative) below
+        # the lower bound it saturates; an absolute 1e-8 slack rejected it.
+        reports = norm_recursion_check(PairOperator.from_lambdas(uniform(22)), 22)
+        assert all(r.passed for r in reports)
+        assert reports[-1].bound > 1e12
+
+    def test_norm_pushed_outside_bound_fails(self, monkeypatch):
+        op = PairOperator.from_lambdas(uniform(12))
+        push = {12: 1.0 - 1e-6}  # relative push below the saturated lower bound
+
+        def pushed_states(op, m_max):
+            for m, state in enumerate(pairing_states(op, m_max)):
+                yield SimpleNamespace(norm_sq=state.norm_sq * push.get(m, 1.0))
+
+        monkeypatch.setattr(bounds, "pairing_states", pushed_states)
+        monkeypatch.setattr(bounds, "norm_sq_oracle",
+                            lambda lams, m: norm_sq_oracle(lams, m) * push.get(m, 1.0))
+        reports = norm_recursion_check(op, 12)
+        assert all(r.passed for r in reports[:-1])
+        last = reports[-1]
+        assert last.details["oracle_agreement"] <= 1e-10
+        assert last.bound > 1e4 and not last.passed
 
 
 class TestSupOverStates:

@@ -114,6 +114,23 @@ class TestSubcommands:
                                "--particles", "3", "--trials", "2")
         assert code == 0 and report["checks"]
 
+    def test_spectrum_rows_record_partial_trace_residual(self, tmp_path):
+        for check in ("thm1", "occupation"):
+            code, report = run_cli(tmp_path, "verify", check, "--dim", "8",
+                                   "--particles", "4", "--trials", "3")
+            spectra = [c for c in report["checks"] if c["kind"] == "spectrum"]
+            assert code == 0 and len(spectra) == 3
+            assert all(0 <= c["details"]["partial_trace_residual"] < 1e-12
+                       for c in spectra)
+
+    def test_gamma2_over_budget_writes_error_report(self, tmp_path):
+        # C(24, 10) * 276 * 16 B ~ 8.7 GB of pair-annihilated vectors
+        code, report = run_cli(tmp_path, "verify", "thm1", "--dim", "24",
+                               "--particles", "12", "--trials", "1")
+        assert code == 1
+        assert report["checks"][0]["kind"] == "error"
+        assert report["checks"][0]["note"].startswith("SectorSizeError")
+
     def test_canonical_subcommand(self, tmp_path):
         tensor_path = tmp_path / "tensor.txt"
         write_tensor_text(tensor_path, random_tensor(6, np.random.default_rng(0)))

@@ -1,15 +1,27 @@
 """Two-body reduced operators: assembly, spectra, and the fast quadratic form."""
 
+from itertools import combinations
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gamma2lab.canonical import (canonical_from_lambdas, elementary_wedge,
+import gamma2lab.rdm as rdm
+from gamma2lab.canonical import (NotNormalizedError, canonical_from_lambdas,
+                                 correlation_measures, elementary_wedge,
                                  random_tensor, tensor_inner, youla_decompose)
 from gamma2lab.cli import random_state
-from gamma2lab.fock import SectorMismatchError, slater_state
+from gamma2lab.fock import (DEFAULT_MAX_GAMMA2_BYTES, SectorMismatchError,
+                            SectorSizeError, apply_annihilate,
+                            apply_annihilate_vector, slater_state)
 from gamma2lab.pairing import PairOperator, build_pairing_state
-from gamma2lab.rdm import (compute_gamma2, expectation, expectation_fast,
-                           spectral_decompose)
+from gamma2lab.rdm import (compute_gamma2, correlation_invariants, expectation,
+                           expectation_fast, gamma2_bytes, one_body_matrix,
+                           partial_trace_residual, spectral_decompose)
+
+ORACLE_TOL = 1e-12
 
 
 def yang_state(n_pairs, m):
@@ -130,3 +142,137 @@ class TestExpectationFast:
         fast_form = expectation_fast(youla_decompose(phi), psi)
         assert abs(slow - fast_tensor) < 1e-9
         assert abs(slow - fast_form) < 1e-9
+
+
+# --- fast paths against independent oracles, d <= 10 ------------------------
+
+
+@st.composite
+def states(draw):
+    """Normalized states with d <= 10: random, Slater determinants (rank-one,
+    highly degenerate spectra) and embedded pairing states (degenerate too)."""
+    kind = draw(st.sampled_from(["random", "slater", "pairing"]))
+    if kind == "pairing":
+        raw = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.1, 2.0)),
+                            min_size=1, max_size=5))
+        m = draw(st.integers(1, len(raw)))
+        lams = np.sort(np.asarray(raw))[::-1]
+        if np.count_nonzero(lams) < m:  # the state would vanish
+            lams = np.ones(len(raw))
+        op = PairOperator.from_lambdas(lams / np.linalg.norm(lams))
+        return build_pairing_state(op, m).vector.normalized()
+    d = draw(st.integers(2, 10))
+    n = draw(st.integers(2, d))
+    if kind == "slater":
+        return slater_state(d, draw(st.permutations(range(d)))[:n])
+    return random_state(d, n, draw(st.integers(0, 2 ** 31)))
+
+
+def antisymmetric_extension(g):
+    """G[i, j, k, l] from the wedge matrix, entry by entry."""
+    d = g.d
+    pos = {pair: p for p, pair in enumerate(combinations(range(d), 2))}
+    big = np.zeros((d, d, d, d), dtype=complex)
+    for (i, j), p in pos.items():
+        for (k, l), q in pos.items():
+            v = g.mat[p, q]
+            big[i, j, k, l], big[j, i, k, l] = v, -v
+            big[i, j, l, k], big[j, i, l, k] = -v, v
+    return big
+
+
+def unchunked_gamma2(psi):
+    """2 (Y^H Y)^T with Y's columns c_j c_i psi, in one product, hermitized."""
+    d = psi.basis.d
+    y = np.stack([apply_annihilate(j, apply_annihilate(i, psi)).amplitudes
+                  for i, j in combinations(range(d), 2)], axis=1)
+    g = 2.0 * (y.conj().T @ y).T
+    return 0.5 * (g + g.conj().T)
+
+
+class TestIdentityOracles:
+    @given(states())
+    @settings(max_examples=40, deadline=None)
+    def test_invariants_match_canonical_form(self, psi):
+        sd = spectral_decompose(compute_gamma2(psi))
+        s4, lmax = correlation_invariants(psi.basis.d, sd.wedge_vectors)
+        # kernel eigenvectors are arbitrary and never decomposed by a check
+        for k in np.flatnonzero(sd.eigenvalues > 1e-8):
+            ref = correlation_measures(youla_decompose(sd.eigenvectors[k]))
+            assert abs(s4[k] - ref.sum_lambda4) < ORACLE_TOL
+            assert abs(lmax[k] - ref.lambda_max) < ORACLE_TOL
+
+    @given(st.integers(2, 10), st.integers(0, 2 ** 31))
+    @settings(max_examples=30, deadline=None)
+    def test_invariants_of_random_tensors(self, d, seed):
+        tensor = random_tensor(d, np.random.default_rng(seed))
+        s4, lmax = correlation_invariants(d, tensor.wedge_amplitudes()[:, None])
+        ref = correlation_measures(youla_decompose(tensor))
+        assert abs(s4[0] - ref.sum_lambda4) < ORACLE_TOL
+        assert abs(lmax[0] - ref.lambda_max) < ORACLE_TOL
+
+    @given(states(), st.integers(0, 2 ** 31))
+    @settings(max_examples=40, deadline=None)
+    def test_occupation_quadratic_form(self, psi, seed):
+        gamma1 = one_body_matrix(compute_gamma2(psi))
+        rng = np.random.default_rng(seed)
+        u = rng.standard_normal(psi.basis.d) + 1j * rng.standard_normal(psi.basis.d)
+        u /= np.linalg.norm(u)
+        fast = float((u @ gamma1 @ u.conj()).real)
+        assert abs(fast - apply_annihilate_vector(u, psi).norm() ** 2) < ORACLE_TOL
+
+    @given(states())
+    @settings(max_examples=40, deadline=None)
+    def test_partial_trace_identity(self, psi):
+        d, n = psi.basis.d, psi.basis.N
+        g = compute_gamma2(psi)
+        trace2 = np.einsum("ijkj->ik", antisymmetric_extension(g))
+        hops = [apply_annihilate(i, psi) for i in range(d)]
+        overlap = np.array([[a.inner(b) for b in hops] for a in hops])
+        # trace2[i, k] = 2 (N-1) <c_k psi, c_i psi> = 2 (N-1) overlap[k, i]
+        assert np.max(np.abs(trace2 - 2 * (n - 1) * overlap.T)) < ORACLE_TOL
+        assert np.max(np.abs(one_body_matrix(g) - overlap)) < ORACLE_TOL
+        assert partial_trace_residual(g, psi) < ORACLE_TOL
+
+    @pytest.mark.parametrize("chunk", [1, 10 ** 9])
+    @given(psi=states())
+    @settings(max_examples=15, deadline=None)
+    def test_chunked_gram_matches_single_product(self, chunk, psi):
+        with mock.patch.object(rdm, "GRAM_CHUNK", chunk):
+            g = compute_gamma2(psi)
+        assert np.max(np.abs(g.mat - unchunked_gamma2(psi))) < 1e-13
+        assert g.hermiticity_defect < 1e-13
+
+    def test_unnormalized_column_refused(self):
+        x = random_tensor(6, np.random.default_rng(3)).wedge_amplitudes()
+        correlation_invariants(6, x[:, None])
+        with pytest.raises(NotNormalizedError):
+            correlation_invariants(6, 1.01 * x[:, None])
+
+
+class TestGamma2Admission:
+    def test_budget_is_arithmetic(self):
+        assert gamma2_bytes(20, 10) <= DEFAULT_MAX_GAMMA2_BYTES
+        assert gamma2_bytes(24, 12) > DEFAULT_MAX_GAMMA2_BYTES  # about 8.7 GB
+        assert gamma2_bytes(8, 4) == 28 * 28 * 16
+
+    def test_refused_before_any_gather(self, monkeypatch):
+        psi = random_state(8, 4, 0)
+
+        def no_hops(*args):
+            raise AssertionError("assembly started")
+
+        monkeypatch.setattr(rdm, "DEFAULT_MAX_GAMMA2_BYTES", gamma2_bytes(8, 4) - 1)
+        monkeypatch.setattr(rdm, "_fermion_hops", no_hops)
+        with pytest.raises(SectorSizeError):
+            compute_gamma2(psi)
+
+
+def test_spectral_data_builds_tensors_lazily():
+    sd = spectral_decompose(compute_gamma2(random_state(6, 3, 1)))
+    assert "eigenvectors" not in vars(sd)
+    tensors = sd.eigenvectors
+    assert sd.eigenvectors is tensors
+    for k, t in enumerate(tensors):
+        assert np.allclose(t.wedge_amplitudes(), sd.wedge_vectors[:, k], atol=1e-15)
+
