@@ -13,11 +13,11 @@ from .canonical import (AntisymmetricTensor, CanonicalForm,
                         elementary_wedge, embed_as_sector_vector, random_tensor,
                         read_tensor_text, reconstruct, tensor_inner,
                         write_tensor_text, youla_decompose)
-from .fock import (OrbitalBasis, SectorBasis, SectorMismatchError,
-                   SectorSizeError, SectorVector, apply_annihilate,
-                   apply_annihilate_vector, apply_create, apply_create_vector,
-                   basis_state, enumerate_sector, number_expectation,
-                   occupation, slater_state, vacuum_state)
+from .fock import (SectorBasis, SectorMismatchError, SectorSizeError,
+                   SectorVector, apply_annihilate, apply_annihilate_vector,
+                   apply_create, apply_create_vector, basis_state,
+                   enumerate_sector, number_expectation, occupation,
+                   slater_state, vacuum_state)
 from .pairing import (PairingState, PairOperator, annihilation_identity_check,
                       apply_B, apply_B_star, build_pairing_state,
                       commutator_defect, norm_sq_oracle, write_state_text)

@@ -36,8 +36,7 @@ from .canonical import CanonicalForm, canonical_from_lambdas, youla_decompose
 from .fock import SectorSizeError, SectorVector, enumerate_sector
 from .pairing import (DENSE_CAP, PairOperator, apply_B, apply_B_star,
                       build_pairing_state, dense_b_matrix, norm_sq_oracle,
-                      pair_b_blocks, pair_blocks, pair_expectation,
-                      pairing_states)
+                      pair_blocks, pair_expectation, pairing_states)
 from .rdm import (compute_gamma2, correlation_invariants, one_body_matrix,
                   spectral_decompose)
 
@@ -303,7 +302,7 @@ def sup_over_states(phi, N: int, method: str = "dense") -> float:
     """
     lams = _as_lambdas(phi)
     op = PairOperator.from_lambdas(lams)
-    d = op.basis.d
+    d = op.d
     if N < 2 or N > d:
         raise ValueError(f"no admissible sector (d={d}, N={N})")
     sec = enumerate_sector(d, N)
@@ -355,14 +354,7 @@ def block_sups(phi, N: int) -> dict[int, float]:
     return sups
 
 
-def seniority_sup(op: PairOperator, N: int) -> float:
-    """Twice the largest eigenvalue of B*B restricted to seniority zero."""
-    if N % 2:
-        raise ValueError("the seniority-zero subspace holds even N only")
-    return _top_sup(pair_b_blocks(op.lambdas[None, :], N // 2))
-
-
-def explore_conjecture(phi, N_list, tol: float = BOUND_TOL) -> list[TheoremReport]:
+def explore_conjecture(phi, N_list) -> list[TheoremReport]:
     """Empirical constant for the highly correlated regime, reporting only.
 
     For each admissible even N the supremum S = sup <phi, G phi> over the
@@ -378,7 +370,7 @@ def explore_conjecture(phi, N_list, tol: float = BOUND_TOL) -> list[TheoremRepor
     lams = _as_lambdas(phi)
     s4 = float(np.sum(lams ** 4))
     lmax_sq = float(np.max(lams) ** 2)
-    d = PairOperator.from_lambdas(lams).basis.d
+    d = PairOperator.from_lambdas(lams).d
     reports = []
     for N in N_list:
         params = {"N": int(N), "K": len(lams), "sum_lambda4": s4,

@@ -20,7 +20,6 @@ as the correlation measure used by the bound verifiers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 from typing import NamedTuple
 
@@ -32,6 +31,7 @@ LAMBDA_DROP_TOL = 1e-12
 NORM_TOL = 1e-8
 ANTISYM_TOL = 1e-12
 CLUSTER_RTOL = 1e-8
+ORTHO_TOL = 1e-10   # Gram defect above roundoff that youla_decompose repairs
 
 
 class NotAntisymmetricError(ValueError):
@@ -46,7 +46,6 @@ class DecompositionError(RuntimeError):
     """The spectral routine failed to produce a canonical form."""
 
 
-@lru_cache(maxsize=None)
 def wedge_pairs(d: int) -> tuple[tuple[int, int], ...]:
     """Ordered-pair index list (i, j), i < j, row-major."""
     iu, ju = np.triu_indices(d, 1)
@@ -183,34 +182,33 @@ def canonical_from_lambdas(lambdas, d: int | None = None) -> CanonicalForm:
     return CanonicalForm(lams, vecs)
 
 
-def youla_decompose(tensor: AntisymmetricTensor, *, drop_tol: float = LAMBDA_DROP_TOL,
-                    norm_tol: float = NORM_TOL,
-                    cluster_rtol: float = CLUSTER_RTOL) -> CanonicalForm:
+def youla_decompose(tensor: AntisymmetricTensor) -> CanonicalForm:
     """Canonical pair decomposition of a normalized antisymmetric tensor.
 
     Built on the singular value decomposition: within each cluster of equal
-    singular values, a right-singular vector v picks its partner as the
-    normalized image of conj(v) under A; both directions are then deflated
-    from the cluster.  Coefficients below ``drop_tol`` are discarded.  The
-    round-trip against :func:`reconstruct` is the correctness arbiter.
+    singular values (relative gap ``CLUSTER_RTOL``), a right-singular vector
+    v picks its partner as the normalized image of conj(v) under A; both
+    directions are then deflated from the cluster.  Coefficients below
+    ``LAMBDA_DROP_TOL`` are discarded.  The round-trip against
+    :func:`reconstruct` is the correctness arbiter.
     """
     a = tensor.mat
     nrm = float(np.linalg.norm(a))
-    if abs(nrm - 1.0) > norm_tol:
-        raise NotNormalizedError(f"tensor norm {nrm!r} is not 1 within {norm_tol:.1e}")
+    if abs(nrm - 1.0) > NORM_TOL:
+        raise NotNormalizedError(f"tensor norm {nrm!r} is not 1 within {NORM_TOL:.1e}")
     try:
         _, sigmas, vh = np.linalg.svd(a)
     except np.linalg.LinAlgError as exc:
         raise DecompositionError("singular value decomposition did not converge") from exc
     right = vh.conj().T
-    sigma_floor = drop_tol / np.sqrt(2.0)
+    sigma_floor = LAMBDA_DROP_TOL / np.sqrt(2.0)
     kept = int(np.sum(sigmas > sigma_floor))
     if kept < 2:
         raise DecompositionError("no singular pair above the truncation floor")
 
     # Group nearly equal singular values; pairs must never straddle a cluster
     # boundary, so odd-sized clusters are merged forward.
-    gap = cluster_rtol * float(sigmas[0])
+    gap = CLUSTER_RTOL * float(sigmas[0])
     clusters: list[tuple[int, int]] = []
     start = 0
     for i in range(1, kept):
@@ -254,6 +252,15 @@ def youla_decompose(tensor: AntisymmetricTensor, *, drop_tol: float = LAMBDA_DRO
     for pos, k in enumerate(order):
         vectors[:, 2 * pos] = cols[2 * k]
         vectors[:, 2 * pos + 1] = cols[2 * k + 1]
+    # Partners found in a merged cluster of tiny singular values are accurate
+    # only to about eps * sigma_max / sigma.  Gram-Schmidt in the descending
+    # order (QR with the phases of diag(R) put back) repairs them and leaves
+    # the columns' order and phases; columns orthonormal to roundoff are kept
+    # bit for bit.
+    gram = vectors.conj().T @ vectors
+    if np.max(np.abs(gram - np.eye(len(gram)))) > ORTHO_TOL:
+        q, r = np.linalg.qr(vectors)
+        vectors = q * np.exp(1j * np.angle(np.diagonal(r)))
     return CanonicalForm(np.asarray(lams)[order], vectors)
 
 

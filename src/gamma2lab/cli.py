@@ -232,8 +232,8 @@ def _cmd_canonical(args) -> tuple[dict, list]:
         details["vectors_imag"] = form.vectors.imag.tolist()
     check = bounds.TheoremReport(
         kind="canonical", params={"tensor": str(args.tensor), "d": tensor.d},
-        observed=roundtrip, bound=1e-8, margin=1e-8 - roundtrip,
-        passed=roundtrip <= 1e-8, details=details, note=note)
+        observed=roundtrip, bound=args.tol, margin=args.tol - roundtrip,
+        passed=roundtrip <= args.tol, details=details, note=note)
     config = {"tensor": str(args.tensor), "normalize": args.normalize,
               "vectors": args.vectors}
     return config, [check]
@@ -307,7 +307,7 @@ def _cmd_explore(args) -> tuple[dict, list]:
     config = {"lambda": {"spec": spec.label,
                          "values": [float(x) for x in spec.values]},
               "particles": args.particles, "tol": args.tol}
-    return config, bounds.explore_conjecture(spec.values, n_list, tol=args.tol)
+    return config, bounds.explore_conjecture(spec.values, n_list)
 
 
 def _cmd_counterexample(args) -> tuple[dict, list]:

@@ -8,19 +8,19 @@ convention: acting on orbital ``i`` picks up ``(-1)**(number of occupied
 orbitals below i)``, which makes the canonical anticommutation relations
 exact at the bit level.
 
-Every operator is built from one primitive, the hop table of the
-annihilator c_i from popcount-n masks to popcount-(n-1) masks: ``cols``
-lists the positions of the masks holding orbital i, ``rows`` the positions
-of the same masks with that bit cleared.  Creation scatters along the same
-table in the other direction.  The fermion operators attach the
-Jordan-Wigner sign to each entry; the sign-free pair-occupation bases of
-:mod:`gamma2lab.pairing` use the table as it is.  Only the signed tables
-are cached, per (d, n, orbital) in a bounded LRU cache; the pair bases use
-each table once per build, so theirs are rebuilt on demand.
+Pair ``k`` is orbital ``2k`` (up) and ``2k + 1`` (down).  Both members see
+the same occupied orbitals below ``2k``, so the Jordan-Wigner signs of
+``b_k = c_{2k+1} c_{2k}`` cancel and pair operators carry no sign.
 
-Orbitals may optionally be grouped into pairs (k, up) / (k, down) through an
-:class:`OrbitalBasis`; the standard layout puts the up member of pair ``k``
-at orbital ``2k`` and the down member at ``2k + 1``.
+Every operator is built from one primitive, the hop table that clears the
+bits of a mask: ``cols`` lists the positions of the popcount-n masks
+holding all of them, ``rows`` the positions of the same masks with them
+cleared.  Creation scatters along the same table in the other direction.
+The mask is ``1 << i`` for the fermion operators, which attach the
+Jordan-Wigner sign to each entry, ``3 << 2k`` for pair k on a full sector,
+and ``1 << k`` for pair k on the pair-occupation bases of
+:mod:`gamma2lab.pairing`.  Only the signed tables are cached, per
+(d, n, orbital) in a bounded LRU cache; pair tables are rebuilt on each use.
 
 All operations are pure functions; vectors are never mutated in place.
 """
@@ -46,38 +46,6 @@ class SectorSizeError(ValueError):
 
 class SectorMismatchError(ValueError):
     """Operands belong to incompatible sectors or dimensions."""
-
-
-@dataclass(frozen=True)
-class OrbitalBasis:
-    """``d`` spin-orbitals grouped into ``d/2`` pairs (k, up) / (k, down)."""
-
-    d: int
-    pair_map: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        if self.d < 2:
-            raise ValueError("need at least two orbitals")
-        if self.d % 2:
-            raise ValueError("a paired basis needs an even number of orbitals")
-        flat = [o for pair in self.pair_map for o in pair]
-        if sorted(flat) != list(range(self.d)):
-            raise ValueError("pair_map must cover every orbital exactly once")
-
-    @classmethod
-    def with_pairs(cls, n_pairs: int) -> "OrbitalBasis":
-        """Standard layout: pair ``k`` occupies orbitals ``(2k, 2k+1)``."""
-        return cls(2 * n_pairs, tuple((2 * k, 2 * k + 1) for k in range(n_pairs)))
-
-    @property
-    def n_pairs(self) -> int:
-        return self.d // 2
-
-    def up(self, k: int) -> int:
-        return self.pair_map[k][0]
-
-    def down(self, k: int) -> int:
-        return self.pair_map[k][1]
 
 
 @lru_cache(maxsize=MASK_CACHE)
@@ -123,22 +91,21 @@ class SectorBasis:
         return f"SectorBasis(d={self.d}, N={self.N}, dim={self.dim})"
 
 
-def enumerate_sector(d: int, N: int, *, max_dim: int | None = None,
-                     max_states: int | None = None) -> SectorBasis:
+def enumerate_sector(d: int, N: int) -> SectorBasis:
     """Basis of the (d, N) sector over the cached masks of that sector.
 
-    Rejects N < 0, N > d, d above the dimension cap, and sectors larger than
-    the state-count cap.  Caps are soft configuration, not physics.
+    Rejects N < 0, N > d, d above ``DEFAULT_MAX_DIM``, and sectors larger
+    than ``DEFAULT_MAX_SECTOR`` states.  Caps are soft configuration, not
+    physics.
     """
-    max_dim = DEFAULT_MAX_DIM if max_dim is None else max_dim
-    max_states = DEFAULT_MAX_SECTOR if max_states is None else max_states
     if N < 0 or N > d:
         raise SectorSizeError(f"no (d={d}, N={N}) sector")
-    if d < 1 or d > max_dim:
-        raise SectorSizeError(f"d={d} outside the configured cap {max_dim}")
-    if comb(d, N) > max_states:
+    if d < 1 or d > DEFAULT_MAX_DIM:
+        raise SectorSizeError(f"d={d} outside the configured cap {DEFAULT_MAX_DIM}")
+    if comb(d, N) > DEFAULT_MAX_SECTOR:
         raise SectorSizeError(
-            f"sector (d={d}, N={N}) has {comb(d, N)} states, cap is {max_states}")
+            f"sector (d={d}, N={N}) has {comb(d, N)} states, "
+            f"cap is {DEFAULT_MAX_SECTOR}")
     return SectorBasis(d, N, occupation_masks(d, N))
 
 
@@ -212,17 +179,18 @@ def slater_state(d: int, orbitals) -> SectorVector:
     return basis_state(d, mask)
 
 
-def _hops(d: int, n: int, orbital: int) -> tuple[np.ndarray, np.ndarray]:
-    """Hop table ``(rows, cols)`` of the annihilator on ``orbital``.
+def _hops(d: int, n: int, bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Hop table ``(rows, cols)`` that clears every bit of the mask ``bits``.
 
     ``cols`` lists the positions in ``occupation_masks(d, n)`` of the masks
-    holding ``orbital``; ``rows`` the positions in ``occupation_masks(d, n-1)``
-    of the same masks with that bit cleared.  Both are read-only.
+    holding all of ``bits``; ``rows`` the positions in
+    ``occupation_masks(d, n - popcount(bits))`` of the same masks with those
+    bits cleared.  Both are read-only.
     """
     src = occupation_masks(d, n)
-    bit = 1 << orbital
-    cols = np.flatnonzero(src & bit)
-    rows = np.searchsorted(occupation_masks(d, n - 1), src[cols] ^ bit)
+    cols = np.flatnonzero((src & bits) == bits)
+    rows = np.searchsorted(occupation_masks(d, n - bits.bit_count()),
+                           src[cols] ^ bits)
     for table in (rows, cols):
         table.setflags(write=False)
     return rows, cols
@@ -231,12 +199,13 @@ def _hops(d: int, n: int, orbital: int) -> tuple[np.ndarray, np.ndarray]:
 @lru_cache(maxsize=HOP_CACHE)
 def _fermion_hops(d: int, n: int,
                   orbital: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`_hops` plus the Jordan-Wigner sign of each entry as ``int8``.
+    """:func:`_hops` of one orbital plus the Jordan-Wigner sign of each entry
+    as ``int8``.
 
     The sign is (-1)**(occupied orbitals below ``orbital``), the same for the
     annihilator on the ``cols`` mask and the creator on the ``rows`` mask.
     """
-    rows, cols = _hops(d, n, orbital)
+    rows, cols = _hops(d, n, 1 << orbital)
     below = occupation_masks(d, n)[cols] & ((1 << orbital) - 1)
     signs = 1 - 2 * (np.bitwise_count(below) & 1).astype(np.int8)
     signs.setflags(write=False)

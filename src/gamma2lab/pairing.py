@@ -1,12 +1,12 @@
 """Pair operator B, pairing trial states, and their exact norms.
 
-Given an orbital basis with pairs (k, up) / (k, down) and non-negative
+Pair k sits on orbitals 2k (up) and 2k + 1 (down).  Given non-negative
 coefficients lam_k with sum lam_k**2 = 1, the pair annihilator is
 
-    B = sum_k lam_k c_{k,down} c_{k,up},
+    B = sum_k lam_k b_k,    b_k = c_{2k+1} c_{2k},
 
 and the M-pair trial states are Psi_M = (B*)^M |vacuum>.  The pair creators
-b*_k = c*_{k,up} c*_{k,down} commute and square to zero, which pins down the
+b*_k = c*_{2k} c*_{2k+1} commute and square to zero, which pins down the
 norms exactly:
 
     ||Psi_M||^2 = (M!)^2 e_M(lam_1^2, ..., lam_K^2),
@@ -15,11 +15,13 @@ with e_M the elementary symmetric polynomial.  That identity is computed by
 an independent recurrence here and cross-checked against the Fock-space
 construction before the test suite trusts it as an oracle.
 
-States Psi_M live in the seniority-zero subspace (every pair jointly
-occupied or empty), so they are built on the K-bit pair-occupation basis of
-dimension binomial(K, M) and embedded into the full sector only on demand.
-In the operator-product basis |S>> = prod_{k in S} b*_k |vacuum> the pair
-creators act without signs; fermionic signs enter only in the embedding.
+In this layout the Jordan-Wigner signs of c_{2k+1} and c_{2k} cancel, so
+b_k and b*_k act without signs on occupation masks.  States Psi_M live in
+the seniority-zero subspace (every pair jointly occupied or empty), so they
+are built on the K-bit pair-occupation basis of dimension binomial(K, M);
+the embedding |S>> = prod_{k in S} b*_k |vacuum> into the full sector,
+built only on demand, spreads pair bit k onto orbital bits 2k and 2k + 1
+with sign +1.
 
 The same holds away from seniority zero.  B, B* and the pair numbers keep
 fixed the set of broken pairs (exactly one member occupied) and the spins on
@@ -43,10 +45,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fock import (DEFAULT_MAX_SECTOR, OrbitalBasis, SectorMismatchError,
-                   SectorSizeError, SectorVector, _fermion_hops, _hops,
-                   apply_annihilate, apply_create, enumerate_sector,
-                   occupation_masks, operator_matrix)
+from .fock import (DEFAULT_MAX_SECTOR, SectorMismatchError, SectorSizeError,
+                   SectorVector, _hops, apply_annihilate, apply_create,
+                   enumerate_sector, occupation_masks, operator_matrix)
 
 NORM_TOL = 1e-10
 DENSE_CAP = 5000          # rows or columns of a dense block, in basis states
@@ -56,14 +57,13 @@ BATCH_ENTRIES = 1 << 22   # float64 entries per batch of blocks (32 MB)
 
 @dataclass
 class PairOperator:
-    """B = sum_k lam_k c_{k,down} c_{k,up} on a paired orbital basis."""
+    """B = sum_k lam_k c_{2k+1} c_{2k} on d = 2 * len(lambdas) orbitals."""
 
-    basis: OrbitalBasis
     lambdas: np.ndarray
 
     def __post_init__(self):
         lams = np.asarray(self.lambdas, dtype=np.float64)
-        if lams.shape != (self.basis.n_pairs,):
+        if lams.ndim != 1:
             raise SectorMismatchError("need one coefficient per pair")
         if np.any(lams < 0):
             raise ValueError("pair coefficients must be non-negative")
@@ -73,81 +73,69 @@ class PairOperator:
 
     @classmethod
     def from_lambdas(cls, lambdas) -> "PairOperator":
-        """Operator on the standard pair layout with d = 2 * len(lambdas)."""
-        lams = np.asarray(lambdas, dtype=np.float64)
-        return cls(OrbitalBasis.with_pairs(len(lams)), lams)
+        """The operator with coefficients ``lambdas``, one per pair."""
+        return cls(lambdas)
 
     @property
     def n_pairs(self) -> int:
-        return self.basis.n_pairs
+        return len(self.lambdas)
+
+    @property
+    def d(self) -> int:
+        return 2 * self.n_pairs
 
 
-@lru_cache(maxsize=8)
-def _pair_transitions(basis: OrbitalBasis, N: int):
-    """Per-pair scatter maps for B between the (d, N) and (d, N-2) sectors.
+def _pair_scatter(lams, amps: np.ndarray, d: int, n: int, width: int,
+                  create: bool) -> np.ndarray:
+    """sum_k lam_k b*_k amps (``create``) or sum_k lam_k b_k amps.
 
-    The map of b_k = c_down c_up is the hop of c_up followed by the hop of
-    c_down, and its sign the product of theirs.
+    Pair k is the ``width`` bits from ``width * k`` up: two orbitals on a
+    full sector, one bit on a pair-occupation basis.  ``n`` is the popcount
+    of the fuller side: ``amps`` lives on ``occupation_masks(d, n - width)``
+    when creating and on ``occupation_masks(d, n)`` when annihilating.
     """
-    d = basis.d
-    maps = []
-    for up, down in basis.pair_map:
-        rows_up, cols_up, signs_up = _fermion_hops(d, N, up)
-        rows_down, cols_down, signs_down = _fermion_hops(d, N - 1, down)
-        hop = np.full(comb(d, N - 1), -1)
-        hop[cols_down] = np.arange(len(cols_down))
-        hop = hop[rows_up]
-        keep = hop >= 0
-        hop = hop[keep]
-        maps.append((rows_down[hop], cols_up[keep], signs_up[keep] * signs_down[hop]))
-    return maps
+    out = np.zeros(comb(d, n if create else n - width), dtype=amps.dtype)
+    pair = (1 << width) - 1
+    for k, lam in enumerate(lams):
+        if lam != 0.0:
+            rows, cols = _hops(d, n, pair << (width * k))
+            dst, src = (cols, rows) if create else (rows, cols)
+            out[dst] += lam * amps[src]
+    return out
 
 
 def apply_B(op: PairOperator, vec: SectorVector) -> SectorVector:
     """Matrix-free pair annihilation, (d, N) -> (d, N-2)."""
     basis = vec.basis
-    if basis.d != op.basis.d:
+    if basis.d != op.d:
         raise SectorMismatchError("state dimension does not match the pair basis")
     if basis.N < 2:
         raise SectorMismatchError("pair annihilation needs at least two particles")
-    maps = _pair_transitions(op.basis, basis.N)
     target = enumerate_sector(basis.d, basis.N - 2)
-    out = np.zeros(target.dim, dtype=np.complex128)
-    for k in range(op.n_pairs):
-        lam = op.lambdas[k]
-        if lam == 0.0:
-            continue
-        rows, cols, signs = maps[k]
-        out[rows] += lam * signs * vec.amplitudes[cols]
-    return SectorVector(target, out)
+    return SectorVector(target, _pair_scatter(op.lambdas, vec.amplitudes, basis.d,
+                                              basis.N, 2, create=False))
 
 
 def apply_B_star(op: PairOperator, vec: SectorVector) -> SectorVector:
     """Adjoint of :func:`apply_B`, (d, N) -> (d, N+2)."""
     basis = vec.basis
-    if basis.d != op.basis.d:
+    if basis.d != op.d:
         raise SectorMismatchError("state dimension does not match the pair basis")
     if basis.N + 2 > basis.d:
         raise SectorSizeError("sector overflow")
-    maps = _pair_transitions(op.basis, basis.N + 2)
     target = enumerate_sector(basis.d, basis.N + 2)
-    out = np.zeros(target.dim, dtype=np.complex128)
-    for k in range(op.n_pairs):
-        lam = op.lambdas[k]
-        if lam == 0.0:
-            continue
-        rows, cols, signs = maps[k]
-        out[cols] += lam * signs * vec.amplitudes[rows]
-    return SectorVector(target, out)
+    return SectorVector(target, _pair_scatter(op.lambdas, vec.amplitudes, basis.d,
+                                              basis.N + 2, 2, create=True))
 
 
 def dense_b_matrix(op: PairOperator, N: int) -> np.ndarray:
     """Dense matrix of B from the (d, N) sector to the (d, N-2) sector."""
-    src = enumerate_sector(op.basis.d, N)
-    tgt = enumerate_sector(op.basis.d, N - 2)
+    src = enumerate_sector(op.d, N)
+    tgt = enumerate_sector(op.d, N - 2)
     mat = np.zeros((tgt.dim, src.dim), dtype=np.float64)
-    for k, (rows, cols, signs) in enumerate(_pair_transitions(op.basis, N)):
-        mat[rows, cols] = op.lambdas[k] * signs
+    for k, lam in enumerate(op.lambdas):
+        rows, cols = _hops(op.d, N, 3 << 2 * k)
+        mat[rows, cols] = lam
     return mat
 
 
@@ -156,9 +144,7 @@ def pair_number_diagonal(op: PairOperator, sector) -> np.ndarray:
     states = sector.states
     vals = np.zeros(sector.dim, dtype=np.float64)
     for k in range(op.n_pairs):
-        a, b = op.basis.pair_map[k]
-        occ = ((states >> a) & 1) + ((states >> b) & 1)
-        vals += op.lambdas[k] ** 2 * occ
+        vals += op.lambdas[k] ** 2 * np.bitwise_count(states & (3 << 2 * k))
     return vals
 
 
@@ -177,17 +163,6 @@ def _admit_block(K: int, M: int) -> None:
            "dense pair block")
 
 
-def _pair_hops(K: int, M: int):
-    """Index maps of the sign-free pair annihilators from M to M-1 pairs.
-
-    Yields ``(k, rows, cols)`` per pair k: ``cols`` lists the masks of
-    ``occupation_masks(K, M)`` holding pair k, and ``rows`` the positions of
-    the same masks with pair k removed in ``occupation_masks(K, M - 1)``.
-    """
-    for k in range(K):
-        yield k, *_hops(K, M, k)
-
-
 @dataclass
 class PairingState:
     """Psi_M = (B*)^M |vacuum> with its exact squared norm.
@@ -199,7 +174,7 @@ class PairingState:
     """
 
     M: int
-    basis: OrbitalBasis
+    n_pairs: int
     norm_sq: float
     degenerate: bool
     pair_masks: np.ndarray
@@ -207,31 +182,15 @@ class PairingState:
 
     @cached_property
     def vector(self) -> SectorVector:
-        sector = enumerate_sector(self.basis.d, 2 * self.M)
+        sector = enumerate_sector(2 * self.n_pairs, 2 * self.M)
+        support = np.flatnonzero(self.pair_amplitudes)
+        pairs = self.pair_masks[support]
+        masks = np.zeros_like(pairs)
+        for k in range(self.n_pairs):
+            masks |= ((pairs >> k) & 1) * (3 << 2 * k)
         full = np.zeros(sector.dim, dtype=np.complex128)
-        support = np.nonzero(self.pair_amplitudes)[0]
-        if len(support):
-            masks, signs = _embed(self.basis, self.pair_masks[support])
-            full[sector.index_of(masks)] = signs * self.pair_amplitudes[support]
+        full[sector.index_of(masks)] = self.pair_amplitudes[support]
         return SectorVector(sector, full)
-
-
-def _embed(basis: OrbitalBasis,
-           pair_masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Fock masks and signs of |S>> = prod_{k in S} b*_k |vacuum>.
-
-    The creators act in ascending k, each b*_k = c*_up c*_down with c*_down
-    first, so every creator picks up the parity of the orbitals below it
-    that the lower pairs already filled.
-    """
-    full = np.zeros(len(pair_masks), dtype=np.int64)
-    parity = np.zeros(len(pair_masks), dtype=np.int64)
-    for k, (up, down) in enumerate(basis.pair_map):
-        held = (pair_masks >> k) & 1
-        for orbital in (down, up):
-            parity += held * np.bitwise_count(full & ((1 << orbital) - 1))
-            full |= held << orbital
-    return full, 1.0 - 2.0 * (parity & 1)
 
 
 def pairing_states(op: PairOperator, M_max: int) -> Iterator[PairingState]:
@@ -243,21 +202,16 @@ def pairing_states(op: PairOperator, M_max: int) -> Iterator[PairingState]:
     """
     if M_max < 0:
         raise ValueError("M must be non-negative")
-    if 2 * M_max > op.basis.d:
+    if 2 * M_max > op.d:
         raise SectorSizeError("sector overflow: 2M exceeds the orbital count")
     K = op.n_pairs
     _admit(K, comb(K, min(M_max, K // 2)), DEFAULT_MAX_SECTOR, "pairing state")
     amps = np.ones(1, dtype=np.float64)
     for M in range(M_max + 1):
         if M:
-            new = np.zeros(comb(K, M), dtype=np.float64)
-            for k, rows, cols in _pair_hops(K, M):
-                lam = op.lambdas[k]
-                if lam != 0.0:
-                    new[cols] += lam * amps[rows]
-            amps = new
+            amps = _pair_scatter(op.lambdas, amps, K, M, 1, create=True)
         norm_sq = float(np.sum(amps ** 2))
-        yield PairingState(M=M, basis=op.basis, norm_sq=norm_sq,
+        yield PairingState(M=M, n_pairs=K, norm_sq=norm_sq,
                            degenerate=norm_sq == 0.0,
                            pair_masks=occupation_masks(K, M), pair_amplitudes=amps)
 
@@ -274,30 +228,27 @@ def pair_expectation(lambdas, state: PairingState) -> float:
 
     phi is the canonical form with coefficients ``lambdas`` on the state's
     pairs (u_k, v_k the up and down members), so B = sum_k lam_k b_k acts on
-    the pair amplitudes without signs, whatever the orbital layout.
+    the pair amplitudes without signs.
     """
     lams = np.asarray(lambdas, dtype=np.float64)
-    if lams.shape != (state.basis.n_pairs,):
+    if lams.shape != (state.n_pairs,):
         raise SectorMismatchError("need one coefficient per pair of the state")
     if state.degenerate:
         raise ValueError("cannot normalize the zero vector")
     if state.M == 0:
         return 0.0
-    amps = state.pair_amplitudes
-    out = np.zeros(comb(len(lams), state.M - 1), dtype=np.float64)
-    for k, rows, cols in _pair_hops(len(lams), state.M):
-        if lams[k] != 0.0:
-            out[rows] += lams[k] * amps[cols]
+    out = _pair_scatter(lams, state.pair_amplitudes, state.n_pairs, state.M, 1,
+                        create=False)
     return 2.0 * float(np.sum(out ** 2)) / state.norm_sq
 
 
 @lru_cache(maxsize=32)
 def _block_pattern(K: int, M: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(rows, cols, pair) of every nonzero of the sign-free B, M -> M-1 pairs."""
-    hops = list(_pair_hops(K, M))
-    rows = np.concatenate([r for _, r, _ in hops])
-    cols = np.concatenate([c for _, _, c in hops])
-    pairs = np.concatenate([np.full(len(c), k) for k, _, c in hops])
+    hops = [_hops(K, M, 1 << k) for k in range(K)]
+    rows = np.concatenate([r for r, _ in hops])
+    cols = np.concatenate([c for _, c in hops])
+    pairs = np.concatenate([np.full(len(c), k) for k, (_, c) in enumerate(hops)])
     return rows, cols, pairs
 
 
@@ -319,17 +270,6 @@ def pair_b_blocks(coeffs, M: int) -> np.ndarray:
         rows, cols, pairs = _block_pattern(K, M)
         out[:, rows, cols] = coeffs[:, pairs]
     return out
-
-
-def seniority_b_matrix(op: PairOperator, M: int) -> np.ndarray:
-    """B restricted to the seniority-zero operator-product basis, M -> M-1 pairs.
-
-    The product basis is orthonormal and the restriction is sign-free, so the
-    adjoint of the returned (real) matrix represents B* on the same basis.
-    """
-    if M < 1:
-        raise ValueError("need at least one pair")
-    return pair_b_blocks(op.lambdas[None, :], M)[0]
 
 
 class PairBlocks(NamedTuple):
@@ -427,13 +367,14 @@ def annihilation_identity_check(op: PairOperator, M: int, k: int,
     ``rearranged``:    || (lam_k c*_{k,s} (+/-)_s (M+1)^{-1} c_{k,sbar} B*) Psi_M ||
 
     with sign convention (+/-)_up = +1, (+/-)_down = -1 and sbar the opposite
-    member of pair k.  Both vanish identically; only roundoff remains.
+    member of pair k (orbital 2k for up, 2k + 1 for down).  Both vanish
+    identically; only roundoff remains.
     """
     if spin not in ("up", "down"):
         raise ValueError("spin must be 'up' or 'down'")
     sign = 1.0 if spin == "up" else -1.0
-    orb = op.basis.up(k) if spin == "up" else op.basis.down(k)
-    orb_bar = op.basis.down(k) if spin == "up" else op.basis.up(k)
+    orb = 2 * k + (spin == "down")
+    orb_bar = orb ^ 1
     lam = float(op.lambdas[k])
     psi_m = build_pairing_state(op, M).vector
 
@@ -453,7 +394,7 @@ def annihilation_identity_check(op: PairOperator, M: int, k: int,
 
 def _apply_commutator(op: PairOperator, w: SectorVector) -> SectorVector:
     """[B, B*] w; a term whose intermediate sector does not exist is zero."""
-    N, d = w.basis.N, op.basis.d
+    N, d = w.basis.N, op.d
     first = apply_B(op, apply_B_star(op, w)) if N + 2 <= d else None
     second = apply_B_star(op, apply_B(op, w)) if N >= 2 else None
     if first is None:
@@ -469,7 +410,7 @@ def commutator_defect(op: PairOperator, N: int) -> float:
     Both sides are built as dense matrices on the (d, N) sector; intended for
     d <= 8 where this is cheap.
     """
-    sec = enumerate_sector(op.basis.d, N)
+    sec = enumerate_sector(op.d, N)
     commutator = operator_matrix(lambda w: _apply_commutator(op, w), sec, sec)
     expected = np.diag(1.0 - pair_number_diagonal(op, sec)).astype(np.complex128)
     return float(np.max(np.abs(commutator - expected)))

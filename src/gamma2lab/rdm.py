@@ -41,6 +41,7 @@ from .fock import (DEFAULT_MAX_GAMMA2_BYTES, SectorMismatchError,
                    apply_annihilate, apply_annihilate_vector,
                    enumerate_sector, occupation)
 
+STATE_NORM_TOL = 1e-10
 HERMITICITY_TOL = 1e-10
 GRAM_CHUNK = 4096   # (N-2)-particle states per block of the Gram sum
 COMPLEX_BYTES = 16
@@ -84,8 +85,7 @@ def gamma2_bytes(d: int, N: int) -> int:
     return comb(d, N - 2) * (d * (d - 1) // 2) * COMPLEX_BYTES
 
 
-def compute_gamma2(psi: SectorVector, *, norm_tol: float = 1e-10,
-                   hermiticity_tol: float = HERMITICITY_TOL) -> TwoBodyOperator:
+def compute_gamma2(psi: SectorVector) -> TwoBodyOperator:
     """Assemble the two-body reduced operator of a normalized state.
 
     Gathers y_ij = c_j c_i psi for every ordered pair into the rows of one
@@ -94,7 +94,7 @@ def compute_gamma2(psi: SectorVector, *, norm_tol: float = 1e-10,
     would exceed ``DEFAULT_MAX_GAMMA2_BYTES`` is refused with
     :class:`SectorSizeError` before anything is allocated.  The asymmetry of
     the unsymmetrized product is recorded; anything above
-    ``hermiticity_tol`` aborts, since at these sizes a larger defect signals
+    ``HERMITICITY_TOL`` aborts, since at these sizes a larger defect signals
     an implementation bug, not roundoff.
     """
     basis = psi.basis
@@ -106,7 +106,7 @@ def compute_gamma2(psi: SectorVector, *, norm_tol: float = 1e-10,
         raise SectorSizeError(
             f"reduced operator of (d={d}, N={N}) needs {need} bytes of "
             f"pair-annihilated vectors, budget is {DEFAULT_MAX_GAMMA2_BYTES}")
-    if abs(psi.norm() - 1.0) > norm_tol:
+    if abs(psi.norm() - 1.0) > STATE_NORM_TOL:
         raise ValueError("state must be normalized")
     lower_dim = comb(d, N - 2)
     y = np.zeros((d * (d - 1) // 2, lower_dim), dtype=np.complex128)
@@ -125,8 +125,8 @@ def compute_gamma2(psi: SectorVector, *, norm_tol: float = 1e-10,
         gram += blk.conj() @ blk.T
     g = 2.0 * gram.T
     defect = float(np.max(np.abs(g - g.conj().T))) if g.size else 0.0
-    if defect > hermiticity_tol:
-        raise ArithmeticError(f"hermiticity defect {defect:.3e} exceeds {hermiticity_tol:.1e}")
+    if defect > HERMITICITY_TOL:
+        raise ArithmeticError(f"hermiticity defect {defect:.3e} exceeds {HERMITICITY_TOL:.1e}")
     g = 0.5 * (g + g.conj().T)
     return TwoBodyOperator(d=d, n_particles=N, mat=g, hermiticity_defect=defect)
 

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gamma2lab.bounds import (counterexample_driver, counterexample_sweep,
+from gamma2lab.bounds import (block_sups, counterexample_driver,
+                              counterexample_sweep,
                               eigenvector_occupation_check, explore_conjecture,
                               norm_recursion_check, proposition_gap,
-                              proposition_report, seniority_sup,
-                              sup_over_states, theorem1_rhs, theorem2_floor,
-                              verify_theorem1, verify_theorem2)
+                              proposition_report, sup_over_states,
+                              theorem1_rhs, theorem2_floor, verify_theorem1,
+                              verify_theorem2)
 from types import SimpleNamespace
 
 import gamma2lab.bounds as bounds
@@ -321,7 +322,7 @@ class TestSupOverStates:
     def test_seniority_matches_full(self):
         op = PairOperator.from_lambdas(parse_lambda_spec("power:1:5").values)
         full = sup_over_states(op.lambdas, 4, "dense")
-        assert abs(seniority_sup(op, 4) - full) < 1e-8
+        assert abs(block_sups(op.lambdas, 4)[0] - full) < 1e-8
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):

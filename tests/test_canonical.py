@@ -116,6 +116,23 @@ class TestYoulaDecompose:
         gram = form.vectors.conj().T @ form.vectors
         assert np.max(np.abs(gram - np.eye(gram.shape[0]))) < 1e-10
 
+    def test_merged_cluster_of_tiny_coefficients(self):
+        # 4.4e-9 and 3.0e-9 lie within CLUSTER_RTOL of each other, so their
+        # singular pairs merge; the partners found in that cluster are
+        # accurate only to ~1e-7 and must be re-orthonormalised.
+        lams = np.array([1.0, 6.7e-4, 4.4e-9, 3.0e-9])
+        lams /= np.linalg.norm(lams)
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            q, _ = np.linalg.qr(rng.standard_normal((8, 8))
+                                + 1j * rng.standard_normal((8, 8)))
+            t = reconstruct(CanonicalForm(lams, q))
+            form = youla_decompose(t)
+            gram = form.vectors.conj().T @ form.vectors
+            assert np.max(np.abs(gram - np.eye(gram.shape[0]))) < 1e-12
+            assert np.allclose(form.lambdas, lams, rtol=0, atol=1e-14)
+            assert np.linalg.norm(reconstruct(form).mat - t.mat) < 1e-13
+
 
 class TestReconstruct:
     def test_single_pair_matrix(self):

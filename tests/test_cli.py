@@ -140,6 +140,16 @@ class TestSubcommands:
         assert check["pass"]
         assert abs(sum(x ** 2 for x in check["details"]["lambdas"]) - 1.0) < 1e-8
 
+    def test_canonical_tol_bounds_the_round_trip(self, tmp_path):
+        tensor_path = tmp_path / "tensor.txt"
+        write_tensor_text(tensor_path, random_tensor(6, np.random.default_rng(0)))
+        code, report = run_cli(tmp_path, "canonical", "--tensor", str(tensor_path),
+                               "--tol", "1e-20")
+        check = report["checks"][0]
+        assert check["observed"] > 1e-20
+        assert code == 1 and not check["pass"]
+        assert check["bound"] == 1e-20
+
     def test_canonical_requires_normalized_input(self, tmp_path):
         tensor_path = tmp_path / "tensor.txt"
         t = random_tensor(4, np.random.default_rng(1))

@@ -1,14 +1,16 @@
 """Sector enumeration, operator signs, and the anticommutation relations."""
 
+import importlib
 import itertools
+import pkgutil
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gamma2lab import fock
-from gamma2lab.fock import (OrbitalBasis, SectorMismatchError, SectorSizeError,
+import gamma2lab
+from gamma2lab.fock import (SectorMismatchError, SectorSizeError,
                             SectorVector, apply_annihilate,
                             apply_annihilate_vector, apply_create,
                             apply_create_vector, basis_state, enumerate_sector,
@@ -212,26 +214,15 @@ class TestVectorOperators:
         assert abs(lhs - rhs) < 1e-12
 
 
-class TestOrbitalBasis:
-    def test_standard_layout(self):
-        basis = OrbitalBasis.with_pairs(3)
-        assert basis.d == 6
-        assert basis.pair_map == ((0, 1), (2, 3), (4, 5))
-        assert basis.up(1) == 2 and basis.down(1) == 3
-
-    def test_rejects_incomplete_pair_map(self):
-        with pytest.raises(ValueError):
-            OrbitalBasis(4, ((0, 1), (1, 2)))
-
-    def test_rejects_odd_dimension(self):
-        with pytest.raises(ValueError):
-            OrbitalBasis(3, ((0, 1),))
-
-
 class TestCaches:
     def test_every_cache_is_bounded(self):
-        caches = {name: f for name, f in vars(fock).items()
-                  if hasattr(f, "cache_info")}
-        assert {"occupation_masks", "_fermion_hops"} <= set(caches)
-        for f in caches.values():
-            assert f.cache_info().maxsize is not None
+        caches = {}
+        for info in pkgutil.iter_modules(gamma2lab.__path__):
+            module = importlib.import_module(f"gamma2lab.{info.name}")
+            caches.update({f"{info.name}.{name}": f
+                           for name, f in vars(module).items()
+                           if hasattr(f, "cache_info")})
+        assert {"fock.occupation_masks", "fock._fermion_hops",
+                "pairing._block_pattern"} <= set(caches)
+        for name, f in caches.items():
+            assert f.cache_info().maxsize is not None, name

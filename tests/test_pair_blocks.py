@@ -21,7 +21,7 @@ from gamma2lab.bounds import (block_sups, counterexample_driver,
                               explore_conjecture, proposition_gap,
                               sup_over_states, verify_theorem2)
 from gamma2lab.canonical import canonical_from_lambdas
-from gamma2lab.fock import OrbitalBasis, SectorSizeError, enumerate_sector
+from gamma2lab.fock import SectorSizeError, enumerate_sector
 from gamma2lab.pairing import (PairOperator, build_pairing_state,
                                dense_b_matrix, pair_b_blocks, pair_blocks,
                                pair_expectation, pair_number_diagonal)
@@ -42,7 +42,7 @@ def normalized(raw):
 
 def dense_gap(op, N):
     """min eig D and ||D Psi|| / ||Psi|| with D formed densely on (d, N)."""
-    sec = enumerate_sector(op.basis.d, N)
+    sec = enumerate_sector(op.d, N)
     bmat = dense_b_matrix(op, N)
     gap = -(bmat.T @ bmat)
     gap[np.diag_indices_from(gap)] += (0.5 * N - 0.25 * (N - 2)
@@ -139,15 +139,6 @@ class TestBlockStructure:
                                np.linalg.eigvalsh(bmat.T @ bmat), atol=1e-12)
             assert np.allclose(np.sort(np.concatenate(numbers)),
                                np.sort(pair_number_diagonal(op, sec)), atol=1e-12)
-
-    def test_scrambled_pair_map(self):
-        basis = OrbitalBasis(6, ((0, 3), (4, 1), (2, 5)))
-        op = PairOperator(basis, normalized([2.0, 1.0, 1.0]))
-        for N in (2, 4, 6):
-            result = proposition_gap(op, N)
-            min_eig, _ = dense_gap(op, N)
-            assert abs(result.min_eigenvalue - min_eig) <= ORACLE_TOL
-            assert result.kernel_residual < ORACLE_TOL
 
     def test_batched_blocks_match_reference(self):
         # Masks of M occupied pairs in ascending order; b_k removes pair k.

@@ -8,16 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gamma2lab.fock import (OrbitalBasis, SectorSizeError, apply_annihilate,
+from gamma2lab.fock import (SectorSizeError, apply_annihilate, apply_create,
                             enumerate_sector, vacuum_state)
 from gamma2lab.pairing import (PairOperator, annihilation_identity_check,
                                apply_B, apply_B_star, build_pairing_state,
                                commutator_defect, dense_b_matrix,
                                elementary_symmetric, norm_sq_oracle,
-                               pair_number_diagonal, seniority_b_matrix,
+                               pair_b_blocks, pair_number_diagonal,
                                write_state_text)
 
-from test_fock import dense_annihilator
+from test_fock import dense_annihilator, random_vector
 
 UNIFORM4 = np.full(4, 0.5)
 
@@ -39,7 +39,7 @@ def brute_esp(values, order):
 
 def pairing_state_by_fock_ops(op, m):
     """Independent construction: repeated full-space B* from the vacuum."""
-    vec = vacuum_state(op.basis.d)
+    vec = vacuum_state(op.d)
     for _ in range(m):
         vec = apply_B_star(op, vec)
     return vec
@@ -93,13 +93,11 @@ class TestApplyB:
         assert (lhs - rhs).norm() < 1e-12
 
     def test_dense_b_matches_bit_oracle(self):
-        # B = sum_k lam_k c_down c_up from the dense bit-loop annihilators,
-        # on a pair map whose members are neither adjacent nor ordered
-        basis = OrbitalBasis(6, ((0, 3), (4, 1), (2, 5)))
-        op = PairOperator(basis, np.array([1.0, 2.0, 3.0]) / np.sqrt(14.0))
+        # B = sum_k lam_k c_{2k+1} c_{2k} from the dense bit-loop annihilators
+        op = PairOperator.from_lambdas(np.array([1.0, 2.0, 3.0]) / np.sqrt(14.0))
         ann = [dense_annihilator(6, i) for i in range(6)]
-        full = sum(lam * ann[down] @ ann[up]
-                   for lam, (up, down) in zip(op.lambdas, basis.pair_map))
+        full = sum(lam * ann[2 * k + 1] @ ann[2 * k]
+                   for k, lam in enumerate(op.lambdas))
         for n in range(2, 7):
             src, tgt = enumerate_sector(6, n), enumerate_sector(6, n - 2)
             assert np.array_equal(dense_b_matrix(op, n),
@@ -115,6 +113,48 @@ class TestApplyB:
         diag = pair_number_diagonal(op, sec)
         assert diag.min() >= -1e-12
         assert diag.max() <= 4 * float(np.max(op.lambdas) ** 2) + 1e-12
+
+
+class TestSignsFromFermionAlgebra:
+    """The sign-free pair operators against the signed fermion primitives.
+
+    b_k = c_{2k+1} c_{2k} and b*_k = c*_{2k} c*_{2k+1}, applied through
+    apply_annihilate / apply_create, which carry the Jordan-Wigner signs.
+    """
+
+    @staticmethod
+    def by_fermions(op, vec, create):
+        terms = []
+        for k, lam in enumerate(op.lambdas):
+            if create:
+                terms.append(lam * apply_create(2 * k, apply_create(2 * k + 1, vec)))
+            else:
+                terms.append(lam * apply_annihilate(2 * k + 1,
+                                                    apply_annihilate(2 * k, vec)))
+        return sum(terms[1:], terms[0])
+
+    @pytest.mark.parametrize("K", [1, 2, 3, 4])
+    def test_apply_B_and_B_star_every_sector(self, K):
+        op = make_op(np.arange(1.0, K + 1))
+        for n in range(2 * K + 1):
+            v = random_vector(2 * K, n, 10 * K + n)
+            if n >= 2:
+                diff = apply_B(op, v).amplitudes - self.by_fermions(op, v, False).amplitudes
+                assert np.max(np.abs(diff)) <= 1e-14
+            if n + 2 <= 2 * K:
+                diff = (apply_B_star(op, v).amplitudes
+                        - self.by_fermions(op, v, True).amplitudes)
+                assert np.max(np.abs(diff)) <= 1e-14
+
+    @pytest.mark.parametrize("K", [1, 2, 3, 4])
+    def test_pairing_state_vector_from_fermion_creators(self, K):
+        op = make_op(np.arange(1.0, K + 1))
+        ref = vacuum_state(2 * K)
+        for m in range(min(K, 3) + 1):
+            built = build_pairing_state(op, m).vector
+            assert np.max(np.abs(built.amplitudes - ref.amplitudes)) <= 1e-14
+            if m < K:
+                ref = self.by_fermions(op, ref, True)
 
 
 class TestBuildPairingState:
@@ -141,16 +181,6 @@ class TestBuildPairingState:
         built = build_pairing_state(op, m)
         ref = pairing_state_by_fock_ops(op, m)
         assert (built.vector - ref).norm() < 1e-12
-
-    def test_scrambled_pair_map_signs(self):
-        # interleaved pairs exercise the nontrivial embedding parities
-        basis = OrbitalBasis(6, ((0, 3), (4, 1), (2, 5)))
-        lams = np.array([2.0, 1.0, 1.0]) / np.sqrt(6.0)
-        op = PairOperator(basis, lams)
-        for m in (1, 2, 3):
-            built = build_pairing_state(op, m)
-            ref = pairing_state_by_fock_ops(op, m)
-            assert (built.vector - ref).norm() < 1e-12
 
     def test_seniority_support(self):
         op = make_op(PROFILES["geometric"](4))
@@ -215,7 +245,7 @@ class TestAnnihilationIdentities:
     def test_zero_coefficient_annihilates(self):
         op = PairOperator.from_lambdas([np.sqrt(0.5), np.sqrt(0.5), 0.0])
         state = build_pairing_state(op, 2)
-        out = apply_annihilate(op.basis.up(2), state.vector)
+        out = apply_annihilate(4, state.vector)
         assert np.all(out.amplitudes == 0)
         res = annihilation_identity_check(op, 2, 2, "up")
         assert res.annihilation == 0.0 and res.rearranged == 0.0
@@ -246,7 +276,7 @@ class TestDenseHelpers:
         op = make_op(PROFILES["geometric"](5))
         amps = np.ones(1)
         for m in range(1, 4):
-            amps = seniority_b_matrix(op, m).T @ amps
+            amps = pair_b_blocks(op.lambdas[None], m)[0].T @ amps
             assert abs(np.sum(amps ** 2) - norm_sq_oracle(op.lambdas, m)) < 1e-12
 
 
