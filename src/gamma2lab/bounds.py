@@ -14,12 +14,13 @@ that pass means margin >= -tolerance:
 * ``counterexample``  pairing-state overlap floor; margin = observed - floor.
 * ``conjecture``      reporting only, never pass/fail.
 
-The eigenpair checks read what they need from identities rather than from
-per-eigenvector work on the state: ``thm1`` takes sum lam**4 and lam_max of
-every eigenvector from one batched product of coefficient matrices, and
-``prop_occupation`` evaluates each ||c(u) psi||^2 as a quadratic form in the
-one-body matrix, a partial trace of the reduced operator.  Only the
-occupation check still computes canonical forms, for its vectors u_k, v_k.
+The eigenpair checks take a :class:`rdm.SpectralData` and read one object
+from it: the stack of eigenvector coefficient matrices.  ``thm1`` takes
+sum lam**4 and lam_max of every eigenvector from one batched product over
+that stack, and ``prop_occupation`` decomposes its matrices into canonical
+forms for the vectors u_k, v_k, evaluating each ||c(u) psi||^2 as a
+quadratic form in the one-body matrix, a partial trace of the reduced
+operator.  Neither touches the state again.
 
 Default tolerances: 1e-8 for bound margins, 1e-10 for structural identities.
 """
@@ -32,13 +33,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .canonical import CanonicalForm, canonical_from_lambdas, youla_decompose
+from .canonical import (AntisymmetricTensor, CanonicalForm,
+                        canonical_from_lambdas, youla_decompose)
 from .fock import SectorSizeError, SectorVector, enumerate_sector
-from .pairing import (DENSE_CAP, PairOperator, apply_B, apply_B_star,
-                      build_pairing_state, dense_b_matrix, norm_sq_oracle,
-                      pair_blocks, pair_expectation, pairing_states)
-from .rdm import (compute_gamma2, correlation_invariants, one_body_matrix,
-                  spectral_decompose)
+from .pairing import (DENSE_CAP, PairOperator, admit_pair_blocks, apply_B,
+                      apply_B_star, build_pairing_state, dense_b_matrix,
+                      norm_sq_oracle, pair_blocks, pair_expectation,
+                      pairing_states)
+from .rdm import SpectralData, correlation_invariants, one_body_matrix
 
 BOUND_TOL = 1e-8
 STRUCTURE_TOL = 1e-10
@@ -85,29 +87,27 @@ def theorem1_rhs(N: int, sum_lambda4: float) -> float:
     return N / (1.0 + 0.5 * (N - 2) * sum_lambda4)
 
 
-def verify_theorem1(psi: SectorVector, tol: float = BOUND_TOL,
-                    tag: dict | None = None, spectral=None) -> list[TheoremReport]:
-    """Check the correlational ceiling on every nonzero eigenpair of psi's
+def verify_theorem1(spectral: SpectralData, tol: float = BOUND_TOL,
+                    tag: dict | None = None) -> list[TheoremReport]:
+    """Check the correlational ceiling on every nonzero eigenpair of a
     two-body reduced operator.
 
     Eigenvalues below ``tol`` are excluded: their eigenvectors are arbitrary
     within the numerical kernel and the ceiling is trivial there anyway.
     The ceiling needs an eigenvector only through sum lam**4, which comes
     with lam_max from the batched identities of
-    :func:`rdm.correlation_invariants`; no canonical form is computed.
+    :func:`rdm.correlation_invariants` over ``spectral.matrices``; no
+    canonical form is computed.
     """
-    N = psi.basis.N
-    if spectral is None:
-        spectral = spectral_decompose(compute_gamma2(psi))
+    d, N = spectral.operator.d, spectral.operator.n_particles
     keep = np.flatnonzero(spectral.eigenvalues > tol)
-    sum_lambda4, lambda_max = correlation_invariants(
-        spectral.operator.d, spectral.wedge_vectors[:, keep])
+    sum_lambda4, lambda_max = correlation_invariants(spectral.matrices[keep])
     reports = []
     for idx, s4, lmax in zip(keep, sum_lambda4, lambda_max):
         lam_eig = float(spectral.eigenvalues[idx])
         rhs = theorem1_rhs(N, float(s4))
         margin = rhs - lam_eig
-        params = {"d": psi.basis.d, "N": N, "eigen_index": int(idx)}
+        params = {"d": d, "N": N, "eigen_index": int(idx)}
         if tag:
             params.update(tag)
         reports.append(TheoremReport(
@@ -163,6 +163,14 @@ class GapResult(NamedTuple):
     degenerate: bool
 
 
+def admit_proposition(op: PairOperator, N: int) -> None:
+    """Refuse N before any solve: ValueError unless N is a positive even
+    integer, :class:`SectorSizeError` if its pair blocks exceed the caps."""
+    if N < 2 or N % 2:
+        raise ValueError("N must be a positive even integer")
+    admit_pair_blocks(op.n_pairs, N)
+
+
 def proposition_gap(op: PairOperator, N: int) -> GapResult:
     """Positivity and optimality of the pair-operator inequality.
 
@@ -174,8 +182,7 @@ def proposition_gap(op: PairOperator, N: int) -> GapResult:
     state is nonzero; the returned kernel residual is ||D Psi|| / ||Psi||,
     taken on the seniority-zero block (NaN for a vanishing state).
     """
-    if N < 2 or N % 2:
-        raise ValueError("N must be a positive even integer")
+    admit_proposition(op, N)
     min_eig = np.inf
     for blocks in pair_blocks(op.lambdas, N):
         gap = -np.matmul(blocks.b.transpose(0, 2, 1), blocks.b)
@@ -207,27 +214,24 @@ def proposition_report(op: PairOperator, N: int,
         note="pairing state vanishes; only positivity checked" if result.degenerate else "")
 
 
-def eigenvector_occupation_check(psi: SectorVector, spectral=None,
-                                 tol: float = BOUND_TOL,
+def eigenvector_occupation_check(spectral: SpectralData, tol: float = BOUND_TOL,
                                  tag: dict | None = None) -> list[TheoremReport]:
     """Occupation floor ||c_{k,s} psi||^2 >= (Lambda/2) lam_k**2 for each
-    eigenpair, with lam_k, u_k, v_k from the eigenvector's canonical form.
+    eigenpair with Lambda > ``tol``, with lam_k, u_k, v_k from the canonical
+    form of the eigenvector's coefficient matrix in ``spectral.matrices``.
 
     The canonical form is the only per-eigenvector decomposition.  Each
     occupation ||c(u) psi||^2 is the quadratic form u^T gamma1 conj(u) in the
     one-body matrix, which :func:`rdm.one_body_matrix` takes from the reduced
     operator by partial trace; all u_k, v_k of one eigenvector are evaluated
-    together and psi itself is never touched again.
+    together.
     """
-    if spectral is None:
-        spectral = spectral_decompose(compute_gamma2(psi))
+    d, N = spectral.operator.d, spectral.operator.n_particles
     gamma1 = one_body_matrix(spectral.operator)
     reports = []
-    for idx, (lam_eig, tensor) in enumerate(
-            zip(spectral.eigenvalues, spectral.eigenvectors)):
-        if lam_eig <= tol:
-            continue
-        form = youla_decompose(tensor)
+    for idx in np.flatnonzero(spectral.eigenvalues > tol):
+        lam_eig = spectral.eigenvalues[idx]
+        form = youla_decompose(AntisymmetricTensor(d, spectral.matrices[idx]))
         vecs = form.vectors  # columns u_1, v_1, u_2, v_2, ...
         occ = np.einsum("ia,ia->a", vecs, gamma1 @ vecs.conj()).real
         need = np.repeat(0.5 * float(lam_eig) * form.lambdas ** 2, 2)
@@ -235,7 +239,7 @@ def eigenvector_occupation_check(psi: SectorVector, spectral=None,
         worst_at = {"k": at // 2, "spin": ("up", "down")[at % 2],
                     "occupation": float(occ[at]), "required": float(need[at])}
         worst = float(occ[at] - need[at])
-        params = {"d": psi.basis.d, "N": psi.basis.N, "eigen_index": idx}
+        params = {"d": d, "N": N, "eigen_index": int(idx)}
         if tag:
             params.update(tag)
         reports.append(TheoremReport(
@@ -364,25 +368,33 @@ def explore_conjecture(phi, N_list) -> list[TheoremReport]:
     statement being probed is open, so no report here ever passes or fails.
     S is the largest of the :func:`block_sups`; the seniority-zero value is
     recorded too, and ``seniority_gap`` is S minus it, so any gain from
-    broken pairs is visible.  Inputs whose pair blocks exceed the caps raise
-    :class:`SectorSizeError`.
+    broken pairs is visible.  If the pair blocks of any N that is not
+    skipped exceed the caps, :class:`SectorSizeError` is raised before the
+    first N is solved.
     """
     lams = _as_lambdas(phi)
     s4 = float(np.sum(lams ** 4))
     lmax_sq = float(np.max(lams) ** 2)
     d = PairOperator.from_lambdas(lams).d
+
+    def skip_note(N):
+        if N < 2 or N % 2 or N > d:
+            return "skipped: N not admissible"
+        if N * lmax_sq > 1.0 + 1e-12:
+            return f"skipped: N*lambda_max^2 = {N * lmax_sq!r} > 1"
+        return ""
+
+    notes = [skip_note(N) for N in N_list]
+    for N, note in zip(N_list, notes):
+        if not note:
+            admit_pair_blocks(len(lams), N)
     reports = []
-    for N in N_list:
+    for N, note in zip(N_list, notes):
         params = {"N": int(N), "K": len(lams), "sum_lambda4": s4,
                   "lambda_max_sq": lmax_sq}
-        if N < 2 or N % 2 or N > d:
+        if note:
             reports.append(TheoremReport(kind="conjecture", params=params,
-                                         passed=None, note="skipped: N not admissible"))
-            continue
-        if N * lmax_sq > 1.0 + 1e-12:
-            reports.append(TheoremReport(
-                kind="conjecture", params=params, passed=None,
-                note=f"skipped: N*lambda_max^2 = {N * lmax_sq!r} > 1"))
+                                         passed=None, note=note))
             continue
         sups = block_sups(lams, N)
         sup_sen, sup = sups[0], max(sups.values())

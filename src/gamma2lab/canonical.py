@@ -95,15 +95,22 @@ class AntisymmetricTensor:
         return np.sqrt(2.0) * self.mat[iu, ju]
 
 
-def tensor_from_wedge_amplitudes(d: int, amps) -> AntisymmetricTensor:
-    """Inverse of :meth:`AntisymmetricTensor.wedge_amplitudes`."""
+def wedge_matrices(d: int, amps) -> np.ndarray:
+    """Coefficient matrices of wedge amplitude vectors, the inverse of
+    :meth:`AntisymmetricTensor.wedge_amplitudes`.
+
+    ``amps`` of shape (P,) gives one (d, d) matrix; shape (P, n) gives a
+    stack (n, d, d) whose k-th matrix comes from column k.  Every matrix is
+    exactly antisymmetric.
+    """
     amps = np.asarray(amps, dtype=np.complex128)
     iu, ju = np.triu_indices(d, 1)
-    if amps.shape != iu.shape:
+    if amps.ndim not in (1, 2) or amps.shape[0] != len(iu):
         raise SectorMismatchError("wedge amplitude vector has wrong length")
-    upper = np.zeros((d, d), dtype=np.complex128)
-    upper[iu, ju] = amps / np.sqrt(2.0)
-    return AntisymmetricTensor(d, upper - upper.T)
+    mats = np.zeros(amps.shape[1:] + (d, d), dtype=np.complex128)
+    mats[..., iu, ju] = amps.T / np.sqrt(2.0)
+    mats[..., ju, iu] = -mats[..., iu, ju]
+    return mats
 
 
 def elementary_wedge(d: int, i: int, j: int) -> AntisymmetricTensor:
@@ -145,6 +152,9 @@ class CanonicalForm:
         vecs = np.ascontiguousarray(self.vectors, dtype=np.complex128)
         if vecs.ndim != 2 or vecs.shape[1] != 2 * len(lams):
             raise SectorMismatchError("need two columns per coefficient")
+        # every comparison below is false for NaN, so test finiteness first
+        if not (np.all(np.isfinite(lams)) and np.all(np.isfinite(vecs))):
+            raise ValueError("canonical form has non-finite entries")
         if len(lams) and (np.any(lams < -1e-14) or np.any(np.diff(lams) > 1e-12)):
             raise ValueError("coefficients must be non-negative and descending")
         gram = vecs.conj().T @ vecs

@@ -239,17 +239,16 @@ def _cmd_canonical(args) -> tuple[dict, list]:
     return config, [check]
 
 
-def _spectrum_row(psi, g, spectral, tag, args) -> bounds.TheoremReport:
+def _spectrum_row(psi, spectral, tag, args) -> bounds.TheoremReport:
     """Informational per-trial dump: eigenvalues and health residuals always,
     more on request."""
+    g = spectral.operator
     details = {"eigenvalues": [float(x) for x in spectral.eigenvalues],
                "hermiticity_defect": g.hermiticity_defect,
                "partial_trace_residual": rdm.partial_trace_residual(g, psi)}
     if args.eigenvectors:
-        details["eigenvectors"] = [
-            {"re": t.wedge_amplitudes().real.tolist(),
-             "im": t.wedge_amplitudes().imag.tolist()}
-            for t in spectral.eigenvectors]
+        details["eigenvectors"] = [{"re": x.real.tolist(), "im": x.imag.tolist()}
+                                   for x in spectral.wedge_vectors.T]
     if args.dump_operator:
         details["operator"] = {"re": g.mat.real.tolist(),
                                "im": g.mat.imag.tolist()}
@@ -264,22 +263,16 @@ def _cmd_verify(args) -> tuple[dict, list]:
         config.update({"dim": args.dim, "particles": args.particles,
                        "trials": args.trials, "seed": args.seed,
                        "threads": args.threads})
-
-        def worker(t):
+        verify = (bounds.verify_theorem1 if args.check == "thm1"
+                  else bounds.eigenvector_occupation_check)
+        checks = []
+        for t in range(args.trials):
             psi = random_state(args.dim, args.particles, args.seed + t)
             tag = {"seed": args.seed + t, "trial": t}
-            g = rdm.compute_gamma2(psi)
-            spectral = rdm.spectral_decompose(g)
-            rows = [_spectrum_row(psi, g, spectral, tag, args)]
-            if args.check == "thm1":
-                rows += bounds.verify_theorem1(psi, tol=args.tol, tag=tag,
-                                               spectral=spectral)
-            else:
-                rows += bounds.eigenvector_occupation_check(
-                    psi, spectral, tol=args.tol, tag=tag)
-            return rows
-
-        return config, [row for t in range(args.trials) for row in worker(t)]
+            spectral = rdm.spectral_decompose(rdm.compute_gamma2(psi))
+            checks.append(_spectrum_row(psi, spectral, tag, args))
+            checks += verify(spectral, tol=args.tol, tag=tag)
+        return config, checks
 
     spec = parse_lambda_spec(args.lambda_spec)
     config["lambda"] = {"spec": spec.label,
@@ -291,8 +284,11 @@ def _cmd_verify(args) -> tuple[dict, list]:
     if args.check == "prop":
         config["particles"] = args.particles
         op = pairing.PairOperator.from_lambdas(spec.values)
+        n_list = _particles_list(args.particles)
+        for n in n_list:  # refuse the whole request before the first solve
+            bounds.admit_proposition(op, n)
         return config, [bounds.proposition_report(op, n, tol=args.tol)
-                        for n in _particles_list(args.particles)]
+                        for n in n_list]
     if args.check == "norms":
         op = pairing.PairOperator.from_lambdas(spec.values)
         m_max = args.m_max if args.m_max else op.n_pairs

@@ -286,18 +286,15 @@ class PairBlocks(NamedTuple):
     pair_number: np.ndarray
 
 
-def pair_blocks(lambdas, N: int) -> Iterator[PairBlocks]:
-    """Every pair block of the (2K, N) sector, one spin copy each, in batches.
+def admit_pair_blocks(K: int, N: int) -> range:
+    """Seniorities of the pair blocks of the (2K, N) sector, after admission.
 
-    A block is fixed by its set S of s broken pairs (s = N mod 2, ..., up to
-    min(N, 2K - N)); its 2**s spin copies are identical and yielded once.
-    Seniorities come in ascending order, so the seniority-zero block (even N)
-    comes first, alone.  Admission is arithmetic and happens before anything
-    is built: the largest block (the first) must fit ``DENSE_CAP`` and all
-    blocks together ``DEFAULT_MAX_SECTOR`` states.
+    Admission is arithmetic: the largest block (seniority N mod 2) must fit
+    ``DENSE_CAP`` and all blocks together ``DEFAULT_MAX_SECTOR`` states, or
+    :class:`SectorSizeError` is raised.  Callers that solve several N call
+    it for each before the first solve, so an oversized N is refused before
+    any work.
     """
-    lams = np.asarray(lambdas, dtype=np.float64)
-    K = len(lams)
     if N < 0 or N > 2 * K:
         raise SectorSizeError(f"no (d={2 * K}, N={N}) sector")
     seniorities = range(N % 2, min(N, 2 * K - N) + 1, 2)
@@ -307,6 +304,21 @@ def pair_blocks(lambdas, N: int) -> Iterator[PairBlocks]:
         raise SectorSizeError(
             f"pair blocks of (d={2 * K}, N={N}) hold {total} states, "
             f"cap is {DEFAULT_MAX_SECTOR}")
+    return seniorities
+
+
+def pair_blocks(lambdas, N: int) -> Iterator[PairBlocks]:
+    """Every pair block of the (2K, N) sector, one spin copy each, in batches.
+
+    A block is fixed by its set S of s broken pairs (s = N mod 2, ..., up to
+    min(N, 2K - N)); its 2**s spin copies are identical and yielded once.
+    Seniorities come in ascending order, so the seniority-zero block (even N)
+    comes first, alone.  :func:`admit_pair_blocks` runs before anything is
+    built.
+    """
+    lams = np.asarray(lambdas, dtype=np.float64)
+    K = len(lams)
+    seniorities = admit_pair_blocks(K, N)
     lam2 = lams ** 2
     for s in seniorities:
         M = (N - s) // 2

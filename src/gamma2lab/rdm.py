@@ -34,8 +34,7 @@ from math import comb
 import numpy as np
 
 from .canonical import (NORM_TOL, AntisymmetricTensor, CanonicalForm,
-                        NotNormalizedError, tensor_from_wedge_amplitudes,
-                        wedge_pairs)
+                        NotNormalizedError, wedge_matrices, wedge_pairs)
 from .fock import (DEFAULT_MAX_GAMMA2_BYTES, SectorMismatchError,
                    SectorSizeError, SectorVector, _fermion_hops,
                    apply_annihilate, apply_annihilate_vector,
@@ -56,18 +55,15 @@ class TwoBodyOperator:
     mat: np.ndarray
     hermiticity_defect: float = 0.0
 
-    @property
-    def pair_dim(self) -> int:
-        return self.d * (self.d - 1) // 2
-
 
 @dataclass
 class SpectralData:
     """Full eigensystem of a reduced operator, eigenvalues descending.
 
-    Column k of ``wedge_vectors`` is the k-th eigenvector on the wedge basis;
-    the same vectors as antisymmetric tensors are built on first access to
-    ``eigenvectors``.
+    Column k of ``wedge_vectors`` is the k-th eigenvector on the wedge basis.
+    ``matrices`` holds the coefficient matrices of all of them, shape
+    (P, d, d), scattered in one call on first access; the eigenpair checks
+    read that stack.  ``eigenvectors`` wraps its matrices as tensors.
     """
 
     eigenvalues: np.ndarray
@@ -75,9 +71,12 @@ class SpectralData:
     operator: TwoBodyOperator
 
     @cached_property
+    def matrices(self) -> np.ndarray:
+        return wedge_matrices(self.operator.d, self.wedge_vectors)
+
+    @cached_property
     def eigenvectors(self) -> list[AntisymmetricTensor]:
-        return [tensor_from_wedge_amplitudes(self.operator.d, x)
-                for x in self.wedge_vectors.T]
+        return [AntisymmetricTensor(self.operator.d, a) for a in self.matrices]
 
 
 def gamma2_bytes(d: int, N: int) -> int:
@@ -142,27 +141,23 @@ def spectral_decompose(g: TwoBodyOperator) -> SpectralData:
                         operator=g)
 
 
-def correlation_invariants(d: int, wedge_vectors) -> tuple[np.ndarray, np.ndarray]:
-    """sum lam**4 and lam_max of the canonical form of each column, no decomposition.
+def correlation_invariants(mats) -> tuple[np.ndarray, np.ndarray]:
+    """sum lam**4 and lam_max of the canonical form of each matrix, no decomposition.
 
-    Column k holds the wedge amplitudes of a unit tensor with coefficient
-    matrix A_k; then sum lam**4 = 2 ||A_k^H A_k||_F**2 and
-    lam_max = sqrt(2 * largest eigenvalue of A_k^H A_k), evaluated for all
-    columns with one batched product.  A column whose norm is off 1 by more
-    than ``canonical.NORM_TOL`` raises :class:`NotNormalizedError`, as
+    ``mats`` is a stack (n, d, d) of coefficient matrices A_k of unit
+    tensors; then sum lam**4 = 2 ||A_k^H A_k||_F**2 and
+    lam_max = sqrt(2 * largest eigenvalue of A_k^H A_k), evaluated for the
+    whole stack with one batched product.  A matrix whose norm is off 1 by
+    more than ``canonical.NORM_TOL`` raises :class:`NotNormalizedError`, as
     :func:`canonical.youla_decompose` does.
     """
-    x = np.asarray(wedge_vectors, dtype=np.complex128)
-    norms = np.linalg.norm(x, axis=0)
+    a = np.asarray(mats, dtype=np.complex128)
+    norms = np.linalg.norm(a, axis=(1, 2))
     off = np.abs(norms - 1.0)
     if np.any(off > NORM_TOL):
         k = int(np.argmax(off))
         raise NotNormalizedError(
             f"tensor norm {float(norms[k])!r} is not 1 within {NORM_TOL:.1e}")
-    iu, ju = np.triu_indices(d, 1)
-    a = np.zeros((x.shape[1], d, d), dtype=np.complex128)
-    a[:, iu, ju] = x.T / np.sqrt(2.0)
-    a[:, ju, iu] = -a[:, iu, ju]
     gram = np.matmul(a.conj().transpose(0, 2, 1), a)
     sum_lambda4 = 2.0 * np.sum(np.abs(gram) ** 2, axis=(1, 2))
     lambda_max = np.sqrt(2.0 * np.linalg.eigvalsh(gram)[:, -1])

@@ -30,6 +30,10 @@ def uniform(k):
     return np.full(k, 1 / np.sqrt(k))
 
 
+def spectrum(psi):
+    return spectral_decompose(compute_gamma2(psi))
+
+
 def yang_state(n_pairs, m):
     op = PairOperator.from_lambdas(uniform(n_pairs))
     return build_pairing_state(op, m).vector.normalized()
@@ -93,7 +97,7 @@ class TestTheorem1Rhs:
 
 class TestVerifyTheorem1:
     def test_slater_saturates(self):
-        reports = verify_theorem1(slater_state(4, [0, 1]))
+        reports = verify_theorem1(spectrum(slater_state(4, [0, 1])))
         top = reports[0]
         assert abs(top.observed - 2.0) < 1e-10
         assert abs(top.bound - 2.0) < 1e-10
@@ -101,7 +105,7 @@ class TestVerifyTheorem1:
         assert top.passed
 
     def test_yang_pairing_margin(self):
-        reports = verify_theorem1(yang_state(4, 2))
+        reports = verify_theorem1(spectrum(yang_state(4, 2)))
         top = reports[0]
         assert abs(top.observed - 3.0) < 1e-9
         assert abs(top.bound - 3.2) < 1e-9
@@ -109,18 +113,18 @@ class TestVerifyTheorem1:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_sweep_passes(self, seed):
-        for report in verify_theorem1(random_state(8, 4, seed)):
+        for report in verify_theorem1(spectrum(random_state(8, 4, seed))):
             assert report.margin >= -1e-8
 
     def test_kernel_eigenvalues_excluded(self):
-        reports = verify_theorem1(slater_state(4, [0, 1]))
+        reports = verify_theorem1(spectrum(slater_state(4, [0, 1])))
         assert len(reports) == 1  # rank-one operator: single nonzero eigenpair
 
     @given(small_states())
     @settings(max_examples=30, deadline=None)
     def test_matches_canonical_form_oracle(self, psi):
         sd = spectral_decompose(compute_gamma2(psi))
-        reports = verify_theorem1(psi, spectral=sd)
+        reports = verify_theorem1(sd)
         kept = [k for k, lam in enumerate(sd.eigenvalues) if lam > 1e-8]
         assert [r.params["eigen_index"] for r in reports] == kept
         for r in reports:
@@ -204,14 +208,14 @@ class TestPropositionGap:
 
 class TestOccupationCheck:
     def test_slater_equality(self):
-        reports = eigenvector_occupation_check(slater_state(4, [0, 1]))
+        reports = eigenvector_occupation_check(spectrum(slater_state(4, [0, 1])))
         assert len(reports) == 1
         assert abs(reports[0].observed - 1.0) < 1e-10
         assert abs(reports[0].bound - 1.0) < 1e-10
         assert reports[0].passed
 
     def test_yang_pairing_values(self):
-        reports = eigenvector_occupation_check(yang_state(4, 2))
+        reports = eigenvector_occupation_check(spectrum(yang_state(4, 2)))
         top = reports[0]
         assert abs(top.observed - 0.5) < 1e-9   # occupation 1/2 per mode
         assert abs(top.bound - 3.0 / 8.0) < 1e-9  # (Lambda/2) lam^2 = 3/8
@@ -219,7 +223,8 @@ class TestOccupationCheck:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_random_sweep(self, seed):
-        for report in eigenvector_occupation_check(random_state(8, 4, 50 + seed)):
+        for report in eigenvector_occupation_check(
+                spectrum(random_state(8, 4, 50 + seed))):
             assert report.margin >= -1e-8
 
     @given(st.integers(2, 10).flatmap(
@@ -228,7 +233,7 @@ class TestOccupationCheck:
     def test_matches_annihilation_oracle(self, case):
         psi = random_state(*case)
         sd = spectral_decompose(compute_gamma2(psi))
-        for r in eigenvector_occupation_check(psi, sd):
+        for r in eigenvector_occupation_check(sd):
             idx = r.params["eigen_index"]
             rows = occupation_oracle(psi, float(sd.eigenvalues[idx]),
                                      sd.eigenvectors[idx])

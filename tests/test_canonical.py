@@ -12,9 +12,8 @@ from gamma2lab.canonical import (AntisymmetricTensor, CanonicalForm,
                                  canonical_from_lambdas, correlation_measures,
                                  elementary_wedge, embed_as_sector_vector,
                                  random_tensor, read_tensor_text, reconstruct,
-                                 tensor_from_wedge_amplitudes, tensor_inner,
-                                 wedge_pairs, write_tensor_text,
-                                 youla_decompose)
+                                 tensor_inner, wedge_matrices, wedge_pairs,
+                                 write_tensor_text, youla_decompose)
 from gamma2lab.fock import SectorMismatchError
 
 
@@ -40,8 +39,19 @@ class TestTensorStorage:
 
     def test_wedge_amplitude_roundtrip(self):
         t = seeded_tensor(6, 0)
-        back = tensor_from_wedge_amplitudes(6, t.wedge_amplitudes())
-        assert np.max(np.abs(back.mat - t.mat)) < 1e-15
+        back = wedge_matrices(6, t.wedge_amplitudes())
+        assert np.max(np.abs(back - t.mat)) < 1e-15
+
+    def test_wedge_matrices_stack(self):
+        tensors = [seeded_tensor(6, seed) for seed in range(3)]
+        amps = np.stack([t.wedge_amplitudes() for t in tensors], axis=1)
+        stack = wedge_matrices(6, amps)
+        assert stack.shape == (3, 6, 6)
+        for a, t in zip(stack, tensors):
+            assert np.array_equal(a, -a.T)
+            assert np.max(np.abs(a - t.mat)) < 1e-15
+        with pytest.raises(SectorMismatchError):
+            wedge_matrices(5, amps)
 
     def test_wedge_pair_order(self):
         assert wedge_pairs(4) == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -229,3 +239,13 @@ class TestCanonicalFormValidation:
         form = canonical_from_lambdas([0.8, 0.6])
         with pytest.raises(ValueError):
             CanonicalForm(form.lambdas[::-1].copy(), form.vectors)
+
+    @pytest.mark.parametrize("lams, vecs", [
+        ([1.0], np.full((2, 2), np.nan)),
+        ([np.nan], np.eye(2)),
+        ([np.inf], np.eye(2)),
+        ([1.0], np.array([[1.0, 0.0], [0.0, 1j * np.inf]])),
+    ])
+    def test_rejects_non_finite(self, lams, vecs):
+        with pytest.raises(ValueError, match="non-finite"):
+            CanonicalForm(lams, vecs)

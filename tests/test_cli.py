@@ -1,11 +1,16 @@
 """Profile parsing, seeded state generation, and the report-writing CLI."""
 
+import csv
 import json
+import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gamma2lab import cli
+from gamma2lab import bounds, cli
 from gamma2lab.canonical import random_tensor, write_tensor_text
 from gamma2lab.cli import (build_report, main, parse_lambda_spec, random_state,
                            report_to_csv)
@@ -188,6 +193,48 @@ class TestSubcommands:
         assert code == 0
         assert [c["pass"] for c in report["checks"]] == [True]
 
+    @pytest.mark.parametrize("argv", [
+        ["explore", "--lambda", "uniform:16", "--particles", "2,4,6,8,10,12"],
+        ["verify", "prop", "--lambda", "uniform:16", "--particles", "8,12"],
+    ])
+    def test_oversized_n_refused_before_any_solve(self, tmp_path, monkeypatch, argv):
+        # N = 12 on 16 pairs needs a dense block of C(16, 6) = 8008 states
+        def no_solve(*args):
+            raise AssertionError("a pair block was built")
+
+        monkeypatch.setattr(bounds, "pair_blocks", no_solve)
+        code, report = run_cli(tmp_path, *argv)
+        assert code == 1
+        assert [c["note"] for c in report["checks"]] == [
+            "SectorSizeError: dense pair block on 16 pairs needs 8008 pair "
+            "states, cap is 5000"]
+
+    def test_skipped_n_is_not_admitted(self, tmp_path):
+        # odd N = 13 is skipped by explore; its blocks (C(15, 6) = 5005
+        # states) would exceed the dense cap
+        code, report = run_cli(tmp_path, "explore", "--lambda", "uniform:16",
+                               "--particles", "2,13")
+        assert code == 0
+        assert report["checks"][1]["note"] == "skipped: N not admissible"
+
+    def test_eigenvector_and_operator_dumps(self, tmp_path):
+        code, report = run_cli(tmp_path, "verify", "thm1", "--dim", "6",
+                               "--particles", "3", "--trials", "2",
+                               "--eigenvectors", "--dump-operator")
+        assert code == 0
+        spectra = [c for c in report["checks"] if c["kind"] == "spectrum"]
+        assert len(spectra) == 2
+        for row in spectra:
+            details = row["details"]
+            g = (np.array(details["operator"]["re"])
+                 + 1j * np.array(details["operator"]["im"]))
+            vecs = np.array([np.array(v["re"]) + 1j * np.array(v["im"])
+                             for v in details["eigenvectors"]]).T
+            assert g.shape == vecs.shape == (15, 15)
+            for lam, x in zip(details["eigenvalues"], vecs.T):
+                assert np.linalg.norm(g @ x - lam * x) <= 1e-10
+            assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(15))) <= 1e-12
+
     def test_memory_error_writes_error_report(self, tmp_path, monkeypatch):
         def exhausted(args):
             raise MemoryError("cannot allocate")
@@ -244,3 +291,54 @@ class TestReportDeterminism:
         text = report_to_csv(report)
         assert text.splitlines()[0].startswith("kind,param:N,observed")
         assert len(text.splitlines()) == 2
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _readme_commands():
+    """The ``gamma2lab ...`` lines of the README's "Command line" block."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1]
+    block = block.split("```", 1)[0].replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("gamma2lab ")]
+
+
+def _read_report(path):
+    text = Path(path).read_text(encoding="utf-8")
+    if Path(path).suffix == ".csv":
+        rows = list(csv.reader(text.splitlines()))
+        assert rows[0][0] == "kind" and len(rows) > 1
+        return rows
+    report = json.loads(text)
+    assert report["checks"]
+    return report
+
+
+class TestDocumentedCommands:
+    def test_readme_command_lines(self, tmp_path, monkeypatch):
+        commands = _readme_commands()
+        assert len(commands) >= 8
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv(cli.OUTDIR_ENV, raising=False)
+        write_tensor_text("tensor.txt", random_tensor(6, np.random.default_rng(0)))
+        for argv in commands:
+            assert main(argv) == 0, argv
+            out = (argv[argv.index("--out") + 1] if "--out" in argv
+                   else f"{argv[0]}_report.json")
+            _read_report(out)
+
+    def test_theorem_sweep_script(self, tmp_path):
+        subprocess.run([sys.executable, str(ROOT / "scripts/run_theorem_sweep.py"),
+                        "--dim", "6", "--particles", "3", "--trials", "2",
+                        "--outdir", str(tmp_path)], check=True, capture_output=True)
+        for check in ("thm1", "occupation"):
+            _read_report(tmp_path / f"{check}_d6_n3.json")
+
+    def test_conjecture_scan_script(self, tmp_path):
+        subprocess.run([sys.executable, str(ROOT / "scripts/run_conjecture_scan.py"),
+                        "--profiles", "uniform:4", "power:1:6", "--particles", "2,4",
+                        "--outdir", str(tmp_path)], check=True, capture_output=True)
+        for name in ("uniform_4.csv", "power_1_6.csv"):
+            assert len(_read_report(tmp_path / name)) == 3

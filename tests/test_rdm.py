@@ -195,7 +195,7 @@ class TestIdentityOracles:
     @settings(max_examples=40, deadline=None)
     def test_invariants_match_canonical_form(self, psi):
         sd = spectral_decompose(compute_gamma2(psi))
-        s4, lmax = correlation_invariants(psi.basis.d, sd.wedge_vectors)
+        s4, lmax = correlation_invariants(sd.matrices)
         # kernel eigenvectors are arbitrary and never decomposed by a check
         for k in np.flatnonzero(sd.eigenvalues > 1e-8):
             ref = correlation_measures(youla_decompose(sd.eigenvectors[k]))
@@ -206,7 +206,7 @@ class TestIdentityOracles:
     @settings(max_examples=30, deadline=None)
     def test_invariants_of_random_tensors(self, d, seed):
         tensor = random_tensor(d, np.random.default_rng(seed))
-        s4, lmax = correlation_invariants(d, tensor.wedge_amplitudes()[:, None])
+        s4, lmax = correlation_invariants(tensor.mat[None])
         ref = correlation_measures(youla_decompose(tensor))
         assert abs(s4[0] - ref.sum_lambda4) < ORACLE_TOL
         assert abs(lmax[0] - ref.lambda_max) < ORACLE_TOL
@@ -244,10 +244,10 @@ class TestIdentityOracles:
         assert g.hermiticity_defect < 1e-13
 
     def test_unnormalized_column_refused(self):
-        x = random_tensor(6, np.random.default_rng(3)).wedge_amplitudes()
-        correlation_invariants(6, x[:, None])
+        a = random_tensor(6, np.random.default_rng(3)).mat
+        correlation_invariants(a[None])
         with pytest.raises(NotNormalizedError):
-            correlation_invariants(6, 1.01 * x[:, None])
+            correlation_invariants(1.01 * a[None])
 
 
 class TestGamma2Admission:
