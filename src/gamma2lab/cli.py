@@ -265,6 +265,8 @@ def _cmd_verify(args) -> tuple[dict, list]:
                        "threads": args.threads})
         verify = (bounds.verify_theorem1 if args.check == "thm1"
                   else bounds.eigenvector_occupation_check)
+        if args.trials >= 1:  # refuse by arithmetic before drawing a state
+            rdm.admit_gamma2(args.dim, args.particles)
         checks = []
         for t in range(args.trials):
             psi = random_state(args.dim, args.particles, args.seed + t)

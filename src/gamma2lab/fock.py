@@ -35,7 +35,11 @@ import numpy as np
 
 DEFAULT_MAX_DIM = 24
 DEFAULT_MAX_SECTOR = 3_000_000
-DEFAULT_MAX_GAMMA2_BYTES = 2 * 2 ** 30  # c_j c_i psi vectors of one Gamma2 assembly
+# Bytes of c_j c_i psi computed by one Gamma2 assembly.  They are summed one
+# column chunk at a time and never held whole; the resident set is the hop
+# tables, the d-1 partial vectors c_i psi and one chunk (171 MB RSS at
+# d=20, N=10).
+DEFAULT_MAX_GAMMA2_BYTES = 2 * 2 ** 30
 MASK_CACHE = 64                   # occupation-mask arrays kept, one per (d, n)
 HOP_CACHE = 2 * DEFAULT_MAX_DIM   # Gamma2 assembly cycles through 2d hop tables
 
@@ -50,19 +54,23 @@ class SectorMismatchError(ValueError):
 
 @lru_cache(maxsize=MASK_CACHE)
 def occupation_masks(d: int, n: int) -> np.ndarray:
-    """All d-bit masks with popcount ``n``, ascending (Gosper's hack)."""
-    if n == 0:
-        masks = np.zeros(1, dtype=np.int64)
-    else:
-        out = []
-        m = (1 << n) - 1
-        limit = 1 << d
-        while m < limit:
-            out.append(m)
-            c = m & (-m)
-            r = m + c
-            m = (((r ^ m) >> 2) // c) | r
-        masks = np.asarray(out, dtype=np.int64)
+    """All d-bit masks with popcount ``n``, ascending.
+
+    Built by the recursion masks(k, m) = masks(k-1, m) ++ (masks(k-1, m-1)
+    | 1 << (k-1)), a few array operations per orbital.  The masks without
+    bit k-1 are all below those with it, so each step keeps the order.  Only
+    the popcounts that can still reach ``n`` are carried.
+    """
+    if n < 0:
+        raise ValueError(f"negative particle number {n}")
+    empty = np.zeros(0, dtype=np.int64)
+    level = [np.zeros(1, dtype=np.int64)] + [empty] * n
+    for k in range(d):
+        low = n - (d - k - 1)  # popcounts below this can no longer reach n
+        level = [level[0]] + [  # and those above k + 1 are still empty
+            np.concatenate((level[m], level[m - 1] | (1 << k))) if low <= m <= k + 1
+            else empty for m in range(1, n + 1)]
+    masks = level[n]
     masks.setflags(write=False)
     return masks
 
@@ -91,8 +99,8 @@ class SectorBasis:
         return f"SectorBasis(d={self.d}, N={self.N}, dim={self.dim})"
 
 
-def enumerate_sector(d: int, N: int) -> SectorBasis:
-    """Basis of the (d, N) sector over the cached masks of that sector.
+def admit_sector(d: int, N: int) -> None:
+    """Refuse a (d, N) sector by arithmetic, before anything is enumerated.
 
     Rejects N < 0, N > d, d above ``DEFAULT_MAX_DIM``, and sectors larger
     than ``DEFAULT_MAX_SECTOR`` states.  Caps are soft configuration, not
@@ -106,6 +114,12 @@ def enumerate_sector(d: int, N: int) -> SectorBasis:
         raise SectorSizeError(
             f"sector (d={d}, N={N}) has {comb(d, N)} states, "
             f"cap is {DEFAULT_MAX_SECTOR}")
+
+
+def enumerate_sector(d: int, N: int) -> SectorBasis:
+    """Basis of the (d, N) sector over the cached masks of that sector,
+    refused first by :func:`admit_sector`."""
+    admit_sector(d, N)
     return SectorBasis(d, N, occupation_masks(d, N))
 
 

@@ -6,10 +6,12 @@ i < j, which has dimension P = d(d-1)/2.  Its matrix element between
 e_i ^ e_j and e_k ^ e_l equals 2 <psi, c*_k c*_l c_j c_i psi>, so the whole
 operator is assembled from the Gram matrix of the pair-annihilated vectors
 c_j c_i psi.  This makes positivity and the trace value N(N-1) structural
-rather than accidental.  The vectors are gathered pair-major along the cached
-hop tables and the Gram matrix is summed over fixed-size chunks of the
-(N-2)-particle sector; their total size is admitted by arithmetic before
-anything is allocated.
+rather than accidental.  The vectors are never held whole: the Gram matrix
+is summed over fixed-size chunks of the (N-2)-particle sector, and each
+chunk's columns of every c_j c_i psi are gathered pair-major from the
+partial vectors c_i psi, along the cached hop tables, just before its
+block is added.  The total size of the vectors is still admitted by
+arithmetic before anything is allocated.
 
 Two more quantities come from identities instead of per-vector work:
 
@@ -37,7 +39,7 @@ from .canonical import (NORM_TOL, AntisymmetricTensor, CanonicalForm,
                         NotNormalizedError, wedge_matrices, wedge_pairs)
 from .fock import (DEFAULT_MAX_GAMMA2_BYTES, SectorMismatchError,
                    SectorSizeError, SectorVector, _fermion_hops,
-                   apply_annihilate, apply_annihilate_vector,
+                   admit_sector, apply_annihilate, apply_annihilate_vector,
                    enumerate_sector, occupation)
 
 STATE_NORM_TOL = 1e-10
@@ -80,24 +82,24 @@ class SpectralData:
 
 
 def gamma2_bytes(d: int, N: int) -> int:
-    """Bytes of the pair-annihilated vectors c_j c_i psi of a (d, N) state."""
+    """Bytes of all pair-annihilated vectors c_j c_i psi of a (d, N) state.
+
+    :func:`compute_gamma2` computes that many bytes chunk by chunk but never
+    holds them at once; the budget bounds the work of one assembly.
+    """
     return comb(d, N - 2) * (d * (d - 1) // 2) * COMPLEX_BYTES
 
 
-def compute_gamma2(psi: SectorVector) -> TwoBodyOperator:
-    """Assemble the two-body reduced operator of a normalized state.
+def admit_gamma2(d: int, N: int) -> None:
+    """Refuse the reduced operator of a (d, N) state by arithmetic alone.
 
-    Gathers y_ij = c_j c_i psi for every ordered pair into the rows of one
-    pair-major array and returns twice the transposed Gram matrix of those
-    rows, summed over chunks of ``GRAM_CHUNK`` columns.  A state whose rows
-    would exceed ``DEFAULT_MAX_GAMMA2_BYTES`` is refused with
-    :class:`SectorSizeError` before anything is allocated.  The asymmetry of
-    the unsymmetrized product is recorded; anything above
-    ``HERMITICITY_TOL`` aborts, since at these sizes a larger defect signals
-    an implementation bug, not roundoff.
+    Checks, in this order, the sector caps of :func:`fock.admit_sector`, the
+    two-particle minimum (:class:`SectorMismatchError`) and
+    :func:`gamma2_bytes` against ``DEFAULT_MAX_GAMMA2_BYTES``
+    (:class:`SectorSizeError`), so a caller can refuse a request before it
+    draws any state.
     """
-    basis = psi.basis
-    d, N = basis.d, basis.N
+    admit_sector(d, N)
     if N < 2:
         raise SectorMismatchError("two-body reduction needs at least two particles")
     need = gamma2_bytes(d, N)
@@ -105,22 +107,45 @@ def compute_gamma2(psi: SectorVector) -> TwoBodyOperator:
         raise SectorSizeError(
             f"reduced operator of (d={d}, N={N}) needs {need} bytes of "
             f"pair-annihilated vectors, budget is {DEFAULT_MAX_GAMMA2_BYTES}")
+
+
+def compute_gamma2(psi: SectorVector) -> TwoBodyOperator:
+    """Assemble the two-body reduced operator of a normalized state.
+
+    Returns twice the transposed Gram matrix of the pair-annihilated vectors
+    y_ij = c_j c_i psi, summed over chunks of ``GRAM_CHUNK`` (N-2)-particle
+    columns.  The d-1 partial vectors c_i psi are built once; each chunk of
+    every y_ij is then gathered pair-major from them, along one slice of the
+    cached hop table of each c_j, just before its product is added, so the
+    y_ij are never held whole.  A (d, N) refused by :func:`admit_gamma2`
+    raises before anything is allocated.  The asymmetry of the
+    unsymmetrized product is recorded; anything above ``HERMITICITY_TOL``
+    aborts, since at these sizes a larger defect signals an implementation
+    bug, not roundoff.
+    """
+    basis = psi.basis
+    d, N = basis.d, basis.N
+    admit_gamma2(d, N)
     if abs(psi.norm() - 1.0) > STATE_NORM_TOL:
         raise ValueError("state must be normalized")
-    lower_dim = comb(d, N - 2)
-    y = np.zeros((d * (d - 1) // 2, lower_dim), dtype=np.complex128)
-    p = 0
-    for i in range(d - 1):  # wedge pairs are row-major: one c_i psi at a time
+    partial = np.zeros((d - 1, comb(d, N - 1)), dtype=np.complex128)
+    for i in range(d - 1):  # the last orbital is never the first of a pair
         rows, cols, signs = _fermion_hops(d, N, i)
-        partial = np.zeros(comb(d, N - 1), dtype=np.complex128)
-        partial[rows] = signs * psi.amplitudes[cols]
-        for j in range(i + 1, d):
-            rows, cols, signs = _fermion_hops(d, N - 1, j)
-            y[p, rows] = signs * partial[cols]
-            p += 1
-    gram = np.zeros((len(y), len(y)), dtype=np.complex128)
-    for start in range(0, lower_dim, GRAM_CHUNK):
-        blk = y[:, start:start + GRAM_CHUNK]
+        partial[i, rows] = signs * psi.amplitudes[cols]
+    lower_dim = comb(d, N - 2)
+    bounds = [*range(0, lower_dim, GRAM_CHUNK), lower_dim]
+    i = np.arange(d - 1)[:, None]
+    first = i * (2 * d - i - 3) // 2 - 1  # pair (i, j) is wedge row first[i] + j
+    # rows of a hop table ascend, so a chunk of columns is one slice of it
+    tables = [(j, *_fermion_hops(d, N - 1, j)) for j in range(1, d)]
+    edges = [np.searchsorted(rows, bounds) for _, rows, _, _ in tables]
+    n_pairs = d * (d - 1) // 2
+    gram = np.zeros((n_pairs, n_pairs), dtype=np.complex128)
+    for c, start in enumerate(bounds[:-1]):
+        blk = np.zeros((n_pairs, bounds[c + 1] - start), dtype=np.complex128)
+        for (j, rows, cols, signs), edge in zip(tables, edges):  # every i < j at once
+            s = slice(edge[c], edge[c + 1])
+            blk[first[:j] + j, rows[s] - start] = signs[s] * partial[:j, cols[s]]
         gram += blk.conj() @ blk.T
     g = 2.0 * gram.T
     defect = float(np.max(np.abs(g - g.conj().T))) if g.size else 0.0

@@ -136,6 +136,19 @@ class TestSubcommands:
         assert report["checks"][0]["kind"] == "error"
         assert report["checks"][0]["note"].startswith("SectorSizeError")
 
+    @pytest.mark.parametrize("check", ["thm1", "occupation"])
+    def test_gamma2_refused_before_any_state(self, tmp_path, monkeypatch, check):
+        def no_state(*args):
+            raise AssertionError("a state was drawn")
+
+        monkeypatch.setattr(cli, "random_state", no_state)
+        code, report = run_cli(tmp_path, "verify", check, "--dim", "24",
+                               "--particles", "12", "--trials", "1")
+        assert code == 1
+        assert [c["note"] for c in report["checks"]] == [
+            "SectorSizeError: reduced operator of (d=24, N=12) needs "
+            "8660906496 bytes of pair-annihilated vectors, budget is 2147483648"]
+
     def test_canonical_subcommand(self, tmp_path):
         tensor_path = tmp_path / "tensor.txt"
         write_tensor_text(tensor_path, random_tensor(6, np.random.default_rng(0)))

@@ -2,6 +2,7 @@
 
 import importlib
 import itertools
+import math
 import pkgutil
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gamma2lab
+from gamma2lab import fock
 from gamma2lab.fock import (SectorMismatchError, SectorSizeError,
                             SectorVector, apply_annihilate,
                             apply_annihilate_vector, apply_create,
@@ -27,6 +29,21 @@ def dense_annihilator(d, i):
             sign = (-1) ** bin(mask & ((1 << i) - 1)).count("1")
             m[mask ^ (1 << i), mask] = sign
     return m
+
+
+def gosper_masks(d, n):
+    """Independent oracle: every popcount-n mask below 1 << d, ascending,
+    stepping from each to the next larger one (Gosper's hack)."""
+    if n == 0:
+        return np.zeros(1, dtype=np.int64)
+    out = []
+    m = (1 << n) - 1
+    while m < 1 << d:
+        out.append(m)
+        c = m & (-m)
+        r = m + c
+        m = (((r ^ m) >> 2) // c) | r
+    return np.asarray(out, dtype=np.int64)
 
 
 def random_vector(d, n, seed):
@@ -60,6 +77,16 @@ class TestEnumeration:
         b = enumerate_sector(6, 3).states
         assert np.array_equal(a, b)
         assert np.all(np.diff(a) > 0)
+
+    def test_masks_match_gosper(self):
+        for d in range(17):
+            for n in range(d + 1):
+                ref = gosper_masks(d, n)
+                assert len(ref) == math.comb(d, n) and np.all(np.diff(ref) > 0)
+                assert np.all(np.bitwise_count(ref) == n) and np.all(ref < 1 << d)
+                masks = fock.occupation_masks(d, n)
+                assert masks.dtype == np.int64
+                assert np.array_equal(masks, ref), (d, n)
 
     def test_index_of_rejects_foreign_masks(self):
         sec = enumerate_sector(4, 2)

@@ -1,6 +1,8 @@
 """Two-body reduced operators: assembly, spectra, and the fast quadratic form."""
 
+import tracemalloc
 from itertools import combinations
+from math import comb
 from unittest import mock
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gamma2lab.fock as fock
 import gamma2lab.rdm as rdm
 from gamma2lab.canonical import (NotNormalizedError, canonical_from_lambdas,
                                  correlation_measures, elementary_wedge,
@@ -17,9 +20,10 @@ from gamma2lab.fock import (DEFAULT_MAX_GAMMA2_BYTES, SectorMismatchError,
                             SectorSizeError, apply_annihilate,
                             apply_annihilate_vector, slater_state)
 from gamma2lab.pairing import PairOperator, build_pairing_state
-from gamma2lab.rdm import (compute_gamma2, correlation_invariants, expectation,
-                           expectation_fast, gamma2_bytes, one_body_matrix,
-                           partial_trace_residual, spectral_decompose)
+from gamma2lab.rdm import (admit_gamma2, compute_gamma2, correlation_invariants,
+                           expectation, expectation_fast, gamma2_bytes,
+                           one_body_matrix, partial_trace_residual,
+                           spectral_decompose)
 
 ORACLE_TOL = 1e-12
 
@@ -234,10 +238,13 @@ class TestIdentityOracles:
         assert np.max(np.abs(one_body_matrix(g) - overlap)) < ORACLE_TOL
         assert partial_trace_residual(g, psi) < ORACLE_TOL
 
-    @pytest.mark.parametrize("chunk", [1, 10 ** 9])
+    # 7 and one short of the (N-2)-particle sector split hop tables mid-slice
+    @pytest.mark.parametrize("chunk", [1, 7, "sector-1", 10 ** 9])
     @given(psi=states())
     @settings(max_examples=15, deadline=None)
     def test_chunked_gram_matches_single_product(self, chunk, psi):
+        if chunk == "sector-1":
+            chunk = max(1, comb(psi.basis.d, psi.basis.N - 2) - 1)
         with mock.patch.object(rdm, "GRAM_CHUNK", chunk):
             g = compute_gamma2(psi)
         assert np.max(np.abs(g.mat - unchunked_gamma2(psi))) < 1e-13
@@ -256,6 +263,19 @@ class TestGamma2Admission:
         assert gamma2_bytes(24, 12) > DEFAULT_MAX_GAMMA2_BYTES  # about 8.7 GB
         assert gamma2_bytes(8, 4) == 28 * 28 * 16
 
+    @pytest.mark.parametrize("d,n,error,match", [
+        (25, 1, SectorSizeError, "configured cap"),        # sector caps first
+        (24, 1, SectorMismatchError, "two particles"),     # then N >= 2
+        (24, 12, SectorSizeError, "pair-annihilated"),     # then the budget
+    ])
+    def test_admission_order(self, d, n, error, match):
+        with pytest.raises(error, match=match):
+            admit_gamma2(d, n)
+
+    def test_admits_within_budget(self):
+        admit_gamma2(20, 10)
+        admit_gamma2(22, 11)
+
     def test_refused_before_any_gather(self, monkeypatch):
         psi = random_state(8, 4, 0)
 
@@ -266,6 +286,25 @@ class TestGamma2Admission:
         monkeypatch.setattr(rdm, "_fermion_hops", no_hops)
         with pytest.raises(SectorSizeError):
             compute_gamma2(psi)
+
+
+def test_assembly_never_holds_the_pair_vectors():
+    d, n = 16, 8
+    psi = random_state(d, n, 0)
+    for orbital in range(d):  # the cached hop tables are not assembly memory
+        fock._fermion_hops(d, n, orbital)
+        fock._fermion_hops(d, n - 1, orbital)
+    with mock.patch.object(rdm, "GRAM_CHUNK", 64):
+        tracemalloc.start()
+        try:
+            g = compute_gamma2(psi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert abs(np.trace(g.mat).real - n * (n - 1)) < 1e-9
+    # the d-1 partial vectors c_i psi held during assembly are 0.18 of the
+    # pair vectors at (16, 8); all of them at once would be 1
+    assert peak < gamma2_bytes(d, n) / 3
 
 
 def test_spectral_data_builds_tensors_lazily():
