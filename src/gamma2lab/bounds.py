@@ -18,9 +18,9 @@ The eigenpair checks take a :class:`rdm.SpectralData` and read one object
 from it: the stack of eigenvector coefficient matrices.  ``thm1`` takes
 sum lam**4 and lam_max of every eigenvector from one batched product over
 that stack, and ``prop_occupation`` decomposes its matrices into canonical
-forms for the vectors u_k, v_k, evaluating each ||c(u) psi||^2 as a
-quadratic form in the one-body matrix, a partial trace of the reduced
-operator.  Neither touches the state again.
+forms for the vectors u_k, v_k in one batched call, evaluating every
+||c(u) psi||^2 as a quadratic form in the one-body matrix, a partial trace
+of the reduced operator.  Neither touches the state again.
 
 Default tolerances: 1e-8 for bound margins, 1e-10 for structural identities.
 """
@@ -33,8 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .canonical import (AntisymmetricTensor, CanonicalForm,
-                        canonical_from_lambdas, youla_decompose)
+from .canonical import CanonicalForm, canonical_forms, canonical_from_lambdas
 from .fock import SectorSizeError, SectorVector, enumerate_sector
 from .pairing import (DENSE_CAP, PairOperator, admit_pair_blocks, apply_B,
                       apply_B_star, build_pairing_state, dense_b_matrix,
@@ -220,32 +219,38 @@ def eigenvector_occupation_check(spectral: SpectralData, tol: float = BOUND_TOL,
     eigenpair with Lambda > ``tol``, with lam_k, u_k, v_k from the canonical
     form of the eigenvector's coefficient matrix in ``spectral.matrices``.
 
-    The canonical form is the only per-eigenvector decomposition.  Each
-    occupation ||c(u) psi||^2 is the quadratic form u^T gamma1 conj(u) in the
-    one-body matrix, which :func:`rdm.one_body_matrix` takes from the reduced
-    operator by partial trace; all u_k, v_k of one eigenvector are evaluated
-    together.
+    The kept matrices are decomposed in one :func:`canonical.canonical_forms`
+    call.  Each occupation ||c(u) psi||^2 is the quadratic form
+    u^T gamma1 conj(u) in the one-body matrix, which
+    :func:`rdm.one_body_matrix` takes from the reduced operator by partial
+    trace; the u_k, v_k of all kept eigenvectors are evaluated together, and
+    each report names its worst (k, spin).
     """
     d, N = spectral.operator.d, spectral.operator.n_particles
+    keep = np.flatnonzero(spectral.eigenvalues > tol)
+    if not keep.size:
+        return []
     gamma1 = one_body_matrix(spectral.operator)
+    forms = canonical_forms(spectral.matrices[keep])
+    vecs = forms.vectors  # member columns u_1, v_1, u_2, v_2, ..., zero-padded
+    occ = np.einsum("nia,nia->na", vecs, np.matmul(gamma1, vecs.conj())).real
+    half = 0.5 * spectral.eigenvalues[keep]
+    need = np.repeat(half[:, None] * forms.lambdas ** 2, 2, axis=1)
+    excess = occ - need
+    excess[np.arange(excess.shape[1]) >= 2 * forms.n_pairs[:, None]] = np.inf
+    worst_col = np.argmin(excess, axis=1)
     reports = []
-    for idx in np.flatnonzero(spectral.eigenvalues > tol):
-        lam_eig = spectral.eigenvalues[idx]
-        form = youla_decompose(AntisymmetricTensor(d, spectral.matrices[idx]))
-        vecs = form.vectors  # columns u_1, v_1, u_2, v_2, ...
-        occ = np.einsum("ia,ia->a", vecs, gamma1 @ vecs.conj()).real
-        need = np.repeat(0.5 * float(lam_eig) * form.lambdas ** 2, 2)
-        at = int(np.argmin(occ - need))
-        worst_at = {"k": at // 2, "spin": ("up", "down")[at % 2],
-                    "occupation": float(occ[at]), "required": float(need[at])}
-        worst = float(occ[at] - need[at])
+    for idx, row_occ, row_need, at, worst in zip(
+            keep, occ, need, worst_col, excess[np.arange(len(keep)), worst_col]):
+        worst_at = {"k": int(at) // 2, "spin": ("up", "down")[at % 2],
+                    "occupation": float(row_occ[at]), "required": float(row_need[at])}
         params = {"d": d, "N": N, "eigen_index": int(idx)}
         if tag:
             params.update(tag)
         reports.append(TheoremReport(
             kind="prop_occupation", params=params,
             observed=worst_at["occupation"], bound=worst_at["required"],
-            margin=worst, passed=worst >= -tol, details=worst_at))
+            margin=float(worst), passed=bool(worst >= -tol), details=worst_at))
     return reports
 
 

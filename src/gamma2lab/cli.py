@@ -155,7 +155,9 @@ def build_report(config: dict, checks: list, timing: float | None) -> dict:
 
 
 def report_to_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    """One line of JSON with sorted keys.  Without ``indent`` the encoder
+    runs in C; any indent falls back to the pure-Python one."""
+    return json.dumps(report, sort_keys=True) + "\n"
 
 
 def report_to_csv(report: dict) -> str:

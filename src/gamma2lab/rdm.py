@@ -35,12 +35,12 @@ from math import comb
 
 import numpy as np
 
-from .canonical import (NORM_TOL, AntisymmetricTensor, CanonicalForm,
-                        NotNormalizedError, wedge_matrices, wedge_pairs)
+from .canonical import (AntisymmetricTensor, CanonicalForm, check_unit_norms,
+                        wedge_matrices, wedge_pairs)
 from .fock import (DEFAULT_MAX_GAMMA2_BYTES, SectorMismatchError,
                    SectorSizeError, SectorVector, _fermion_hops,
                    admit_sector, apply_annihilate, apply_annihilate_vector,
-                   enumerate_sector, occupation)
+                   enumerate_sector)
 
 STATE_NORM_TOL = 1e-10
 HERMITICITY_TOL = 1e-10
@@ -174,15 +174,10 @@ def correlation_invariants(mats) -> tuple[np.ndarray, np.ndarray]:
     lam_max = sqrt(2 * largest eigenvalue of A_k^H A_k), evaluated for the
     whole stack with one batched product.  A matrix whose norm is off 1 by
     more than ``canonical.NORM_TOL`` raises :class:`NotNormalizedError`, as
-    :func:`canonical.youla_decompose` does.
+    :func:`canonical.canonical_forms` does.
     """
     a = np.asarray(mats, dtype=np.complex128)
-    norms = np.linalg.norm(a, axis=(1, 2))
-    off = np.abs(norms - 1.0)
-    if np.any(off > NORM_TOL):
-        k = int(np.argmax(off))
-        raise NotNormalizedError(
-            f"tensor norm {float(norms[k])!r} is not 1 within {NORM_TOL:.1e}")
+    check_unit_norms(a)
     gram = np.matmul(a.conj().transpose(0, 2, 1), a)
     sum_lambda4 = 2.0 * np.sum(np.abs(gram) ** 2, axis=(1, 2))
     lambda_max = np.sqrt(2.0 * np.linalg.eigvalsh(gram)[:, -1])
@@ -211,9 +206,19 @@ def one_body_matrix(g: TwoBodyOperator) -> np.ndarray:
 
 
 def partial_trace_residual(g: TwoBodyOperator, psi: SectorVector) -> float:
-    """max_i |gamma1[i, i] - <n_i>|: the partial trace against direct occupations."""
+    """max_i |gamma1[i, i] - <n_i>|: the partial trace against direct occupations.
+
+    <n_i> is the weight |psi|**2 on the masks with bit i set over ||psi||**2,
+    summed as :func:`fock.occupation` sums it, with the norm taken once.
+    """
     diag = np.diagonal(one_body_matrix(g)).real
-    return max(abs(float(diag[i]) - occupation(psi, i)) for i in range(g.d))
+    weight = np.abs(psi.amplitudes) ** 2
+    nsq = float(np.vdot(psi.amplitudes, psi.amplitudes).real)
+    if nsq == 0.0:
+        raise ValueError("zero vector has no occupation expectation")
+    states = psi.basis.states
+    return max(abs(float(diag[i]) - float(np.sum(weight[(states & (1 << i)) != 0]) / nsq))
+               for i in range(g.d))
 
 
 def expectation(phi: AntisymmetricTensor, g: TwoBodyOperator) -> float:

@@ -15,7 +15,8 @@ from gamma2lab.bounds import (block_sups, counterexample_driver,
 from types import SimpleNamespace
 
 import gamma2lab.bounds as bounds
-from gamma2lab.canonical import (canonical_from_lambdas, correlation_measures,
+from gamma2lab.canonical import (CanonicalForm, _decompose_clusters,
+                                 canonical_from_lambdas, correlation_measures,
                                  youla_decompose)
 from gamma2lab.cli import parse_lambda_spec, random_state
 from gamma2lab.fock import apply_annihilate_vector, slater_state
@@ -54,8 +55,9 @@ def small_states(draw):
 
 
 def occupation_oracle(psi, lam_eig, tensor):
-    """{(k, spin): (occupation, excess)} by annihilating psi directly."""
-    form = youla_decompose(tensor)
+    """{(k, spin): (occupation, excess)} by annihilating psi directly, with
+    the canonical form from the per-matrix cluster loop."""
+    form = CanonicalForm(*_decompose_clusters(tensor.mat))
     rows = {}
     for k in range(form.n_pairs):
         need = 0.5 * lam_eig * form.lambdas[k] ** 2
@@ -220,6 +222,10 @@ class TestOccupationCheck:
         assert abs(top.observed - 0.5) < 1e-9   # occupation 1/2 per mode
         assert abs(top.bound - 3.0 / 8.0) < 1e-9  # (Lambda/2) lam^2 = 3/8
         assert top.passed
+
+    def test_no_eigenvalue_above_tol(self):
+        sd = spectrum(random_state(6, 3, 1))
+        assert eigenvector_occupation_check(sd, tol=2 * sd.eigenvalues[0]) == []
 
     @pytest.mark.parametrize("seed", range(5))
     def test_random_sweep(self, seed):

@@ -7,9 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gamma2lab.canonical import (AntisymmetricTensor, CanonicalForm,
-                                 NotAntisymmetricError, NotNormalizedError,
-                                 canonical_from_lambdas, correlation_measures,
+import gamma2lab.canonical as canonical
+from gamma2lab.canonical import (CLUSTER_RTOL, AntisymmetricTensor,
+                                 CanonicalForm, NotAntisymmetricError,
+                                 NotNormalizedError, _decompose_clusters,
+                                 canonical_forms, canonical_from_lambdas,
+                                 correlation_measures,
                                  elementary_wedge, embed_as_sector_vector,
                                  random_tensor, read_tensor_text, reconstruct,
                                  tensor_inner, wedge_matrices, wedge_pairs,
@@ -142,6 +145,115 @@ class TestYoulaDecompose:
             assert np.max(np.abs(gram - np.eye(gram.shape[0]))) < 1e-12
             assert np.allclose(form.lambdas, lams, rtol=0, atol=1e-14)
             assert np.linalg.norm(reconstruct(form).mat - t.mat) < 1e-13
+
+
+def rotated(lams, d, rng):
+    """Unit tensor sum lam_k u_k ^ v_k on random orthonormal columns of C^d."""
+    lams = np.sort(np.asarray(lams, dtype=float))[::-1]
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return reconstruct(CanonicalForm(lams / np.linalg.norm(lams), q[:, :2 * len(lams)])).mat
+
+
+def stack_member(kind, d, rng):
+    """One coefficient matrix of the given kind; kinds that do not fit d fall
+    back to a generic random tensor."""
+    k = d // 2
+    if kind == "wedge":            # Slater, K = 1
+        return rotated([1.0], d, rng)
+    if kind == "uniform" and k >= 2:   # one cluster of 2K singular values
+        return rotated(np.ones(k), d, rng)
+    if kind == "deficient" and k >= 2:  # fewer pairs, so a smaller kept count
+        return rotated(rng.uniform(0.2, 1.0, k - 1), d, rng)
+    if kind in ("tie-merged", "tie-split") and k >= 2:
+        # top two pairs just inside / just outside the cluster gap
+        f = 0.9 if kind == "tie-merged" else 1.1
+        return rotated([1.0, 1.0 - f * CLUSTER_RTOL, *rng.uniform(0.1, 0.5, k - 2)], d, rng)
+    if kind == "spread":           # pairs far apart: sigma_max / sigma_min = 1e4
+        return rotated(np.logspace(0, -4, k), d, rng)
+    if kind == "tiny" and d >= 8:  # as test_merged_cluster_of_tiny_coefficients
+        return rotated([1.0, 6.7e-4, 4.4e-9, 3.0e-9], d, rng)
+    return random_tensor(d, rng).mat
+
+
+MEMBER_KINDS = ["random", "wedge", "uniform", "deficient", "tie-merged",
+                "tie-split", "spread", "tiny"]
+
+
+def cluster_projectors(lams, vecs):
+    """Projector onto the span of each run of equal coefficients' planes."""
+    runs, start = [], 0
+    for k in range(1, len(lams) + 1):
+        if k == len(lams) or lams[k - 1] - lams[k] > 1e-6 * lams[0]:
+            cols = vecs[:, 2 * start:2 * k]
+            runs.append(cols @ cols.conj().T)
+            start = k
+    return runs
+
+
+def assert_matches_cluster_loop(stack, forms):
+    assert forms.lambdas.shape[0] == len(stack)
+    for m, a in enumerate(stack):
+        form = forms.form(m)
+        lams, vecs = _decompose_clusters(a)
+        assert form.n_pairs == len(lams)
+        assert np.max(np.abs(form.lambdas - lams)) < 1e-14
+        back = reconstruct(form).mat
+        assert np.linalg.norm(back - reconstruct(CanonicalForm(lams, vecs)).mat) < 1e-13
+        assert np.linalg.norm(back - a) < 1e-12
+        for got, want in zip(cluster_projectors(form.lambdas, form.vectors),
+                             cluster_projectors(lams, vecs)):
+            assert np.max(np.abs(got - want)) < 1e-11
+        # u_k is orthogonalised against its own v_k to roundoff
+        pair_overlap = np.sum(form.vectors[:, 1::2].conj() * form.vectors[:, 0::2], axis=0)
+        assert np.max(np.abs(pair_overlap), initial=0.0) < 1e-14
+        # padding past the member's pairs is zero
+        assert not np.any(forms.lambdas[m, form.n_pairs:])
+        assert not np.any(forms.vectors[m, :, 2 * form.n_pairs:])
+
+
+class TestCanonicalForms:
+    """The batched core against the per-matrix cluster loop."""
+
+    @pytest.mark.parametrize("d", [8, 9])
+    def test_every_kind_in_one_stack(self, d):
+        rng = np.random.default_rng(d)
+        stack = np.stack([stack_member(kind, d, rng) for kind in MEMBER_KINDS])
+        assert_matches_cluster_loop(stack, canonical_forms(stack))
+
+    @given(st.integers(2, 10), st.integers(0, 2 ** 31),
+           st.lists(st.sampled_from(MEMBER_KINDS), min_size=1, max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_mixed_stacks(self, d, seed, kinds):
+        rng = np.random.default_rng(seed)
+        stack = np.stack([stack_member(kind, d, rng) for kind in kinds])
+        assert_matches_cluster_loop(stack, canonical_forms(stack))
+
+    def test_only_non_generic_members_take_the_cluster_loop(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(canonical, "_decompose_clusters",
+                            lambda a: calls.append(a) or _decompose_clusters(a))
+        rng = np.random.default_rng(5)
+        kinds = ["random", "wedge", "spread", "tie-split", "deficient",
+                 "uniform", "tie-merged", "tiny"]
+        stack = np.stack([stack_member(kind, 8, rng) for kind in kinds])
+        canonical_forms(stack)
+        # tie-split's two pairs are clusters of two, but singular vectors that
+        # close mix at ~eps / gap, so its Gram defect sends it to the loop
+        assert len(calls) == 4
+        for a, m in zip(calls, (3, 5, 6, 7)):
+            assert np.array_equal(a, stack[m])
+
+    def test_rejects_one_unnormalized_member(self):
+        stack = np.stack([seeded_tensor(6, seed).mat for seed in range(3)])
+        stack[1] *= 1.001
+        with pytest.raises(NotNormalizedError):
+            canonical_forms(stack)
+
+    def test_empty_stack(self):
+        forms = canonical_forms(np.zeros((0, 6, 6), dtype=complex))
+        assert forms.lambdas.shape == (0, 0)
+        assert forms.vectors.shape == (0, 6, 0)
+        assert forms.n_pairs.shape == (0,)
 
 
 class TestReconstruct:

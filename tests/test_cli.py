@@ -296,6 +296,25 @@ class TestReportDeterminism:
         assert main(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_report_is_one_sorted_line(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert main(["verify", "occupation", "--dim", "6", "--particles", "3",
+                     "--trials", "2", "--out", str(out)]) == 0
+        text = out.read_text(encoding="utf-8")
+        assert text.endswith("\n") and text.count("\n") == 1
+        report = json.loads(text)
+        assert json.dumps(report, sort_keys=True) + "\n" == text
+
+        def assert_sorted(node):
+            if isinstance(node, dict):
+                assert list(node) == sorted(node)
+                node = list(node.values())
+            for child in node if isinstance(node, list) else ():
+                assert_sorted(child)
+
+        assert_sorted(report)
+        assert report["checks"][1]["kind"] == "prop_occupation"
+
     def test_csv_flatten_contains_all_checks(self):
         from gamma2lab.bounds import TheoremReport
         checks = [TheoremReport(kind="thm1", params={"N": 4}, observed=1.0,

@@ -236,7 +236,11 @@ class TestIdentityOracles:
         # trace2[i, k] = 2 (N-1) <c_k psi, c_i psi> = 2 (N-1) overlap[k, i]
         assert np.max(np.abs(trace2 - 2 * (n - 1) * overlap.T)) < ORACLE_TOL
         assert np.max(np.abs(one_body_matrix(g) - overlap)) < ORACLE_TOL
-        assert partial_trace_residual(g, psi) < ORACLE_TOL
+        residual = partial_trace_residual(g, psi)
+        assert residual < ORACLE_TOL
+        diag = np.diagonal(one_body_matrix(g)).real
+        assert residual == max(abs(float(diag[i]) - fock.occupation(psi, i))
+                               for i in range(d))
 
     # 7 and one short of the (N-2)-particle sector split hop tables mid-slice
     @pytest.mark.parametrize("chunk", [1, 7, "sector-1", 10 ** 9])
