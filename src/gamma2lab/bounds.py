@@ -47,7 +47,8 @@ STRUCTURE_TOL = 1e-10
 
 @dataclass
 class TheoremReport:
-    """One verified (or reported) inequality with its margin."""
+    """One verified (or reported) inequality with its margin.  Every value is
+    plain JSON: None where it does not apply, every float finite."""
 
     kind: str
     params: dict
@@ -205,10 +206,11 @@ def proposition_report(op: PairOperator, N: int,
         ok = ok and result.kernel_residual < tol
     return TheoremReport(
         kind="prop_BB",
-        params={"N": N, "K": op.n_pairs, "lambdas": [float(x) for x in op.lambdas]},
+        params={"N": N, "K": op.n_pairs, "lambdas": op.lambdas.tolist()},
         observed=result.min_eigenvalue, bound=0.0, margin=result.min_eigenvalue,
         passed=ok,
-        details={"kernel_residual": result.kernel_residual,
+        details={"kernel_residual": (None if result.degenerate
+                                     else result.kernel_residual),
                  "degenerate": result.degenerate},
         note="pairing state vanishes; only positivity checked" if result.degenerate else "")
 
@@ -285,11 +287,10 @@ def norm_recursion_check(op: PairOperator, M_max: int,
         margin = min(built - lower, upper - built,
                      oracle - lower, upper - oracle)
         second_order = (built / (M * prev) - (1.0 - (M - 1) * s4)
-                        if prev > 0 else float("nan"))
+                        if prev > 0 else None)
         reports.append(TheoremReport(
             kind="norm_recursion",
-            params={"M": M, "K": op.n_pairs,
-                    "lambdas": [float(x) for x in op.lambdas]},
+            params={"M": M, "K": op.n_pairs, "lambdas": op.lambdas.tolist()},
             observed=built, bound=lower, margin=float(margin),
             passed=margin >= -tol * max(1.0, abs(lower)) and agree <= 1e-10,
             details={"lower": lower, "upper": upper, "oracle": oracle,

@@ -13,8 +13,12 @@ counterexample  overlap floor demonstrating growth in N
 
 Coefficient profiles use the grammar ``uniform:K``, ``geometric:R:K``
 (lam_k proportional to R**k), ``power:P:K`` (lam_k proportional to k**-P),
-or ``file:PATH`` (one non-negative real per line); all are normalized to
-sum lam**2 = 1 and sorted descending.
+or ``file:PATH`` (one finite non-negative real per line); all are normalized
+to sum lam**2 = 1 and sorted descending.
+
+Checks hold plain JSON values when built (None where a value does not
+apply), so the writers convert nothing; the JSON writer raises on a
+non-finite float rather than write ``NaN`` or ``Infinity``.
 
 Reports are deterministic: identical single-threaded runs write
 byte-identical files.  Wall-clock timing therefore goes to stderr and is
@@ -60,11 +64,18 @@ class LambdaSpec:
         inner = ":".join(str(v) for v in self.params.values())
         return f"{self.kind}:{inner}" if inner else self.kind
 
+    @property
+    def config(self) -> dict:
+        """The profile as a report's ``config`` records it."""
+        return {"spec": self.label, "values": self.values.tolist()}
+
 
 def _resolve(raw: np.ndarray) -> np.ndarray:
     if np.any(raw < 0):
         raise ValueError("coefficients must be non-negative")
     nrm = float(np.linalg.norm(raw))
+    if not np.isfinite(nrm):  # NaN or inf entries, or a norm that overflows
+        raise ValueError("coefficients and their norm must be finite")
     if nrm == 0.0:
         raise ValueError("coefficient profile is identically zero")
     vals = np.sort(raw / nrm)[::-1].copy()
@@ -121,20 +132,6 @@ def random_state(d: int, N: int, seed: int) -> SectorVector:
 # --- report plumbing --------------------------------------------------------
 
 
-def _pyfloat(x):
-    if isinstance(x, (np.floating, np.integer)):
-        return x.item()
-    if isinstance(x, np.ndarray):
-        return [_pyfloat(v) for v in x]
-    if isinstance(x, dict):
-        return {k: _pyfloat(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_pyfloat(v) for v in x]
-    if isinstance(x, float) and x != x:
-        return None  # NaN is not valid JSON
-    return x
-
-
 def build_report(config: dict, checks: list, timing: float | None) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
@@ -147,17 +144,17 @@ def build_report(config: dict, checks: list, timing: float | None) -> dict:
             "python": platform.python_version(),
             "environment": platform.platform(),
         },
-        "config": _pyfloat(config),
-        "checks": [_pyfloat(c.to_dict() if hasattr(c, "to_dict") else c)
-                   for c in checks],
+        "config": config,
+        "checks": [c.to_dict() for c in checks],
         "timing": None if timing is None else {"elapsed_s": timing},
     }
 
 
 def report_to_json(report: dict) -> str:
     """One line of JSON with sorted keys.  Without ``indent`` the encoder
-    runs in C; any indent falls back to the pure-Python one."""
-    return json.dumps(report, sort_keys=True) + "\n"
+    runs in C; any indent falls back to the pure-Python one.  A NaN or
+    infinite float raises ValueError: neither is JSON."""
+    return json.dumps(report, sort_keys=True, allow_nan=False) + "\n"
 
 
 def report_to_csv(report: dict) -> str:
@@ -182,13 +179,8 @@ def report_to_csv(report: dict) -> str:
 
 
 def _cell(v):
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return repr(v)
-    if isinstance(v, (list, dict)):
-        return json.dumps(v, sort_keys=True)
-    return v
+    """csv writes None as "" and a float by repr; a list or dict goes as JSON."""
+    return json.dumps(v, sort_keys=True) if isinstance(v, (list, dict)) else v
 
 
 def write_report(report: dict, out_path: Path) -> None:
@@ -209,7 +201,10 @@ def _default_out(subcommand: str, explicit: str | None) -> Path:
 
 
 def _particles_list(text: str) -> list[int]:
-    return [int(p) for p in text.split(",") if p]
+    n_list = [int(p) for p in text.split(",") if p]
+    if not n_list:
+        raise ValueError(f"no particle number in {text!r}")
+    return n_list
 
 
 def _cmd_canonical(args) -> tuple[dict, list]:
@@ -224,7 +219,7 @@ def _cmd_canonical(args) -> tuple[dict, list]:
         canonical.reconstruct(form).mat - tensor.mat))
     measures = canonical.correlation_measures(form)
     details = {
-        "lambdas": [float(x) for x in form.lambdas],
+        "lambdas": form.lambdas.tolist(),
         "sum_lambda4": measures.sum_lambda4,
         "lambda_max": measures.lambda_max,
         "participation": measures.participation,
@@ -245,7 +240,7 @@ def _spectrum_row(psi, spectral, tag, args) -> bounds.TheoremReport:
     """Informational per-trial dump: eigenvalues and health residuals always,
     more on request."""
     g = spectral.operator
-    details = {"eigenvalues": [float(x) for x in spectral.eigenvalues],
+    details = {"eigenvalues": spectral.eigenvalues.tolist(),
                "hermiticity_defect": g.hermiticity_defect,
                "partial_trace_residual": rdm.partial_trace_residual(g, psi)}
     if args.eigenvectors:
@@ -279,8 +274,7 @@ def _cmd_verify(args) -> tuple[dict, list]:
         return config, checks
 
     spec = parse_lambda_spec(args.lambda_spec)
-    config["lambda"] = {"spec": spec.label,
-                        "values": [float(x) for x in spec.values]}
+    config["lambda"] = spec.config
     if args.check == "thm2":
         config["particles"] = args.particles
         return config, [bounds.verify_theorem2(spec.values, n, tol=args.tol)
@@ -304,19 +298,16 @@ def _cmd_verify(args) -> tuple[dict, list]:
 def _cmd_explore(args) -> tuple[dict, list]:
     spec = parse_lambda_spec(args.lambda_spec)
     n_list = _particles_list(args.particles)
-    config = {"lambda": {"spec": spec.label,
-                         "values": [float(x) for x in spec.values]},
-              "particles": args.particles, "tol": args.tol}
+    config = {"lambda": spec.config, "particles": args.particles,
+              "tol": args.tol}
     return config, bounds.explore_conjecture(spec.values, n_list)
 
 
 def _cmd_counterexample(args) -> tuple[dict, list]:
     spec = parse_lambda_spec(args.lambda_spec)
     n_list = _particles_list(args.particles)
-    config = {"lambda": {"spec": spec.label,
-                         "values": [float(x) for x in spec.values]},
-              "particles": args.particles, "tol": args.tol,
-              "k_equals_n": args.k_equals_n}
+    config = {"lambda": spec.config, "particles": args.particles,
+              "tol": args.tol, "k_equals_n": args.k_equals_n}
     profiles = []
     for n in n_list:
         if args.k_equals_n:
@@ -389,11 +380,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "verify" and args.check in ("thm1", "occupation"):
-        if args.particles and "," in args.particles:
+        try:
+            args.particles = int(args.particles)
+        except ValueError:
             print("verify thm1/occupation take a single particle number",
                   file=sys.stderr)
             return 2
-        args.particles = int(args.particles)
     if args.command == "verify" and args.check in ("thm2", "prop", "norms"):
         if not args.lambda_spec:
             print(f"verify {args.check} requires --lambda", file=sys.stderr)

@@ -65,6 +65,8 @@ class PairOperator:
         lams = np.asarray(self.lambdas, dtype=np.float64)
         if lams.ndim != 1:
             raise SectorMismatchError("need one coefficient per pair")
+        if not np.all(np.isfinite(lams)):
+            raise ValueError("pair coefficients must be finite")
         if np.any(lams < 0):
             raise ValueError("pair coefficients must be non-negative")
         if abs(float(np.sum(lams ** 2)) - 1.0) > NORM_TOL:

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import shlex
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import pytest
 from gamma2lab import bounds, cli
 from gamma2lab.canonical import random_tensor, write_tensor_text
 from gamma2lab.cli import (build_report, main, parse_lambda_spec, random_state,
-                           report_to_csv)
+                           report_to_csv, report_to_json)
 
 
 class TestLambdaSpec:
@@ -54,6 +55,16 @@ class TestLambdaSpec:
         path.write_text("1.0\n-1.0\n")
         with pytest.raises(ValueError):
             parse_lambda_spec(f"file:{path}")
+
+    @pytest.mark.parametrize("text", ["power:nan:4", "geometric:inf:4",
+                                      "file:1\nnan\n", "file:inf\n1\n"])
+    def test_rejects_non_finite(self, tmp_path, text):
+        if text.startswith("file:"):
+            path = tmp_path / "profile.txt"
+            path.write_text(text.removeprefix("file:"))
+            text = f"file:{path}"
+        with pytest.raises(ValueError, match="finite"):
+            parse_lambda_spec(text)
 
 
 class TestRandomState:
@@ -259,6 +270,39 @@ class TestSubcommands:
         assert report["checks"][0]["kind"] == "error"
         assert report["checks"][0]["note"].startswith("MemoryError")
 
+    @pytest.mark.parametrize("text", ["1\nnan\n", "inf\n1\n"])
+    def test_non_finite_profile_writes_error_report(self, tmp_path, text):
+        profile = tmp_path / "profile.txt"
+        profile.write_text(text)
+        out = tmp_path / "report.json"
+        code = main(["verify", "prop", "--lambda", f"file:{profile}",
+                     "--particles", "2", "--out", str(out)])
+        assert code == 1
+        report = json.loads(out.read_text(), parse_constant=_no_constant)
+        assert [c["note"] for c in report["checks"]] == [
+            "ValueError: coefficients and their norm must be finite"]
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "prop", "--lambda", "uniform:4"],
+        ["explore", "--lambda", "uniform:4"],
+        ["counterexample", "--lambda", "power:1:8"],
+    ])
+    def test_empty_particle_list_writes_error_report(self, tmp_path, argv):
+        code, report = run_cli(tmp_path, *argv, "--particles", ",")
+        assert code == 1
+        assert [c["note"] for c in report["checks"]] == [
+            "ValueError: no particle number in ','"]
+
+    @pytest.mark.parametrize("check", ["thm1", "occupation"])
+    @pytest.mark.parametrize("particles", ["abc", "4,6", ""])
+    def test_single_particle_number_is_usage_error(self, tmp_path, capsys,
+                                                   check, particles):
+        out = tmp_path / "report.json"
+        code = main(["verify", check, "--particles", particles, "--out", str(out)])
+        assert code == 2
+        assert "take a single particle number" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_lambda_is_usage_error(self, tmp_path):
         code = main(["verify", "thm2", "--particles", "4",
                      "--out", str(tmp_path / "r.json")])
@@ -315,6 +359,12 @@ class TestReportDeterminism:
         assert_sorted(report)
         assert report["checks"][1]["kind"] == "prop_occupation"
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_json_writer_refuses_non_finite(self, bad):
+        checks = [bounds.TheoremReport(kind="thm1", params={}, observed=bad)]
+        with pytest.raises(ValueError):
+            report_to_json(build_report({}, checks, None))
+
     def test_csv_flatten_contains_all_checks(self):
         from gamma2lab.bounds import TheoremReport
         checks = [TheoremReport(kind="thm1", params={"N": 4}, observed=1.0,
@@ -323,6 +373,88 @@ class TestReportDeterminism:
         text = report_to_csv(report)
         assert text.splitlines()[0].startswith("kind,param:N,observed")
         assert len(text.splitlines()) == 2
+
+
+def _no_constant(name):
+    raise AssertionError(f"{name} written to a report")
+
+
+def _assert_plain(node, path="report"):
+    """Every leaf is exactly str, int, float, bool or None; floats finite."""
+    if type(node) is dict:
+        for key, value in node.items():
+            assert type(key) is str, path
+            _assert_plain(value, f"{path}.{key}")
+    elif type(node) is list:
+        for i, value in enumerate(node):
+            _assert_plain(value, f"{path}[{i}]")
+    else:
+        assert type(node) in (str, int, float, bool, type(None)), (path, type(node))
+        assert type(node) is not float or math.isfinite(node), path
+
+
+class TestPlainReports:
+    """Checks hold plain JSON values when built; the writers convert nothing."""
+
+    # every check kind, with its skipped or degenerate rows where it has them
+    CASES = [
+        (["verify", "thm1", "--dim", "6", "--particles", "3", "--trials", "1",
+          "--eigenvectors", "--dump-operator"], {"spectrum", "thm1"}),
+        (["verify", "occupation", "--dim", "6", "--particles", "3",
+          "--trials", "1"], {"spectrum", "prop_occupation"}),
+        (["verify", "thm2", "--lambda", "uniform:4", "--particles", "3,4"],
+         {"thm2"}),
+        (["verify", "prop", "--lambda", "file:{profile}", "--particles", "2,6"],
+         {"prop_BB"}),
+        (["verify", "norms", "--lambda", "file:{profile}"], {"norm_recursion"}),
+        (["explore", "--lambda", "uniform:6", "--particles", "2,3"],
+         {"conjecture"}),
+        (["counterexample", "--lambda", "power:1:8", "--particles", "4,6",
+          "--k-equals-n"], {"counterexample"}),
+        (["canonical", "--tensor", "{tensor}", "--vectors"], {"canonical"}),
+        (["verify", "thm2", "--lambda", "file:/nonexistent/profile.txt",
+          "--particles", "4"], {"error"}),
+    ]
+
+    @pytest.mark.parametrize("argv, kinds", CASES,
+                             ids=["-".join(sorted(k)) for _, k in CASES])
+    def test_leaves_are_plain_json(self, tmp_path, monkeypatch, argv, kinds):
+        profile = tmp_path / "profile.txt"
+        profile.write_text("1\n1\n0\n0\n")  # support 2 of 4 pairs
+        tensor = tmp_path / "tensor.txt"
+        write_tensor_text(tensor, random_tensor(6, np.random.default_rng(0)))
+        argv = [a.format(profile=profile, tensor=tensor) for a in argv]
+        built = []
+
+        def recording_build_report(config, checks, timing):
+            built.append(checks)
+            return build_report(config, checks, timing)
+
+        monkeypatch.setattr(cli, "build_report", recording_build_report)
+        code, report = run_cli(tmp_path, *argv)
+        (checks,) = built
+        assert {c.kind for c in checks} == kinds
+        for check in checks:
+            _assert_plain(check.to_dict(), check.kind)
+        _assert_plain(report)
+
+    def test_degenerate_details_are_null(self, tmp_path):
+        profile = tmp_path / "profile.txt"
+        profile.write_text("1\n1\n0\n0\n")
+        reports = {}
+        for argv in (["verify", "prop", "--particles", "2,6"],
+                     ["verify", "norms"]):
+            out = tmp_path / f"{argv[1]}.json"
+            assert main(argv + ["--lambda", f"file:{profile}",
+                                "--out", str(out)]) == 0
+            text = out.read_text(encoding="utf-8")
+            reports[argv[1]] = json.loads(text, parse_constant=_no_constant)
+        # N = 6 needs 3 pairs: the pairing state vanishes
+        assert [c["details"]["kernel_residual"] is None
+                for c in reports["prop"]["checks"]] == [False, True]
+        # ||Psi_3|| = 0, so the M = 4 norm ratio is undefined
+        assert [c["details"]["second_order_residual"] is None
+                for c in reports["norms"]["checks"]] == [False, False, False, True]
 
 
 ROOT = Path(__file__).resolve().parents[1]

@@ -54,6 +54,12 @@ class TestPairOperatorValidation:
         with pytest.raises(ValueError):
             PairOperator.from_lambdas(np.array([np.sqrt(2.0), -1.0]) / np.sqrt(3.0))
 
+    @pytest.mark.parametrize("lams", [[np.nan, 1.0], [1.0, np.inf], [np.nan]])
+    def test_rejects_non_finite(self, lams):
+        # every comparison with NaN is false, so the norm test alone lets it in
+        with pytest.raises(ValueError, match="finite"):
+            PairOperator.from_lambdas(lams)
+
 
 class TestApplyB:
     def test_single_pair(self):
