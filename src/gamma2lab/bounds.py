@@ -271,6 +271,8 @@ def norm_recursion_check(op: PairOperator, M_max: int,
     empirical second-order residual of the norm ratio (reported, never
     asserted: its coefficient is not pinned down).
     """
+    if M_max < 1:
+        raise ValueError(f"no recursion step in M_max = {M_max}")
     if M_max > op.n_pairs:
         raise ValueError("M_max cannot exceed the number of pairs")
     lmax_sq = float(np.max(op.lambdas) ** 2)

@@ -37,7 +37,8 @@ LAMBDA_DROP_TOL = 1e-12
 NORM_TOL = 1e-8
 ANTISYM_TOL = 1e-12
 CLUSTER_RTOL = 1e-8
-ORTHO_TOL = 1e-10   # Gram defect above roundoff that youla_decompose repairs
+ORTHO_TOL = 1e-10   # Gram defect that sends a member from the bulk path to the loop
+REPAIR_TOL = 1e-13  # Gram defect above roundoff, repaired by Gram-Schmidt on both paths
 
 
 class NotAntisymmetricError(ValueError):
@@ -251,9 +252,10 @@ def canonical_forms(mats) -> CanonicalForms:
     A matrix with a larger or merged cluster, coefficients out of order or
     a Gram defect above ``ORTHO_TOL`` is decomposed by the cluster loop
     :func:`_decompose_clusters` instead, which gives the same result on the
-    generic case.  Every member is validated as a :class:`CanonicalForm`
-    would be; the round trip against :func:`reconstruct` is the correctness
-    arbiter.
+    generic case.  Vectors with a smaller defect above ``REPAIR_TOL``, as
+    singular vectors of near-tied pairs have, are orthonormalized in place.
+    Every member is validated as a :class:`CanonicalForm` would be; the
+    round trip against :func:`reconstruct` is the correctness arbiter.
     """
     a = np.asarray(mats, dtype=np.complex128)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
@@ -287,9 +289,13 @@ def canonical_forms(mats) -> CanonicalForms:
         vecs[:, :, 0::2], vecs[:, :, 1::2] = u, v
         lams = np.sqrt(2.0) * s
         gram = np.matmul(vecs.conj().transpose(0, 2, 1), vecs)
+        defect = np.max(np.abs(gram - np.eye(2 * k)), axis=(1, 2))
         ok = (np.all(s > sigma_floor, axis=1)
               & np.all(np.diff(lams, axis=1) <= 0, axis=1)
-              & (np.max(np.abs(gram - np.eye(2 * k)), axis=(1, 2)) <= ORTHO_TOL))
+              & (defect <= ORTHO_TOL))
+        repair = ok & (defect > REPAIR_TOL)
+        if np.any(repair):
+            vecs[repair] = _orthonormalize(vecs[repair])
         paired[idx[~ok]] = False
         parts.append((idx[ok], lams[ok], vecs[ok]))
     for m in np.flatnonzero(~paired):
@@ -382,15 +388,20 @@ def _decompose_clusters(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         vectors[:, 2 * pos] = cols[2 * k]
         vectors[:, 2 * pos + 1] = cols[2 * k + 1]
     # Partners found in a merged cluster of tiny singular values are accurate
-    # only to about eps * sigma_max / sigma.  Gram-Schmidt in the descending
-    # order (QR with the phases of diag(R) put back) repairs them and leaves
-    # the columns' order and phases; columns orthonormal to roundoff are kept
-    # bit for bit.
+    # only to about eps * sigma_max / sigma, and singular vectors of near-tied
+    # clusters to about eps / gap; Gram-Schmidt repairs both.  Columns
+    # orthonormal to roundoff are kept bit for bit.
     gram = vectors.conj().T @ vectors
-    if np.max(np.abs(gram - np.eye(len(gram)))) > ORTHO_TOL:
-        q, r = np.linalg.qr(vectors)
-        vectors = q * np.exp(1j * np.angle(np.diagonal(r)))
+    if np.max(np.abs(gram - np.eye(len(gram)))) > REPAIR_TOL:
+        vectors = _orthonormalize(vectors)
     return np.asarray(lams)[order], vectors
+
+
+def _orthonormalize(vectors: np.ndarray) -> np.ndarray:
+    """Gram-Schmidt of the columns in their order, of one matrix or a stack:
+    QR with the phases of diag(R) put back, so order and phases are kept."""
+    q, r = np.linalg.qr(vectors)
+    return q * np.exp(1j * np.angle(np.diagonal(r, axis1=-2, axis2=-1)))[..., None, :]
 
 
 def reconstruct(form: CanonicalForm, d: int | None = None) -> AntisymmetricTensor:

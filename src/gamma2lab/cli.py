@@ -241,7 +241,7 @@ def _spectrum_row(psi, spectral, tag, args) -> bounds.TheoremReport:
     more on request."""
     g = spectral.operator
     details = {"eigenvalues": spectral.eigenvalues.tolist(),
-               "hermiticity_defect": g.hermiticity_defect,
+               "trace_residual": g.trace_residual,
                "partial_trace_residual": rdm.partial_trace_residual(g, psi)}
     if args.eigenvectors:
         details["eigenvectors"] = [{"re": x.real.tolist(), "im": x.imag.tolist()}
@@ -262,8 +262,9 @@ def _cmd_verify(args) -> tuple[dict, list]:
                        "threads": args.threads})
         verify = (bounds.verify_theorem1 if args.check == "thm1"
                   else bounds.eigenvector_occupation_check)
-        if args.trials >= 1:  # refuse by arithmetic before drawing a state
-            rdm.admit_gamma2(args.dim, args.particles)
+        if args.trials < 1:
+            raise ValueError(f"no trial in --trials {args.trials}")
+        rdm.admit_gamma2(args.dim, args.particles)  # refuse before drawing a state
         checks = []
         for t in range(args.trials):
             psi = random_state(args.dim, args.particles, args.seed + t)
@@ -289,7 +290,7 @@ def _cmd_verify(args) -> tuple[dict, list]:
                         for n in n_list]
     if args.check == "norms":
         op = pairing.PairOperator.from_lambdas(spec.values)
-        m_max = args.m_max if args.m_max else op.n_pairs
+        m_max = args.m_max if args.m_max is not None else op.n_pairs
         config["m_max"] = m_max
         return config, bounds.norm_recursion_check(op, m_max, tol=args.tol)
     raise ValueError(f"unknown verify target {args.check!r}")

@@ -7,10 +7,14 @@ e_i ^ e_j and e_k ^ e_l equals 2 <psi, c*_k c*_l c_j c_i psi>, so the whole
 operator is assembled from the Gram matrix of the pair-annihilated vectors
 c_j c_i psi.  This makes positivity and the trace value N(N-1) structural
 rather than accidental.  The vectors are never held whole: the Gram matrix
-is summed over fixed-size chunks of the (N-2)-particle sector, and each
-chunk's columns of every c_j c_i psi are gathered pair-major from the
-partial vectors c_i psi, along the cached hop tables, just before its
-block is added.  The total size of the vectors is still admitted by
+is summed over blocks of the (N-2)-particle sector, runs of masks that share
+the occupation of the top orbitals, and each block's columns of every
+c_j c_i psi are gathered pair-major from the partial vectors c_i psi, along
+the cached hop tables, just before its product is added.  A block keeps only
+the pairs outside its occupied top orbitals, the others being zero on it,
+and its Hermitian product is summed in real arithmetic, one symmetric and
+one cross product, so the sum is Hermitian by construction; its trace is
+checked against N(N-1).  The total size of the vectors is still admitted by
 arithmetic before anything is allocated.
 
 Two more quantities come from identities instead of per-vector work:
@@ -30,7 +34,7 @@ B = sum_k lam_k c(v_k) c(u_k) satisfies <phi, G phi> = 2 ||B psi||^2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import comb
 
 import numpy as np
@@ -40,11 +44,11 @@ from .canonical import (AntisymmetricTensor, CanonicalForm, check_unit_norms,
 from .fock import (DEFAULT_MAX_GAMMA2_BYTES, SectorMismatchError,
                    SectorSizeError, SectorVector, _fermion_hops,
                    admit_sector, apply_annihilate, apply_annihilate_vector,
-                   enumerate_sector)
+                   enumerate_sector, occupation_masks)
 
 STATE_NORM_TOL = 1e-10
-HERMITICITY_TOL = 1e-10
-GRAM_CHUNK = 4096   # (N-2)-particle states per block of the Gram sum
+TRACE_TOL = 1e-10
+GRAM_CHUNK = 1024   # most (N-2)-particle states in one block of the Gram sum
 COMPLEX_BYTES = 16
 
 
@@ -55,7 +59,7 @@ class TwoBodyOperator:
     d: int
     n_particles: int
     mat: np.ndarray
-    hermiticity_defect: float = 0.0
+    trace_residual: float = 0.0
 
 
 @dataclass
@@ -84,7 +88,7 @@ class SpectralData:
 def gamma2_bytes(d: int, N: int) -> int:
     """Bytes of all pair-annihilated vectors c_j c_i psi of a (d, N) state.
 
-    :func:`compute_gamma2` computes that many bytes chunk by chunk but never
+    :func:`compute_gamma2` computes that many bytes block by block but never
     holds them at once; the budget bounds the work of one assembly.
     """
     return comb(d, N - 2) * (d * (d - 1) // 2) * COMPLEX_BYTES
@@ -109,19 +113,63 @@ def admit_gamma2(d: int, N: int) -> None:
             f"pair-annihilated vectors, budget is {DEFAULT_MAX_GAMMA2_BYTES}")
 
 
+@lru_cache(maxsize=16)
+def _gram_blocks(d: int, N: int, cap: int) -> tuple:
+    """Blocks of the Gram sum of a (d, N) state, at most ``cap`` columns each.
+
+    The sum runs in colex pair order, pair (i, j), i < j, at row
+    j(j-1)/2 + i, so the pairs of one j are contiguous.  The (N-2)-particle
+    masks ascend, so those sharing the occupation T of the top m orbitals
+    form one run; m is the fewest for which every run, C(d-m, N-2-t) masks
+    with t of them occupied, fits in ``cap``.  Returns the run bounds;
+    ``edges[j, c]``, the position of bound c in the rows of c_j's hop table
+    (they ascend, so a block is one slice of each table); per block the
+    orbitals outside T, ascending, and the ``np.ix_`` of the colex rows of
+    their pairs (``None`` when T is empty); the widest run; and the
+    ``np.ix_`` of the colex row of each wedge pair, which reorders the sum
+    to the wedge basis.
+    """
+    n = N - 2
+    lower = occupation_masks(d, n)
+    m = next(k for k in range(d + 1)
+             if max(comb(d - k, n - t) for t in range(min(k, n) + 1)) <= cap)
+    top = lower >> (d - m)
+    bounds = [0, *(np.flatnonzero(top[1:] != top[:-1]) + 1).tolist(), len(lower)]
+    edges = np.zeros((d, len(bounds)), dtype=np.intp)
+    for j in range(1, d):
+        edges[j] = np.searchsorted(_fermion_hops(d, N - 1, j)[0], bounds)
+    every = np.arange(d)
+    blocks = []
+    for t in top[bounds[:-1]].tolist():
+        free = every[(t << (d - m) >> every & 1) == 0]
+        hi, lo = np.tril_indices(len(free), -1)  # colex order of their pairs
+        keep = free[hi] * (free[hi] - 1) // 2 + free[lo]
+        blocks.append((free, None if len(free) == d else np.ix_(keep, keep)))
+    i, j = np.triu_indices(d, 1)
+    wedge = j * (j - 1) // 2 + i
+    return bounds, edges, blocks, int(np.diff(bounds).max()), np.ix_(wedge, wedge)
+
+
 def compute_gamma2(psi: SectorVector) -> TwoBodyOperator:
     """Assemble the two-body reduced operator of a normalized state.
 
     Returns twice the transposed Gram matrix of the pair-annihilated vectors
-    y_ij = c_j c_i psi, summed over chunks of ``GRAM_CHUNK`` (N-2)-particle
-    columns.  The d-1 partial vectors c_i psi are built once; each chunk of
-    every y_ij is then gathered pair-major from them, along one slice of the
-    cached hop table of each c_j, just before its product is added, so the
-    y_ij are never held whole.  A (d, N) refused by :func:`admit_gamma2`
-    raises before anything is allocated.  The asymmetry of the
-    unsymmetrized product is recorded; anything above ``HERMITICITY_TOL``
-    aborts, since at these sizes a larger defect signals an implementation
-    bug, not roundoff.
+    y_ij = c_j c_i psi, summed over the blocks of :func:`_gram_blocks`, runs
+    of at most ``GRAM_CHUNK`` (N-2)-particle columns that share the
+    occupation T of the top orbitals (one block for small sectors).  y_ij
+    vanishes on a column holding i or j, so a block has rows only for the
+    C(d-|T|, 2) pairs outside T, and its product lands on those rows and
+    columns of the sum.  The d-1 partial vectors c_i psi are built once;
+    each block of every y_ij is gathered pair-major from them, along one
+    slice of the cached hop table of each c_j, just before its product is
+    added, so the y_ij are never held whole.  With a block B = X + iY held
+    as [X | Y], conj(B) B^T = (X X^T + Y Y^T) + i (X Y^T - Y X^T): one
+    symmetric real product and one real cross product, so the sum is
+    Hermitian by construction; it runs in colex pair order and is reordered
+    to the wedge basis once at the end.  A (d, N) refused by :func:`admit_gamma2`
+    raises before anything is allocated.  The trace is checked against
+    N(N-1) ||psi||^2; a residual above ``TRACE_TOL`` aborts, since at these
+    sizes it signals an implementation bug, not roundoff.
     """
     basis = psi.basis
     d, N = basis.d, basis.N
@@ -132,27 +180,46 @@ def compute_gamma2(psi: SectorVector) -> TwoBodyOperator:
     for i in range(d - 1):  # the last orbital is never the first of a pair
         rows, cols, signs = _fermion_hops(d, N, i)
         partial[i, rows] = signs * psi.amplitudes[cols]
-    lower_dim = comb(d, N - 2)
-    bounds = [*range(0, lower_dim, GRAM_CHUNK), lower_dim]
-    i = np.arange(d - 1)[:, None]
-    first = i * (2 * d - i - 3) // 2 - 1  # pair (i, j) is wedge row first[i] + j
-    # rows of a hop table ascend, so a chunk of columns is one slice of it
-    tables = [(j, *_fermion_hops(d, N - 1, j)) for j in range(1, d)]
-    edges = [np.searchsorted(rows, bounds) for _, rows, _, _ in tables]
+    tables = {j: _fermion_hops(d, N - 1, j) for j in range(1, d)}
+    bounds, edges, blocks, widest, wedge = _gram_blocks(d, N, GRAM_CHUNK)
     n_pairs = d * (d - 1) // 2
-    gram = np.zeros((n_pairs, n_pairs), dtype=np.complex128)
-    for c, start in enumerate(bounds[:-1]):
-        blk = np.zeros((n_pairs, bounds[c + 1] - start), dtype=np.complex128)
-        for (j, rows, cols, signs), edge in zip(tables, edges):  # every i < j at once
-            s = slice(edge[c], edge[c + 1])
-            blk[first[:j] + j, rows[s] - start] = signs[s] * partial[:j, cols[s]]
-        gram += blk.conj() @ blk.T
-    g = 2.0 * gram.T
-    defect = float(np.max(np.abs(g - g.conj().T))) if g.size else 0.0
-    if defect > HERMITICITY_TOL:
-        raise ArithmeticError(f"hermiticity defect {defect:.3e} exceeds {HERMITICITY_TOL:.1e}")
-    g = 0.5 * (g + g.conj().T)
-    return TwoBodyOperator(d=d, n_particles=N, mat=g, hermiticity_defect=defect)
+    size = n_pairs * widest  # the largest block; every block reuses the buffers
+    complex_buf, real_buf = np.empty(size, dtype=np.complex128), np.empty(2 * size)
+    sym = np.zeros((n_pairs, n_pairs))
+    cross = np.zeros((n_pairs, n_pairs))
+    for c, (free, keep) in enumerate(blocks):
+        start, width = bounds[c], bounds[c + 1] - bounds[c]
+        lo, hi = edges[:, c].tolist(), edges[:, c + 1].tolist()
+        n_rows = len(free) * (len(free) - 1) // 2
+        blk = complex_buf[:n_rows * width].reshape(n_rows, width)
+        blk.fill(0)
+        free_list = free.tolist()
+        for b in range(1, len(free_list)):  # y_ij for every free i below j at once
+            j = free_list[b]
+            rows, cols, signs = tables[j]
+            s = slice(lo[j], hi[j])
+            # the low orbitals are never in T, so i often runs over 0..b-1
+            i = slice(0, b) if free_list[b - 1] == b - 1 else free[:b, None]
+            y = partial[i, cols[s]]
+            y *= signs[s]
+            blk[b * (b - 1) // 2:b * (b + 1) // 2, rows[s] - start] = y
+        xy = real_buf[:2 * n_rows * width].reshape(n_rows, 2 * width)
+        xy[:, :width], xy[:, width:] = blk.real, blk.imag  # [X | Y]
+        xx, yx = xy @ xy.T, xy[:, width:] @ xy[:, :width].T
+        if keep is None:
+            sym += xx
+            cross += yx
+        else:
+            sym[keep] += xx
+            cross[keep] += yx
+    g = np.empty((n_pairs, n_pairs), dtype=np.complex128)
+    g.real, g.imag = sym, cross - cross.T  # the transpose of the sum
+    g = 2.0 * g[wedge]
+    residual = abs(2.0 * float(np.trace(sym))
+                   - N * (N - 1) * float(np.vdot(psi.amplitudes, psi.amplitudes).real))
+    if residual > TRACE_TOL:
+        raise ArithmeticError(f"trace residual {residual:.3e} exceeds {TRACE_TOL:.1e}")
+    return TwoBodyOperator(d=d, n_particles=N, mat=g, trace_residual=residual)
 
 
 def spectral_decompose(g: TwoBodyOperator) -> SpectralData:

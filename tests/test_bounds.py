@@ -276,6 +276,11 @@ class TestNormRecursion:
         with pytest.raises(ValueError):
             norm_recursion_check(PairOperator.from_lambdas(UNIFORM4), 5)
 
+    @pytest.mark.parametrize("m_max", [0, -1])
+    def test_m_max_must_be_positive(self, m_max):
+        with pytest.raises(ValueError):
+            norm_recursion_check(PairOperator.from_lambdas(UNIFORM4), m_max)
+
     def test_saturated_bound_passes_at_large_norm(self):
         # At M = 22 the norm is ~3.7e12 and sits ~2.5e-15 (relative) below
         # the lower bound it saturates; an absolute 1e-8 slack rejected it.

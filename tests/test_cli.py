@@ -294,6 +294,30 @@ class TestSubcommands:
             "ValueError: no particle number in ','"]
 
     @pytest.mark.parametrize("check", ["thm1", "occupation"])
+    @pytest.mark.parametrize("trials", ["0", "-2"])
+    def test_no_trial_writes_error_report(self, tmp_path, check, trials):
+        code, report = run_cli(tmp_path, "verify", check, "--dim", "6",
+                               "--particles", "3", "--trials", trials)
+        assert code == 1
+        assert [c["note"] for c in report["checks"]] == [
+            f"ValueError: no trial in --trials {trials}"]
+
+    @pytest.mark.parametrize("m_max", ["0", "-1"])
+    def test_no_norm_step_writes_error_report(self, tmp_path, m_max):
+        code, report = run_cli(tmp_path, "verify", "norms", "--lambda",
+                               "uniform:4", "--m-max", m_max)
+        assert code == 1
+        assert [c["note"] for c in report["checks"]] == [
+            f"ValueError: no recursion step in M_max = {m_max}"]
+
+    def test_m_max_bounds_the_norm_steps(self, tmp_path):
+        code, report = run_cli(tmp_path, "verify", "norms", "--lambda",
+                               "uniform:4", "--m-max", "2")
+        assert code == 0
+        assert report["config"]["m_max"] == 2
+        assert [c["params"]["M"] for c in report["checks"]] == [1, 2]
+
+    @pytest.mark.parametrize("check", ["thm1", "occupation"])
     @pytest.mark.parametrize("particles", ["abc", "4,6", ""])
     def test_single_particle_number_is_usage_error(self, tmp_path, capsys,
                                                    check, particles):

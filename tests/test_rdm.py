@@ -45,7 +45,7 @@ class TestAssembly:
         psi = random_state(8, 4, seed)
         g = compute_gamma2(psi)
         assert abs(np.trace(g.mat).real - 12.0) < 1e-10
-        assert g.hermiticity_defect < 1e-12
+        assert g.trace_residual < 1e-12
 
     def test_positivity_and_yang_bound(self):
         psi = random_state(8, 4, 99)
@@ -242,7 +242,8 @@ class TestIdentityOracles:
         assert residual == max(abs(float(diag[i]) - fock.occupation(psi, i))
                                for i in range(d))
 
-    # 7 and one short of the (N-2)-particle sector split hop tables mid-slice
+    # block caps from one column per block through 7 and one short of the
+    # (N-2)-particle sector (m = 1 top orbital) to one block (m = 0)
     @pytest.mark.parametrize("chunk", [1, 7, "sector-1", 10 ** 9])
     @given(psi=states())
     @settings(max_examples=15, deadline=None)
@@ -252,13 +253,62 @@ class TestIdentityOracles:
         with mock.patch.object(rdm, "GRAM_CHUNK", chunk):
             g = compute_gamma2(psi)
         assert np.max(np.abs(g.mat - unchunked_gamma2(psi))) < 1e-13
-        assert g.hermiticity_defect < 1e-13
+        assert g.trace_residual < 1e-12
+
+    # the default cap gives one block for every d <= 10; 5 and 1 split the
+    # sector by up to d top orbitals
+    @pytest.mark.parametrize("d,n", [(d, n) for d in range(2, 11) for n in range(2, d + 1)])
+    def test_blocked_gram_matches_single_product(self, d, n):
+        psi = random_state(d, n, 17 * d + n)
+        ref = unchunked_gamma2(psi)
+        for chunk in (rdm.GRAM_CHUNK, 5, 1):
+            with mock.patch.object(rdm, "GRAM_CHUNK", chunk):
+                g = compute_gamma2(psi)
+            assert np.max(np.abs(g.mat - ref)) < 1e-13
+            assert np.array_equal(g.mat, g.mat.conj().T)
+            assert g.trace_residual < 1e-12
 
     def test_unnormalized_column_refused(self):
         a = random_tensor(6, np.random.default_rng(3)).mat
         correlation_invariants(a[None])
         with pytest.raises(NotNormalizedError):
             correlation_invariants(1.01 * a[None])
+
+
+class TestGramBlocks:
+    @pytest.mark.parametrize("d,n,cap,top,count", [
+        (8, 4, rdm.GRAM_CHUNK, 0, 1),      # C(8, 2) = 28 columns, one block
+        (20, 10, 1024, 8, 256),            # runs of at most C(12, 6) = 924
+        (20, 10, 4096, 6, 64),             # runs of at most C(14, 7) = 3432
+    ])
+    def test_block_plan(self, d, n, cap, top, count):
+        bounds, edges, blocks, widest, _ = rdm._gram_blocks(d, n, cap)
+        masks = fock.occupation_masks(d, n - 2)
+        assert bounds[0] == 0 and bounds[-1] == len(masks) and len(blocks) == count
+        assert widest == max(np.diff(bounds)) <= cap
+        for c, (free, keep) in enumerate(blocks):
+            run = masks[bounds[c]:bounds[c + 1]] >> (d - top)
+            assert np.all(run == run[0])  # one occupation of the top orbitals
+            taken = [o for o in range(d - top, d) if int(masks[bounds[c]]) >> o & 1]
+            assert sorted(free.tolist() + taken) == list(range(d))
+            assert (keep is None) == (not taken)
+
+    # first entry of c_0 on the state, then of c_7 on c_i psi: both are read
+    @pytest.mark.parametrize("n,orbital", [(4, 0), (3, 7)])
+    def test_dropped_hop_fails_the_trace_check(self, n, orbital, monkeypatch):
+        psi = random_state(8, 4, 3)
+        hops = fock._fermion_hops
+
+        def dropped(*key):
+            rows, cols, signs = hops(*key)
+            if key == (8, n, orbital):
+                signs = signs.copy()
+                signs[0] = 0
+            return rows, cols, signs
+
+        monkeypatch.setattr(rdm, "_fermion_hops", dropped)
+        with pytest.raises(ArithmeticError, match="trace residual"):
+            compute_gamma2(psi)
 
 
 class TestGamma2Admission:
