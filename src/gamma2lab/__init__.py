@@ -8,9 +8,8 @@ from .bounds import (TheoremReport, counterexample_driver, counterexample_sweep,
                      norm_recursion_check, proposition_gap, sup_over_states,
                      theorem1_rhs, theorem2_floor, verify_theorem1,
                      verify_theorem2)
-from .canonical import (AntisymmetricTensor, CanonicalForm, CanonicalForms,
-                        canonical_forms, canonical_from_lambdas,
-                        correlation_measures,
+from .canonical import (AntisymmetricTensor, CanonicalForm,
+                        canonical_from_lambdas, correlation_measures,
                         elementary_wedge, embed_as_sector_vector, random_tensor,
                         read_tensor_text, reconstruct, tensor_inner,
                         write_tensor_text, youla_decompose)

@@ -17,10 +17,10 @@ that pass means margin >= -tolerance:
 The eigenpair checks take a :class:`rdm.SpectralData` and read one object
 from it: the stack of eigenvector coefficient matrices.  ``thm1`` takes
 sum lam**4 and lam_max of every eigenvector from one batched product over
-that stack, and ``prop_occupation`` decomposes its matrices into canonical
-forms for the vectors u_k, v_k in one batched call, evaluating every
-||c(u) psi||^2 as a quadratic form in the one-body matrix, a partial trace
-of the reduced operator.  Neither touches the state again.
+that stack, and ``prop_occupation`` reads the pair planes of its matrices
+off one batched SVD and takes the minimum of every ||c(w) psi||^2 over
+each plane, a quadratic form in the one-body matrix, which is a partial
+trace of the reduced operator.  Neither touches the state again.
 
 Default tolerances: 1e-8 for bound margins, 1e-10 for structural identities.
 """
@@ -33,13 +33,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .canonical import CanonicalForm, canonical_forms, canonical_from_lambdas
+from .canonical import CanonicalForm, canonical_from_lambdas, plane_minima
 from .fock import SectorSizeError, SectorVector, enumerate_sector
 from .pairing import (DENSE_CAP, PairOperator, admit_pair_blocks, apply_B,
                       apply_B_star, build_pairing_state, dense_b_matrix,
                       norm_sq_oracle, pair_blocks, pair_expectation,
                       pairing_states)
-from .rdm import SpectralData, correlation_invariants, one_body_matrix
+from .rdm import SpectralData, correlation_invariants
 
 BOUND_TOL = 1e-8
 STRUCTURE_TOL = 1e-10
@@ -217,42 +217,41 @@ def proposition_report(op: PairOperator, N: int,
 
 def eigenvector_occupation_check(spectral: SpectralData, tol: float = BOUND_TOL,
                                  tag: dict | None = None) -> list[TheoremReport]:
-    """Occupation floor ||c_{k,s} psi||^2 >= (Lambda/2) lam_k**2 for each
-    eigenpair with Lambda > ``tol``, with lam_k, u_k, v_k from the canonical
-    form of the eigenvector's coefficient matrix in ``spectral.matrices``.
+    """Occupation floor ||c(w) psi||^2 >= (Lambda/2) lam_k**2 for each
+    eigenpair with Lambda > ``tol``, each pair k of the canonical form of the
+    eigenvector's coefficient matrix in ``spectral.matrices``, and every
+    unit w in the plane of u_k and v_k.
 
-    The kept matrices are decomposed in one :func:`canonical.canonical_forms`
-    call.  Each occupation ||c(u) psi||^2 is the quadratic form
-    u^T gamma1 conj(u) in the one-body matrix, which
-    :func:`rdm.one_body_matrix` takes from the reduced operator by partial
-    trace; the u_k, v_k of all kept eigenvectors are evaluated together, and
-    each report names its worst (k, spin).
+    The paper states the floor for every canonical form, and rotating
+    u_k, v_k within their plane leaves the form unchanged, so the floor
+    holds on the whole plane and the check compares its minimum.  Each
+    occupation ||c(w) psi||^2 is the quadratic form w^T gamma1 conj(w) in
+    the one-body matrix ``spectral.one_body``, a partial trace of the
+    reduced operator, and :func:`canonical.plane_minima` takes its minimum
+    over the planes of all kept eigenvectors from one batched SVD.  A tie of
+    several pairs is one space, compared with its smallest lam and named by
+    its first pair.  Each report names its worst pair k.
     """
     d, N = spectral.operator.d, spectral.operator.n_particles
     keep = np.flatnonzero(spectral.eigenvalues > tol)
     if not keep.size:
         return []
-    gamma1 = one_body_matrix(spectral.operator)
-    forms = canonical_forms(spectral.matrices[keep])
-    vecs = forms.vectors  # member columns u_1, v_1, u_2, v_2, ..., zero-padded
-    occ = np.einsum("nia,nia->na", vecs, np.matmul(gamma1, vecs.conj())).real
-    half = 0.5 * spectral.eigenvalues[keep]
-    need = np.repeat(half[:, None] * forms.lambdas ** 2, 2, axis=1)
+    lams, occ = plane_minima(spectral.matrices[keep], spectral.one_body)
+    need = 0.5 * spectral.eigenvalues[keep, None] * lams ** 2
     excess = occ - need
-    excess[np.arange(excess.shape[1]) >= 2 * forms.n_pairs[:, None]] = np.inf
-    worst_col = np.argmin(excess, axis=1)
     reports = []
-    for idx, row_occ, row_need, at, worst in zip(
-            keep, occ, need, worst_col, excess[np.arange(len(keep)), worst_col]):
-        worst_at = {"k": int(at) // 2, "spin": ("up", "down")[at % 2],
-                    "occupation": float(row_occ[at]), "required": float(row_need[at])}
+    for idx, row_occ, row_need, row_excess in zip(keep, occ, need, excess):
+        k = int(np.argmin(row_excess))
+        worst = float(row_excess[k])
         params = {"d": d, "N": N, "eigen_index": int(idx)}
         if tag:
             params.update(tag)
         reports.append(TheoremReport(
             kind="prop_occupation", params=params,
-            observed=worst_at["occupation"], bound=worst_at["required"],
-            margin=float(worst), passed=bool(worst >= -tol), details=worst_at))
+            observed=float(row_occ[k]), bound=float(row_need[k]),
+            margin=worst, passed=worst >= -tol,
+            details={"k": k, "occupation": float(row_occ[k]),
+                     "required": float(row_need[k])}))
     return reports
 
 

@@ -16,11 +16,12 @@ so the singular values of A are the numbers lam_k / sqrt(2), each doubled.
 The delocalization of the coefficients, summarized by sum lam_k**4, serves
 as the correlation measure used by the bound verifiers.
 
-Decompositions run on stacks: :func:`canonical_forms` takes n coefficient
-matrices, runs one batched singular value decomposition and builds the
-pairs of every matrix whose singular values pair up cleanly in bulk; only
-degenerate or ill-separated matrices go through the per-matrix cluster
-loop.  :func:`youla_decompose` is the same core on a stack of one.
+Any rotation of u_k, v_k within their plane leaves u_k ^ v_k unchanged,
+so only the pair planes are determined.  :func:`plane_minima` works on
+those alone: one batched singular value decomposition of a stack of
+coefficient matrices gives every plane, with no u_k, v_k built, and the
+minimum of a Hermitian form over each.  :func:`youla_decompose` builds an
+explicit canonical form of one tensor, cluster by cluster.
 """
 
 from __future__ import annotations
@@ -37,8 +38,7 @@ LAMBDA_DROP_TOL = 1e-12
 NORM_TOL = 1e-8
 ANTISYM_TOL = 1e-12
 CLUSTER_RTOL = 1e-8
-ORTHO_TOL = 1e-10   # Gram defect that sends a member from the bulk path to the loop
-REPAIR_TOL = 1e-13  # Gram defect above roundoff, repaired by Gram-Schmidt on both paths
+REPAIR_TOL = 1e-13  # Gram defect above roundoff, repaired by Gram-Schmidt
 
 
 class NotAntisymmetricError(ValueError):
@@ -144,24 +144,6 @@ def tensor_inner(a: AntisymmetricTensor, b: AntisymmetricTensor) -> complex:
     return complex(np.vdot(a.mat, b.mat))
 
 
-def _check_forms(lams: np.ndarray, vecs: np.ndarray, n_pairs: np.ndarray) -> None:
-    """Validate a padded stack of canonical forms (see :class:`CanonicalForms`).
-
-    Entries must be finite, coefficients non-negative and descending, and the
-    2 n_pairs live columns of every member orthonormal.
-    """
-    # every comparison below is false for NaN, so test finiteness first
-    if not (np.all(np.isfinite(lams)) and np.all(np.isfinite(vecs))):
-        raise ValueError("canonical form has non-finite entries")
-    if lams.size and (np.any(lams < -1e-14) or np.any(np.diff(lams, axis=-1) > 1e-12)):
-        raise ValueError("coefficients must be non-negative and descending")
-    width = vecs.shape[-1]
-    live = np.arange(width) < 2 * np.asarray(n_pairs)[:, None]
-    gram = np.matmul(vecs.conj().transpose(0, 2, 1), vecs)
-    if gram.size and np.max(np.abs(gram - live[:, :, None] * np.eye(width))) > 1e-7:
-        raise ValueError("canonical vectors are not orthonormal")
-
-
 @dataclass
 class CanonicalForm:
     """Descending coefficients lam_k with paired orthonormal columns.
@@ -177,7 +159,14 @@ class CanonicalForm:
         vecs = np.ascontiguousarray(self.vectors, dtype=np.complex128)
         if vecs.ndim != 2 or vecs.shape[1] != 2 * len(lams):
             raise SectorMismatchError("need two columns per coefficient")
-        _check_forms(lams[None], vecs[None], np.array([len(lams)]))
+        # every comparison below is false for NaN, so test finiteness first
+        if not (np.all(np.isfinite(lams)) and np.all(np.isfinite(vecs))):
+            raise ValueError("canonical form has non-finite entries")
+        if np.any(lams < -1e-14) or np.any(np.diff(lams) > 1e-12):
+            raise ValueError("coefficients must be non-negative and descending")
+        gram = vecs.conj().T @ vecs
+        if gram.size and np.max(np.abs(gram - np.eye(len(gram)))) > 1e-7:
+            raise ValueError("canonical vectors are not orthonormal")
         self.lambdas = lams
         self.vectors = vecs
 
@@ -196,24 +185,6 @@ class CanonicalForm:
         return self.vectors[:, 2 * k + 1]
 
 
-class CanonicalForms(NamedTuple):
-    """Canonical forms of a stack of n tensors, zero-padded to a common K.
-
-    Member m has ``n_pairs[m]`` pairs: ``lambdas[m, :n_pairs[m]]`` descending
-    and the first 2 n_pairs[m] columns of ``vectors[m]``, alternating u_k,
-    v_k as in :class:`CanonicalForm`.  Coefficients and columns past that
-    are zero.
-    """
-
-    lambdas: np.ndarray   # (n, K)
-    vectors: np.ndarray   # (n, d, 2K)
-    n_pairs: np.ndarray   # (n,)
-
-    def form(self, m: int) -> CanonicalForm:
-        k = int(self.n_pairs[m])
-        return CanonicalForm(self.lambdas[m, :k], self.vectors[m, :, :2 * k])
-
-
 def canonical_from_lambdas(lambdas, d: int | None = None) -> CanonicalForm:
     """Canonical form aligned with the standard pair layout u_k = e_2k, v_k = e_2k+1."""
     lams = np.asarray(lambdas, dtype=np.float64)
@@ -230,141 +201,108 @@ def canonical_from_lambdas(lambdas, d: int | None = None) -> CanonicalForm:
 
 def check_unit_norms(mats: np.ndarray) -> None:
     """Raise :class:`NotNormalizedError` unless every matrix of the stack
-    (n, d, d) has Frobenius norm 1 within ``NORM_TOL``."""
+    (n, d, d) has Frobenius norm 1 within ``NORM_TOL``; a NaN norm fails."""
     norms = np.linalg.norm(mats, axis=(1, 2))
-    off = np.abs(norms - 1.0)
-    if np.any(off > NORM_TOL):
-        k = int(np.argmax(off))
+    ok = np.abs(norms - 1.0) <= NORM_TOL  # false for NaN
+    if not np.all(ok):
+        k = int(np.argmin(ok))
         raise NotNormalizedError(
             f"tensor norm {float(norms[k])!r} is not 1 within {NORM_TOL:.1e}")
 
 
-def canonical_forms(mats) -> CanonicalForms:
-    """Canonical pair decompositions of a stack (n, d, d) of unit antisymmetric
-    coefficient matrices, from one batched singular value decomposition.
-
-    The singular values of A come in equal pairs lam_k / sqrt(2).  When the
-    kept values (above ``LAMBDA_DROP_TOL``) of a matrix form clusters of
-    exactly two (relative gap ``CLUSTER_RTOL``), the generic case, its pairs
-    are built together with the others': v_k is the conjugated first right
-    singular vector of cluster k and u_k the normalized image of conj(v_k)
-    under A, orthogonalized against v_k, with lam_k = sqrt(2) ||A conj(v_k)||.
-    A matrix with a larger or merged cluster, coefficients out of order or
-    a Gram defect above ``ORTHO_TOL`` is decomposed by the cluster loop
-    :func:`_decompose_clusters` instead, which gives the same result on the
-    generic case.  Vectors with a smaller defect above ``REPAIR_TOL``, as
-    singular vectors of near-tied pairs have, are orthonormalized in place.
-    Every member is validated as a :class:`CanonicalForm` would be; the
-    round trip against :func:`reconstruct` is the correctness arbiter.
-    """
-    a = np.asarray(mats, dtype=np.complex128)
-    if a.ndim != 3 or a.shape[1] != a.shape[2]:
-        raise SectorMismatchError("need a stack of square matrices")
-    n, d = a.shape[0], a.shape[1]
-    check_unit_norms(a)
+def _svd(a: np.ndarray):
     try:
-        _, sigmas, vh = np.linalg.svd(a)
+        return np.linalg.svd(a)
     except np.linalg.LinAlgError as exc:
         raise DecompositionError("singular value decomposition did not converge") from exc
-    sigma_floor = LAMBDA_DROP_TOL / np.sqrt(2.0)
-    kept = np.sum(sigmas > sigma_floor, axis=1)
+
+
+def pair_clusters(sigmas) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs and their clusters in a stack (n, d) of descending singular values.
+
+    The values above ``LAMBDA_DROP_TOL / sqrt(2)`` are kept; those of an
+    antisymmetric matrix come in equal pairs, so at least two and an even
+    number must be.  Kept values are grouped where consecutive ones differ
+    by more than ``CLUSTER_RTOL`` times the largest, and a cluster of odd
+    size is merged with the next, so that a pair never straddles a
+    boundary: the boundaries left are exactly those at even positions.
+    Returns the pair counts (n,) and ``starts`` (n, d // 2), true where
+    pair k is the first of a cluster.
+    """
+    sigmas = np.asarray(sigmas)
+    kept = np.sum(sigmas > LAMBDA_DROP_TOL / np.sqrt(2.0), axis=1)
     if np.any(kept < 2):
         raise DecompositionError("no singular pair above the truncation floor")
-    # cluster boundaries fall exactly between pairs, and nowhere inside one
-    boundary = sigmas[:, :-1] - sigmas[:, 1:] > CLUSTER_RTOL * sigmas[:, :1]
-    inside = np.arange(d - 1) < kept[:, None] - 1
-    paired = (kept % 2 == 0) & np.all(
-        ~inside | (boundary == (np.arange(d - 1) % 2 == 1)), axis=1)
+    if np.any(kept % 2):
+        raise DecompositionError(
+            "singular values do not pair up; input is not antisymmetric enough")
+    k = np.arange(sigmas.shape[1] // 2)
+    gap = sigmas[:, 2 * k - 1] - sigmas[:, 2 * k] > CLUSTER_RTOL * sigmas[:, :1]
+    return kept // 2, (k < kept[:, None] // 2) & (gap | (k == 0))
 
-    parts = []   # (members, lambdas, vectors), one per pair count
-    for k in np.unique(kept[paired]) // 2:
-        idx = np.flatnonzero(paired & (kept == 2 * k))
-        v = vh[idx, :2 * k:2, :].transpose(0, 2, 1)      # columns v_j
-        image = np.matmul(a[idx], v.conj())               # A conj(v_j)
-        s = np.linalg.norm(image, axis=1)
-        u = image / s[:, None, :]
-        u = u - v * np.sum(v.conj() * u, axis=1, keepdims=True)
-        u = u / np.linalg.norm(u, axis=1, keepdims=True)
-        vecs = np.empty((len(idx), d, 2 * k), dtype=np.complex128)
-        vecs[:, :, 0::2], vecs[:, :, 1::2] = u, v
-        lams = np.sqrt(2.0) * s
-        gram = np.matmul(vecs.conj().transpose(0, 2, 1), vecs)
-        defect = np.max(np.abs(gram - np.eye(2 * k)), axis=(1, 2))
-        ok = (np.all(s > sigma_floor, axis=1)
-              & np.all(np.diff(lams, axis=1) <= 0, axis=1)
-              & (defect <= ORTHO_TOL))
-        repair = ok & (defect > REPAIR_TOL)
-        if np.any(repair):
-            vecs[repair] = _orthonormalize(vecs[repair])
-        paired[idx[~ok]] = False
-        parts.append((idx[ok], lams[ok], vecs[ok]))
-    for m in np.flatnonzero(~paired):
-        lams, vecs = _decompose_clusters(a[m])
-        parts.append(([m], lams[None], vecs[None]))
 
-    width = max((lams.shape[1] for _, lams, _ in parts), default=0)
-    lambdas = np.zeros((n, width))
-    vectors = np.zeros((n, d, 2 * width), dtype=np.complex128)
-    n_pairs = np.zeros(n, dtype=np.intp)
-    for members, lams, vecs in parts:
-        k = lams.shape[1]
-        lambdas[members, :k] = lams
-        vectors[members, :, :2 * k] = vecs
-        n_pairs[members] = k
-    _check_forms(lambdas, vectors, n_pairs)
-    return CanonicalForms(lambdas, vectors, n_pairs)
+def plane_minima(mats, gamma1) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum of the form x^T gamma1 conj(x) over the unit vectors x of each
+    pair plane, for a stack (n, d, d) of unit antisymmetric matrices and a
+    Hermitian (d, d) ``gamma1``, from one batched singular value decomposition.
+
+    Pair k of A = sum_k lam_k u_k ^ v_k spans the plane of u_k and v_k,
+    which no rotation of the pair within it changes.  Its two rows of
+    ``vh``, the conjugated eigenvectors of A^H A, span the same plane, so
+    the minimum there is the smaller eigenvalue of the 2 x 2 compression
+    W gamma1 W^H onto those rows, taken in closed form for all pairs at
+    once.  A cluster of several pairs (see :func:`pair_clusters`), a tie, is
+    one space: its minimum is the smallest eigenvalue of its compression,
+    from ``eigvalsh`` member by member.  Returns ``(lambdas, minima)``, both
+    (n, d // 2): at the first pair of each cluster, the smallest lam of the
+    cluster and the minimum; at its other pairs, and past the member's last
+    pair, 0 and +inf.
+    """
+    a = np.asarray(mats, dtype=np.complex128)
+    check_unit_norms(a)
+    _, sigmas, vh = _svd(a)
+    n_pairs, starts = pair_clusters(sigmas)
+    w = vh[:, :2 * starts.shape[1]]
+    wg = np.matmul(w, gamma1)  # row j: w_j^T gamma1
+    diag = np.einsum("nji,nji->nj", wg, w.conj()).real
+    off = np.einsum("nki,nki->nk", wg[:, 0::2], w[:, 1::2].conj())
+    mean = 0.5 * (diag[:, 0::2] + diag[:, 1::2])
+    minima = mean - np.hypot(0.5 * (diag[:, 0::2] - diag[:, 1::2]), np.abs(off))
+    lambdas = np.sqrt(2.0) * sigmas[:, 1:w.shape[1]:2]
+    for m in np.flatnonzero(np.sum(starts, axis=1) < n_pairs):
+        first = np.flatnonzero(starts[m]).tolist()
+        for lo, hi in zip(first, first[1:] + [int(n_pairs[m])]):
+            rows = slice(2 * lo, 2 * hi)
+            minima[m, lo] = np.linalg.eigvalsh(wg[m, rows] @ w[m, rows].conj().T)[0]
+            lambdas[m, lo] = lambdas[m, hi - 1]
+    minima[~starts] = np.inf
+    lambdas[~starts] = 0.0
+    return lambdas, minima
 
 
 def youla_decompose(tensor: AntisymmetricTensor) -> CanonicalForm:
-    """Canonical pair decomposition of a normalized antisymmetric tensor:
-    :func:`canonical_forms` of a stack of one."""
-    return canonical_forms(tensor.mat[None]).form(0)
+    """Canonical pair decomposition of a normalized antisymmetric tensor."""
+    check_unit_norms(tensor.mat[None])
+    return CanonicalForm(*_decompose_clusters(tensor.mat))
 
 
 def _decompose_clusters(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Canonical coefficients and vectors of one unit matrix, cluster by cluster.
 
-    Within each cluster of equal singular values (relative gap
-    ``CLUSTER_RTOL``), a right-singular vector v picks its partner as the
-    normalized image of conj(v) under A; both directions are then deflated
-    from the cluster.  Coefficients below ``LAMBDA_DROP_TOL`` are discarded.
-    This handles every case :func:`canonical_forms` does not build in bulk,
-    and serves the tests as its oracle.
+    Within each cluster of :func:`pair_clusters`, a right-singular vector v
+    picks its partner as the normalized image of conj(v) under A; both
+    directions are then deflated from the cluster.  Coefficients below
+    ``LAMBDA_DROP_TOL`` are discarded.
     """
-    try:
-        _, sigmas, vh = np.linalg.svd(a)
-    except np.linalg.LinAlgError as exc:
-        raise DecompositionError("singular value decomposition did not converge") from exc
-    right = vh.conj().T
+    _, sigmas, vh = _svd(a)
+    n_pairs, starts = pair_clusters(sigmas[None])
+    first = np.flatnonzero(starts[0]).tolist()
     sigma_floor = LAMBDA_DROP_TOL / np.sqrt(2.0)
-    kept = int(np.sum(sigmas > sigma_floor))
-    if kept < 2:
-        raise DecompositionError("no singular pair above the truncation floor")
-
-    # Group nearly equal singular values; pairs must never straddle a cluster
-    # boundary, so odd-sized clusters are merged forward.
-    gap = CLUSTER_RTOL * float(sigmas[0])
-    clusters: list[tuple[int, int]] = []
-    start = 0
-    for i in range(1, kept):
-        if sigmas[i - 1] - sigmas[i] > gap:
-            clusters.append((start, i))
-            start = i
-    clusters.append((start, kept))
-    merged: list[tuple[int, int]] = []
-    for lo, hi in clusters:
-        if merged and (merged[-1][1] - merged[-1][0]) % 2:
-            merged[-1] = (merged[-1][0], hi)
-        else:
-            merged.append((lo, hi))
-    if (merged[-1][1] - merged[-1][0]) % 2:
-        raise DecompositionError(
-            "singular values do not pair up; input is not antisymmetric enough")
 
     lams: list[float] = []
     cols: list[np.ndarray] = []
-    for lo, hi in merged:
-        block = np.conj(right[:, lo:hi])
+    for lo, hi in zip(first, first[1:] + [int(n_pairs[0])]):
+        block = vh[2 * lo:2 * hi].T
         while block.shape[1]:
             v = block[:, 0]
             image = a @ np.conj(v)
@@ -398,10 +336,10 @@ def _decompose_clusters(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _orthonormalize(vectors: np.ndarray) -> np.ndarray:
-    """Gram-Schmidt of the columns in their order, of one matrix or a stack:
-    QR with the phases of diag(R) put back, so order and phases are kept."""
+    """Gram-Schmidt of the columns in their order: QR with the phases of
+    diag(R) put back, so order and phases are kept."""
     q, r = np.linalg.qr(vectors)
-    return q * np.exp(1j * np.angle(np.diagonal(r, axis1=-2, axis2=-1)))[..., None, :]
+    return q * np.exp(1j * np.angle(np.diag(r)))
 
 
 def reconstruct(form: CanonicalForm, d: int | None = None) -> AntisymmetricTensor:
@@ -468,18 +406,26 @@ def write_tensor_text(path, tensor: AntisymmetricTensor) -> None:
 
 def read_tensor_text(path) -> AntisymmetricTensor:
     """Parse the text form written by :func:`write_tensor_text`."""
-    raw = [ln.strip() for ln in Path(path).read_text(encoding="utf-8").splitlines()]
-    rows = [ln for ln in raw if ln and not ln.startswith("#")]
+    raw = Path(path).read_text(encoding="utf-8").splitlines()
+    rows = [(n, ln.strip()) for n, ln in enumerate(raw, start=1)]
+    rows = [(n, ln) for n, ln in rows if ln and not ln.startswith("#")]
     if not rows:
         raise ValueError("empty tensor file")
-    d = int(rows[0])
+    d = int(rows[0][1])
     upper = np.zeros((d, d), dtype=np.complex128)
-    for ln in rows[1:]:
+    seen = set()
+    for n, ln in rows[1:]:
         parts = ln.split()
         if len(parts) != 4:
-            raise ValueError(f"malformed tensor line: {ln!r}")
+            raise ValueError(f"malformed tensor line {n}: {ln!r}")
         i, j = int(parts[0]), int(parts[1])
         if not 0 <= i < j < d:
             raise ValueError(f"entry ({i}, {j}) is not strictly upper for d={d}")
-        upper[i, j] = float(parts[2]) + 1j * float(parts[3])
+        if (i, j) in seen:
+            raise ValueError(f"line {n} repeats entry ({i}, {j}): {ln!r}")
+        seen.add((i, j))
+        val = complex(float(parts[2]), float(parts[3]))
+        if not np.isfinite(val):
+            raise ValueError(f"line {n} has a non-finite value: {ln!r}")
+        upper[i, j] = val
     return AntisymmetricTensor(d, upper - upper.T)

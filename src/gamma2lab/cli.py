@@ -242,7 +242,8 @@ def _spectrum_row(psi, spectral, tag, args) -> bounds.TheoremReport:
     g = spectral.operator
     details = {"eigenvalues": spectral.eigenvalues.tolist(),
                "trace_residual": g.trace_residual,
-               "partial_trace_residual": rdm.partial_trace_residual(g, psi)}
+               "partial_trace_residual":
+                   rdm.partial_trace_residual(spectral.one_body, psi)}
     if args.eigenvectors:
         details["eigenvectors"] = [{"re": x.real.tolist(), "im": x.imag.tolist()}
                                    for x in spectral.wedge_vectors.T]

@@ -21,7 +21,8 @@ Two more quantities come from identities instead of per-vector work:
 
 * the one-body matrix gamma1[i, k] = <c_i psi, c_k psi> is a partial trace,
   sum_j G[i, j, k, j] = 2 (N-1) <c_k psi, c_i psi> with G the antisymmetric
-  extension of the operator, so it costs O(P d) once the operator exists;
+  extension of the operator, so it costs O(P d) once the operator exists,
+  and :class:`SpectralData` takes it once for every check of one state;
 * sum lam**4 and lam_max of an eigenvector's canonical form are unitary
   invariants of its coefficient matrix A: sum lam**4 = 2 ||A^H A||_F**2 and
   lam_max = sqrt(2) ||A||_2, batched over all eigenvectors at once.
@@ -69,7 +70,9 @@ class SpectralData:
     Column k of ``wedge_vectors`` is the k-th eigenvector on the wedge basis.
     ``matrices`` holds the coefficient matrices of all of them, shape
     (P, d, d), scattered in one call on first access; the eigenpair checks
-    read that stack.  ``eigenvectors`` wraps its matrices as tensors.
+    read that stack.  ``one_body`` is the one-body matrix of the operator,
+    taken once on first access.  ``eigenvectors`` wraps its matrices as
+    tensors.
     """
 
     eigenvalues: np.ndarray
@@ -79,6 +82,10 @@ class SpectralData:
     @cached_property
     def matrices(self) -> np.ndarray:
         return wedge_matrices(self.operator.d, self.wedge_vectors)
+
+    @cached_property
+    def one_body(self) -> np.ndarray:
+        return one_body_matrix(self.operator)
 
     @cached_property
     def eigenvectors(self) -> list[AntisymmetricTensor]:
@@ -241,7 +248,7 @@ def correlation_invariants(mats) -> tuple[np.ndarray, np.ndarray]:
     lam_max = sqrt(2 * largest eigenvalue of A_k^H A_k), evaluated for the
     whole stack with one batched product.  A matrix whose norm is off 1 by
     more than ``canonical.NORM_TOL`` raises :class:`NotNormalizedError`, as
-    :func:`canonical.canonical_forms` does.
+    :func:`canonical.plane_minima` does.
     """
     a = np.asarray(mats, dtype=np.complex128)
     check_unit_norms(a)
@@ -272,20 +279,21 @@ def one_body_matrix(g: TwoBodyOperator) -> np.ndarray:
     return trace2.T / (2.0 * (g.n_particles - 1))
 
 
-def partial_trace_residual(g: TwoBodyOperator, psi: SectorVector) -> float:
-    """max_i |gamma1[i, i] - <n_i>|: the partial trace against direct occupations.
+def partial_trace_residual(gamma1: np.ndarray, psi: SectorVector) -> float:
+    """max_i |gamma1[i, i] - <n_i>|: the partial trace, the one-body matrix of
+    psi's reduced operator (:func:`one_body_matrix`), against direct occupations.
 
     <n_i> is the weight |psi|**2 on the masks with bit i set over ||psi||**2,
     summed as :func:`fock.occupation` sums it, with the norm taken once.
     """
-    diag = np.diagonal(one_body_matrix(g)).real
+    diag = np.diagonal(gamma1).real
     weight = np.abs(psi.amplitudes) ** 2
     nsq = float(np.vdot(psi.amplitudes, psi.amplitudes).real)
     if nsq == 0.0:
         raise ValueError("zero vector has no occupation expectation")
     states = psi.basis.states
     return max(abs(float(diag[i]) - float(np.sum(weight[(states & (1 << i)) != 0]) / nsq))
-               for i in range(g.d))
+               for i in range(len(diag)))
 
 
 def expectation(phi: AntisymmetricTensor, g: TwoBodyOperator) -> float:

@@ -12,12 +12,12 @@ from gamma2lab.bounds import (block_sups, counterexample_driver,
                               proposition_report, sup_over_states,
                               theorem1_rhs, theorem2_floor, verify_theorem1,
                               verify_theorem2)
+from dataclasses import replace
 from types import SimpleNamespace
 
 import gamma2lab.bounds as bounds
-from gamma2lab.canonical import (CanonicalForm, _decompose_clusters,
-                                 canonical_from_lambdas, correlation_measures,
-                                 youla_decompose)
+from gamma2lab.canonical import (_decompose_clusters, canonical_from_lambdas,
+                                 correlation_measures, youla_decompose)
 from gamma2lab.cli import parse_lambda_spec, random_state
 from gamma2lab.fock import apply_annihilate_vector, slater_state
 from gamma2lab.pairing import (PairOperator, build_pairing_state,
@@ -54,17 +54,10 @@ def small_states(draw):
     return random_state(d, n, draw(st.integers(0, 2 ** 31)))
 
 
-def occupation_oracle(psi, lam_eig, tensor):
-    """{(k, spin): (occupation, excess)} by annihilating psi directly, with
-    the canonical form from the per-matrix cluster loop."""
-    form = CanonicalForm(*_decompose_clusters(tensor.mat))
-    rows = {}
-    for k in range(form.n_pairs):
-        need = 0.5 * lam_eig * form.lambdas[k] ** 2
-        for label, vec in (("up", form.u(k)), ("down", form.v(k))):
-            occ = apply_annihilate_vector(vec, psi).norm() ** 2
-            rows[k, label] = (occ, occ - need)
-    return rows
+def annihilated_gram(psi, w):
+    """<c(w_a) psi, c(w_b) psi> for the columns w_a of w, by annihilating psi."""
+    hops = [apply_annihilate_vector(col, psi) for col in w.T]
+    return np.array([[a.inner(b) for b in hops] for a in hops])
 
 
 class TestTheorem1Rhs:
@@ -241,13 +234,31 @@ class TestOccupationCheck:
         sd = spectral_decompose(compute_gamma2(psi))
         for r in eigenvector_occupation_check(sd):
             idx = r.params["eigen_index"]
-            rows = occupation_oracle(psi, float(sd.eigenvalues[idx]),
-                                     sd.eigenvectors[idx])
-            occ, excess = rows[r.details["k"], r.details["spin"]]
-            assert abs(r.observed - occ) < 1e-12
-            assert abs(r.margin - excess) < 1e-12
-            # u_k and v_k tie exactly at N = 2, so either may be reported
-            assert abs(r.margin - min(e for _, e in rows.values())) < 1e-12
+            lams, vecs = _decompose_clusters(sd.matrices[idx])
+            k = r.details["k"]
+            plane = annihilated_gram(psi, vecs[:, 2 * k:2 * k + 2])
+            assert abs(r.observed - np.linalg.eigvalsh(plane)[0]) < 1e-12
+            assert abs(r.bound - 0.5 * sd.eigenvalues[idx] * lams[k] ** 2) < 1e-12
+            # the plane holds u_k and v_k of the cluster loop's split
+            assert r.observed <= min(plane[0, 0].real, plane[1, 1].real) + 1e-13
+
+    def test_perturbation_moves_numbers_at_roundoff(self):
+        # the states of verify occupation --dim 8 --particles 4 --trials 30 --seed 12
+        rng = np.random.default_rng(0)
+        for t in range(30):
+            g = compute_gamma2(random_state(8, 4, 12 + t))
+            h = rng.standard_normal(g.mat.shape) + 1j * rng.standard_normal(g.mat.shape)
+            moved = replace(g, mat=g.mat + 0.5e-16 * (h + h.conj().T))
+            before = eigenvector_occupation_check(spectral_decompose(g))
+            after = eigenvector_occupation_check(spectral_decompose(moved))
+            assert len(before) == len(after)
+            for a, b in zip(before, after):
+                assert a.params == b.params
+                assert a.details.keys() == {"k", "occupation", "required"}
+                assert a.details["k"] == b.details["k"]
+                for x, y in ((a.observed, b.observed), (a.bound, b.bound),
+                             (a.margin, b.margin)):
+                    assert abs(x - y) <= 1e-12
 
 
 class TestNormRecursion:

@@ -11,12 +11,13 @@ import gamma2lab.canonical as canonical
 from gamma2lab.canonical import (CLUSTER_RTOL, AntisymmetricTensor,
                                  CanonicalForm, NotAntisymmetricError,
                                  NotNormalizedError, _decompose_clusters,
-                                 canonical_forms, canonical_from_lambdas,
+                                 canonical_from_lambdas, check_unit_norms,
                                  correlation_measures,
                                  elementary_wedge, embed_as_sector_vector,
-                                 random_tensor, read_tensor_text, reconstruct,
-                                 tensor_inner, wedge_matrices, wedge_pairs,
-                                 write_tensor_text, youla_decompose)
+                                 plane_minima, random_tensor, read_tensor_text,
+                                 reconstruct, tensor_inner, wedge_matrices,
+                                 wedge_pairs, write_tensor_text,
+                                 youla_decompose)
 from gamma2lab.fock import SectorMismatchError
 
 
@@ -179,49 +180,25 @@ MEMBER_KINDS = ["random", "wedge", "uniform", "deficient", "tie-merged",
                 "tie-split", "spread", "tiny"]
 
 
-def cluster_projectors(lams, vecs):
-    """Projector onto the span of each run of equal coefficients' planes."""
-    runs, start = [], 0
-    for k in range(1, len(lams) + 1):
-        if k == len(lams) or lams[k - 1] - lams[k] > 1e-6 * lams[0]:
-            cols = vecs[:, 2 * start:2 * k]
-            runs.append(cols @ cols.conj().T)
-            start = k
-    return runs
+def assert_round_trip(a):
+    """youla_decompose of one stack member rebuilds it from orthonormal pairs."""
+    form = youla_decompose(AntisymmetricTensor(len(a), a))
+    assert np.linalg.norm(reconstruct(form).mat - a) < 1e-12
+    gram = form.vectors.conj().T @ form.vectors
+    assert np.max(np.abs(gram - np.eye(len(gram)))) <= canonical.REPAIR_TOL
+    # u_k is orthogonalised against its own v_k to roundoff
+    pair_overlap = np.sum(form.vectors[:, 1::2].conj() * form.vectors[:, 0::2], axis=0)
+    assert np.max(np.abs(pair_overlap), initial=0.0) < 1e-14
 
 
-def assert_matches_cluster_loop(stack, forms):
-    assert forms.lambdas.shape[0] == len(stack)
-    for m, a in enumerate(stack):
-        form = forms.form(m)
-        lams, vecs = _decompose_clusters(a)
-        assert form.n_pairs == len(lams)
-        assert np.max(np.abs(form.lambdas - lams)) < 1e-14
-        back = reconstruct(form).mat
-        assert np.linalg.norm(back - reconstruct(CanonicalForm(lams, vecs)).mat) < 1e-13
-        assert np.linalg.norm(back - a) < 1e-12
-        for got, want in zip(cluster_projectors(form.lambdas, form.vectors),
-                             cluster_projectors(lams, vecs)):
-            assert np.max(np.abs(got - want)) < 1e-11
-        # the vectors are orthonormal to roundoff
-        gram = form.vectors.conj().T @ form.vectors
-        assert np.max(np.abs(gram - np.eye(len(gram)))) <= canonical.REPAIR_TOL
-        # u_k is orthogonalised against its own v_k to roundoff
-        pair_overlap = np.sum(form.vectors[:, 1::2].conj() * form.vectors[:, 0::2], axis=0)
-        assert np.max(np.abs(pair_overlap), initial=0.0) < 1e-14
-        # padding past the member's pairs is zero
-        assert not np.any(forms.lambdas[m, form.n_pairs:])
-        assert not np.any(forms.vectors[m, :, 2 * form.n_pairs:])
-
-
-class TestCanonicalForms:
-    """The batched core against the per-matrix cluster loop."""
+class TestMemberKinds:
+    """Every kind of coefficient matrix through the cluster loop."""
 
     @pytest.mark.parametrize("d", [8, 9])
-    def test_every_kind_in_one_stack(self, d):
+    def test_every_member_kind(self, d):
         rng = np.random.default_rng(d)
-        stack = np.stack([stack_member(kind, d, rng) for kind in MEMBER_KINDS])
-        assert_matches_cluster_loop(stack, canonical_forms(stack))
+        for kind in MEMBER_KINDS:
+            assert_round_trip(stack_member(kind, d, rng))
 
     @given(st.integers(2, 10), st.integers(0, 2 ** 31),
            st.lists(st.sampled_from(MEMBER_KINDS), min_size=1, max_size=6))
@@ -229,37 +206,66 @@ class TestCanonicalForms:
     # the last member's two smallest coefficients are tied to 1.7e-4, so its
     # singular vectors mix at ~eps / gap: orthonormal to 2.5e-12 unrepaired
     @example(d=10, seed=10, kinds=["random", "deficient", "deficient", "deficient"])
-    def test_mixed_stacks(self, d, seed, kinds):
+    def test_mixed_kinds(self, d, seed, kinds):
         rng = np.random.default_rng(seed)
-        stack = np.stack([stack_member(kind, d, rng) for kind in kinds])
-        assert_matches_cluster_loop(stack, canonical_forms(stack))
+        for kind in kinds:
+            assert_round_trip(stack_member(kind, d, rng))
 
-    def test_only_non_generic_members_take_the_cluster_loop(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(canonical, "_decompose_clusters",
-                            lambda a: calls.append(a) or _decompose_clusters(a))
-        rng = np.random.default_rng(5)
-        kinds = ["random", "wedge", "spread", "tie-split", "deficient",
-                 "uniform", "tie-merged", "tiny"]
-        stack = np.stack([stack_member(kind, 8, rng) for kind in kinds])
-        canonical_forms(stack)
-        # tie-split's two pairs are clusters of two, but singular vectors that
-        # close mix at ~eps / gap, so its Gram defect sends it to the loop
-        assert len(calls) == 4
-        for a, m in zip(calls, (3, 5, 6, 7)):
-            assert np.array_equal(a, stack[m])
+
+def random_gamma1(d, rng):
+    """A random positive semidefinite Hermitian d x d matrix."""
+    x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return x @ x.conj().T / d
+
+
+# clusters of pairs each kind forms at d = 8 and 9 (four pairs)
+CLUSTERS = {"random": [[0], [1], [2], [3]], "uniform": [[0, 1, 2, 3]],
+            "tie-merged": [[0, 1], [2], [3]], "tie-split": [[0], [1], [2], [3]],
+            "tiny": [[0], [1], [2, 3]]}
+# Clusters whose singular values lie within ~1e-8 sigma_max of other ones
+# (tie-split's first two pairs; tiny's last cluster and the zero singular
+# value of odd d) have spaces fixed only to about eps / gap ~ 1e-8, on
+# either path, so their minima agree only to that.
+NEAR_TIES = {("tie-split", 0), ("tie-split", 1), ("tiny", 2)}
+
+
+class TestPlaneMinima:
+    """Minimum of x^T gamma1 conj(x) over each pair plane, or over a tie's
+    joint space, against the planes of the cluster loop."""
+
+    @pytest.mark.parametrize("d", [8, 9])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_ties_and_odd_d(self, d, seed):
+        rng = np.random.default_rng(seed)
+        stack = np.stack([stack_member(kind, d, rng) for kind in CLUSTERS])
+        gamma1 = random_gamma1(d, rng)
+        lams, minima = plane_minima(stack, gamma1)
+        assert lams.shape == minima.shape == (len(CLUSTERS), d // 2)
+        for m, (a, (kind, clusters)) in enumerate(zip(stack, CLUSTERS.items())):
+            pair_lams, vecs = _decompose_clusters(a)
+            firsts = [c[0] for c in clusters]
+            for pairs in clusters:
+                w = vecs[:, 2 * pairs[0]:2 * pairs[-1] + 2]
+                want = np.linalg.eigvalsh(w.T @ gamma1 @ w.conj())[0]
+                tol = 1e-6 if (kind, pairs[0]) in NEAR_TIES else 1e-12
+                assert abs(minima[m, pairs[0]] - want) < tol
+                assert abs(lams[m, pairs[0]] - pair_lams[pairs[-1]]) < 1e-14
+            rest = np.setdiff1d(np.arange(d // 2), firsts)
+            assert np.all(minima[m, rest] == np.inf) and not np.any(lams[m, rest])
 
     def test_rejects_one_unnormalized_member(self):
         stack = np.stack([seeded_tensor(6, seed).mat for seed in range(3)])
         stack[1] *= 1.001
         with pytest.raises(NotNormalizedError):
-            canonical_forms(stack)
+            plane_minima(stack, np.eye(6))
 
-    def test_empty_stack(self):
-        forms = canonical_forms(np.zeros((0, 6, 6), dtype=complex))
-        assert forms.lambdas.shape == (0, 0)
-        assert forms.vectors.shape == (0, 6, 0)
-        assert forms.n_pairs.shape == (0,)
+
+class TestCheckUnitNorms:
+    def test_rejects_nan(self):
+        stack = np.stack([seeded_tensor(4, seed).mat for seed in range(3)])
+        stack[2] = np.nan
+        with pytest.raises(NotNormalizedError, match="nan"):
+            check_unit_norms(stack)
 
 
 class TestReconstruct:
@@ -338,6 +344,19 @@ class TestTextFormat:
         path = tmp_path / "bad.txt"
         path.write_text("4\n2 1 0.5 0.0\n")
         with pytest.raises(ValueError):
+            read_tensor_text(path)
+
+    @pytest.mark.parametrize("value", ["nan 0.0", "0.5 inf", "-inf -inf"])
+    def test_rejects_non_finite_values(self, tmp_path, value):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"4\n0 1 0.5 0.0\n2 3 {value}\n")
+        with pytest.raises(ValueError, match="line 3 has a non-finite value"):
+            read_tensor_text(path)
+
+    def test_rejects_repeated_entries(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("4\n# comment\n0 1 0.5 0.0\n2 3 0.5 0.0\n0 1 0.1 0.0\n")
+        with pytest.raises(ValueError, match=r"line 5 repeats entry \(0, 1\)"):
             read_tensor_text(path)
 
     def test_header_only_is_zero_tensor(self, tmp_path):

@@ -235,10 +235,11 @@ class TestIdentityOracles:
         overlap = np.array([[a.inner(b) for b in hops] for a in hops])
         # trace2[i, k] = 2 (N-1) <c_k psi, c_i psi> = 2 (N-1) overlap[k, i]
         assert np.max(np.abs(trace2 - 2 * (n - 1) * overlap.T)) < ORACLE_TOL
-        assert np.max(np.abs(one_body_matrix(g) - overlap)) < ORACLE_TOL
-        residual = partial_trace_residual(g, psi)
+        gamma1 = one_body_matrix(g)
+        assert np.max(np.abs(gamma1 - overlap)) < ORACLE_TOL
+        residual = partial_trace_residual(gamma1, psi)
         assert residual < ORACLE_TOL
-        diag = np.diagonal(one_body_matrix(g)).real
+        diag = np.diagonal(gamma1).real
         assert residual == max(abs(float(diag[i]) - fock.occupation(psi, i))
                                for i in range(d))
 
