@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .canonical import CanonicalForm, canonical_from_lambdas, plane_minima
+from .canonical import CanonicalForm, plane_minima
 from .fock import SectorSizeError, SectorVector, enumerate_sector
 from .pairing import (DENSE_CAP, PairOperator, admit_pair_blocks, apply_B,
                       apply_B_star, build_pairing_state, dense_b_matrix,
@@ -76,6 +76,12 @@ def _as_lambdas(phi) -> np.ndarray:
     if isinstance(phi, CanonicalForm):
         return np.asarray(phi.lambdas, dtype=np.float64)
     return np.asarray(phi, dtype=np.float64)
+
+
+def _check_descending(lams: np.ndarray) -> None:
+    """The coefficient order :class:`CanonicalForm` requires."""
+    if np.any(np.diff(lams) > 1e-12):
+        raise ValueError("coefficients must be non-negative and descending")
 
 
 def theorem1_rhs(N: int, sum_lambda4: float) -> float:
@@ -126,8 +132,17 @@ def verify_theorem2(phi, N: int, tol: float = BOUND_TOL) -> TheoremReport:
     """Check that the normalized M = N/2 pairing state built from phi's
     coefficients pushes <phi, G phi> above the correlational floor.
 
-    Preconditions (N even, N lam_max**2 <= 1, coefficient support >= N/2) are
-    reported as skipped, not failed: outside them the floor is not asserted.
+    With x = lam**2, Psi_M = (B*)^M |vacuum> and B = sum_k lam_k b_k,
+
+        <phi, G phi> = 2 ||B Psi_M||^2 / ||Psi_M||^2
+                     = 2 sum_{|T|=M-1} prod_T x (sum_{k not in T} x_k)^2 / e_M(x),
+
+    read off the log-form recurrence of :func:`pairing.pair_expectation`
+    in O(K M); no state is built.  ``details.norm_sq`` is
+    :func:`pairing.norm_sq_oracle`, (M!)^2 e_M(x), or None where that
+    exceeds the float range.  Preconditions (N even, N lam_max**2 <= 1,
+    coefficient support >= N/2) are reported as skipped, not failed:
+    outside them the floor is not asserted.
     """
     lams = _as_lambdas(phi)
     s4 = float(np.sum(lams ** 4))
@@ -144,17 +159,17 @@ def verify_theorem2(phi, N: int, tol: float = BOUND_TOL) -> TheoremReport:
         return skipped("coefficient list too short for N/2 pairs")
     if N * lmax_sq > 1.0 + 1e-12:
         return skipped(f"outside the admissible regime: N*lambda_max^2 = {N * lmax_sq!r} > 1")
-    op = PairOperator.from_lambdas(lams)
-    state = build_pairing_state(op, N // 2)
-    if state.degenerate:
+    lams = PairOperator(lams).lambdas  # finite, non-negative, sum lam**2 = 1
+    if np.count_nonzero(lams) < N // 2:
         return skipped("pairing state vanishes: support smaller than N/2")
-    phi_form = canonical_from_lambdas(lams)  # rejects non-canonical coefficients
-    observed = pair_expectation(phi_form.lambdas, state)
+    _check_descending(lams)
+    observed = pair_expectation(lams, lams, N // 2)
+    norm_sq = norm_sq_oracle(lams, N // 2)
     bound = theorem2_floor(N, s4, lmax_sq)
     margin = observed - bound
     return TheoremReport(kind="thm2", params=params, observed=observed,
                          bound=bound, margin=margin, passed=margin >= -tol,
-                         details={"norm_sq": state.norm_sq})
+                         details={"norm_sq": norm_sq if np.isfinite(norm_sq) else None})
 
 
 class GapResult(NamedTuple):
@@ -419,15 +434,19 @@ def counterexample_driver(lambda_profile, N: int,
                           tol: float = BOUND_TOL) -> TheoremReport:
     """Pairing-state overlap floor for a fixed coefficient profile.
 
-    Builds phi from the profile (K = len(profile) pairs) and the N-particle
-    uniform pairing state on the first N pairs, then certifies
+    Takes phi from the profile (K = len(profile) pairs) and the N-particle
+    uniform pairing state Psi_M, M = N/2, on the first N pairs, and
+    certifies
 
         <phi, G phi>  >=  (N/2 + 1) (sum_{k<=N} lam_k)^2 / N
                       >=  (1/2) (sum_{k<=N} lam_k)^2.
 
-    Growing this left side in N while the delocalization ceiling stays fixed
-    is what rules out an N-independent strong bound; the uniform ceiling
-    2 / sum lam^4 is reported for that comparison.
+    The left side is 2 ||B Psi_M||^2 / ||Psi_M||^2 with B from the profile,
+    read off the log-form recurrence of :func:`pairing.pair_expectation`
+    (state coefficients 1/sqrt(N) on the first N pairs) in O(N M); no state
+    is built.  Growing this left side in N while the delocalization ceiling
+    stays fixed is what rules out an N-independent strong bound; the
+    uniform ceiling 2 / sum lam^4 is reported for that comparison.
     """
     lams = np.asarray(lambda_profile, dtype=np.float64)
     K = len(lams)
@@ -435,11 +454,9 @@ def counterexample_driver(lambda_profile, N: int,
         raise ValueError("N must be a positive even integer")
     if K < N:
         raise ValueError(f"profile too short: need at least N={N} coefficients")
-    uniform = np.zeros(K)
-    uniform[:N] = 1.0 / np.sqrt(N)
-    phi_form = canonical_from_lambdas(lams)  # rejects non-canonical coefficients
-    state = build_pairing_state(PairOperator.from_lambdas(uniform), N // 2)
-    observed = pair_expectation(phi_form.lambdas, state)
+    lams = PairOperator(lams).lambdas  # finite, non-negative, sum lam**2 = 1
+    _check_descending(lams)
+    observed = pair_expectation(lams[:N], np.full(N, 1.0 / np.sqrt(N)), N // 2)
     head_sum = float(np.sum(lams[:N]))
     overlap_floor = (0.5 * N + 1.0) * head_sum ** 2 / N
     half_floor = 0.5 * head_sum ** 2

@@ -202,7 +202,8 @@ def canonical_from_lambdas(lambdas, d: int | None = None) -> CanonicalForm:
 def check_unit_norms(mats: np.ndarray) -> None:
     """Raise :class:`NotNormalizedError` unless every matrix of the stack
     (n, d, d) has Frobenius norm 1 within ``NORM_TOL``; a NaN norm fails."""
-    norms = np.linalg.norm(mats, axis=(1, 2))
+    # |a|**2, not np.linalg.norm: its complex product warns on an inf entry
+    norms = np.sqrt(np.sum(np.abs(mats) ** 2, axis=(1, 2)))
     ok = np.abs(norms - 1.0) <= NORM_TOL  # false for NaN
     if not np.all(ok):
         k = int(np.argmin(ok))

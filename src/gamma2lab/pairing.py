@@ -7,18 +7,28 @@ coefficients lam_k with sum lam_k**2 = 1, the pair annihilator is
 
 and the M-pair trial states are Psi_M = (B*)^M |vacuum>.  The pair creators
 b*_k = c*_{2k} c*_{2k+1} commute and square to zero, which pins down the
-norms exactly:
+states exactly: Psi_M = M! sum_{|S|=M} prod_{k in S} lam_k |S>>, so
 
     ||Psi_M||^2 = (M!)^2 e_M(lam_1^2, ..., lam_K^2),
 
-with e_M the elementary symmetric polynomial.  That identity is computed by
-an independent recurrence here and cross-checked against the Fock-space
-construction before the test suite trusts it as an oracle.
+with e_M the elementary symmetric polynomial.  For a second coefficient
+list mu, B_mu |S>> = sum_{k in S} mu_k |S minus k>>, and with x = lam**2
+
+    2 ||B_mu Psi_M||^2 / ||Psi_M||^2
+        = 2 sum_{|T|=M-1} prod_{k in T} x_k (sum_{k not in T} lam_k mu_k)^2 / e_M(x),
+
+the one number the trial-state checks read.  :func:`pair_expectation` and
+:func:`norm_sq_oracle` evaluate both identities from one scan over the
+pairs that carries e_j and two companion sums, j <= M, in log form
+(:func:`_log_pair_sums`): O(K M) time, O(M) memory, no state built.  The
+norm is cross-checked against the Fock-space construction before the test
+suite trusts it as an oracle.
 
 In this layout the Jordan-Wigner signs of c_{2k+1} and c_{2k} cancel, so
 b_k and b*_k act without signs on occupation masks.  States Psi_M live in
-the seniority-zero subspace (every pair jointly occupied or empty), so they
-are built on the K-bit pair-occupation basis of dimension binomial(K, M);
+the seniority-zero subspace (every pair jointly occupied or empty), so where
+one is needed (the norm recursion, the kernel residual, the identities) it
+is built on the K-bit pair-occupation basis of dimension binomial(K, M);
 the embedding |S>> = prod_{k in S} b*_k |vacuum> into the full sector,
 built only on demand, spreads pair bit k onto orbital bits 2k and 2k + 1
 with sign +1.
@@ -39,7 +49,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, islice
-from math import comb, factorial
+from math import comb, lgamma
 from pathlib import Path
 from typing import NamedTuple
 
@@ -225,25 +235,6 @@ def build_pairing_state(op: PairOperator, M: int) -> PairingState:
     return state
 
 
-def pair_expectation(lambdas, state: PairingState) -> float:
-    """<phi, G phi> = 2 ||B Psi||^2 / ||Psi||^2 without leaving the pair basis.
-
-    phi is the canonical form with coefficients ``lambdas`` on the state's
-    pairs (u_k, v_k the up and down members), so B = sum_k lam_k b_k acts on
-    the pair amplitudes without signs.
-    """
-    lams = np.asarray(lambdas, dtype=np.float64)
-    if lams.shape != (state.n_pairs,):
-        raise SectorMismatchError("need one coefficient per pair of the state")
-    if state.degenerate:
-        raise ValueError("cannot normalize the zero vector")
-    if state.M == 0:
-        return 0.0
-    out = _pair_scatter(lams, state.pair_amplitudes, state.n_pairs, state.M, 1,
-                        create=False)
-    return 2.0 * float(np.sum(out ** 2)) / state.norm_sq
-
-
 @lru_cache(maxsize=32)
 def _block_pattern(K: int, M: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(rows, cols, pair) of every nonzero of the sign-free B, M -> M-1 pairs."""
@@ -339,33 +330,77 @@ def pair_blocks(lambdas, N: int) -> Iterator[PairBlocks]:
             yield PairBlocks(s, pair_b_blocks(coeffs, M), pair_number)
 
 
-def elementary_symmetric(values, order: int) -> float:
-    """e_order of the given values via the stable ascending recurrence."""
-    values = np.asarray(values, dtype=np.float64)
-    if order < 0:
-        raise ValueError("order must be non-negative")
-    if order > len(values):
-        return 0.0
-    partial = np.zeros(order + 1, dtype=np.float64)
-    partial[0] = 1.0
-    for x in values:
-        upper = min(order, len(partial) - 1)
-        for j in range(upper, 0, -1):
-            partial[j] += x * partial[j - 1]
-    return float(partial[order])
+def _log_pair_sums(x: np.ndarray, c: np.ndarray, M: int) -> np.ndarray:
+    """Logarithms of E_j, R1_j, R2_j for j = 0 .. M, shape (3, M + 1), where
+
+        R^p_j = sum_{|T|=j} prod_{k in T} x_k (sum_{k not in T} c_k)**p
+
+    (E = R^0, R1 = R^1, R2 = R^2).  One scan over the pairs with x_k > 0
+    (the others add nothing): pair k either joins T, which multiplies the
+    weight by x_k, or adds c_k to the sum r outside T, which expands
+    (r + c)**p binomially.  With the old values on every right-hand side,
+
+        E_j  += x E_{j-1}
+        R1_j += c E_j + x R1_{j-1}
+        R2_j += 2c R1_j + c**2 E_j + x R2_{j-1}.
+
+    For c >= 0 every term is non-negative, so nothing cancels, and all three
+    are carried as logarithms: e_M underflows a float long before K = 1000,
+    and one step's entries can span more than the float range, so no common
+    rescaling keeps them linear.
+    """
+    with np.errstate(divide="ignore"):  # log 0 = -inf, an empty sum
+        log_x, log_c = np.log(x[x > 0]), np.log(c[x > 0])
+    sums = np.full((3, M + 2), -np.inf)  # column 0 holds j = -1, always empty
+    sums[0, 1] = 0.0
+    for a, b in zip(log_x, log_c):
+        binomial = np.array([[0.0, -np.inf, -np.inf], [b, 0.0, -np.inf],
+                             [2.0 * b, np.log(2.0) + b, 0.0]])
+        stepped = np.logaddexp.reduce(binomial[:, :, None] + sums[:, 1:], axis=1)
+        sums[:, 1:] = np.logaddexp(stepped, a + sums[:, :-1])
+    return sums[:, 1:]
+
+
+def pair_expectation(lambdas, state_lambdas, M: int) -> float:
+    """2 ||B Psi_M||^2 / ||Psi_M||^2 in O(K M), with no state built.
+
+    B = sum_k mu_k b_k has the coefficients ``lambdas`` and
+    Psi_M = (sum_k lam_k b*_k)^M |vacuum> those of ``state_lambdas``; both
+    are per pair, and every c_k = lam_k mu_k must be non-negative.  Since
+    Psi_M = M! sum_{|S|=M} prod_{k in S} lam_k |S>> and
+    B |S>> = sum_{k in S} mu_k |S minus k>>, with x = lam**2,
+
+        2 ||B Psi_M||^2 / ||Psi_M||^2
+            = 2 sum_{|T|=M-1} prod_T x (sum_{k not in T} c_k)^2 / e_M(x),
+
+    both sums read off :func:`_log_pair_sums`.  For phi with coefficients
+    ``lambdas`` on the state's pairs this is <phi, G_Psi phi>.
+    """
+    mu = np.asarray(lambdas, dtype=np.float64)
+    lam = np.asarray(state_lambdas, dtype=np.float64)
+    if mu.ndim != 1 or mu.shape != lam.shape:
+        raise SectorMismatchError("need one coefficient per pair of the state")
+    if np.any(lam * mu < 0):
+        raise ValueError("pair coefficient products must be non-negative")
+    log_e, _, log_r2 = _log_pair_sums(lam ** 2, lam * mu, M)
+    if log_e[M] == -np.inf:
+        raise ValueError("cannot normalize the zero vector")
+    return 2.0 * float(np.exp(log_r2[M - 1] - log_e[M])) if M else 0.0
 
 
 def norm_sq_oracle(lambdas, M: int) -> float:
     """Exact ||Psi_M||^2 = (M!)^2 e_M(lam**2), independent of the Fock build.
 
-    Returns 0 when M exceeds the number of nonzero coefficients.
+    e_M comes from the log-form recurrence of :func:`_log_pair_sums`.
+    Returns 0 when M exceeds the number of nonzero coefficients, and inf
+    when the norm exceeds the float range.
     """
     lams = np.asarray(lambdas, dtype=np.float64)
     if M < 0:
         raise ValueError("M must be non-negative")
-    if M > len(lams):
-        return 0.0
-    return factorial(M) ** 2 * elementary_symmetric(lams ** 2, M)
+    log_e = _log_pair_sums(lams ** 2, np.zeros_like(lams), M)[0, M]
+    with np.errstate(over="ignore"):
+        return float(np.exp(2.0 * lgamma(M + 1) + log_e))
 
 
 class IdentityResiduals(NamedTuple):

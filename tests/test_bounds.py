@@ -166,6 +166,17 @@ class TestVerifyTheorem2:
         report = verify_theorem2(lams, 6)
         assert report.passed is None
 
+    def test_refuses_ascending_profile(self):
+        with pytest.raises(ValueError, match="descending"):
+            verify_theorem2(np.sqrt([0.2, 0.3, 0.5]), 2)
+
+    def test_norm_beyond_float_range_is_null(self):
+        # (M!)^2 e_M = 2.5e348 for uniform:400 at N = 400; the floor holds
+        report = verify_theorem2(uniform(400), 400)
+        assert report.passed and report.details["norm_sq"] is None
+        assert abs(report.observed - 2.0 * 200 * 201 / 400) < 1e-10
+        assert verify_theorem2(uniform(22), 22).details["norm_sq"] > 0
+
 
 class TestPropositionGap:
     def test_uniform_optimality(self):
@@ -397,6 +408,27 @@ class TestCounterexample:
     def test_profile_too_short(self):
         with pytest.raises(ValueError):
             counterexample_driver(np.array([1.0]), 4)
+
+    @pytest.mark.parametrize("lams, N", [
+        *[(parse_lambda_spec(spec).values, n) for spec, n in (
+            ("power:0.5:2", 2), ("power:0.5:10", 10), ("power:0.5:100", 100),
+            ("power:0.5:1000", 1000), ("power:1:50", 20), ("geometric:0.9:40", 12))],
+        (np.array([0.8, 0.6, 0.0, 0.0]), 4)])
+    def test_matches_uniform_state_formula(self, lams, N):
+        # For the uniform state on the first N pairs the identity sums in
+        # closed form, with L and q the sum and the sum of squares of the head:
+        # 2 [(M/N) q + M(N-M)/(N(N-1)) (L^2 - q)]
+        M, L, q = N // 2, np.sum(lams[:N]), np.sum(lams[:N] ** 2)
+        expected = 2 * (M / N * q + M * (N - M) / (N * (N - 1)) * (L ** 2 - q))
+        report = counterexample_driver(lams, N)
+        assert abs(report.observed - expected) <= 1e-11 * expected
+        assert report.passed
+
+    def test_refuses_non_canonical_profiles(self):
+        with pytest.raises(ValueError, match="descending"):
+            counterexample_driver(np.array([0.6, 0.8]), 2)
+        with pytest.raises(ValueError, match="sum lam"):
+            counterexample_driver(np.array([1.0, 1.0]), 2)
 
     def test_sweep_growth(self):
         profiles = [(n, parse_lambda_spec(f"power:1:{n}").values)

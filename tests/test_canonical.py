@@ -267,6 +267,13 @@ class TestCheckUnitNorms:
         with pytest.raises(NotNormalizedError, match="nan"):
             check_unit_norms(stack)
 
+    @pytest.mark.parametrize("value", [np.inf + 0j, complex(-np.inf, np.inf)])
+    def test_rejects_infinite_entries(self, value):
+        # the suite turns RuntimeWarning into an error, so a norm that warns
+        # on inf would fail here before the check could refuse the stack
+        with pytest.raises(NotNormalizedError, match="inf"):
+            check_unit_norms(np.full((1, 4, 4), value))
+
 
 class TestReconstruct:
     def test_single_pair_matrix(self):

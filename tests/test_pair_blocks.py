@@ -16,11 +16,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gamma2lab.bounds as bounds
+import gamma2lab.fock as fock
 import gamma2lab.pairing as pairing
 from gamma2lab.bounds import (block_sups, counterexample_driver,
                               explore_conjecture, proposition_gap,
                               sup_over_states, verify_theorem2)
 from gamma2lab.canonical import canonical_from_lambdas
+from gamma2lab.cli import parse_lambda_spec
 from gamma2lab.fock import SectorSizeError, enumerate_sector
 from gamma2lab.pairing import (PairOperator, build_pairing_state,
                                dense_b_matrix, pair_b_blocks, pair_blocks,
@@ -94,7 +97,7 @@ class TestOracles:
             if state.degenerate:
                 continue
             oracle = embedded_expectation(lams, state)
-            assert abs(pair_expectation(lams, state) - oracle) <= ORACLE_TOL
+            assert abs(pair_expectation(lams, lams, N // 2) - oracle) <= ORACLE_TOL
             report = verify_theorem2(lams, N)
             if report.observed is not None:
                 assert abs(report.observed - oracle) <= ORACLE_TOL
@@ -205,7 +208,20 @@ class TestAdmission:
         assert len(state.pair_amplitudes) == 3432
         with pytest.raises(SectorSizeError):
             state.vector
-        assert abs(pair_expectation(op.lambdas, state) - 8.0) < 1e-12  # N/2 + 1
+        assert abs(pair_expectation(op.lambdas, op.lambdas, 7) - 8.0) < 1e-12  # N/2 + 1
+
+    def test_trial_state_checks_build_nothing(self, no_enumeration, monkeypatch):
+        # thm2 and counterexample read their number off the pairing-state
+        # identity, so pair bases of C(26, 13) ~ 1.0e7 and C(30, 15) ~ 1.6e8
+        # states, far above the cap, are never needed
+        def refuse(*args):
+            raise AssertionError("pairing state built")
+        for module in (pairing, bounds):
+            monkeypatch.setattr(module, "build_pairing_state", refuse)
+            monkeypatch.setattr(module, "pairing_states", refuse)
+        monkeypatch.setattr(fock, "occupation_masks", refuse)
+        assert verify_theorem2(np.full(26, 1 / np.sqrt(26)), 26).passed
+        assert counterexample_driver(parse_lambda_spec("power:1:30").values, 30).passed
 
 
 def test_cli_import_defers_sparse_linalg():

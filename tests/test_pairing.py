@@ -2,19 +2,21 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gamma2lab.fock import (SectorSizeError, apply_annihilate, apply_create,
-                            enumerate_sector, vacuum_state)
+from gamma2lab.fock import (SectorMismatchError, SectorSizeError,
+                            apply_annihilate, apply_create, enumerate_sector,
+                            vacuum_state)
 from gamma2lab.pairing import (PairOperator, annihilation_identity_check,
                                apply_B, apply_B_star, build_pairing_state,
                                commutator_defect, dense_b_matrix,
-                               elementary_symmetric, norm_sq_oracle,
-                               pair_b_blocks, pair_number_diagonal,
+                               norm_sq_oracle, pair_b_blocks,
+                               pair_expectation, pair_number_diagonal,
                                write_state_text)
 
 from test_fock import dense_annihilator, random_vector
@@ -35,6 +37,26 @@ def make_op(raw):
 
 def brute_esp(values, order):
     return math.fsum(math.prod(c) for c in itertools.combinations(values, order))
+
+
+def exact_pair_sums(mu, lam):
+    """E_j = e_j(x) and R2_j = sum_{|T|=j} prod_T x (sum_{k not in T} c_k)^2
+    for every j <= K, in exact rationals, with x = lam^2 and c = lam mu.
+
+    The recurrence of ``pairing._log_pair_sums`` run linearly on Fractions:
+    j descends so that each step reads the previous pair's j - 1 entries.
+    """
+    K = len(lam)
+    E = [Fraction(1)] + [Fraction(0)] * K
+    R1 = [Fraction(0)] * (K + 1)
+    R2 = [Fraction(0)] * (K + 1)
+    for lk, mk in zip(lam, mu):
+        x, c = Fraction(lk) ** 2, Fraction(lk) * Fraction(mk)
+        for j in range(K, -1, -1):
+            R2[j] += 2 * c * R1[j] + c * c * E[j] + (x * R2[j - 1] if j else 0)
+            R1[j] += c * E[j] + (x * R1[j - 1] if j else 0)
+            E[j] += x * E[j - 1] if j else 0
+    return E, R2
 
 
 def pairing_state_by_fock_ops(op, m):
@@ -234,10 +256,58 @@ class TestNormOracle:
            st.integers(0, 6))
     @settings(max_examples=40, deadline=None)
     def test_esp_recurrence_vs_bruteforce(self, raw, order):
+        # (M!)^2 e_M(x) summed over every M-subset, with lam = sqrt(x)
         vals = np.asarray(raw)
-        assert abs(elementary_symmetric(vals, order)
-                   - brute_esp(list(vals), order)) < 1e-10 * max(
-                       1.0, brute_esp(list(vals), order))
+        brute = math.factorial(order) ** 2 * brute_esp(list(vals), order)
+        assert abs(norm_sq_oracle(np.sqrt(vals), order) - brute) < 1e-10 * max(
+            1.0, brute)
+
+    def test_overflow_is_inf(self):
+        # (M!)^2 e_M for uniform:400 at M = 200 is about 2.5e348
+        assert norm_sq_oracle(np.full(400, 0.05), 200) == np.inf
+
+
+# Up to 60 pairs; zero coefficients make some states vanish.
+coefficients = st.one_of(st.just(0.0), st.floats(0.05, 2.0))
+
+
+class TestPairExpectation:
+    @given(st.data(), st.integers(1, 60), st.sampled_from(["thm2", "head", "free"]))
+    @settings(max_examples=15, deadline=None)
+    def test_matches_exact_recurrence(self, data, K, shape):
+        mu = data.draw(st.lists(coefficients, min_size=K, max_size=K))
+        if shape == "thm2":  # the state from the operator's own coefficients
+            lam = mu
+        elif shape == "head":  # the counterexample: uniform on the first N
+            N = data.draw(st.integers(1, K))
+            lam = [1.0 / math.sqrt(N)] * N + [0.0] * (K - N)
+        else:
+            lam = data.draw(st.lists(coefficients, min_size=K, max_size=K))
+        E, R2 = exact_pair_sums(mu, lam)
+        for M in range(1, K + 1):
+            if E[M] == 0:
+                with pytest.raises(ValueError, match="zero vector"):
+                    pair_expectation(mu, lam, M)
+                continue
+            exact = 2 * R2[M - 1] / E[M]
+            got = pair_expectation(mu, lam, M)
+            assert abs(Fraction(got) - exact) <= 1e-12 * exact
+
+    @pytest.mark.parametrize("K", [100, 1000])
+    def test_uniform_identity(self, K):
+        # Psi_M on K uniform pairs: 2 ||B Psi||^2 / ||Psi||^2 = 2M(K-M+1)/K,
+        # far below where e_M(x) = C(K, M) / K^M underflows a float
+        lams = np.full(K, 1.0 / np.sqrt(K))
+        for M in (1, 2, K // 3, K // 2, K - 1, K):
+            expected = 2.0 * M * (K - M + 1) / K
+            assert abs(pair_expectation(lams, lams, M) - expected) <= 2e-11 * expected
+
+    def test_vacuum_and_shape(self):
+        assert pair_expectation(UNIFORM4, UNIFORM4, 0) == 0.0
+        with pytest.raises(SectorMismatchError):
+            pair_expectation(UNIFORM4, np.full(3, 1.0), 1)
+        with pytest.raises(ValueError, match="non-negative"):
+            pair_expectation(-UNIFORM4, UNIFORM4, 1)
 
 
 class TestAnnihilationIdentities:
