@@ -38,7 +38,7 @@ from .fock import SectorSizeError, SectorVector, enumerate_sector
 from .pairing import (DENSE_CAP, PairOperator, admit_pair_blocks, apply_B,
                       apply_B_star, build_pairing_state, dense_b_matrix,
                       norm_sq_oracle, pair_blocks, pair_expectation,
-                      pairing_states)
+                      pair_grams, pairing_states)
 from .rdm import SpectralData, correlation_invariants
 
 BOUND_TOL = 1e-8
@@ -191,18 +191,25 @@ def proposition_gap(op: PairOperator, N: int) -> GapResult:
 
     D = N/2 - (N-2)/4 sum lam^2 (n_up + n_down) - B*B is block diagonal over
     the pair blocks of the (d, N) sector (see :func:`pairing.pair_blocks`), so
-    its smallest eigenvalue is the minimum over one batched dense solve per
-    seniority; the full sector is never built.  D is positive semidefinite,
-    and the M = N/2 pairing state spans (part of) its kernel whenever that
-    state is nonzero; the returned kernel residual is ||D Psi|| / ||Psi||,
+    its smallest eigenvalue is the minimum over batched dense solves, one
+    per batch of blocks; the full sector is never built.  Each block of D is
+    written in place over the Gram G = B*B of :func:`pairing.pair_grams`: the
+    pair numbers are broken + 2 diag G, so the diagonal of D is
+    N/2 (1 - diag G) - (N-2)/4 broken and its off-diagonal -G.  D is positive
+    semidefinite, and the M = N/2 pairing state spans (part of) its kernel
+    whenever that state is nonzero; the returned kernel residual is
+    ||D Psi|| / ||Psi||, with Psi from :func:`pairing.build_pairing_state`,
     taken on the seniority-zero block (NaN for a vanishing state).
     """
     admit_proposition(op, N)
     min_eig = np.inf
     for blocks in pair_blocks(op.lambdas, N):
-        gap = -np.matmul(blocks.b.transpose(0, 2, 1), blocks.b)
+        gap = pair_grams(blocks.coeffs, (N - blocks.seniority) // 2)
         diag = np.arange(gap.shape[-1])
-        gap[:, diag, diag] += 0.5 * N - 0.25 * (N - 2) * blocks.pair_number
+        gram_diag = gap[:, diag, diag]
+        np.negative(gap, out=gap)
+        gap[:, diag, diag] = (0.5 * N * (1.0 - gram_diag)
+                              - 0.25 * (N - 2) * blocks.broken[:, None])
         min_eig = min(min_eig, float(np.linalg.eigvalsh(gap).min()))
         if blocks.seniority == 0:
             state = build_pairing_state(op, N // 2)
@@ -356,27 +363,23 @@ def sup_over_states(phi, N: int, method: str = "dense") -> float:
     raise ValueError(f"unknown method {method!r}")
 
 
-def _top_sup(b: np.ndarray) -> float:
-    """Twice the largest eigenvalue of B*B over a batch of blocks of B."""
-    if b.shape[1] == 0:
-        return 0.0
-    bt = b.transpose(0, 2, 1)
-    gram = np.matmul(b, bt) if b.shape[1] < b.shape[2] else np.matmul(bt, b)
-    return 2.0 * float(np.linalg.eigvalsh(gram).max())
-
-
 def block_sups(phi, N: int) -> dict[int, float]:
     """Twice the largest eigenvalue of B*B in the pair blocks of each seniority.
 
     Keys are the numbers s of broken pairs present in the (d, N) sector; the
     largest value is sup <phi, G phi> over the whole sector, the one at s = 0
-    the seniority-zero supremum.
+    the seniority-zero supremum.  A block of M of K' pairs is solved as
+    ``pairing.pair_grams`` on max(M, K' + 1 - M) pairs, the smaller basis:
+    both sides share their largest eigenvalue (see :mod:`pairing`).  With
+    M = 0 the block is the vacuum, where B*B is the 1 x 1 zero.
     """
     op = PairOperator.from_lambdas(_as_lambdas(phi))
     sups: dict[int, float] = {}
     for blocks in pair_blocks(op.lambdas, N):
-        s = blocks.seniority
-        sups[s] = max(sups.get(s, 0.0), _top_sup(blocks.b))
+        s, K = blocks.seniority, blocks.coeffs.shape[1]
+        M = (N - s) // 2
+        grams = pair_grams(blocks.coeffs, max(M, K + 1 - M) if M else 0)
+        sups[s] = max(sups.get(s, 0.0), 2.0 * float(np.linalg.eigvalsh(grams).max()))
     return sups
 
 

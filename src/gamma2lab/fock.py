@@ -19,8 +19,10 @@ cleared.  Creation scatters along the same table in the other direction.
 The mask is ``1 << i`` for the fermion operators, which attach the
 Jordan-Wigner sign to each entry, ``3 << 2k`` for pair k on a full sector,
 and ``1 << k`` for pair k on the pair-occupation bases of
-:mod:`gamma2lab.pairing`.  Only the signed tables are cached, per
-(d, n, orbital) in a bounded LRU cache; pair tables are rebuilt on each use.
+:mod:`gamma2lab.pairing`.  Only the signed tables are cached here, per
+(d, n, orbital) in a bounded LRU cache; pair hop tables are rebuilt on each
+use, and the table of pair moves that :mod:`gamma2lab.pairing` builds its
+pair blocks from is cached there.
 
 All operations are pure functions; vectors are never mutated in place.
 """
@@ -306,12 +308,3 @@ def number_expectation(vec: SectorVector) -> float:
         raise ValueError("zero vector has no number expectation")
     return float(vec.basis.N)
 
-
-def operator_matrix(op, src: SectorBasis, tgt: SectorBasis) -> np.ndarray:
-    """Dense matrix of a sector-vector map, built column by column."""
-    mat = np.zeros((tgt.dim, src.dim), dtype=np.complex128)
-    for j in range(src.dim):
-        e = np.zeros(src.dim, dtype=np.complex128)
-        e[j] = 1.0
-        mat[:, j] = op(SectorVector(src, e)).amplitudes
-    return mat

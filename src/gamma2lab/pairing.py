@@ -38,9 +38,16 @@ fixed the set of broken pairs (exactly one member occupied) and the spins on
 them, so on the (2K, N) sector they split into pair blocks: with s broken
 pairs, B acts as the sign-free seniority-zero B of the other K - s pairs
 (coefficients not renormalized) on (N - s)/2 pairs.  :func:`pair_blocks`
-enumerates one spin copy of each block; the smallest eigenvalue of the gap
-operator and the largest of B*B are a min or max over them, so no pairing
-computation needs the full sector.
+enumerates one spin copy of each block as its kept coefficients; the
+smallest eigenvalue of the gap operator and the largest of B*B are a min or
+max over them, so no pairing computation needs the full sector.  No block
+builds B: :func:`pair_grams` writes B*B on M pairs from its defining formula,
+the diagonal sum_{k in S} c_k^2 plus c_k c_l at every move of a pair k to
+an empty pair l, read off one cached move table (:func:`_pair_moves`).  By
+particle-hole symmetry B*B on M of K' pairs has the same largest eigenvalue
+as B*B on K' + 1 - M pairs: the latter is B B* on M - 1 pairs read on the
+complements, and B B* shares the nonzero spectrum of B*B.  The top
+eigenvalue is taken on whichever side has the smaller basis.
 """
 
 from __future__ import annotations
@@ -57,7 +64,7 @@ import numpy as np
 
 from .fock import (DEFAULT_MAX_SECTOR, SectorMismatchError, SectorSizeError,
                    SectorVector, _hops, apply_annihilate, apply_create,
-                   enumerate_sector, occupation_masks, operator_matrix)
+                   enumerate_sector, occupation_masks)
 
 NORM_TOL = 1e-10
 DENSE_CAP = 5000          # rows or columns of a dense block, in basis states
@@ -236,47 +243,57 @@ def build_pairing_state(op: PairOperator, M: int) -> PairingState:
 
 
 @lru_cache(maxsize=32)
-def _block_pattern(K: int, M: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rows, cols, pair) of every nonzero of the sign-free B, M -> M-1 pairs."""
-    hops = [_hops(K, M, 1 << k) for k in range(K)]
-    rows = np.concatenate([r for r, _ in hops])
-    cols = np.concatenate([c for _, c in hops])
-    pairs = np.concatenate([np.full(len(c), k) for k, (_, c) in enumerate(hops)])
-    return rows, cols, pairs
+def _pair_moves(K: int, M: int) -> tuple[np.ndarray, ...]:
+    """(rows, cols, k, l) of every move of an occupied pair k to an empty
+    pair l on ``occupation_masks(K, M)``: ``cols`` is the position of a mask
+    holding k and not l, ``rows`` that of the same mask with k moved to l.
+    All four are read-only."""
+    masks = occupation_masks(K, M)
+    occ = (masks[:, None] >> np.arange(K)) & 1
+    cols, k, l = np.nonzero(occ[:, :, None] > occ[:, None, :])
+    rows = np.searchsorted(masks, masks[cols] ^ (1 << k) ^ (1 << l))
+    for table in (rows, cols, k, l):
+        table.setflags(write=False)
+    return rows, cols, k, l
 
 
-def pair_b_blocks(coeffs, M: int) -> np.ndarray:
-    """Sign-free B from M to M-1 pairs on a batch of pair blocks.
+def pair_grams(coeffs, M: int) -> np.ndarray:
+    """B*B of the sign-free B, M -> M-1 pairs, on a batch of pair blocks.
 
     ``coeffs`` has shape (n_blocks, K') and need not be normalized; block b
-    represents sum_k coeffs[b, k] b_k on the basis ``occupation_masks(K', M)``.
-    Returns shape (n_blocks, C(K', M-1), C(K', M)), with no rows for M = 0.
-    All blocks share one sparsity pattern, so the batch is one gather.
-    Blocks with more than ``DENSE_CAP`` rows or columns are refused before
-    allocation.
+    represents B = sum_k coeffs[b, k] b_k on the basis
+    ``occupation_masks(K', M)``.  Since b*_l b_k moves pair k to l, B*B has
+    the diagonal sum_{k in S} c_k^2 on a mask S and the entry c_k c_l
+    between S and S with k moved to l (:func:`_pair_moves`), and no other
+    nonzero.  Returns shape (n_blocks, C(K', M), C(K', M)).  A B with more
+    than ``DENSE_CAP`` rows or columns is refused before allocation.
     """
     coeffs = np.asarray(coeffs, dtype=np.float64)
     n, K = coeffs.shape
     _admit_block(K, M)
-    out = np.zeros((n, comb(K, M - 1) if M else 0, comb(K, M)), dtype=np.float64)
-    if M:
-        rows, cols, pairs = _block_pattern(K, M)
-        out[:, rows, cols] = coeffs[:, pairs]
-    return out
+    masks = occupation_masks(K, M)
+    occupied = ((masks[:, None] >> np.arange(K)) & 1).astype(np.float64)
+    grams = np.zeros((n, len(masks), len(masks)))
+    rows, cols, k, l = _pair_moves(K, M)
+    grams[:, rows, cols] = coeffs[:, k] * coeffs[:, l]
+    diag = np.arange(len(masks))
+    grams[:, diag, diag] = coeffs ** 2 @ occupied.T
+    return grams
 
 
 class PairBlocks(NamedTuple):
     """A batch of pair blocks with the same number s of broken pairs.
 
-    ``b`` is the sign-free B of each block, shape (n, C(K-s, M-1), C(K-s, M))
-    with M = (N-s)/2; ``pair_number`` is the diagonal of
-    sum_k lam_k^2 (n_up + n_down) on each block, shape (n, C(K-s, M)); it
-    includes the constant sum_{k broken} lam_k^2.
+    ``coeffs`` holds the coefficients of the kept pairs of each block, shape
+    (n, K - s); the block's B*B is ``pair_grams(coeffs, (N - s) // 2)``.
+    ``broken`` holds sum_{k broken} lam_k^2 of each block, shape (n,), so the
+    diagonal of sum_k lam_k^2 (n_up + n_down) on a block is
+    broken + 2 diag(B*B).
     """
 
     seniority: int
-    b: np.ndarray
-    pair_number: np.ndarray
+    coeffs: np.ndarray
+    broken: np.ndarray
 
 
 def admit_pair_blocks(K: int, N: int) -> range:
@@ -306,28 +323,24 @@ def pair_blocks(lambdas, N: int) -> Iterator[PairBlocks]:
     A block is fixed by its set S of s broken pairs (s = N mod 2, ..., up to
     min(N, 2K - N)); its 2**s spin copies are identical and yielded once.
     Seniorities come in ascending order, so the seniority-zero block (even N)
-    comes first, alone.  :func:`admit_pair_blocks` runs before anything is
-    built.
+    comes first, alone.  A batch holds at most ``BATCH_ENTRIES // 2`` entries
+    of the blocks' B*B, or one block, which leaves the other half for the
+    solver's copy.  :func:`admit_pair_blocks` runs before the first batch.
     """
     lams = np.asarray(lambdas, dtype=np.float64)
     K = len(lams)
     seniorities = admit_pair_blocks(K, N)
     lam2 = lams ** 2
     for s in seniorities:
-        M = (N - s) // 2
-        masks = occupation_masks(K - s, M)
-        occupied = ((masks[:, None] >> np.arange(K - s)) & 1).astype(np.float64)
-        rows = comb(K - s, M - 1) if M else 0
-        per_batch = max(1, BATCH_ENTRIES // (len(masks) * (rows + len(masks))))
+        entries = comb(K - s, (N - s) // 2) ** 2  # of one block's B*B
+        per_batch = max(1, BATCH_ENTRIES // (2 * entries))
         subsets = combinations(range(K), s)
         while chunk := list(islice(subsets, per_batch)):
             broken = np.array(chunk, dtype=np.intp).reshape(len(chunk), s)
             kept = np.ones((len(chunk), K), dtype=bool)
             kept[np.arange(len(chunk))[:, None], broken] = False
             coeffs = np.broadcast_to(lams, kept.shape)[kept].reshape(len(chunk), K - s)
-            pair_number = (lam2[broken].sum(axis=1)[:, None]
-                           + 2.0 * (coeffs ** 2) @ occupied.T)
-            yield PairBlocks(s, pair_b_blocks(coeffs, M), pair_number)
+            yield PairBlocks(s, coeffs, lam2[broken].sum(axis=1))
 
 
 def _log_pair_sums(x: np.ndarray, c: np.ndarray, M: int) -> np.ndarray:
@@ -441,28 +454,23 @@ def annihilation_identity_check(op: PairOperator, M: int, k: int,
     return IdentityResiduals(annihilation=float(res1), rearranged=float(res2))
 
 
-def _apply_commutator(op: PairOperator, w: SectorVector) -> SectorVector:
-    """[B, B*] w; a term whose intermediate sector does not exist is zero."""
-    N, d = w.basis.N, op.d
-    first = apply_B(op, apply_B_star(op, w)) if N + 2 <= d else None
-    second = apply_B_star(op, apply_B(op, w)) if N >= 2 else None
-    if first is None:
-        return -1.0 * second
-    if second is None:
-        return first
-    return first - second
-
-
 def commutator_defect(op: PairOperator, N: int) -> float:
     """Max deviation of [B, B*] from 1 - sum_k lam_k**2 (n_up + n_down).
 
-    Both sides are built as dense matrices on the (d, N) sector; intended for
+    Both sides are dense matrices on the (d, N) sector, with
+    [B, B*] = B_{N+2} B_{N+2}^T - B_N^T B_N for B_n = ``dense_b_matrix(op, n)``;
+    a term whose intermediate sector does not exist is zero.  Intended for
     d <= 8 where this is cheap.
     """
     sec = enumerate_sector(op.d, N)
-    commutator = operator_matrix(lambda w: _apply_commutator(op, w), sec, sec)
-    expected = np.diag(1.0 - pair_number_diagonal(op, sec)).astype(np.complex128)
-    return float(np.max(np.abs(commutator - expected)))
+    defect = np.diag(pair_number_diagonal(op, sec) - 1.0)
+    if N + 2 <= op.d:
+        up = dense_b_matrix(op, N + 2)
+        defect += up @ up.T
+    if N >= 2:
+        down = dense_b_matrix(op, N)
+        defect -= down.T @ down
+    return float(np.max(np.abs(defect)))
 
 
 def write_state_text(path, state: SectorVector) -> None:

@@ -41,7 +41,7 @@ from math import comb
 import numpy as np
 
 from .canonical import (AntisymmetricTensor, CanonicalForm, check_unit_norms,
-                        wedge_matrices, wedge_pairs)
+                        reconstruct, wedge_matrices)
 from .fock import (DEFAULT_MAX_GAMMA2_BYTES, SectorMismatchError,
                    SectorSizeError, SectorVector, _fermion_hops,
                    admit_sector, apply_annihilate, apply_annihilate_vector,
@@ -71,8 +71,7 @@ class SpectralData:
     ``matrices`` holds the coefficient matrices of all of them, shape
     (P, d, d), scattered in one call on first access; the eigenpair checks
     read that stack.  ``one_body`` is the one-body matrix of the operator,
-    taken once on first access.  ``eigenvectors`` wraps its matrices as
-    tensors.
+    taken once on first access.
     """
 
     eigenvalues: np.ndarray
@@ -86,10 +85,6 @@ class SpectralData:
     @cached_property
     def one_body(self) -> np.ndarray:
         return one_body_matrix(self.operator)
-
-    @cached_property
-    def eigenvectors(self) -> list[AntisymmetricTensor]:
-        return [AntisymmetricTensor(self.operator.d, a) for a in self.matrices]
 
 
 def gamma2_bytes(d: int, N: int) -> int:
@@ -308,40 +303,31 @@ def expectation(phi: AntisymmetricTensor, g: TwoBodyOperator) -> float:
 
 
 def apply_pair_annihilator(phi, psi: SectorVector) -> SectorVector:
-    """Apply B = sum_k lam_k c(v_k) c(u_k) built from phi, (d, N) -> (d, N-2).
+    """Apply B = sum_{i<j} conj(sqrt(2) A[i, j]) c_j c_i built from phi,
+    (d, N) -> (d, N-2).
 
-    Accepts a canonical form (vectors in psi's orbital basis) or a raw
-    antisymmetric tensor, for which B = sum_{i<j} conj(sqrt(2) A[i, j]) c_j c_i.
+    Accepts a raw antisymmetric tensor with coefficient matrix A, or a
+    canonical form (vectors in psi's orbital basis), which is reconstructed
+    first; then B = sum_k lam_k c(v_k) c(u_k).  Since A is antisymmetric,
+    B = (1/sqrt 2) sum_i c(A[i]) c_i with c(u) the annihilator of
+    sum_j u_j e_j: d steps, one per orbital.
     """
     basis = psi.basis
     if basis.N < 2:
         raise SectorMismatchError("pair annihilation needs at least two particles")
-    target = enumerate_sector(basis.d, basis.N - 2)
-    out = np.zeros(target.dim, dtype=np.complex128)
     if isinstance(phi, CanonicalForm):
         if phi.d != basis.d:
             raise SectorMismatchError("canonical vectors live in a different basis")
-        for k in range(phi.n_pairs):
-            lam = phi.lambdas[k]
-            if lam == 0.0:
-                continue
-            step = apply_annihilate_vector(phi.v(k), apply_annihilate_vector(phi.u(k), psi))
-            out += lam * step.amplitudes
-    elif isinstance(phi, AntisymmetricTensor):
-        if phi.d != basis.d:
-            raise SectorMismatchError("tensor dimension does not match the state")
-        amps = phi.wedge_amplitudes()
-        partial_of = None
-        for p, (i, j) in enumerate(wedge_pairs(basis.d)):
-            c = np.conj(amps[p])
-            if c == 0.0:
-                continue
-            if partial_of != i:  # wedge_pairs is row-major: one c_i psi at a time
-                partial, partial_of = apply_annihilate(i, psi), i
-            out += c * apply_annihilate(j, partial).amplitudes
-    else:
+        phi = reconstruct(phi)
+    elif not isinstance(phi, AntisymmetricTensor):
         raise TypeError("phi must be a CanonicalForm or AntisymmetricTensor")
-    return SectorVector(target, out)
+    if phi.d != basis.d:
+        raise SectorMismatchError("tensor dimension does not match the state")
+    target = enumerate_sector(basis.d, basis.N - 2)
+    out = np.zeros(target.dim, dtype=np.complex128)
+    for i, row in enumerate(phi.mat):
+        out += apply_annihilate_vector(row, apply_annihilate(i, psi)).amplitudes
+    return SectorVector(target, out / np.sqrt(2.0))
 
 
 def expectation_fast(phi, psi: SectorVector) -> float:

@@ -18,7 +18,8 @@ import pytest
 from gamma2lab.bounds import (counterexample_driver, proposition_gap,
                               sup_over_states, theorem1_rhs, theorem2_floor,
                               verify_theorem2)
-from gamma2lab.canonical import (canonical_from_lambdas, correlation_measures,
+from gamma2lab.canonical import (AntisymmetricTensor, canonical_from_lambdas,
+                                 correlation_measures,
                                  random_tensor, reconstruct, tensor_inner,
                                  youla_decompose)
 from gamma2lab.cli import parse_lambda_spec, random_state
@@ -68,10 +69,10 @@ def test_c03_theorem1_sweep(sweep):
     t0 = time.monotonic()
     violations = 0
     for d, n, _, sd in sweep["cases"]:
-        for lam, tensor in zip(sd.eigenvalues, sd.eigenvectors):
+        for lam, mat in zip(sd.eigenvalues, sd.matrices):
             if lam <= 1e-8:
                 continue
-            s4 = correlation_measures(youla_decompose(tensor)).sum_lambda4
+            s4 = correlation_measures(youla_decompose(AntisymmetricTensor(d, mat))).sum_lambda4
             if lam > theorem1_rhs(n, s4) + 1e-8:
                 violations += 1
     assert violations == 0
@@ -81,7 +82,7 @@ def test_c03_theorem1_sweep(sweep):
 
 def test_c04_slater_saturation():
     sd = spectral_decompose(compute_gamma2(slater_state(4, [0, 1])))
-    top_val, top_vec = sd.eigenvalues[0], sd.eigenvectors[0]
+    top_val, top_vec = sd.eigenvalues[0], AntisymmetricTensor(4, sd.matrices[0])
     assert abs(top_val - 2.0) < 1e-10
     s4 = correlation_measures(youla_decompose(top_vec)).sum_lambda4
     assert abs(s4 - 1.0) < 1e-10
@@ -97,7 +98,8 @@ def test_c05_yang_pairing_spectrum():
         sd = spectral_decompose(compute_gamma2(psi))
         assert abs(sd.eigenvalues[0] - (n / 2 + 1)) < 1e-9
         phi_n = reconstruct(canonical_from_lambdas(lams))
-        assert abs(tensor_inner(phi_n, sd.eigenvectors[0])) > 1 - 1e-8
+        top_vec = AntisymmetricTensor(2 * n, sd.matrices[0])
+        assert abs(tensor_inner(phi_n, top_vec)) > 1 - 1e-8
     _announce(5, "pairing-state top eigenpair N/2 + 1")
 
 

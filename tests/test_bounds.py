@@ -16,8 +16,9 @@ from dataclasses import replace
 from types import SimpleNamespace
 
 import gamma2lab.bounds as bounds
-from gamma2lab.canonical import (_decompose_clusters, canonical_from_lambdas,
-                                 correlation_measures, youla_decompose)
+from gamma2lab.canonical import (AntisymmetricTensor, _decompose_clusters,
+                                 canonical_from_lambdas, correlation_measures,
+                                 youla_decompose)
 from gamma2lab.cli import parse_lambda_spec, random_state
 from gamma2lab.fock import apply_annihilate_vector, slater_state
 from gamma2lab.pairing import (PairOperator, build_pairing_state,
@@ -123,7 +124,7 @@ class TestVerifyTheorem1:
         kept = [k for k, lam in enumerate(sd.eigenvalues) if lam > 1e-8]
         assert [r.params["eigen_index"] for r in reports] == kept
         for r in reports:
-            tensor = sd.eigenvectors[r.params["eigen_index"]]
+            tensor = AntisymmetricTensor(psi.basis.d, sd.matrices[r.params["eigen_index"]])
             ref = correlation_measures(youla_decompose(tensor))
             assert abs(r.details["sum_lambda4"] - ref.sum_lambda4) < 1e-12
             assert abs(r.details["lambda_max"] - ref.lambda_max) < 1e-12

@@ -16,8 +16,8 @@ from gamma2lab.fock import (SectorMismatchError, SectorSizeError,
                             SectorVector, apply_annihilate,
                             apply_annihilate_vector, apply_create,
                             apply_create_vector, basis_state, enumerate_sector,
-                            number_expectation, occupation, operator_matrix,
-                            slater_state, vacuum_state)
+                            number_expectation, occupation, slater_state,
+                            vacuum_state)
 
 
 def dense_annihilator(d, i):
@@ -29,6 +29,16 @@ def dense_annihilator(d, i):
             sign = (-1) ** bin(mask & ((1 << i) - 1)).count("1")
             m[mask ^ (1 << i), mask] = sign
     return m
+
+
+def operator_matrix(op, src, tgt):
+    """Dense matrix of a sector-vector map, built column by column."""
+    mat = np.zeros((tgt.dim, src.dim), dtype=np.complex128)
+    for j in range(src.dim):
+        e = np.zeros(src.dim, dtype=np.complex128)
+        e[j] = 1.0
+        mat[:, j] = op(SectorVector(src, e)).amplitudes
+    return mat
 
 
 def gosper_masks(d, n):
@@ -250,6 +260,6 @@ class TestCaches:
                            for name, f in vars(module).items()
                            if hasattr(f, "cache_info")})
         assert {"fock.occupation_masks", "fock._fermion_hops",
-                "pairing._block_pattern"} <= set(caches)
+                "pairing._pair_moves"} <= set(caches)
         for name, f in caches.items():
             assert f.cache_info().maxsize is not None, name

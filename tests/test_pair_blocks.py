@@ -6,6 +6,7 @@ sector: the dense gap operator, the dense and Lanczos suprema, and the
 quadratic form of the embedded pairing state.
 """
 
+import math
 import subprocess
 import sys
 from itertools import combinations
@@ -25,9 +26,10 @@ from gamma2lab.bounds import (block_sups, counterexample_driver,
 from gamma2lab.canonical import canonical_from_lambdas
 from gamma2lab.cli import parse_lambda_spec
 from gamma2lab.fock import SectorSizeError, enumerate_sector
-from gamma2lab.pairing import (PairOperator, build_pairing_state,
-                               dense_b_matrix, pair_b_blocks, pair_blocks,
-                               pair_expectation, pair_number_diagonal)
+from gamma2lab.pairing import (BATCH_ENTRIES, PairOperator,
+                               build_pairing_state, dense_b_matrix,
+                               pair_blocks, pair_expectation, pair_grams,
+                               pair_number_diagonal)
 from gamma2lab.rdm import expectation_fast
 
 ORACLE_TOL = 1e-10
@@ -135,9 +137,10 @@ class TestBlockStructure:
             eigs, numbers = [], []
             for blocks in pair_blocks(op.lambdas, N):
                 copies = 2 ** blocks.seniority
-                gram = blocks.b.transpose(0, 2, 1) @ blocks.b
+                gram = pair_grams(blocks.coeffs, (N - blocks.seniority) // 2)
                 eigs += [np.linalg.eigvalsh(gram).ravel()] * copies
-                numbers += [blocks.pair_number.ravel()] * copies
+                diag = np.diagonal(gram, axis1=1, axis2=2)
+                numbers += [(blocks.broken[:, None] + 2.0 * diag).ravel()] * copies
             assert np.allclose(np.sort(np.concatenate(eigs)),
                                np.linalg.eigvalsh(bmat.T @ bmat), atol=1e-12)
             assert np.allclose(np.sort(np.concatenate(numbers)),
@@ -150,15 +153,40 @@ class TestBlockStructure:
 
         coeffs = np.random.default_rng(4).uniform(0.0, 2.0, size=(5, 6))
         coeffs[1, 2] = 0.0
-        batch = pair_b_blocks(coeffs, 3)
+        batch = pair_grams(coeffs, 3)
         src, tgt = masks(6, 3), masks(6, 2)
-        for row, block in zip(coeffs, batch):
+        off = ~np.eye(len(src), dtype=bool)
+        for row, gram in zip(coeffs, batch):
             ref = np.zeros((len(tgt), len(src)))
             for j, m in enumerate(src):
                 for k in range(6):
                     if m >> k & 1:
                         ref[tgt.index(m ^ (1 << k)), j] = row[k]
-            assert np.array_equal(block, ref)
+            ref = ref.T @ ref
+            assert np.array_equal(gram[off], ref[off])
+            # sums of up to three squares near 10, where one ULP is 1.8e-15
+            assert np.allclose(np.diagonal(gram), np.diagonal(ref), rtol=1e-15, atol=0.0)
+
+    @given(st.lists(st.floats(0.0, 2.0), min_size=1, max_size=8), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_particle_hole_sides_share_the_top(self, raw, data):
+        # B*B on M pairs and on K' + 1 - M pairs (B B* on M - 1 pairs, read
+        # on the complements) have the same largest eigenvalue
+        K = len(raw)
+        M = data.draw(st.integers(1, K))
+        coeffs = np.array([raw])
+        top = [np.linalg.eigvalsh(pair_grams(coeffs, m)).max() for m in (M, K + 1 - M)]
+        assert abs(top[0] - top[1]) <= 1e-12
+
+    @pytest.mark.parametrize("K, N", [(12, 6), (12, 9), (16, 8), (16, 10), (20, 4)])
+    def test_batches_bounded_by_gram_entries(self, K, N):
+        # every batch but a single block fits half the entry budget, which
+        # leaves the other half for the solver's copy
+        for blocks in pair_blocks(np.ones(K), N):
+            n, kept = blocks.coeffs.shape
+            entries = n * math.comb(kept, (N - blocks.seniority) // 2) ** 2
+            assert n == 1 or entries <= BATCH_ENTRIES // 2
+            assert blocks.broken.shape == (n,)
 
 
 class TestAdmission:
@@ -191,10 +219,10 @@ class TestAdmission:
 
     def test_oversized_block_refused(self, no_enumeration):
         with pytest.raises(SectorSizeError):
-            pair_b_blocks(np.ones((1, 16)), 8)
-        # 4368 columns fit, but B has C(16, 10) = 8008 rows.
+            pair_grams(np.ones((1, 16)), 8)
+        # the Gram has 4368 rows, but B has C(16, 10) = 8008.
         with pytest.raises(SectorSizeError):
-            pair_b_blocks(np.ones((1, 16)), 11)
+            pair_grams(np.ones((1, 16)), 11)
 
     def test_mask_width(self, no_enumeration):
         with pytest.raises(SectorSizeError):

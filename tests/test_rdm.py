@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 import gamma2lab.fock as fock
 import gamma2lab.rdm as rdm
-from gamma2lab.canonical import (NotNormalizedError, canonical_from_lambdas,
+from gamma2lab.canonical import (AntisymmetricTensor, NotNormalizedError,
+                                 canonical_from_lambdas,
                                  correlation_measures, elementary_wedge,
                                  random_tensor, tensor_inner, youla_decompose)
 from gamma2lab.cli import random_state
@@ -83,16 +84,16 @@ class TestSpectralDecompose:
         sd = spectral_decompose(compute_gamma2(yang_state(4, 2)))
         from gamma2lab.canonical import reconstruct
         phi_n = reconstruct(canonical_from_lambdas(np.full(4, 0.5)))
-        assert abs(tensor_inner(phi_n, sd.eigenvectors[0])) > 1 - 1e-10
+        assert abs(tensor_inner(phi_n, AntisymmetricTensor(8, sd.matrices[0]))) > 1 - 1e-10
 
     def test_eigenvectors_exactly_antisymmetric(self):
         sd = spectral_decompose(compute_gamma2(random_state(6, 3, 2)))
-        for t in sd.eigenvectors[:3]:
-            assert np.array_equal(t.mat, -t.mat.T)
+        for a in sd.matrices[:3]:
+            assert np.array_equal(a, -a.T)
 
     def test_eigenvectors_orthonormal(self):
         sd = spectral_decompose(compute_gamma2(random_state(6, 3, 4)))
-        mats = np.stack([t.mat.ravel() for t in sd.eigenvectors])
+        mats = sd.matrices.reshape(len(sd.matrices), -1)
         gram = mats.conj() @ mats.T
         assert np.max(np.abs(gram - np.eye(len(mats)))) < 1e-9
 
@@ -101,8 +102,8 @@ class TestExpectation:
     def test_eigenvector_gives_eigenvalue(self):
         g = compute_gamma2(random_state(6, 3, 8))
         sd = spectral_decompose(g)
-        for lam, tens in list(zip(sd.eigenvalues, sd.eigenvectors))[:4]:
-            assert abs(expectation(tens, g) - lam) < 1e-9
+        for lam, a in list(zip(sd.eigenvalues, sd.matrices))[:4]:
+            assert abs(expectation(AntisymmetricTensor(6, a), g) - lam) < 1e-9
 
     def test_orthogonal_to_range_is_zero(self):
         # a Slater state never links orbitals it does not occupy
@@ -202,7 +203,8 @@ class TestIdentityOracles:
         s4, lmax = correlation_invariants(sd.matrices)
         # kernel eigenvectors are arbitrary and never decomposed by a check
         for k in np.flatnonzero(sd.eigenvalues > 1e-8):
-            ref = correlation_measures(youla_decompose(sd.eigenvectors[k]))
+            ref = correlation_measures(youla_decompose(
+                AntisymmetricTensor(psi.basis.d, sd.matrices[k])))
             assert abs(s4[k] - ref.sum_lambda4) < ORACLE_TOL
             assert abs(lmax[k] - ref.lambda_max) < ORACLE_TOL
 
@@ -362,11 +364,12 @@ def test_assembly_never_holds_the_pair_vectors():
     assert peak < gamma2_bytes(d, n) / 3
 
 
-def test_spectral_data_builds_tensors_lazily():
+def test_spectral_data_builds_matrices_lazily():
     sd = spectral_decompose(compute_gamma2(random_state(6, 3, 1)))
-    assert "eigenvectors" not in vars(sd)
-    tensors = sd.eigenvectors
-    assert sd.eigenvectors is tensors
-    for k, t in enumerate(tensors):
-        assert np.allclose(t.wedge_amplitudes(), sd.wedge_vectors[:, k], atol=1e-15)
+    assert "matrices" not in vars(sd)
+    mats = sd.matrices
+    assert sd.matrices is mats
+    for k, a in enumerate(mats):
+        tensor = AntisymmetricTensor(6, a)
+        assert np.allclose(tensor.wedge_amplitudes(), sd.wedge_vectors[:, k], atol=1e-15)
 
