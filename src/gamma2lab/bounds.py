@@ -36,9 +36,9 @@ import numpy as np
 from .canonical import CanonicalForm, plane_minima
 from .fock import SectorSizeError, SectorVector, enumerate_sector
 from .pairing import (DENSE_CAP, PairOperator, admit_pair_blocks, apply_B,
-                      apply_B_star, build_pairing_state, dense_b_matrix,
-                      norm_sq_oracle, pair_blocks, pair_expectation,
-                      pair_grams, pairing_states)
+                      apply_B_star, dense_b_matrix, norm_sq_oracle,
+                      pair_blocks, pair_expectation, pair_grams,
+                      pairing_amplitudes, pairing_states)
 from .rdm import SpectralData, correlation_invariants
 
 BOUND_TOL = 1e-8
@@ -197,9 +197,11 @@ def proposition_gap(op: PairOperator, N: int) -> GapResult:
     pair numbers are broken + 2 diag G, so the diagonal of D is
     N/2 (1 - diag G) - (N-2)/4 broken and its off-diagonal -G.  D is positive
     semidefinite, and the M = N/2 pairing state spans (part of) its kernel
-    whenever that state is nonzero; the returned kernel residual is
-    ||D Psi|| / ||Psi||, with Psi from :func:`pairing.build_pairing_state`,
-    taken on the seniority-zero block (NaN for a vanishing state).
+    whenever that state is nonzero, that is whenever at least M of the
+    lam_k are nonzero (else ``degenerate``).  The returned kernel residual
+    is ||D Psi|| / ||Psi|| on the seniority-zero block, with Psi read off
+    its closed form on that block's basis (:func:`pairing.pairing_amplitudes`),
+    so nothing outside the blocks is built; NaN for a vanishing state.
     """
     admit_proposition(op, N)
     min_eig = np.inf
@@ -212,11 +214,10 @@ def proposition_gap(op: PairOperator, N: int) -> GapResult:
                               - 0.25 * (N - 2) * blocks.broken[:, None])
         min_eig = min(min_eig, float(np.linalg.eigvalsh(gap).min()))
         if blocks.seniority == 0:
-            state = build_pairing_state(op, N // 2)
-            amps = state.pair_amplitudes
-            residual = (float("nan") if state.degenerate else
+            amps = pairing_amplitudes(op.lambdas, N // 2)
+            residual = (float("nan") if amps is None else
                         float(np.linalg.norm(gap[0] @ amps) / np.linalg.norm(amps)))
-    return GapResult(min_eig, residual, state.degenerate)
+    return GapResult(min_eig, residual, amps is None)
 
 
 def proposition_report(op: PairOperator, N: int,

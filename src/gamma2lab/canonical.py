@@ -185,18 +185,11 @@ class CanonicalForm:
         return self.vectors[:, 2 * k + 1]
 
 
-def canonical_from_lambdas(lambdas, d: int | None = None) -> CanonicalForm:
-    """Canonical form aligned with the standard pair layout u_k = e_2k, v_k = e_2k+1."""
+def canonical_from_lambdas(lambdas) -> CanonicalForm:
+    """Canonical form aligned with the standard pair layout u_k = e_2k,
+    v_k = e_2k+1, on d = 2 * len(lambdas) orbitals."""
     lams = np.asarray(lambdas, dtype=np.float64)
-    if d is None:
-        d = 2 * len(lams)
-    if d < 2 * len(lams):
-        raise SectorMismatchError("dimension too small for the coefficient list")
-    vecs = np.zeros((d, 2 * len(lams)), dtype=np.complex128)
-    for k in range(len(lams)):
-        vecs[2 * k, 2 * k] = 1.0
-        vecs[2 * k + 1, 2 * k + 1] = 1.0
-    return CanonicalForm(lams, vecs)
+    return CanonicalForm(lams, np.eye(2 * len(lams), dtype=np.complex128))
 
 
 def check_unit_norms(mats: np.ndarray) -> None:
@@ -343,19 +336,15 @@ def _orthonormalize(vectors: np.ndarray) -> np.ndarray:
     return q * np.exp(1j * np.angle(np.diag(r)))
 
 
-def reconstruct(form: CanonicalForm, d: int | None = None) -> AntisymmetricTensor:
+def reconstruct(form: CanonicalForm) -> AntisymmetricTensor:
     """Materialize sum_k lam_k u_k ^ v_k as an antisymmetric matrix."""
-    if d is None:
-        d = form.d
-    if d != form.d:
-        raise SectorMismatchError("dimension does not match the canonical vectors")
-    a = np.zeros((d, d), dtype=np.complex128)
+    a = np.zeros((form.d, form.d), dtype=np.complex128)
     for k in range(form.n_pairs):
         s = form.lambdas[k] / np.sqrt(2.0)
         u, v = form.u(k), form.v(k)
         a += s * (np.outer(u, v) - np.outer(v, u))
     a = 0.5 * (a - a.T)
-    return AntisymmetricTensor(d, a)
+    return AntisymmetricTensor(form.d, a)
 
 
 class CorrelationMeasures(NamedTuple):
@@ -376,19 +365,15 @@ def correlation_measures(form: CanonicalForm) -> CorrelationMeasures:
     return CorrelationMeasures(s4, lmax, 1.0 / s4 if s4 > 0 else np.inf)
 
 
-def embed_as_sector_vector(obj, d: int | None = None) -> SectorVector:
+def embed_as_sector_vector(obj) -> SectorVector:
     """Express a two-particle tensor in the (d, 2) occupation sector.
 
     The amplitude on the mask occupying orbitals i < j is sqrt(2) A[i, j],
     matching the convention e_i ^ e_j = c*_i c*_j |vacuum>.
     """
     tensor = reconstruct(obj) if isinstance(obj, CanonicalForm) else obj
-    if d is None:
-        d = tensor.d
-    if d != tensor.d:
-        raise SectorMismatchError("dimension does not match the tensor")
-    sec = enumerate_sector(d, 2)
-    iu, ju = np.triu_indices(d, 1)
+    sec = enumerate_sector(tensor.d, 2)
+    iu, ju = np.triu_indices(tensor.d, 1)
     masks = (1 << iu.astype(np.int64)) | (1 << ju.astype(np.int64))
     amps = np.zeros(sec.dim, dtype=np.complex128)
     amps[sec.index_of(masks)] = np.sqrt(2.0) * tensor.mat[iu, ju]

@@ -37,11 +37,6 @@ import numpy as np
 
 DEFAULT_MAX_DIM = 24
 DEFAULT_MAX_SECTOR = 3_000_000
-# Bytes of c_j c_i psi computed by one Gamma2 assembly.  They are summed one
-# block of columns at a time and never held whole; the resident set is the
-# hop tables, the d-1 partial vectors c_i psi and one block of at most
-# rdm.GRAM_CHUNK columns.
-DEFAULT_MAX_GAMMA2_BYTES = 2 * 2 ** 30
 MASK_CACHE = 64                   # occupation-mask arrays kept, one per (d, n)
 HOP_CACHE = 2 * DEFAULT_MAX_DIM   # Gamma2 assembly cycles through 2d hop tables
 

@@ -26,12 +26,14 @@ suite trusts it as an oracle.
 
 In this layout the Jordan-Wigner signs of c_{2k+1} and c_{2k} cancel, so
 b_k and b*_k act without signs on occupation masks.  States Psi_M live in
-the seniority-zero subspace (every pair jointly occupied or empty), so where
-one is needed (the norm recursion, the kernel residual, the identities) it
-is built on the K-bit pair-occupation basis of dimension binomial(K, M);
-the embedding |S>> = prod_{k in S} b*_k |vacuum> into the full sector,
-built only on demand, spreads pair bit k onto orbital bits 2k and 2k + 1
-with sign +1.
+the seniority-zero subspace (every pair jointly occupied or empty), on the
+K-bit pair-occupation basis of dimension binomial(K, M).  Where the
+construction itself is checked (the norm recursion, the identities) it is
+built by applying B* M times (:func:`pairing_states`); the kernel vector of
+the gap operator is read off the closed form instead
+(:func:`pairing_amplitudes`).  The embedding |S>> = prod_{k in S} b*_k
+|vacuum> into the full sector, built only on demand, spreads pair bit k onto
+orbital bits 2k and 2k + 1 with sign +1.
 
 The same holds away from seniority zero.  B, B* and the pair numbers keep
 fixed the set of broken pairs (exactly one member occupied) and the spins on
@@ -67,7 +69,7 @@ from .fock import (DEFAULT_MAX_SECTOR, SectorMismatchError, SectorSizeError,
                    enumerate_sector, occupation_masks)
 
 NORM_TOL = 1e-10
-DENSE_CAP = 5000          # rows or columns of a dense block, in basis states
+DENSE_CAP = 5000          # rows of a dense Gram block, in basis states
 MAX_PAIRS = 62            # pair-occupation masks are int64
 BATCH_ENTRIES = 1 << 22   # float64 entries per batch of blocks (32 MB)
 
@@ -176,12 +178,6 @@ def _admit(K: int, states: int, cap: int, what: str) -> None:
                               f"cap is {cap}")
 
 
-def _admit_block(K: int, M: int) -> None:
-    """A dense block of B, M -> M-1 pairs, must fit ``DENSE_CAP`` on both sides."""
-    _admit(K, max(comb(K, M), comb(K, M - 1) if M else 0), DENSE_CAP,
-           "dense pair block")
-
-
 @dataclass
 class PairingState:
     """Psi_M = (B*)^M |vacuum> with its exact squared norm.
@@ -189,13 +185,12 @@ class PairingState:
     ``pair_masks`` / ``pair_amplitudes`` hold the seniority-zero coefficients
     in the operator-product basis; ``vector`` is the full-sector embedding,
     built on first access.  A state whose coefficient support is smaller than
-    M is flagged degenerate (it is exactly zero) rather than rejected.
+    M is exactly zero (``norm_sq`` 0) rather than rejected.
     """
 
     M: int
     n_pairs: int
     norm_sq: float
-    degenerate: bool
     pair_masks: np.ndarray
     pair_amplitudes: np.ndarray
 
@@ -229,9 +224,7 @@ def pairing_states(op: PairOperator, M_max: int) -> Iterator[PairingState]:
     for M in range(M_max + 1):
         if M:
             amps = _pair_scatter(op.lambdas, amps, K, M, 1, create=True)
-        norm_sq = float(np.sum(amps ** 2))
-        yield PairingState(M=M, n_pairs=K, norm_sq=norm_sq,
-                           degenerate=norm_sq == 0.0,
+        yield PairingState(M=M, n_pairs=K, norm_sq=float(np.sum(amps ** 2)),
                            pair_masks=occupation_masks(K, M), pair_amplitudes=amps)
 
 
@@ -244,17 +237,19 @@ def build_pairing_state(op: PairOperator, M: int) -> PairingState:
 
 @lru_cache(maxsize=32)
 def _pair_moves(K: int, M: int) -> tuple[np.ndarray, ...]:
-    """(rows, cols, k, l) of every move of an occupied pair k to an empty
-    pair l on ``occupation_masks(K, M)``: ``cols`` is the position of a mask
+    """(occupied, rows, cols, k, l) on ``occupation_masks(K, M)``: the 0/1
+    float occupation table, shape (C(K, M), K), and every move of an
+    occupied pair k to an empty pair l.  ``cols`` is the position of a mask
     holding k and not l, ``rows`` that of the same mask with k moved to l.
-    All four are read-only."""
+    All five are read-only."""
     masks = occupation_masks(K, M)
-    occ = (masks[:, None] >> np.arange(K)) & 1
-    cols, k, l = np.nonzero(occ[:, :, None] > occ[:, None, :])
+    occupied = ((masks[:, None] >> np.arange(K)) & 1).astype(np.float64)
+    cols, k, l = np.nonzero(occupied[:, :, None] > occupied[:, None, :])
     rows = np.searchsorted(masks, masks[cols] ^ (1 << k) ^ (1 << l))
-    for table in (rows, cols, k, l):
+    tables = (occupied, rows, cols, k, l)
+    for table in tables:
         table.setflags(write=False)
-    return rows, cols, k, l
+    return tables
 
 
 def pair_grams(coeffs, M: int) -> np.ndarray:
@@ -265,20 +260,38 @@ def pair_grams(coeffs, M: int) -> np.ndarray:
     ``occupation_masks(K', M)``.  Since b*_l b_k moves pair k to l, B*B has
     the diagonal sum_{k in S} c_k^2 on a mask S and the entry c_k c_l
     between S and S with k moved to l (:func:`_pair_moves`), and no other
-    nonzero.  Returns shape (n_blocks, C(K', M), C(K', M)).  A B with more
-    than ``DENSE_CAP`` rows or columns is refused before allocation.
+    nonzero.  Returns shape (n_blocks, C(K', M), C(K', M)).  A Gram with
+    more than ``DENSE_CAP`` rows is refused before allocation.
     """
     coeffs = np.asarray(coeffs, dtype=np.float64)
     n, K = coeffs.shape
-    _admit_block(K, M)
-    masks = occupation_masks(K, M)
-    occupied = ((masks[:, None] >> np.arange(K)) & 1).astype(np.float64)
-    grams = np.zeros((n, len(masks), len(masks)))
-    rows, cols, k, l = _pair_moves(K, M)
+    _admit(K, comb(K, M), DENSE_CAP, "dense pair block")
+    occupied, rows, cols, k, l = _pair_moves(K, M)
+    grams = np.zeros((n, len(occupied), len(occupied)))
     grams[:, rows, cols] = coeffs[:, k] * coeffs[:, l]
-    diag = np.arange(len(masks))
+    diag = np.arange(len(occupied))
     grams[:, diag, diag] = coeffs ** 2 @ occupied.T
     return grams
+
+
+def pairing_amplitudes(lambdas, M: int) -> np.ndarray | None:
+    """Psi_M on ``occupation_masks(K, M)`` from its closed form, scaled so
+    that its largest entry is 1, or None when fewer than M coefficients are
+    nonzero and Psi_M vanishes.
+
+    Psi_M = M! sum_{|S|=M} prod_{k in S} lam_k |S>>, so no B* is applied.
+    Each product is summed as logarithms over the occupation table of
+    :func:`_pair_moves`, and the largest is subtracted before exponentiating:
+    Psi_M itself can be too small to normalize (for ``geometric:1e-30:8``
+    and M = 4 its largest entry is 2.4e-179, whose square underflows).
+    """
+    lams = np.asarray(lambdas, dtype=np.float64)
+    if np.count_nonzero(lams) < M:
+        return None
+    occupied = _pair_moves(len(lams), M)[0]
+    with np.errstate(divide="ignore"):  # log 0 = -inf: the mask's entry is 0
+        logs = np.where(occupied > 0, np.log(lams), 0.0).sum(axis=1)
+    return np.exp(logs - logs.max())
 
 
 class PairBlocks(NamedTuple):
@@ -299,16 +312,17 @@ class PairBlocks(NamedTuple):
 def admit_pair_blocks(K: int, N: int) -> range:
     """Seniorities of the pair blocks of the (2K, N) sector, after admission.
 
-    Admission is arithmetic: the largest block (seniority N mod 2) must fit
-    ``DENSE_CAP`` and all blocks together ``DEFAULT_MAX_SECTOR`` states, or
-    :class:`SectorSizeError` is raised.  Callers that solve several N call
-    it for each before the first solve, so an oversized N is refused before
-    any work.
+    Admission is arithmetic: the Gram of the largest block (seniority
+    N mod 2), the one matrix :func:`pair_grams` allocates for it, must fit
+    ``DENSE_CAP`` rows, and all blocks together ``DEFAULT_MAX_SECTOR``
+    states, or :class:`SectorSizeError` is raised.  Callers that solve
+    several N call it for each before the first solve, so an oversized N is
+    refused before any work.
     """
     if N < 0 or N > 2 * K:
         raise SectorSizeError(f"no (d={2 * K}, N={N}) sector")
     seniorities = range(N % 2, min(N, 2 * K - N) + 1, 2)
-    _admit_block(K - N % 2, (N - N % 2) // 2)
+    _admit(K - N % 2, comb(K - N % 2, N // 2), DENSE_CAP, "dense pair block")
     total = sum(comb(K, s) * comb(K - s, (N - s) // 2) for s in seniorities)
     if total > DEFAULT_MAX_SECTOR:
         raise SectorSizeError(

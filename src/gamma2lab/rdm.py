@@ -42,15 +42,19 @@ import numpy as np
 
 from .canonical import (AntisymmetricTensor, CanonicalForm, check_unit_norms,
                         reconstruct, wedge_matrices)
-from .fock import (DEFAULT_MAX_GAMMA2_BYTES, SectorMismatchError,
-                   SectorSizeError, SectorVector, _fermion_hops,
-                   admit_sector, apply_annihilate, apply_annihilate_vector,
-                   enumerate_sector, occupation_masks)
+from .fock import (SectorMismatchError, SectorSizeError, SectorVector,
+                   _fermion_hops, admit_sector, apply_annihilate,
+                   apply_annihilate_vector, enumerate_sector, occupation_masks)
 
 STATE_NORM_TOL = 1e-10
 TRACE_TOL = 1e-10
 GRAM_CHUNK = 1024   # most (N-2)-particle states in one block of the Gram sum
 COMPLEX_BYTES = 16
+# Bytes of c_j c_i psi computed by one Gamma2 assembly.  They are summed one
+# block of columns at a time and never held whole; the resident set is the
+# hop tables, the d-1 partial vectors c_i psi and one block of at most
+# GRAM_CHUNK columns.
+DEFAULT_MAX_GAMMA2_BYTES = 2 * 2 ** 30
 
 
 @dataclass

@@ -212,6 +212,14 @@ class TestPropositionGap:
         with pytest.raises(ValueError):
             proposition_gap(PairOperator.from_lambdas(UNIFORM4), 3)
 
+    def test_tiny_pairing_state_not_degenerate(self):
+        # support 8 >= M = 4, though ||Psi_4||^2 underflows to 0
+        op = PairOperator.from_lambdas(parse_lambda_spec("geometric:1e-30:8").values)
+        result = proposition_gap(op, 8)
+        assert not result.degenerate
+        assert result.min_eigenvalue >= -1e-10
+        assert result.kernel_residual < 1e-10
+
 
 class TestOccupationCheck:
     def test_slater_equality(self):

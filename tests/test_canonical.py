@@ -287,10 +287,6 @@ class TestReconstruct:
         assert abs(t.mat[0, 1] - 0.5 / np.sqrt(2)) < 1e-15
         assert abs(t.norm() - 1.0) < 1e-14
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(SectorMismatchError):
-            reconstruct(canonical_from_lambdas([1.0]), d=6)
-
 
 class TestCorrelationMeasures:
     def test_single_pair(self):

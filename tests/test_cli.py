@@ -220,11 +220,9 @@ class TestSubcommands:
     @pytest.mark.parametrize("argv", [
         ["explore", "--lambda", "uniform:16", "--particles", "2,4,6,8,10,12"],
         ["verify", "prop", "--lambda", "uniform:16", "--particles", "8,12"],
-        ["verify", "prop", "--lambda", "uniform:16", "--particles", "22"],
     ])
     def test_oversized_n_refused_before_any_solve(self, tmp_path, monkeypatch, argv):
-        # N = 12 on 16 pairs needs a dense block of C(16, 6) = 8008 states;
-        # at N = 22 the Gram has C(16, 11) = 4368 rows, but B has 8008
+        # N = 12 on 16 pairs needs a dense Gram of C(16, 6) = 8008 states
         def no_solve(*args):
             raise AssertionError("a pair block was built")
 

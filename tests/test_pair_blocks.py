@@ -54,7 +54,7 @@ def dense_gap(op, N):
                                        * pair_number_diagonal(op, sec))
     min_eig = float(np.linalg.eigvalsh(gap).min())
     state = build_pairing_state(op, N // 2)
-    if state.degenerate:
+    if state.norm_sq == 0.0:
         return min_eig, float("nan")
     amps = state.vector.amplitudes
     return min_eig, float(np.linalg.norm(gap @ amps) / np.linalg.norm(amps))
@@ -96,7 +96,7 @@ class TestOracles:
         op = PairOperator.from_lambdas(lams)
         for N in range(2, 2 * len(lams) + 1, 2):
             state = build_pairing_state(op, N // 2)
-            if state.degenerate:
+            if state.norm_sq == 0.0:
                 continue
             oracle = embedded_expectation(lams, state)
             assert abs(pair_expectation(lams, lams, N // 2) - oracle) <= ORACLE_TOL
@@ -220,9 +220,14 @@ class TestAdmission:
     def test_oversized_block_refused(self, no_enumeration):
         with pytest.raises(SectorSizeError):
             pair_grams(np.ones((1, 16)), 8)
-        # the Gram has 4368 rows, but B has C(16, 10) = 8008.
+        # C(16, 7) = 11440 Gram rows
         with pytest.raises(SectorSizeError):
-            pair_grams(np.ones((1, 16)), 11)
+            pair_grams(np.ones((1, 16)), 7)
+
+    def test_only_the_gram_is_admitted(self, no_enumeration):
+        # N = 22 on 16 pairs: the Gram has C(16, 11) = 4368 rows; B, which
+        # is never built, would have C(16, 10) = 8008
+        bounds.admit_proposition(PairOperator.from_lambdas(np.full(16, 0.25)), 22)
 
     def test_mask_width(self, no_enumeration):
         with pytest.raises(SectorSizeError):
@@ -238,18 +243,32 @@ class TestAdmission:
             state.vector
         assert abs(pair_expectation(op.lambdas, op.lambdas, 7) - 8.0) < 1e-12  # N/2 + 1
 
-    def test_trial_state_checks_build_nothing(self, no_enumeration, monkeypatch):
-        # thm2 and counterexample read their number off the pairing-state
-        # identity, so pair bases of C(26, 13) ~ 1.0e7 and C(30, 15) ~ 1.6e8
-        # states, far above the cap, are never needed
+    @pytest.fixture
+    def no_pairing_state(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("pairing state built")
         for module in (pairing, bounds):
-            monkeypatch.setattr(module, "build_pairing_state", refuse)
+            monkeypatch.setattr(module, "build_pairing_state", refuse, raising=False)
             monkeypatch.setattr(module, "pairing_states", refuse)
-        monkeypatch.setattr(fock, "occupation_masks", refuse)
+        return refuse
+
+    def test_trial_state_checks_build_nothing(self, no_enumeration, no_pairing_state,
+                                              monkeypatch):
+        # thm2 and counterexample read their number off the pairing-state
+        # identity, so pair bases of C(26, 13) ~ 1.0e7 and C(30, 15) ~ 1.6e8
+        # states, far above the cap, are never needed
+        monkeypatch.setattr(fock, "occupation_masks", no_pairing_state)
         assert verify_theorem2(np.full(26, 1 / np.sqrt(26)), 26).passed
         assert counterexample_driver(parse_lambda_spec("power:1:30").values, 30).passed
+
+    def test_gap_builds_no_pairing_state(self, no_pairing_state):
+        # the kernel vector is read off the closed form on the block's own
+        # basis, C(30, 28) = 435 states; the B* chain would pass through
+        # C(30, 15) ~ 1.6e8
+        result = proposition_gap(PairOperator.from_lambdas(np.full(30, 1 / np.sqrt(30))), 56)
+        assert not result.degenerate
+        assert result.min_eigenvalue >= -1e-10
+        assert result.kernel_residual < 1e-10
 
 
 def test_cli_import_defers_sparse_linalg():

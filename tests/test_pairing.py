@@ -16,7 +16,7 @@ from gamma2lab.pairing import (PairOperator, annihilation_identity_check,
                                apply_B, apply_B_star, build_pairing_state,
                                commutator_defect, dense_b_matrix,
                                norm_sq_oracle, pair_expectation,
-                               pair_number_diagonal,
+                               pair_number_diagonal, pairing_amplitudes,
                                write_state_text)
 
 from test_fock import dense_annihilator, random_vector
@@ -226,12 +226,40 @@ class TestBuildPairingState:
     def test_degenerate_state_flagged(self):
         op = PairOperator.from_lambdas([np.sqrt(0.5), np.sqrt(0.5), 0.0, 0.0])
         state = build_pairing_state(op, 3)
-        assert state.degenerate
         assert state.norm_sq == 0.0
+        assert not np.any(state.pair_amplitudes)
+        assert pairing_amplitudes(op.lambdas, 3) is None
 
     def test_sector_overflow(self):
         with pytest.raises(SectorSizeError):
             build_pairing_state(make_op(UNIFORM4), 5)
+
+
+class TestClosedForm:
+    """``pairing_amplitudes`` against the B* chain of ``build_pairing_state``."""
+
+    @given(st.lists(st.one_of(st.just(0.0), st.floats(0.05, 2.0)),
+                    min_size=1, max_size=8).filter(any))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_b_star_chain(self, raw):
+        op = make_op(raw)
+        for m in range(op.n_pairs + 1):
+            built = build_pairing_state(op, m)
+            amps = pairing_amplitudes(op.lambdas, m)
+            # Psi_M vanishes exactly when its support is short
+            assert (amps is None) == (built.norm_sq == 0.0)
+            if amps is not None:
+                ref = built.pair_amplitudes / np.linalg.norm(built.pair_amplitudes)
+                assert np.max(np.abs(amps / np.linalg.norm(amps) - ref)) <= 1e-12
+
+    def test_no_false_zero(self):
+        # lam_k ~ 1e-30**k: the largest entry of Psi_4 is 2.4e-179, so the
+        # built norm underflows to 0; the scaled closed form does not
+        lams = 1e-30 ** np.arange(8)
+        op = PairOperator.from_lambdas(lams / np.linalg.norm(lams))
+        assert build_pairing_state(op, 4).norm_sq == 0.0
+        amps = pairing_amplitudes(op.lambdas, 4)
+        assert amps.max() == 1.0 and amps[0] == 1.0  # mask 0b1111 comes first
 
 
 class TestNormOracle:

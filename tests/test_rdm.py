@@ -17,14 +17,14 @@ from gamma2lab.canonical import (AntisymmetricTensor, NotNormalizedError,
                                  correlation_measures, elementary_wedge,
                                  random_tensor, tensor_inner, youla_decompose)
 from gamma2lab.cli import random_state
-from gamma2lab.fock import (DEFAULT_MAX_GAMMA2_BYTES, SectorMismatchError,
-                            SectorSizeError, apply_annihilate,
-                            apply_annihilate_vector, slater_state)
+from gamma2lab.fock import (SectorMismatchError, SectorSizeError,
+                            apply_annihilate, apply_annihilate_vector,
+                            slater_state)
 from gamma2lab.pairing import PairOperator, build_pairing_state
-from gamma2lab.rdm import (admit_gamma2, compute_gamma2, correlation_invariants,
-                           expectation, expectation_fast, gamma2_bytes,
-                           one_body_matrix, partial_trace_residual,
-                           spectral_decompose)
+from gamma2lab.rdm import (DEFAULT_MAX_GAMMA2_BYTES, admit_gamma2,
+                           compute_gamma2, correlation_invariants, expectation,
+                           expectation_fast, gamma2_bytes, one_body_matrix,
+                           partial_trace_residual, spectral_decompose)
 
 ORACLE_TOL = 1e-12
 
