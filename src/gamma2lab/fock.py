@@ -18,11 +18,12 @@ holding all of them, ``rows`` the positions of the same masks with them
 cleared.  Creation scatters along the same table in the other direction.
 The mask is ``1 << i`` for the fermion operators, which attach the
 Jordan-Wigner sign to each entry, ``3 << 2k`` for pair k on a full sector,
-and ``1 << k`` for pair k on the pair-occupation bases of
-:mod:`gamma2lab.pairing`.  Only the signed tables are cached here, per
-(d, n, orbital) in a bounded LRU cache; pair hop tables are rebuilt on each
-use, and the table of pair moves that :mod:`gamma2lab.pairing` builds its
-pair blocks from is cached there.
+``1 << k`` for pair k on the pair-occupation bases of
+:mod:`gamma2lab.pairing`, and one or two low orbitals for the tables that
+:mod:`gamma2lab.rdm` reads Gamma2 blocks with.  Only the signed tables of the
+``apply_*`` operators are cached here, per (d, n, orbital) in a bounded LRU
+cache; pair hop tables are rebuilt on each use, and the tables that
+:mod:`gamma2lab.pairing` and :mod:`gamma2lab.rdm` build are cached there.
 
 All operations are pure functions; vectors are never mutated in place.
 """
@@ -38,7 +39,7 @@ import numpy as np
 DEFAULT_MAX_DIM = 24
 DEFAULT_MAX_SECTOR = 3_000_000
 MASK_CACHE = 64                   # occupation-mask arrays kept, one per (d, n)
-HOP_CACHE = 2 * DEFAULT_MAX_DIM   # Gamma2 assembly cycles through 2d hop tables
+HOP_CACHE = DEFAULT_MAX_DIM       # signed hop tables kept, one sector's orbitals
 
 
 class SectorSizeError(ValueError):

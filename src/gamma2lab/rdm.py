@@ -9,13 +9,15 @@ c_j c_i psi.  This makes positivity and the trace value N(N-1) structural
 rather than accidental.  The vectors are never held whole: the Gram matrix
 is summed over blocks of the (N-2)-particle sector, runs of masks that share
 the occupation of the top orbitals, and each block's columns of every
-c_j c_i psi are gathered pair-major from the partial vectors c_i psi, along
-the cached hop tables, just before its product is added.  A block keeps only
-the pairs outside its occupied top orbitals, the others being zero on it,
-and its Hermitian product is summed in real arithmetic, one symmetric and
-one cross product, so the sum is Hermitian by construction; its trace is
-checked against N(N-1).  The total size of the vectors is still admitted by
-arithmetic before anything is allocated.
+c_j c_i psi are read straight from psi just before its product is added:
+psi's masks with one top occupation form a run ordered as the masks of the
+low orbitals, so a block needs only a few runs of psi and small annihilation
+tables on the low orbitals, cached per low sector.  A block keeps only the
+pairs outside its occupied top orbitals, the others being zero on it, and
+its Hermitian product is summed in real arithmetic, one symmetric and one
+cross product, so the sum is Hermitian by construction; its trace is
+checked against N(N-1).  Nothing of the size of c_i psi is built, so
+within the sector caps the assembly holds little beyond psi itself.
 
 Two more quantities come from identities instead of per-vector work:
 
@@ -42,19 +44,14 @@ import numpy as np
 
 from .canonical import (AntisymmetricTensor, CanonicalForm, check_unit_norms,
                         reconstruct, wedge_matrices)
-from .fock import (SectorMismatchError, SectorSizeError, SectorVector,
-                   _fermion_hops, admit_sector, apply_annihilate,
-                   apply_annihilate_vector, enumerate_sector, occupation_masks)
+from .fock import (SectorMismatchError, SectorVector, _hops, admit_sector,
+                   apply_annihilate, apply_annihilate_vector, enumerate_sector,
+                   occupation_masks)
 
 STATE_NORM_TOL = 1e-10
 TRACE_TOL = 1e-10
 GRAM_CHUNK = 1024   # most (N-2)-particle states in one block of the Gram sum
-COMPLEX_BYTES = 16
-# Bytes of c_j c_i psi computed by one Gamma2 assembly.  They are summed one
-# block of columns at a time and never held whole; the resident set is the
-# hop tables, the d-1 partial vectors c_i psi and one block of at most
-# GRAM_CHUNK columns.
-DEFAULT_MAX_GAMMA2_BYTES = 2 * 2 ** 30
+LOW_CACHE = 64      # low annihilation tables kept, one per (L, n, k)
 
 
 @dataclass
@@ -91,32 +88,51 @@ class SpectralData:
         return one_body_matrix(self.operator)
 
 
-def gamma2_bytes(d: int, N: int) -> int:
-    """Bytes of all pair-annihilated vectors c_j c_i psi of a (d, N) state.
-
-    :func:`compute_gamma2` computes that many bytes block by block but never
-    holds them at once; the budget bounds the work of one assembly.
-    """
-    return comb(d, N - 2) * (d * (d - 1) // 2) * COMPLEX_BYTES
-
-
 def admit_gamma2(d: int, N: int) -> None:
     """Refuse the reduced operator of a (d, N) state by arithmetic alone.
 
-    Checks, in this order, the sector caps of :func:`fock.admit_sector`, the
-    two-particle minimum (:class:`SectorMismatchError`) and
-    :func:`gamma2_bytes` against ``DEFAULT_MAX_GAMMA2_BYTES``
-    (:class:`SectorSizeError`), so a caller can refuse a request before it
-    draws any state.
+    Checks, in this order, the sector caps of :func:`fock.admit_sector` and
+    the two-particle minimum (:class:`SectorMismatchError`), so a caller can
+    refuse a request before it draws any state.  Within the caps the
+    assembly needs no budget of its own: besides psi (at most 48 MB) it
+    holds two block buffers of at most ``GRAM_CHUNK`` columns, the P x P sums
+    and low tables of a few MB.
     """
     admit_sector(d, N)
     if N < 2:
         raise SectorMismatchError("two-body reduction needs at least two particles")
-    need = gamma2_bytes(d, N)
-    if need > DEFAULT_MAX_GAMMA2_BYTES:
-        raise SectorSizeError(
-            f"reduced operator of (d={d}, N={N}) needs {need} bytes of "
-            f"pair-annihilated vectors, budget is {DEFAULT_MAX_GAMMA2_BYTES}")
+
+
+@lru_cache(maxsize=LOW_CACHE)
+def _low_hops(L: int, n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every product of ``k`` (1 or 2) annihilators on the L-orbital masks of
+    popcount ``n``, as one scatter into a block of C(L, n-k) columns.
+
+    Row r is the r-th mask of ``occupation_masks(L, k)``: orbital i for
+    k = 1, and pair (i, j), i < j, at its colex row j(j-1)/2 + i for k = 2,
+    applied as c_j c_i.  For every mask s holding the row's orbitals,
+    ``src`` is the position of s in ``occupation_masks(L, n)``, ``dst`` is
+    r * C(L, n-k) plus the position of s with those orbitals cleared in
+    ``occupation_masks(L, n-k)``, and ``signs`` the Jordan-Wigner sign:
+    (-1)**pop(s below i) for k = 1, (-1)**(pop(s below i) + pop(s below j) - 1)
+    for k = 2.  All three are read-only.
+    """
+    empty = np.zeros(0, dtype=np.intp)
+    dst, src, parity = [empty], [empty], [empty]
+    if n >= k:
+        masks, width = occupation_masks(L, n), comb(L, n - k)
+        for r, bits in enumerate(occupation_masks(L, k).tolist()):
+            rows, cols = _hops(L, n, bits)
+            below = [np.bitwise_count(masks[cols] & ((1 << o) - 1))
+                     for o in range(L) if bits >> o & 1]
+            dst.append(r * width + rows)
+            src.append(cols)
+            parity.append(sum(below, k * (k - 1) // 2))
+    table = (np.concatenate(dst), np.concatenate(src),
+             1.0 - 2.0 * (np.concatenate(parity) & 1))
+    for part in table:
+        part.setflags(write=False)
+    return table
 
 
 @lru_cache(maxsize=16)
@@ -126,34 +142,25 @@ def _gram_blocks(d: int, N: int, cap: int) -> tuple:
     The sum runs in colex pair order, pair (i, j), i < j, at row
     j(j-1)/2 + i, so the pairs of one j are contiguous.  The (N-2)-particle
     masks ascend, so those sharing the occupation T of the top m orbitals
-    form one run; m is the fewest for which every run, C(d-m, N-2-t) masks
-    with t of them occupied, fits in ``cap``.  Returns the run bounds;
-    ``edges[j, c]``, the position of bound c in the rows of c_j's hop table
-    (they ascend, so a block is one slice of each table); per block the
-    orbitals outside T, ascending, and the ``np.ix_`` of the colex rows of
-    their pairs (``None`` when T is empty); the widest run; and the
-    ``np.ix_`` of the colex row of each wedge pair, which reorders the sum
-    to the wedge basis.
+    form one run, ordered as ``occupation_masks(L, N-2-|T|)`` of their
+    L = d - m low orbitals; m is the fewest for which every run, C(L, N-2-t)
+    masks with t top orbitals occupied, fits in ``cap``.  Returns L; per
+    block, T ascending (the order of the runs), the mask T and the low
+    popcount N-2-|T| of its columns; the widest block; the colex pairs
+    ``(hi, lo)`` of ``np.tril_indices(d, -1)``, whose first C(f, 2) entries
+    are the colex pairs of any f orbitals; and the ``np.ix_`` of the colex
+    row of each wedge pair, which reorders the sum to the wedge basis.
     """
     n = N - 2
-    lower = occupation_masks(d, n)
     m = next(k for k in range(d + 1)
              if max(comb(d - k, n - t) for t in range(min(k, n) + 1)) <= cap)
-    top = lower >> (d - m)
-    bounds = [0, *(np.flatnonzero(top[1:] != top[:-1]) + 1).tolist(), len(lower)]
-    edges = np.zeros((d, len(bounds)), dtype=np.intp)
-    for j in range(1, d):
-        edges[j] = np.searchsorted(_fermion_hops(d, N - 1, j)[0], bounds)
-    every = np.arange(d)
-    blocks = []
-    for t in top[bounds[:-1]].tolist():
-        free = every[(t << (d - m) >> every & 1) == 0]
-        hi, lo = np.tril_indices(len(free), -1)  # colex order of their pairs
-        keep = free[hi] * (free[hi] - 1) // 2 + free[lo]
-        blocks.append((free, None if len(free) == d else np.ix_(keep, keep)))
+    L = d - m
+    blocks = [(t << L, n - t.bit_count()) for t in range(1 << m)
+              if 0 <= n - t.bit_count() <= L]
+    widest = max(comb(L, n_low) for _, n_low in blocks)
     i, j = np.triu_indices(d, 1)
     wedge = j * (j - 1) // 2 + i
-    return bounds, edges, blocks, int(np.diff(bounds).max()), np.ix_(wedge, wedge)
+    return L, blocks, widest, np.tril_indices(d, -1), np.ix_(wedge, wedge)
 
 
 def compute_gamma2(psi: SectorVector) -> TwoBodyOperator:
@@ -165,59 +172,70 @@ def compute_gamma2(psi: SectorVector) -> TwoBodyOperator:
     occupation T of the top orbitals (one block for small sectors).  y_ij
     vanishes on a column holding i or j, so a block has rows only for the
     C(d-|T|, 2) pairs outside T, and its product lands on those rows and
-    columns of the sum.  The d-1 partial vectors c_i psi are built once;
-    each block of every y_ij is gathered pair-major from them, along one
-    slice of the cached hop table of each c_j, just before its product is
-    added, so the y_ij are never held whole.  With a block B = X + iY held
-    as [X | Y], conj(B) B^T = (X X^T + Y Y^T) + i (X Y^T - Y X^T): one
-    symmetric real product and one real cross product, so the sum is
+    columns of the sum.  Each block is read straight from psi: psi's masks
+    with top occupation U form one run, ordered as the low masks.  Low pairs
+    i < j come from the run of T along the pair table of :func:`_low_hops`,
+    low i with top j from the run of T + j along its single table, and top
+    pairs i < j are the run of T + i + j itself; the Jordan-Wigner sign of
+    the top orbitals is one constant per run.  Only nonzero entries are
+    written, and nothing of the size of c_i psi is built.  With a block
+    B = X + iY held as [X | Y], conj(B) B^T = (X X^T + Y Y^T) + i (X Y^T - Y X^T):
+    one symmetric real product and one real cross product, so the sum is
     Hermitian by construction; it runs in colex pair order and is reordered
-    to the wedge basis once at the end.  A (d, N) refused by :func:`admit_gamma2`
-    raises before anything is allocated.  The trace is checked against
-    N(N-1) ||psi||^2; a residual above ``TRACE_TOL`` aborts, since at these
-    sizes it signals an implementation bug, not roundoff.
+    to the wedge basis once at the end.  A (d, N) refused by
+    :func:`admit_gamma2` raises before anything is allocated.  The trace is
+    checked against N(N-1) ||psi||^2; a residual above ``TRACE_TOL`` aborts,
+    since at these sizes it signals an implementation bug, not roundoff.
     """
     basis = psi.basis
     d, N = basis.d, basis.N
     admit_gamma2(d, N)
     if abs(psi.norm() - 1.0) > STATE_NORM_TOL:
         raise ValueError("state must be normalized")
-    partial = np.zeros((d - 1, comb(d, N - 1)), dtype=np.complex128)
-    for i in range(d - 1):  # the last orbital is never the first of a pair
-        rows, cols, signs = _fermion_hops(d, N, i)
-        partial[i, rows] = signs * psi.amplitudes[cols]
-    tables = {j: _fermion_hops(d, N - 1, j) for j in range(1, d)}
-    bounds, edges, blocks, widest, wedge = _gram_blocks(d, N, GRAM_CHUNK)
+    amps = psi.amplitudes
+    L, blocks, widest, (hi, lo), wedge = _gram_blocks(d, N, GRAM_CHUNK)
     n_pairs = d * (d - 1) // 2
     size = n_pairs * widest  # the largest block; every block reuses the buffers
     complex_buf, real_buf = np.empty(size, dtype=np.complex128), np.empty(2 * size)
     sym = np.zeros((n_pairs, n_pairs))
     cross = np.zeros((n_pairs, n_pairs))
-    for c, (free, keep) in enumerate(blocks):
-        start, width = bounds[c], bounds[c + 1] - bounds[c]
-        lo, hi = edges[:, c].tolist(), edges[:, c + 1].tolist()
-        n_rows = len(free) * (len(free) - 1) // 2
-        blk = complex_buf[:n_rows * width].reshape(n_rows, width)
-        blk.fill(0)
-        free_list = free.tolist()
-        for b in range(1, len(free_list)):  # y_ij for every free i below j at once
-            j = free_list[b]
-            rows, cols, signs = tables[j]
-            s = slice(lo[j], hi[j])
-            # the low orbitals are never in T, so i often runs over 0..b-1
-            i = slice(0, b) if free_list[b - 1] == b - 1 else free[:b, None]
-            y = partial[i, cols[s]]
-            y *= signs[s]
-            blk[b * (b - 1) // 2:b * (b + 1) // 2, rows[s] - start] = y
+    for T, n_low in blocks:
+        top = [j for j in range(L, d) if not T >> j & 1]  # free orbital L + q is top[q]
+        below = [(T & ((1 << j) - 1)).bit_count() for j in top]
+        n_doubles = len(top) * (len(top) - 1) // 2
+        doubles = list(zip(hi[:n_doubles].tolist(), lo[:n_doubles].tolist()))
+        keys = ([T] + [T | 1 << j for j in top]
+                + [T | 1 << top[q] | 1 << top[p] for q, p in doubles])
+        starts = np.searchsorted(basis.states, keys).tolist()
+        n_free = L + len(top)
+        n_rows, width = n_free * (n_free - 1) // 2, comb(L, n_low)
+        flat = complex_buf[:n_rows * width]
+        flat.fill(0)
+        dst, src, signs = _low_hops(L, n_low + 2, 2)  # low i < j: the run of T
+        flat[dst] = amps[starts[0]:][src] * signs
+        dst, src, signs = _low_hops(L, n_low + 1, 1)  # low i, top j: the run of T + j
+        for q, start in enumerate(starts[1:1 + len(top)]):
+            # past c_i, c_j crosses the other n_low low orbitals and T below j
+            sign = (-1) ** (n_low + below[q])
+            row = (L + q) * (L + q - 1) // 2  # pair (0, top[q])
+            flat[row * width + dst] = amps[start:][src] * (sign * signs)
+        for (q, p), start in zip(doubles, starts[1 + len(top):]):  # top i < j: T + i + j
+            offset = ((L + q) * (L + q - 1) // 2 + L + p) * width
+            np.multiply(amps[start:start + width], (-1) ** (below[p] + below[q]),
+                        out=flat[offset:offset + width])
+        blk = flat.reshape(n_rows, width)
         xy = real_buf[:2 * n_rows * width].reshape(n_rows, 2 * width)
         xy[:, :width], xy[:, width:] = blk.real, blk.imag  # [X | Y]
         xx, yx = xy @ xy.T, xy[:, width:] @ xy[:, :width].T
-        if keep is None:
+        if T == 0:
             sym += xx
             cross += yx
         else:
-            sym[keep] += xx
-            cross[keep] += yx
+            free = np.array([*range(L), *top])
+            i, j = free[lo[:n_rows]], free[hi[:n_rows]]
+            rows = j * (j - 1) // 2 + i  # the colex rows of the block's pairs
+            sym[rows[:, None], rows] += xx
+            cross[rows[:, None], rows] += yx
     g = np.empty((n_pairs, n_pairs), dtype=np.complex128)
     g.real, g.imag = sym, cross - cross.T  # the transpose of the sum
     g = 2.0 * g[wedge]

@@ -140,8 +140,8 @@ class TestSubcommands:
                        for c in spectra)
 
     def test_gamma2_over_budget_writes_error_report(self, tmp_path):
-        # C(24, 10) * 276 * 16 B ~ 8.7 GB of pair-annihilated vectors
-        code, report = run_cli(tmp_path, "verify", "thm1", "--dim", "24",
+        # every sector of d <= 24 is admitted; d = 25 is above the dimension cap
+        code, report = run_cli(tmp_path, "verify", "thm1", "--dim", "25",
                                "--particles", "12", "--trials", "1")
         assert code == 1
         assert report["checks"][0]["kind"] == "error"
@@ -153,12 +153,11 @@ class TestSubcommands:
             raise AssertionError("a state was drawn")
 
         monkeypatch.setattr(cli, "random_state", no_state)
-        code, report = run_cli(tmp_path, "verify", check, "--dim", "24",
+        code, report = run_cli(tmp_path, "verify", check, "--dim", "25",
                                "--particles", "12", "--trials", "1")
         assert code == 1
         assert [c["note"] for c in report["checks"]] == [
-            "SectorSizeError: reduced operator of (d=24, N=12) needs "
-            "8660906496 bytes of pair-annihilated vectors, budget is 2147483648"]
+            "SectorSizeError: d=25 outside the configured cap 24"]
 
     def test_canonical_subcommand(self, tmp_path):
         tensor_path = tmp_path / "tensor.txt"

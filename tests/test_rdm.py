@@ -21,9 +21,8 @@ from gamma2lab.fock import (SectorMismatchError, SectorSizeError,
                             apply_annihilate, apply_annihilate_vector,
                             slater_state)
 from gamma2lab.pairing import PairOperator, build_pairing_state
-from gamma2lab.rdm import (DEFAULT_MAX_GAMMA2_BYTES, admit_gamma2,
-                           compute_gamma2, correlation_invariants, expectation,
-                           expectation_fast, gamma2_bytes, one_body_matrix,
+from gamma2lab.rdm import (admit_gamma2, compute_gamma2, correlation_invariants,
+                           expectation, expectation_fast, one_body_matrix,
                            partial_trace_residual, spectral_decompose)
 
 ORACLE_TOL = 1e-12
@@ -271,6 +270,17 @@ class TestIdentityOracles:
             assert np.array_equal(g.mat, g.mat.conj().T)
             assert g.trace_residual < 1e-12
 
+    # the default cap splits these by 2, 1 and 4 top orbitals, so blocks read
+    # low pairs, low-top pairs and (but at (15, 6)) top pairs
+    @pytest.mark.parametrize("d,n", [(14, 7), (15, 6), (16, 8)])
+    def test_default_split_matches_single_product(self, d, n):
+        assert rdm._gram_blocks(d, n, rdm.GRAM_CHUNK)[0] < d
+        psi = random_state(d, n, 17 * d + n)
+        g = compute_gamma2(psi)
+        assert np.max(np.abs(g.mat - unchunked_gamma2(psi))) < 1e-13
+        assert np.array_equal(g.mat, g.mat.conj().T)
+        assert g.trace_residual < 1e-12
+
     def test_unnormalized_column_refused(self):
         a = random_tensor(6, np.random.default_rng(3)).mat
         correlation_invariants(a[None])
@@ -285,72 +295,96 @@ class TestGramBlocks:
         (20, 10, 4096, 6, 64),             # runs of at most C(14, 7) = 3432
     ])
     def test_block_plan(self, d, n, cap, top, count):
-        bounds, edges, blocks, widest, _ = rdm._gram_blocks(d, n, cap)
+        low, blocks, widest, _, _ = rdm._gram_blocks(d, n, cap)
+        assert low == d - top and len(blocks) == count
+        # the blocks tile the (N-2)-particle masks in order, each the run of
+        # one top occupation T ordered as the masks of the low orbitals
         masks = fock.occupation_masks(d, n - 2)
-        assert bounds[0] == 0 and bounds[-1] == len(masks) and len(blocks) == count
-        assert widest == max(np.diff(bounds)) <= cap
-        for c, (free, keep) in enumerate(blocks):
-            run = masks[bounds[c]:bounds[c + 1]] >> (d - top)
-            assert np.all(run == run[0])  # one occupation of the top orbitals
-            taken = [o for o in range(d - top, d) if int(masks[bounds[c]]) >> o & 1]
-            assert sorted(free.tolist() + taken) == list(range(d))
-            assert (keep is None) == (not taken)
+        start = 0
+        for T, n_low in blocks:
+            run = fock.occupation_masks(low, n_low) | T
+            assert T >> low << low == T and n_low == n - 2 - T.bit_count()
+            assert np.array_equal(masks[start:start + len(run)], run)
+            start += len(run)
+        assert start == len(masks)
+        assert widest == max(comb(low, n_low) for _, n_low in blocks) <= cap
 
-    # first entry of c_0 on the state, then of c_7 on c_i psi: both are read
-    @pytest.mark.parametrize("n,orbital", [(4, 0), (3, 7)])
-    def test_dropped_hop_fails_the_trace_check(self, n, orbital, monkeypatch):
+    def test_runs_of_psi_are_low_sectors(self):
+        d, n, low = 12, 6, 7
+        states = fock.occupation_masks(d, n)
+        for t in range(1 << (d - low)):
+            run = fock.occupation_masks(low, n - t.bit_count()) | t << low
+            start = np.searchsorted(states, t << low)
+            assert np.array_equal(states[start:start + len(run)], run)
+
+    @pytest.mark.parametrize("k", [2, 1], ids=["pairs", "singles"])
+    def test_dropped_low_entry_fails_the_trace_check(self, k, monkeypatch):
         psi = random_state(8, 4, 3)
-        hops = fock._fermion_hops
+        tables = rdm._low_hops
 
         def dropped(*key):
-            rows, cols, signs = hops(*key)
-            if key == (8, n, orbital):
+            dst, src, signs = tables(*key)
+            if key[2] == k and len(signs):
                 signs = signs.copy()
                 signs[0] = 0
-            return rows, cols, signs
+            return dst, src, signs
 
-        monkeypatch.setattr(rdm, "_fermion_hops", dropped)
-        with pytest.raises(ArithmeticError, match="trace residual"):
-            compute_gamma2(psi)
+        monkeypatch.setattr(rdm, "_low_hops", dropped)
+        with mock.patch.object(rdm, "GRAM_CHUNK", 5):  # 5 top orbitals read singles
+            with pytest.raises(ArithmeticError, match="trace residual"):
+                compute_gamma2(psi)
+
+    # every entry of c_i, or c_j c_i, against fock's annihilators
+    @pytest.mark.parametrize("low,n,k", [(5, 3, 1), (5, 3, 2), (6, 2, 2), (6, 6, 2)])
+    def test_low_table_against_annihilators(self, low, n, k):
+        dst, src, signs = rdm._low_hops(low, n, k)
+        basis = fock.enumerate_sector(low, n)
+        width = comb(low, n - k)
+        table = np.zeros((comb(low, k) * width, basis.dim))
+        table[dst, src] = signs
+        for r, bits in enumerate(fock.occupation_masks(low, k).tolist()):
+            for s in range(basis.dim):
+                y = fock.SectorVector(basis, np.eye(basis.dim)[s])
+                for o in range(low):  # the lowest orbital first
+                    if bits >> o & 1:
+                        y = apply_annihilate(o, y)
+                assert np.array_equal(table[r * width:(r + 1) * width, s], y.amplitudes.real)
+        assert all(len(part) == 0 for part in rdm._low_hops(low, k - 1, k))
 
 
 class TestGamma2Admission:
-    def test_budget_is_arithmetic(self):
-        assert gamma2_bytes(20, 10) <= DEFAULT_MAX_GAMMA2_BYTES
-        assert gamma2_bytes(24, 12) > DEFAULT_MAX_GAMMA2_BYTES  # about 8.7 GB
-        assert gamma2_bytes(8, 4) == 28 * 28 * 16
-
     @pytest.mark.parametrize("d,n,error,match", [
         (25, 1, SectorSizeError, "configured cap"),        # sector caps first
         (24, 1, SectorMismatchError, "two particles"),     # then N >= 2
-        (24, 12, SectorSizeError, "pair-annihilated"),     # then the budget
     ])
     def test_admission_order(self, d, n, error, match):
         with pytest.raises(error, match=match):
             admit_gamma2(d, n)
 
-    def test_admits_within_budget(self):
-        admit_gamma2(20, 10)
-        admit_gamma2(22, 11)
+    def test_admits_every_capped_sector(self):
+        for d in range(2, fock.DEFAULT_MAX_DIM + 1):
+            for n in range(2, d + 1):
+                if comb(d, n) <= fock.DEFAULT_MAX_SECTOR:
+                    admit_gamma2(d, n)
+        admit_gamma2(24, 12)
 
     def test_refused_before_any_gather(self, monkeypatch):
-        psi = random_state(8, 4, 0)
+        psi = random_state(8, 1, 0)
 
-        def no_hops(*args):
+        def no_tables(*args):
             raise AssertionError("assembly started")
 
-        monkeypatch.setattr(rdm, "DEFAULT_MAX_GAMMA2_BYTES", gamma2_bytes(8, 4) - 1)
-        monkeypatch.setattr(rdm, "_fermion_hops", no_hops)
-        with pytest.raises(SectorSizeError):
+        monkeypatch.setattr(rdm, "_low_hops", no_tables)
+        monkeypatch.setattr(rdm, "_gram_blocks", no_tables)
+        with pytest.raises(SectorMismatchError):
             compute_gamma2(psi)
 
 
 def test_assembly_never_holds_the_pair_vectors():
     d, n = 16, 8
     psi = random_state(d, n, 0)
-    for orbital in range(d):  # the cached hop tables are not assembly memory
-        fock._fermion_hops(d, n, orbital)
-        fock._fermion_hops(d, n - 1, orbital)
+    for cache in (rdm._low_hops, rdm._gram_blocks, fock.occupation_masks):
+        cache.cache_clear()  # the tables and plans are assembly memory too
     with mock.patch.object(rdm, "GRAM_CHUNK", 64):
         tracemalloc.start()
         try:
@@ -359,9 +393,9 @@ def test_assembly_never_holds_the_pair_vectors():
         finally:
             tracemalloc.stop()
     assert abs(np.trace(g.mat).real - n * (n - 1)) < 1e-9
-    # the d-1 partial vectors c_i psi held during assembly are 0.18 of the
-    # pair vectors at (16, 8); all of them at once would be 1
-    assert peak < gamma2_bytes(d, n) / 3
+    # psi is 0.2 MB; one partial vector c_i psi would be 0.18 MB and the pair
+    # vectors c_j c_i psi 15.4 MB
+    assert peak < 2_000_000
 
 
 def test_spectral_data_builds_matrices_lazily():
