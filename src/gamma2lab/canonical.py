@@ -27,6 +27,7 @@ explicit canonical form of one tensor, cluster by cluster.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import NamedTuple
 
@@ -53,9 +54,19 @@ class DecompositionError(RuntimeError):
     """The spectral routine failed to produce a canonical form."""
 
 
+@lru_cache(maxsize=32)
+def wedge_index(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(d, 1)``: the pairs (i, j), i < j, of the wedge basis
+    in row-major order, cached per d and read-only."""
+    index = np.triu_indices(d, 1)
+    for part in index:
+        part.setflags(write=False)
+    return index
+
+
 def wedge_pairs(d: int) -> tuple[tuple[int, int], ...]:
     """Ordered-pair index list (i, j), i < j, row-major."""
-    iu, ju = np.triu_indices(d, 1)
+    iu, ju = wedge_index(d)
     return tuple((int(i), int(j)) for i, j in zip(iu, ju))
 
 
@@ -98,7 +109,7 @@ class AntisymmetricTensor:
 
     def wedge_amplitudes(self) -> np.ndarray:
         """Coefficients on the wedge basis e_i ^ e_j, i < j (value sqrt(2) A[i, j])."""
-        iu, ju = np.triu_indices(self.d, 1)
+        iu, ju = wedge_index(self.d)
         return np.sqrt(2.0) * self.mat[iu, ju]
 
 
@@ -111,7 +122,7 @@ def wedge_matrices(d: int, amps) -> np.ndarray:
     exactly antisymmetric.
     """
     amps = np.asarray(amps, dtype=np.complex128)
-    iu, ju = np.triu_indices(d, 1)
+    iu, ju = wedge_index(d)
     if amps.ndim not in (1, 2) or amps.shape[0] != len(iu):
         raise SectorMismatchError("wedge amplitude vector has wrong length")
     mats = np.zeros(amps.shape[1:] + (d, d), dtype=np.complex128)
@@ -373,7 +384,7 @@ def embed_as_sector_vector(obj) -> SectorVector:
     """
     tensor = reconstruct(obj) if isinstance(obj, CanonicalForm) else obj
     sec = enumerate_sector(tensor.d, 2)
-    iu, ju = np.triu_indices(tensor.d, 1)
+    iu, ju = wedge_index(tensor.d)
     masks = (1 << iu.astype(np.int64)) | (1 << ju.astype(np.int64))
     amps = np.zeros(sec.dim, dtype=np.complex128)
     amps[sec.index_of(masks)] = np.sqrt(2.0) * tensor.mat[iu, ju]

@@ -121,12 +121,17 @@ def random_state(d: int, N: int, seed: int) -> SectorVector:
     """Normalized random sector vector, deterministic per (d, N, seed).
 
     Amplitudes are i.i.d. complex standard normal from a counter-based
-    Philox stream keyed by the seed.
+    Philox stream keyed by the seed: the real parts, then the imaginary
+    parts.  They are filled into one complex array and normalized in place,
+    so the peak is that array plus one real part.
     """
     sec = enumerate_sector(d, N)
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    z = rng.standard_normal(sec.dim) + 1j * rng.standard_normal(sec.dim)
-    return SectorVector(sec, z / np.linalg.norm(z))
+    z = np.empty(sec.dim, dtype=np.complex128)
+    z.real = rng.standard_normal(sec.dim)
+    z.imag = rng.standard_normal(sec.dim)
+    z /= np.linalg.norm(z)
+    return SectorVector(sec, z)
 
 
 # --- report plumbing --------------------------------------------------------

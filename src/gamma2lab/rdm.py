@@ -13,11 +13,15 @@ c_j c_i psi are read straight from psi just before its product is added:
 psi's masks with one top occupation form a run ordered as the masks of the
 low orbitals, so a block needs only a few runs of psi and small annihilation
 tables on the low orbitals, cached per low sector.  A block keeps only the
-pairs outside its occupied top orbitals, the others being zero on it, and
-its Hermitian product is summed in real arithmetic, one symmetric and one
-cross product, so the sum is Hermitian by construction; its trace is
-checked against N(N-1).  Nothing of the size of c_i psi is built, so
-within the sector caps the assembly holds little beyond psi itself.
+pairs outside its occupied top orbitals, the others being zero on it.  Its
+real and imaginary parts are gathered as two stacked real planes
+Z = [X; Y], and one symmetric real product Z Z^T holds all of its
+Hermitian product: X X^T + Y Y^T on the diagonal quadrants, Y X^T below,
+so the sum is Hermitian by construction; its trace is checked against
+N(N-1).  Blocks with the same number of occupied top orbitals share a
+layout and are taken together, so their planes are zeroed once.  Nothing
+of the size of c_i psi is built, so within the sector caps the assembly
+holds little beyond psi itself.
 
 Two more quantities come from identities instead of per-vector work:
 
@@ -38,12 +42,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import groupby
 from math import comb
 
 import numpy as np
 
 from .canonical import (AntisymmetricTensor, CanonicalForm, check_unit_norms,
-                        reconstruct, wedge_matrices)
+                        reconstruct, wedge_index, wedge_matrices)
 from .fock import (SectorMismatchError, SectorVector, _hops, admit_sector,
                    apply_annihilate, apply_annihilate_vector, enumerate_sector,
                    occupation_masks)
@@ -94,9 +99,9 @@ def admit_gamma2(d: int, N: int) -> None:
     Checks, in this order, the sector caps of :func:`fock.admit_sector` and
     the two-particle minimum (:class:`SectorMismatchError`), so a caller can
     refuse a request before it draws any state.  Within the caps the
-    assembly needs no budget of its own: besides psi (at most 48 MB) it
-    holds two block buffers of at most ``GRAM_CHUNK`` columns, the P x P sums
-    and low tables of a few MB.
+    assembly needs no budget of its own: besides psi (at most 43 MB) it
+    holds the two real planes of one block of at most ``GRAM_CHUNK``
+    columns, that block's product, the P x P sum and low tables, a few MB.
     """
     admit_sector(d, N)
     if N < 2:
@@ -144,23 +149,38 @@ def _gram_blocks(d: int, N: int, cap: int) -> tuple:
     masks ascend, so those sharing the occupation T of the top m orbitals
     form one run, ordered as ``occupation_masks(L, N-2-|T|)`` of their
     L = d - m low orbitals; m is the fewest for which every run, C(L, N-2-t)
-    masks with t top orbitals occupied, fits in ``cap``.  Returns L; per
-    block, T ascending (the order of the runs), the mask T and the low
-    popcount N-2-|T| of its columns; the widest block; the colex pairs
-    ``(hi, lo)`` of ``np.tril_indices(d, -1)``, whose first C(f, 2) entries
-    are the colex pairs of any f orbitals; and the ``np.ix_`` of the colex
-    row of each wedge pair, which reorders the sum to the wedge basis.
+    masks with t top orbitals occupied, fits in ``cap``.  Blocks with the
+    same |T| have the same layout, so they come in groups, |T| ascending:
+    T = 0, when it is a block, is a group of its own and comes first.
+    Returns L; per group, the low popcount N-2-|T| of its columns, its
+    masks T ascending and, per block, its free top orbitals ascending; the
+    number of floats in the largest block's two planes; the colex pairs
+    ``(hi, lo)`` of all d orbitals, whose first C(f, 2) entries are the
+    colex pairs of any f orbitals; and the flat colex index of each entry
+    of the wedge basis, which reorders the sum to it.  All arrays are
+    read-only.
     """
     n = N - 2
     m = next(k for k in range(d + 1)
              if max(comb(d - k, n - t) for t in range(min(k, n) + 1)) <= cap)
     L = d - m
-    blocks = [(t << L, n - t.bit_count()) for t in range(1 << m)
-              if 0 <= n - t.bit_count() <= L]
-    widest = max(comb(L, n_low) for _, n_low in blocks)
-    i, j = np.triu_indices(d, 1)
-    wedge = j * (j - 1) // 2 + i
-    return L, blocks, widest, np.tril_indices(d, -1), np.ix_(wedge, wedge)
+    groups = []
+    for t, us in groupby(sorted(range(1 << m), key=int.bit_count), key=int.bit_count):
+        if 0 <= n - t <= L:
+            us = list(us)
+            ts = np.array(us, dtype=np.int64) << L
+            tops = np.array([[L + q for q in range(m) if not u >> q & 1] for u in us],
+                            dtype=np.int64).reshape(len(us), m - t)
+            groups.append((n - t, ts, tops))
+    size = max(2 * comb(L + tops.shape[1], 2) * comb(L, n_low) for n_low, _, tops in groups)
+    i, j = wedge_index(d)
+    colex = j * (j - 1) // 2 + i  # the colex row of each wedge pair
+    hi, lo = np.empty_like(j), np.empty_like(i)
+    hi[colex], lo[colex] = j, i  # the wedge pairs in colex order
+    wedge = colex[:, None] * len(colex) + colex
+    for part in (hi, lo, wedge, *(a for group in groups for a in group[1:])):
+        part.setflags(write=False)
+    return L, groups, size, (hi, lo), wedge
 
 
 def compute_gamma2(psi: SectorVector) -> TwoBodyOperator:
@@ -171,79 +191,94 @@ def compute_gamma2(psi: SectorVector) -> TwoBodyOperator:
     of at most ``GRAM_CHUNK`` (N-2)-particle columns that share the
     occupation T of the top orbitals (one block for small sectors).  y_ij
     vanishes on a column holding i or j, so a block has rows only for the
-    C(d-|T|, 2) pairs outside T, and its product lands on those rows and
-    columns of the sum.  Each block is read straight from psi: psi's masks
-    with top occupation U form one run, ordered as the low masks.  Low pairs
-    i < j come from the run of T along the pair table of :func:`_low_hops`,
-    low i with top j from the run of T + j along its single table, and top
-    pairs i < j are the run of T + i + j itself; the Jordan-Wigner sign of
-    the top orbitals is one constant per run.  Only nonzero entries are
-    written, and nothing of the size of c_i psi is built.  With a block
-    B = X + iY held as [X | Y], conj(B) B^T = (X X^T + Y Y^T) + i (X Y^T - Y X^T):
-    one symmetric real product and one real cross product, so the sum is
-    Hermitian by construction; it runs in colex pair order and is reordered
-    to the wedge basis once at the end.  A (d, N) refused by
-    :func:`admit_gamma2` raises before anything is allocated.  The trace is
-    checked against N(N-1) ||psi||^2; a residual above ``TRACE_TOL`` aborts,
-    since at these sizes it signals an implementation bug, not roundoff.
+    C(d-|T|, 2) pairs outside T, in colex order, and its product lands on
+    those rows and columns of the sum by one flat scatter (none for T = 0,
+    whose rows are every pair in order).  Each block B = X + iY is read
+    straight from psi's real and imaginary parts into the two real planes
+    of Z = [X; Y]: psi's masks with top occupation U form one run, ordered
+    as the low masks.  Low pairs i < j come from the run of T along the
+    pair table of :func:`_low_hops`, low i with top j from the runs of
+    T + j along its single table, and top pairs i < j are the runs of
+    T + i + j themselves, each read by one gather per plane; the
+    Jordan-Wigner sign of the top orbitals is one constant per run.  Only
+    nonzero entries are written: blocks with one |T| write the same entries,
+    so the planes are zeroed once per |T|.  With Q = Z Z^T, one symmetric
+    real product,
+    conj(B) B^T = (Q_XX + Q_YY) + i (Q_XY - Q_YX), Q_YX = Y X^T the lower
+    left quadrant, so the sum is Hermitian by construction; it runs in
+    colex pair order and is reordered to the wedge basis once at the end.
+    A (d, N) refused by :func:`admit_gamma2` raises before anything is
+    allocated.  The trace is checked against N(N-1) ||psi||^2; a residual
+    above ``TRACE_TOL`` aborts, since at these sizes it signals an
+    implementation bug, not roundoff.
     """
     basis = psi.basis
     d, N = basis.d, basis.N
     admit_gamma2(d, N)
     if abs(psi.norm() - 1.0) > STATE_NORM_TOL:
         raise ValueError("state must be normalized")
-    amps = psi.amplitudes
-    L, blocks, widest, (hi, lo), wedge = _gram_blocks(d, N, GRAM_CHUNK)
+    re, im = psi.amplitudes.real, psi.amplitudes.imag
+    L, groups, size, (hi, lo), wedge = _gram_blocks(d, N, GRAM_CHUNK)
     n_pairs = d * (d - 1) // 2
-    size = n_pairs * widest  # the largest block; every block reuses the buffers
-    complex_buf, real_buf = np.empty(size, dtype=np.complex128), np.empty(2 * size)
-    sym = np.zeros((n_pairs, n_pairs))
-    cross = np.zeros((n_pairs, n_pairs))
-    for T, n_low in blocks:
-        top = [j for j in range(L, d) if not T >> j & 1]  # free orbital L + q is top[q]
-        below = [(T & ((1 << j) - 1)).bit_count() for j in top]
-        n_doubles = len(top) * (len(top) - 1) // 2
-        doubles = list(zip(hi[:n_doubles].tolist(), lo[:n_doubles].tolist()))
-        keys = ([T] + [T | 1 << j for j in top]
-                + [T | 1 << top[q] | 1 << top[p] for q, p in doubles])
-        starts = np.searchsorted(basis.states, keys).tolist()
-        n_free = L + len(top)
+    buf = np.empty(size)  # the largest block's planes; every block reuses it
+    acc = np.zeros((n_pairs, n_pairs), dtype=np.complex128)
+    for n_low, ts, tops in groups:
+        n_top = tops.shape[1]
+        n_free, n_tt = L + n_top, n_top * (n_top - 1) // 2
         n_rows, width = n_free * (n_free - 1) // 2, comb(L, n_low)
-        flat = complex_buf[:n_rows * width]
-        flat.fill(0)
-        dst, src, signs = _low_hops(L, n_low + 2, 2)  # low i < j: the run of T
-        flat[dst] = amps[starts[0]:][src] * signs
-        dst, src, signs = _low_hops(L, n_low + 1, 1)  # low i, top j: the run of T + j
-        for q, start in enumerate(starts[1:1 + len(top)]):
+        z = buf[:2 * n_rows * width].reshape(2 * n_rows, width)
+        z.fill(0)  # every block of the group writes the same entries
+        x, y = z[:n_rows], z[n_rows:]
+        xf, yf = x.reshape(-1), y.reshape(-1)
+        # (dst, src, sign) tables; low i < j: the run of T
+        dp, sp, gp = _low_hops(L, n_low + 2, 2)
+        t_col = keys = ts[:, None]
+        if n_top:  # low i, top j: the runs of T + j; top i < j: the runs of T + i + j
+            dst1, s1, g1 = _low_hops(L, n_low + 1, 1)
+            heads = np.arange(L, n_free)
+            heads = heads * (heads - 1) // 2  # the row of pair (0, L + q), free top q
+            d1 = (heads[:, None] * width + dst1).ravel()
+            qs, ps = hi[:n_tt], lo[:n_tt]  # the free top pairs p < q
+            rows_tt = heads[qs] + L + ps
+            ar = np.arange(width)
+            bits = 1 << tops
+            below = np.bitwise_count(t_col & (bits - 1))
             # past c_i, c_j crosses the other n_low low orbitals and T below j
-            sign = (-1) ** (n_low + below[q])
-            row = (L + q) * (L + q - 1) // 2  # pair (0, top[q])
-            flat[row * width + dst] = amps[start:][src] * (sign * signs)
-        for (q, p), start in zip(doubles, starts[1 + len(top):]):  # top i < j: T + i + j
-            offset = ((L + q) * (L + q - 1) // 2 + L + p) * width
-            np.multiply(amps[start:start + width], (-1) ** (below[p] + below[q]),
-                        out=flat[offset:offset + width])
-        blk = flat.reshape(n_rows, width)
-        xy = real_buf[:2 * n_rows * width].reshape(n_rows, 2 * width)
-        xy[:, :width], xy[:, width:] = blk.real, blk.imag  # [X | Y]
-        xx, yx = xy @ xy.T, xy[:, width:] @ xy[:, :width].T
-        if T == 0:
-            sym += xx
-            cross += yx
-        else:
-            free = np.array([*range(L), *top])
-            i, j = free[lo[:n_rows]], free[hi[:n_rows]]
-            rows = j * (j - 1) // 2 + i  # the colex rows of the block's pairs
-            sym[rows[:, None], rows] += xx
-            cross[rows[:, None], rows] += yx
-    g = np.empty((n_pairs, n_pairs), dtype=np.complex128)
-    g.real, g.imag = sym, cross - cross.T  # the transpose of the sum
-    g = 2.0 * g[wedge]
-    residual = abs(2.0 * float(np.trace(sym))
+            lt_sign = 1.0 - 2.0 * ((n_low + below) & 1)
+            tt_sign = 1.0 - 2.0 * ((below[:, qs] + below[:, ps]) & 1)
+            keys = np.concatenate((t_col, t_col | bits, t_col | bits[:, qs] | bits[:, ps]), axis=1)
+        starts = np.searchsorted(basis.states, keys)
+        if ts[0]:  # T = 0 is a group of its own, whose rows are every pair in order
+            free = np.concatenate((np.broadcast_to(np.arange(L), (len(ts), L)), tops), axis=1)
+            i, j = free[:, lo[:n_rows]], free[:, hi[:n_rows]]
+            rows = j * (j - 1) // 2 + i
+            blk = np.empty((n_rows, n_rows), dtype=np.complex128)
+        for k, T in enumerate(ts.tolist()):
+            run = starts[k]
+            xf[dp] = re[run[0]:][sp] * gp
+            yf[dp] = im[run[0]:][sp] * gp
+            if n_top:
+                src = (run[1:1 + n_top, None] + s1).ravel()
+                sg = (lt_sign[k, :, None] * g1).ravel()
+                xf[d1] = re[src] * sg
+                yf[d1] = im[src] * sg
+            if n_tt:
+                src = run[1 + n_top:, None] + ar
+                x[rows_tt] = re[src] * tt_sign[k, :, None]
+                y[rows_tt] = im[src] * tt_sign[k, :, None]
+            q = z @ z.T
+            out = blk if T else acc  # T = 0 comes first and writes the sum itself
+            np.add(q[:n_rows, :n_rows], q[n_rows:, n_rows:], out=out.real)
+            out.imag = q[n_rows:, :n_rows]
+            if T:
+                acc.reshape(-1)[rows[k, :, None] * n_pairs + rows[k]] += blk
+    residual = abs(2.0 * float(np.trace(acc.real))
                    - N * (N - 1) * float(np.vdot(psi.amplitudes, psi.amplitudes).real))
     if residual > TRACE_TOL:
         raise ArithmeticError(f"trace residual {residual:.3e} exceeds {TRACE_TOL:.1e}")
-    return TwoBodyOperator(d=d, n_particles=N, mat=g, trace_residual=residual)
+    acc.imag -= acc.imag.T.copy()  # the transpose of the sum
+    return TwoBodyOperator(d=d, n_particles=N, mat=2.0 * acc.reshape(-1)[wedge],
+                           trace_residual=residual)
 
 
 def spectral_decompose(g: TwoBodyOperator) -> SpectralData:
@@ -283,7 +318,7 @@ def one_body_matrix(g: TwoBodyOperator) -> np.ndarray:
     entries evaluates all of it.  Then ||c(u) psi||**2 = u^T gamma1 conj(u).
     """
     d = g.d
-    iu, ju = np.triu_indices(d, 1)
+    iu, ju = wedge_index(d)
     index = np.zeros((d, d), dtype=np.intp)
     sign = np.zeros((d, d))
     index[iu, ju] = index[ju, iu] = np.arange(len(iu))

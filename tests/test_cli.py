@@ -81,6 +81,16 @@ class TestRandomState:
         b = random_state(6, 3, 2)
         assert abs(a.inner(b)) < 1.0 - 1e-6
 
+    @pytest.mark.parametrize("d,n,seed", [(2, 1, 0), (4, 2, 0), (8, 4, 3), (9, 2, 11),
+                                          (12, 6, 2 ** 31 - 1), (16, 8, 5)])
+    def test_matches_sum_of_parts(self, d, n, seed):
+        # the in-place fill gives bit for bit the values of the full-size expression
+        rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+        dim = math.comb(d, n)
+        z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        got = random_state(d, n, seed).amplitudes
+        assert got.tobytes() == (z / np.linalg.norm(z)).tobytes()
+
 
 def run_cli(tmp_path, *argv):
     out = tmp_path / "report.json"

@@ -295,19 +295,29 @@ class TestGramBlocks:
         (20, 10, 4096, 6, 64),             # runs of at most C(14, 7) = 3432
     ])
     def test_block_plan(self, d, n, cap, top, count):
-        low, blocks, widest, _, _ = rdm._gram_blocks(d, n, cap)
+        low, groups, size, _, _ = rdm._gram_blocks(d, n, cap)
+        blocks = [(T, n_low) for n_low, ts, _ in groups for T in ts.tolist()]
         assert low == d - top and len(blocks) == count
-        # the blocks tile the (N-2)-particle masks in order, each the run of
+        # the blocks come in groups of one |T|, fewest top orbitals occupied
+        # first, and tile the (N-2)-particle masks as a set, each the run of
         # one top occupation T ordered as the masks of the low orbitals
+        assert [n_low for n_low, _, _ in groups] == sorted({b[1] for b in blocks}, reverse=True)
         masks = fock.occupation_masks(d, n - 2)
-        start = 0
+        runs = []
+        for n_low, ts, tops in groups:
+            for T, free in zip(ts.tolist(), tops.tolist()):
+                assert free == [o for o in range(low, d) if not T >> o & 1]
         for T, n_low in blocks:
             run = fock.occupation_masks(low, n_low) | T
             assert T >> low << low == T and n_low == n - 2 - T.bit_count()
+            start = np.searchsorted(masks, T)
             assert np.array_equal(masks[start:start + len(run)], run)
-            start += len(run)
-        assert start == len(masks)
-        assert widest == max(comb(low, n_low) for _, n_low in blocks) <= cap
+            runs.append(run)
+        assert np.array_equal(np.sort(np.concatenate(runs)), masks)
+        assert max(comb(low, n_low) for _, n_low in blocks) <= cap
+        # the two planes of the largest block: C(d - |T|, 2) pairs by its columns
+        assert size == max(2 * comb(d - (n - 2 - n_low), 2) * comb(low, n_low)
+                           for _, n_low in blocks)
 
     def test_runs_of_psi_are_low_sectors(self):
         d, n, low = 12, 6, 7
@@ -333,6 +343,25 @@ class TestGramBlocks:
         with mock.patch.object(rdm, "GRAM_CHUNK", 5):  # 5 top orbitals read singles
             with pytest.raises(ArithmeticError, match="trace residual"):
                 compute_gamma2(psi)
+
+    # the trace is a sum of squares, blind to a sign: the oracle is not
+    def test_flipped_low_sign_misses_the_oracle(self, monkeypatch):
+        d, n = 14, 7
+        psi = random_state(d, n, 17 * d + n)
+        tables = rdm._low_hops
+
+        def flipped(*key):
+            dst, src, signs = tables(*key)
+            if key[2] == 1 and len(signs):
+                signs = signs.copy()
+                signs[0] = -signs[0]
+            return dst, src, signs
+
+        monkeypatch.setattr(rdm, "_low_hops", flipped)
+        assert rdm._gram_blocks(d, n, rdm.GRAM_CHUNK)[0] < d  # blocks read singles
+        g = compute_gamma2(psi)
+        assert g.trace_residual < 1e-12
+        assert np.max(np.abs(g.mat - unchunked_gamma2(psi))) > 1e-13
 
     # every entry of c_i, or c_j c_i, against fock's annihilators
     @pytest.mark.parametrize("low,n,k", [(5, 3, 1), (5, 3, 2), (6, 2, 2), (6, 6, 2)])
@@ -396,6 +425,22 @@ def test_assembly_never_holds_the_pair_vectors():
     # psi is 0.2 MB; one partial vector c_i psi would be 0.18 MB and the pair
     # vectors c_j c_i psi 15.4 MB
     assert peak < 2_000_000
+
+
+def test_assembly_memory_at_the_sector_large_size():
+    d, n = 20, 10
+    psi = random_state(d, n, 0)
+    for cache in (rdm._low_hops, rdm._gram_blocks, fock.occupation_masks):
+        cache.cache_clear()
+    tracemalloc.start()
+    try:
+        compute_gamma2(psi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # psi is 3.0 MB; its tables, one block's planes and the P x P sum stay
+    # below this, cold caches included
+    assert peak < 9_000_000
 
 
 def test_spectral_data_builds_matrices_lazily():
