@@ -16,7 +16,7 @@ from .canonical import (AntisymmetricTensor, CanonicalForm,
 from .fock import (SectorBasis, SectorMismatchError, SectorSizeError,
                    SectorVector, apply_annihilate, apply_annihilate_vector,
                    apply_create, apply_create_vector, basis_state,
-                   enumerate_sector, number_expectation, occupation,
+                   enumerate_sector, number_expectation, occupations,
                    slater_state, vacuum_state)
 from .pairing import (PairingState, PairOperator, annihilation_identity_check,
                       apply_B, apply_B_star, build_pairing_state,

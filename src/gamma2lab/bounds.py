@@ -35,8 +35,8 @@ import numpy as np
 
 from .canonical import CanonicalForm, plane_minima
 from .fock import SectorSizeError, SectorVector, enumerate_sector
-from .pairing import (DENSE_CAP, PairOperator, admit_pair_blocks, apply_B,
-                      apply_B_star, dense_b_matrix, norm_sq_oracle,
+from .pairing import (DENSE_CAP, PairOperator, admit_gram, admit_pair_blocks,
+                      apply_B, apply_B_star, dense_b_matrix, norm_sq_oracle,
                       pair_blocks, pair_expectation, pair_grams,
                       pairing_amplitudes, pairing_states)
 from .rdm import SpectralData, correlation_invariants
@@ -84,13 +84,32 @@ def _check_descending(lams: np.ndarray) -> None:
         raise ValueError("coefficients must be non-negative and descending")
 
 
-def theorem1_rhs(N: int, sum_lambda4: float) -> float:
-    """Eigenvalue ceiling N / (1 + (N-2)/2 * sum lam**4)."""
+def theorem1_rhs(N: int, sum_lambda4: float | np.ndarray) -> float | np.ndarray:
+    """Eigenvalue ceiling N / (1 + (N-2)/2 * sum lam**4), a float for a float
+    and an array for an array of sum lam**4, every one of which must lie in
+    (0, 1]."""
     if N < 2:
         raise ValueError("the ceiling is defined for N >= 2")
-    if not 0.0 < sum_lambda4 <= 1.0 + 1e-12:
+    if not np.all((0.0 < sum_lambda4) & (sum_lambda4 <= 1.0 + 1e-12)):
         raise ValueError("sum_lambda4 must lie in (0, 1]")
-    return N / (1.0 + 0.5 * (N - 2) * sum_lambda4)
+    rhs = N / (1.0 + 0.5 * (N - 2) * sum_lambda4)
+    return rhs if np.ndim(rhs) else float(rhs)
+
+
+def _eigenpair_reports(kind: str, spectral: SpectralData, keep: np.ndarray,
+                       observed, bound, margin, details: dict, tol: float,
+                       tag: dict | None) -> list[TheoremReport]:
+    """One ``kind`` report per kept eigenpair ``keep[i]`` from the i-th entry
+    of each array: ``observed``, ``bound``, ``margin`` (pass means
+    margin >= -tol) and every column of ``details``."""
+    d, N = spectral.operator.d, spectral.operator.n_particles
+    columns = zip(keep.tolist(), observed.tolist(), bound.tolist(), margin.tolist(),
+                  *(col.tolist() for col in details.values()))
+    return [TheoremReport(kind=kind, params={"d": d, "N": N, "eigen_index": idx,
+                                             **(tag or {})},
+                          observed=obs, bound=bnd, margin=mar, passed=mar >= -tol,
+                          details=dict(zip(details, row)))
+            for idx, obs, bnd, mar, *row in columns]
 
 
 def verify_theorem1(spectral: SpectralData, tol: float = BOUND_TOL,
@@ -105,22 +124,13 @@ def verify_theorem1(spectral: SpectralData, tol: float = BOUND_TOL,
     :func:`rdm.correlation_invariants` over ``spectral.matrices``; no
     canonical form is computed.
     """
-    d, N = spectral.operator.d, spectral.operator.n_particles
     keep = np.flatnonzero(spectral.eigenvalues > tol)
     sum_lambda4, lambda_max = correlation_invariants(spectral.matrices[keep])
-    reports = []
-    for idx, s4, lmax in zip(keep, sum_lambda4, lambda_max):
-        lam_eig = float(spectral.eigenvalues[idx])
-        rhs = theorem1_rhs(N, float(s4))
-        margin = rhs - lam_eig
-        params = {"d": d, "N": N, "eigen_index": int(idx)}
-        if tag:
-            params.update(tag)
-        reports.append(TheoremReport(
-            kind="thm1", params=params, observed=lam_eig, bound=rhs,
-            margin=margin, passed=margin >= -tol,
-            details={"sum_lambda4": float(s4), "lambda_max": float(lmax)}))
-    return reports
+    eigenvalues = spectral.eigenvalues[keep]
+    ceilings = theorem1_rhs(spectral.operator.n_particles, sum_lambda4)
+    return _eigenpair_reports(
+        "thm1", spectral, keep, eigenvalues, ceilings, ceilings - eigenvalues,
+        {"sum_lambda4": sum_lambda4, "lambda_max": lambda_max}, tol, tag)
 
 
 def theorem2_floor(N: int, sum_lambda4: float, lambda_max_sq: float) -> float:
@@ -180,9 +190,12 @@ class GapResult(NamedTuple):
 
 def admit_proposition(op: PairOperator, N: int) -> None:
     """Refuse N before any solve: ValueError unless N is a positive even
-    integer, :class:`SectorSizeError` if its pair blocks exceed the caps."""
+    integer, :class:`SectorSizeError` if its pair blocks exceed the caps.
+    :func:`proposition_gap` builds each block's Gram on M = (N - s) / 2
+    pairs; the largest is the seniority-zero one."""
     if N < 2 or N % 2:
         raise ValueError("N must be a positive even integer")
+    admit_gram(op.n_pairs, N // 2)
     admit_pair_blocks(op.n_pairs, N)
 
 
@@ -255,27 +268,15 @@ def eigenvector_occupation_check(spectral: SpectralData, tol: float = BOUND_TOL,
     several pairs is one space, compared with its smallest lam and named by
     its first pair.  Each report names its worst pair k.
     """
-    d, N = spectral.operator.d, spectral.operator.n_particles
     keep = np.flatnonzero(spectral.eigenvalues > tol)
-    if not keep.size:
-        return []
     lams, occ = plane_minima(spectral.matrices[keep], spectral.one_body)
     need = 0.5 * spectral.eigenvalues[keep, None] * lams ** 2
     excess = occ - need
-    reports = []
-    for idx, row_occ, row_need, row_excess in zip(keep, occ, need, excess):
-        k = int(np.argmin(row_excess))
-        worst = float(row_excess[k])
-        params = {"d": d, "N": N, "eigen_index": int(idx)}
-        if tag:
-            params.update(tag)
-        reports.append(TheoremReport(
-            kind="prop_occupation", params=params,
-            observed=float(row_occ[k]), bound=float(row_need[k]),
-            margin=worst, passed=worst >= -tol,
-            details={"k": k, "occupation": float(row_occ[k]),
-                     "required": float(row_need[k])}))
-    return reports
+    rows, k = np.arange(len(keep)), np.argmin(excess, axis=1)
+    return _eigenpair_reports(
+        "prop_occupation", spectral, keep, occ[rows, k], need[rows, k],
+        excess[rows, k], {"k": k, "occupation": occ[rows, k],
+                          "required": need[rows, k]}, tol, tag)
 
 
 def norm_recursion_check(op: PairOperator, M_max: int,
@@ -364,6 +365,12 @@ def sup_over_states(phi, N: int, method: str = "dense") -> float:
     raise ValueError(f"unknown method {method!r}")
 
 
+def _top_side(K: int, M: int) -> int:
+    """Pairs of the smaller basis on which B*B of M of K pairs has its
+    largest eigenvalue: max(M, K + 1 - M), or 0 for the vacuum (M = 0)."""
+    return max(M, K + 1 - M) if M else 0
+
+
 def block_sups(phi, N: int) -> dict[int, float]:
     """Twice the largest eigenvalue of B*B in the pair blocks of each seniority.
 
@@ -378,8 +385,7 @@ def block_sups(phi, N: int) -> dict[int, float]:
     sups: dict[int, float] = {}
     for blocks in pair_blocks(op.lambdas, N):
         s, K = blocks.seniority, blocks.coeffs.shape[1]
-        M = (N - s) // 2
-        grams = pair_grams(blocks.coeffs, max(M, K + 1 - M) if M else 0)
+        grams = pair_grams(blocks.coeffs, _top_side(K, (N - s) // 2))
         sups[s] = max(sups.get(s, 0.0), 2.0 * float(np.linalg.eigvalsh(grams).max()))
     return sups
 
@@ -395,8 +401,8 @@ def explore_conjecture(phi, N_list) -> list[TheoremReport]:
     S is the largest of the :func:`block_sups`; the seniority-zero value is
     recorded too, and ``seniority_gap`` is S minus it, so any gain from
     broken pairs is visible.  If the pair blocks of any N that is not
-    skipped exceed the caps, :class:`SectorSizeError` is raised before the
-    first N is solved.
+    skipped, or the Gram :func:`block_sups` builds for one, exceed the caps,
+    :class:`SectorSizeError` is raised before the first N is solved.
     """
     lams = _as_lambdas(phi)
     s4 = float(np.sum(lams ** 4))
@@ -412,7 +418,8 @@ def explore_conjecture(phi, N_list) -> list[TheoremReport]:
 
     notes = [skip_note(N) for N in N_list]
     for N, note in zip(N_list, notes):
-        if not note:
+        if not note:  # the seniority-zero block has the largest Gram
+            admit_gram(len(lams), _top_side(len(lams), N // 2))
             admit_pair_blocks(len(lams), N)
     reports = []
     for N, note in zip(N_list, notes):

@@ -386,6 +386,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if not np.isfinite(args.tol):
+        print(f"--tol must be finite, not {args.tol!r}", file=sys.stderr)
+        return 2
     if args.command == "verify" and args.check in ("thm1", "occupation"):
         try:
             args.particles = int(args.particles)

@@ -284,14 +284,23 @@ def apply_annihilate_vector(coeffs, vec: SectorVector) -> SectorVector:
     return _scatter(vec, [(i, np.conj(c)) for i, c in terms], create=False)
 
 
-def occupation(vec: SectorVector, orbital: int) -> float:
-    """Expected occupation <n_orbital> of a (nonzero) sector vector."""
+def occupations(vec: SectorVector) -> np.ndarray:
+    """Expected occupations <n_i> of all d orbitals of a (nonzero) sector
+    vector, shape (d,).
+
+    One pass over slices of 2**(d // 2) basis states adds each slice's
+    weights |psi|**2 times its occupation table (mask bit i set), so no
+    temporary grows with the sector.
+    """
     nsq = float(np.vdot(vec.amplitudes, vec.amplitudes).real)
     if nsq == 0.0:
         raise ValueError("zero vector has no occupation expectation")
-    bit = 1 << orbital
-    sel = (vec.basis.states & bit) != 0
-    return float(np.sum(np.abs(vec.amplitudes[sel]) ** 2) / nsq)
+    d, step = vec.basis.d, 1 << vec.basis.d // 2
+    total = np.zeros(d)
+    for start in range(0, vec.basis.dim, step):
+        bits = (vec.basis.states[start:start + step, None] & 1 << np.arange(d)) != 0
+        total += np.abs(vec.amplitudes[start:start + step]) ** 2 @ bits
+    return total / nsq
 
 
 def number_expectation(vec: SectorVector) -> float:

@@ -40,9 +40,10 @@ fixed the set of broken pairs (exactly one member occupied) and the spins on
 them, so on the (2K, N) sector they split into pair blocks: with s broken
 pairs, B acts as the sign-free seniority-zero B of the other K - s pairs
 (coefficients not renormalized) on (N - s)/2 pairs.  :func:`pair_blocks`
-enumerates one spin copy of each block as its kept coefficients; the
-smallest eigenvalue of the gap operator and the largest of B*B are a min or
-max over them, so no pairing computation needs the full sector.  No block
+enumerates one spin copy of each distinct block as its kept coefficients
+(blocks that tied coefficients make equal come once); the smallest
+eigenvalue of the gap operator and the largest of B*B are a min or max over
+them, so no pairing computation needs the full sector.  No block
 builds B: :func:`pair_grams` writes B*B on M pairs from its defining formula,
 the diagonal sum_{k in S} c_k^2 plus c_k c_l at every move of a pair k to
 an empty pair l, read off one cached move table (:func:`_pair_moves`).  By
@@ -252,6 +253,12 @@ def _pair_moves(K: int, M: int) -> tuple[np.ndarray, ...]:
     return tables
 
 
+def admit_gram(K: int, M: int) -> None:
+    """Refuse the Gram of :func:`pair_grams` on M of K pairs, C(K, M) rows,
+    above ``DENSE_CAP`` rows, by arithmetic."""
+    _admit(K, comb(K, M), DENSE_CAP, "dense pair block")
+
+
 def pair_grams(coeffs, M: int) -> np.ndarray:
     """B*B of the sign-free B, M -> M-1 pairs, on a batch of pair blocks.
 
@@ -261,11 +268,12 @@ def pair_grams(coeffs, M: int) -> np.ndarray:
     the diagonal sum_{k in S} c_k^2 on a mask S and the entry c_k c_l
     between S and S with k moved to l (:func:`_pair_moves`), and no other
     nonzero.  Returns shape (n_blocks, C(K', M), C(K', M)).  A Gram with
-    more than ``DENSE_CAP`` rows is refused before allocation.
+    more than ``DENSE_CAP`` rows is refused before allocation
+    (:func:`admit_gram`).
     """
     coeffs = np.asarray(coeffs, dtype=np.float64)
     n, K = coeffs.shape
-    _admit(K, comb(K, M), DENSE_CAP, "dense pair block")
+    admit_gram(K, M)
     occupied, rows, cols, k, l = _pair_moves(K, M)
     grams = np.zeros((n, len(occupied), len(occupied)))
     grams[:, rows, cols] = coeffs[:, k] * coeffs[:, l]
@@ -312,17 +320,16 @@ class PairBlocks(NamedTuple):
 def admit_pair_blocks(K: int, N: int) -> range:
     """Seniorities of the pair blocks of the (2K, N) sector, after admission.
 
-    Admission is arithmetic: the Gram of the largest block (seniority
-    N mod 2), the one matrix :func:`pair_grams` allocates for it, must fit
-    ``DENSE_CAP`` rows, and all blocks together ``DEFAULT_MAX_SECTOR``
-    states, or :class:`SectorSizeError` is raised.  Callers that solve
-    several N call it for each before the first solve, so an oversized N is
-    refused before any work.
+    Admission is arithmetic: all blocks together must fit
+    ``DEFAULT_MAX_SECTOR`` states, or :class:`SectorSizeError` is raised.
+    The Gram each block needs is admitted by the solver, with
+    :func:`admit_gram` on the side it builds.  Callers that solve several N
+    admit each before the first solve, so an oversized N is refused before
+    any work.
     """
     if N < 0 or N > 2 * K:
         raise SectorSizeError(f"no (d={2 * K}, N={N}) sector")
     seniorities = range(N % 2, min(N, 2 * K - N) + 1, 2)
-    _admit(K - N % 2, comb(K - N % 2, N // 2), DENSE_CAP, "dense pair block")
     total = sum(comb(K, s) * comb(K - s, (N - s) // 2) for s in seniorities)
     if total > DEFAULT_MAX_SECTOR:
         raise SectorSizeError(
@@ -332,10 +339,15 @@ def admit_pair_blocks(K: int, N: int) -> range:
 
 
 def pair_blocks(lambdas, N: int) -> Iterator[PairBlocks]:
-    """Every pair block of the (2K, N) sector, one spin copy each, in batches.
+    """Every distinct pair block of the (2K, N) sector, one spin copy each,
+    in batches.
 
     A block is fixed by its set S of s broken pairs (s = N mod 2, ..., up to
     min(N, 2K - N)); its 2**s spin copies are identical and yielded once.
+    Two sets that differ only in which members of a run of bitwise-equal
+    adjacent coefficients they break leave the same kept coefficients and
+    the same ``broken``, so only the sets that break a prefix of every such
+    run are yielded: one block per seniority for a uniform profile.
     Seniorities come in ascending order, so the seniority-zero block (even N)
     comes first, alone.  A batch holds at most ``BATCH_ENTRIES // 2`` entries
     of the blocks' B*B, or one block, which leaves the other half for the
@@ -345,16 +357,21 @@ def pair_blocks(lambdas, N: int) -> Iterator[PairBlocks]:
     K = len(lams)
     seniorities = admit_pair_blocks(K, N)
     lam2 = lams ** 2
+    tied = np.r_[False, lams[1:].view(np.int64) == lams[:-1].view(np.int64)]
     for s in seniorities:
         entries = comb(K - s, (N - s) // 2) ** 2  # of one block's B*B
         per_batch = max(1, BATCH_ENTRIES // (2 * entries))
         subsets = combinations(range(K), s)
         while chunk := list(islice(subsets, per_batch)):
             broken = np.array(chunk, dtype=np.intp).reshape(len(chunk), s)
-            kept = np.ones((len(chunk), K), dtype=bool)
-            kept[np.arange(len(chunk))[:, None], broken] = False
-            coeffs = np.broadcast_to(lams, kept.shape)[kept].reshape(len(chunk), K - s)
-            yield PairBlocks(s, coeffs, lam2[broken].sum(axis=1))
+            later = tied[broken]  # a tied pair broken without pair k - 1
+            later[:, 1:] &= broken[:, :-1] != broken[:, 1:] - 1
+            broken = broken[~later.any(axis=1)]
+            if n := len(broken):
+                kept = np.ones((n, K), dtype=bool)
+                kept[np.arange(n)[:, None], broken] = False
+                coeffs = np.broadcast_to(lams, kept.shape)[kept].reshape(n, K - s)
+                yield PairBlocks(s, coeffs, lam2[broken].sum(axis=1))
 
 
 def _log_pair_sums(x: np.ndarray, c: np.ndarray, M: int) -> np.ndarray:

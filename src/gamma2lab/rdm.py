@@ -51,7 +51,7 @@ from .canonical import (AntisymmetricTensor, CanonicalForm, check_unit_norms,
                         reconstruct, wedge_index, wedge_matrices)
 from .fock import (SectorMismatchError, SectorVector, _hops, admit_sector,
                    apply_annihilate, apply_annihilate_vector, enumerate_sector,
-                   occupation_masks)
+                   occupation_masks, occupations)
 
 STATE_NORM_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -333,19 +333,10 @@ def one_body_matrix(g: TwoBodyOperator) -> np.ndarray:
 
 def partial_trace_residual(gamma1: np.ndarray, psi: SectorVector) -> float:
     """max_i |gamma1[i, i] - <n_i>|: the partial trace, the one-body matrix of
-    psi's reduced operator (:func:`one_body_matrix`), against direct occupations.
-
-    <n_i> is the weight |psi|**2 on the masks with bit i set over ||psi||**2,
-    summed as :func:`fock.occupation` sums it, with the norm taken once.
+    psi's reduced operator (:func:`one_body_matrix`), against the direct
+    occupations of :func:`fock.occupations`.
     """
-    diag = np.diagonal(gamma1).real
-    weight = np.abs(psi.amplitudes) ** 2
-    nsq = float(np.vdot(psi.amplitudes, psi.amplitudes).real)
-    if nsq == 0.0:
-        raise ValueError("zero vector has no occupation expectation")
-    states = psi.basis.states
-    return max(abs(float(diag[i]) - float(np.sum(weight[(states & (1 << i)) != 0]) / nsq))
-               for i in range(len(diag)))
+    return float(np.max(np.abs(np.diagonal(gamma1).real - occupations(psi))))
 
 
 def expectation(phi: AntisymmetricTensor, g: TwoBodyOperator) -> float:

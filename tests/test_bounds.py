@@ -82,6 +82,14 @@ class TestTheorem1Rhs:
         with pytest.raises(ValueError):
             theorem1_rhs(4, 1.5)
 
+    def test_array_matches_floats(self):
+        s4 = np.array([0.01, 0.25, 1.0])
+        assert theorem1_rhs(7, s4).tolist() == [theorem1_rhs(7, x) for x in s4.tolist()]
+        assert type(theorem1_rhs(7, 0.25)) is float
+        for bad in (0.0, 1.5, np.nan):  # one entry out of (0, 1] refuses all
+            with pytest.raises(ValueError):
+                theorem1_rhs(7, np.array([0.25, bad]))
+
     @given(st.integers(3, 40),
            st.floats(1e-6, 1.0), st.floats(1e-6, 1.0))
     @settings(max_examples=60, deadline=None)

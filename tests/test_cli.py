@@ -227,11 +227,13 @@ class TestSubcommands:
         assert [c["pass"] for c in report["checks"]] == [True]
 
     @pytest.mark.parametrize("argv", [
-        ["explore", "--lambda", "uniform:16", "--particles", "2,4,6,8,10,12"],
+        ["explore", "--lambda", "uniform:16", "--particles", "2,4,6,8,10,12,14"],
         ["verify", "prop", "--lambda", "uniform:16", "--particles", "8,12"],
     ])
     def test_oversized_n_refused_before_any_solve(self, tmp_path, monkeypatch, argv):
-        # N = 12 on 16 pairs needs a dense Gram of C(16, 6) = 8008 states
+        # prop at N = 12 on 16 pairs needs a dense Gram of C(16, 6) = 8008
+        # states; explore builds the smaller particle-hole side, and at
+        # N = 14 that is C(16, 10) = 8008 states
         def no_solve(*args):
             raise AssertionError("a pair block was built")
 
@@ -243,8 +245,8 @@ class TestSubcommands:
             "states, cap is 5000"]
 
     def test_skipped_n_is_not_admitted(self, tmp_path):
-        # odd N = 13 is skipped by explore; its blocks (C(15, 6) = 5005
-        # states) would exceed the dense cap
+        # odd N = 13 is skipped by explore; its pair blocks (3465840
+        # states) would exceed the cap on all blocks together
         code, report = run_cli(tmp_path, "explore", "--lambda", "uniform:16",
                                "--particles", "2,13")
         assert code == 0
@@ -340,6 +342,15 @@ class TestSubcommands:
         code = main(["verify", "thm2", "--particles", "4",
                      "--out", str(tmp_path / "r.json")])
         assert code == 2
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+    def test_non_finite_tol_is_usage_error(self, tmp_path, capsys, tol):
+        out = tmp_path / "report.json"
+        code = main(["verify", "thm2", "--lambda", "uniform:4", "--particles", "4",
+                     f"--tol={tol}", "--out", str(out)])
+        assert code == 2
+        assert "--tol must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_numerical_failure_writes_partial_report(self, tmp_path):
         code, report = run_cli(tmp_path, "verify", "thm2",

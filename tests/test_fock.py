@@ -16,7 +16,7 @@ from gamma2lab.fock import (SectorMismatchError, SectorSizeError,
                             SectorVector, apply_annihilate,
                             apply_annihilate_vector, apply_create,
                             apply_create_vector, basis_state, enumerate_sector,
-                            number_expectation, occupation, slater_state,
+                            number_expectation, occupations, slater_state,
                             vacuum_state)
 
 
@@ -214,12 +214,21 @@ class TestNumberOperator:
         psi = slater_state(6, [0, 2, 5])
         for i in range(6):
             expected = 1.0 if i in (0, 2, 5) else 0.0
-            assert occupation(psi, i) == expected
+            assert occupations(psi)[i] == expected
 
     def test_occupations_sum_to_particle_number(self):
         v = random_vector(8, 4, 3)
-        total = sum(occupation(v, i) for i in range(8))
+        total = sum(occupations(v)[i] for i in range(8))
         assert abs(total - 4.0) < 1e-12
+
+    @pytest.mark.parametrize("d, n", [(1, 1), (7, 3), (10, 5), (12, 11)])
+    def test_occupations_match_per_orbital_masks(self, d, n):
+        # 2**(d // 2) states per slice: several slices, the last one short
+        v = random_vector(d, n, 7) * 3.0
+        weight = np.abs(v.amplitudes) ** 2
+        ref = [weight[(v.basis.states >> i) & 1 == 1].sum() / weight.sum()
+               for i in range(d)]
+        assert np.allclose(occupations(v), ref, rtol=0.0, atol=1e-15)
 
 
 class TestVectorOperators:

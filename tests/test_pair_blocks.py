@@ -34,8 +34,9 @@ from gamma2lab.rdm import expectation_fast
 
 ORACLE_TOL = 1e-10
 
-# Up to six pairs; zero coefficients make some pairing states vanish.
-profiles = st.lists(st.one_of(st.just(0.0), st.floats(0.05, 2.0)),
+# Up to six pairs; zero coefficients make some pairing states vanish, and
+# repeated ones make pair blocks that are solved once.
+profiles = st.lists(st.one_of(st.just(0.0), st.just(1.0), st.floats(0.05, 2.0)),
                     min_size=1, max_size=6).filter(lambda raw: any(raw))
 
 
@@ -178,11 +179,24 @@ class TestBlockStructure:
         top = [np.linalg.eigvalsh(pair_grams(coeffs, m)).max() for m in (M, K + 1 - M)]
         assert abs(top[0] - top[1]) <= 1e-12
 
+    def test_tied_coefficients_give_one_block_per_seniority(self):
+        blocks = list(pair_blocks(np.ones(8), 4))
+        assert [(b.seniority, len(b.coeffs)) for b in blocks] == [(0, 1), (2, 1), (4, 1)]
+        assert [b.coeffs.tolist() for b in blocks] == [[[1.0] * 8], [[1.0] * 6], [[1.0] * 4]]
+        assert [b.broken.tolist() for b in blocks] == [[0.0], [2.0], [4.0]]
+
+    def test_only_bitwise_equal_coefficients_are_merged(self):
+        # pairs 0 and 1 are tied, pair 2 is one ULP below them
+        lams = np.array([1.0, 1.0, np.nextafter(1.0, 0.0)])
+        [blocks] = pair_blocks(lams, 1)
+        assert blocks.coeffs.tolist() == [[1.0, lams[2]], [1.0, 1.0]]
+
     @pytest.mark.parametrize("K, N", [(12, 6), (12, 9), (16, 8), (16, 10), (20, 4)])
     def test_batches_bounded_by_gram_entries(self, K, N):
         # every batch but a single block fits half the entry budget, which
-        # leaves the other half for the solver's copy
-        for blocks in pair_blocks(np.ones(K), N):
+        # leaves the other half for the solver's copy; distinct coefficients,
+        # since tied ones leave one block per seniority
+        for blocks in pair_blocks(np.arange(K, 0, -1), N):
             n, kept = blocks.coeffs.shape
             entries = n * math.comb(kept, (N - blocks.seniority) // 2) ** 2
             assert n == 1 or entries <= BATCH_ENTRIES // 2
@@ -223,6 +237,16 @@ class TestAdmission:
         # C(16, 7) = 11440 Gram rows
         with pytest.raises(SectorSizeError):
             pair_grams(np.ones((1, 16)), 7)
+
+    def test_each_solver_admits_the_gram_it_builds(self, monkeypatch):
+        # N = 4 on 6 pairs: the gap builds the seniority-zero Gram on
+        # C(6, 2) = 15 states, explore its particle-hole side on C(6, 5) = 6
+        monkeypatch.setattr(pairing, "DENSE_CAP", 10)
+        lams = parse_lambda_spec("uniform:6").values
+        [report] = explore_conjecture(lams, [4])
+        assert abs(report.details["sup_full"] - sup_over_states(lams, 4, "dense")) <= ORACLE_TOL
+        with pytest.raises(SectorSizeError):
+            proposition_gap(PairOperator.from_lambdas(lams), 4)
 
     def test_only_the_gram_is_admitted(self, no_enumeration):
         # N = 22 on 16 pairs: the Gram has C(16, 11) = 4368 rows; B, which

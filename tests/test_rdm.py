@@ -241,7 +241,7 @@ class TestIdentityOracles:
         residual = partial_trace_residual(gamma1, psi)
         assert residual < ORACLE_TOL
         diag = np.diagonal(gamma1).real
-        assert residual == max(abs(float(diag[i]) - fock.occupation(psi, i))
+        assert residual == max(abs(float(diag[i]) - fock.occupations(psi)[i])
                                for i in range(d))
 
     # block caps from one column per block through 7 and one short of the
