@@ -14,13 +14,14 @@ that pass means margin >= -tolerance:
 * ``counterexample``  pairing-state overlap floor; margin = observed - floor.
 * ``conjecture``      reporting only, never pass/fail.
 
-The eigenpair checks take a :class:`rdm.SpectralData` and read one object
-from it: the stack of eigenvector coefficient matrices.  ``thm1`` takes
-sum lam**4 and lam_max of every eigenvector from one batched product over
-that stack, and ``prop_occupation`` reads the pair planes of its matrices
-off one batched SVD and takes the minimum of every ||c(w) psi||^2 over
-each plane, a quadratic form in the one-body matrix, which is a partial
-trace of the reduced operator.  Neither touches the state again.
+The eigenpair checks take a :class:`rdm.SpectralData`, of one state or of
+a batch, and read one object from it: the stack of eigenvector coefficient
+matrices.  ``thm1`` takes sum lam**4 and lam_max of every kept eigenvector
+of the batch from one batched product over that stack, and
+``prop_occupation`` reads the pair planes of its matrices off one batched
+SVD and takes the minimum of every ||c(w) psi||^2 over each plane, a
+quadratic form in its state's one-body matrix, which is a partial trace of
+the reduced operator.  Neither touches the state again.
 
 Default tolerances: 1e-8 for bound margins, 1e-10 for structural identities.
 """
@@ -96,41 +97,56 @@ def theorem1_rhs(N: int, sum_lambda4: float | np.ndarray) -> float | np.ndarray:
     return rhs if np.ndim(rhs) else float(rhs)
 
 
-def _eigenpair_reports(kind: str, spectral: SpectralData, keep: np.ndarray,
-                       observed, bound, margin, details: dict, tol: float,
-                       tag: dict | None) -> list[TheoremReport]:
-    """One ``kind`` report per kept eigenpair ``keep[i]`` from the i-th entry
-    of each array: ``observed``, ``bound``, ``margin`` (pass means
-    margin >= -tol) and every column of ``details``."""
+def _kept(spectral: SpectralData, tol: float, tag: dict | list[dict] | None):
+    """The eigenpairs with eigenvalue above ``tol`` of every state, in trial
+    order, a single spectrum being a batch of one: the position of each
+    one's state in the batch, its eigen index, eigenvalue and coefficient
+    matrix; and one tag per state, ``tag`` itself if a list, else ``tag``
+    (or none) for every state."""
+    values = spectral.eigenvalues.reshape(-1, spectral.eigenvalues.shape[-1])
+    members, keep = np.nonzero(values > tol)
+    d = spectral.operator.d
+    mats = spectral.matrices.reshape(values.shape + (d, d))[members, keep]
+    tags = tag if isinstance(tag, list) else [tag or {}] * len(values)
+    return members, keep, values[members, keep], mats, tags
+
+
+def _eigenpair_reports(kind: str, spectral: SpectralData, members: np.ndarray,
+                       keep: np.ndarray, observed, bound, margin, details: dict,
+                       tol: float, tags: list[dict]) -> list[TheoremReport]:
+    """One ``kind`` report per kept eigenpair ``keep[i]`` of state
+    ``members[i]``, tagged ``tags[members[i]]``, from the i-th entry of each
+    array: ``observed``, ``bound``, ``margin`` (pass means margin >= -tol)
+    and every column of ``details``."""
     d, N = spectral.operator.d, spectral.operator.n_particles
-    columns = zip(keep.tolist(), observed.tolist(), bound.tolist(), margin.tolist(),
-                  *(col.tolist() for col in details.values()))
+    columns = zip(members.tolist(), keep.tolist(), observed.tolist(), bound.tolist(),
+                  margin.tolist(), *(col.tolist() for col in details.values()))
     return [TheoremReport(kind=kind, params={"d": d, "N": N, "eigen_index": idx,
-                                             **(tag or {})},
+                                             **tags[m]},
                           observed=obs, bound=bnd, margin=mar, passed=mar >= -tol,
                           details=dict(zip(details, row)))
-            for idx, obs, bnd, mar, *row in columns]
+            for m, idx, obs, bnd, mar, *row in columns]
 
 
 def verify_theorem1(spectral: SpectralData, tol: float = BOUND_TOL,
-                    tag: dict | None = None) -> list[TheoremReport]:
+                    tag: dict | list[dict] | None = None) -> list[TheoremReport]:
     """Check the correlational ceiling on every nonzero eigenpair of a
-    two-body reduced operator.
+    two-body reduced operator, or of each operator of a batch, whose rows
+    come in trial order, each tagged by its entry of the list ``tag``.
 
     Eigenvalues below ``tol`` are excluded: their eigenvectors are arbitrary
     within the numerical kernel and the ceiling is trivial there anyway.
     The ceiling needs an eigenvector only through sum lam**4, which comes
     with lam_max from the batched identities of
-    :func:`rdm.correlation_invariants` over ``spectral.matrices``; no
-    canonical form is computed.
+    :func:`rdm.correlation_invariants`, one call over the kept matrices of
+    ``spectral.matrices`` of the whole batch; no canonical form is computed.
     """
-    keep = np.flatnonzero(spectral.eigenvalues > tol)
-    sum_lambda4, lambda_max = correlation_invariants(spectral.matrices[keep])
-    eigenvalues = spectral.eigenvalues[keep]
+    members, keep, eigenvalues, mats, tags = _kept(spectral, tol, tag)
+    sum_lambda4, lambda_max = correlation_invariants(mats)
     ceilings = theorem1_rhs(spectral.operator.n_particles, sum_lambda4)
     return _eigenpair_reports(
-        "thm1", spectral, keep, eigenvalues, ceilings, ceilings - eigenvalues,
-        {"sum_lambda4": sum_lambda4, "lambda_max": lambda_max}, tol, tag)
+        "thm1", spectral, members, keep, eigenvalues, ceilings, ceilings - eigenvalues,
+        {"sum_lambda4": sum_lambda4, "lambda_max": lambda_max}, tol, tags)
 
 
 def theorem2_floor(N: int, sum_lambda4: float, lambda_max_sq: float) -> float:
@@ -252,11 +268,12 @@ def proposition_report(op: PairOperator, N: int,
 
 
 def eigenvector_occupation_check(spectral: SpectralData, tol: float = BOUND_TOL,
-                                 tag: dict | None = None) -> list[TheoremReport]:
+                                 tag: dict | list[dict] | None = None) -> list[TheoremReport]:
     """Occupation floor ||c(w) psi||^2 >= (Lambda/2) lam_k**2 for each
     eigenpair with Lambda > ``tol``, each pair k of the canonical form of the
     eigenvector's coefficient matrix in ``spectral.matrices``, and every
-    unit w in the plane of u_k and v_k.
+    unit w in the plane of u_k and v_k; over a batch of spectra, the rows
+    come in trial order, each tagged by its entry of the list ``tag``.
 
     The paper states the floor for every canonical form, and rotating
     u_k, v_k within their plane leaves the form unchanged, so the floor
@@ -264,19 +281,21 @@ def eigenvector_occupation_check(spectral: SpectralData, tol: float = BOUND_TOL,
     occupation ||c(w) psi||^2 is the quadratic form w^T gamma1 conj(w) in
     the one-body matrix ``spectral.one_body``, a partial trace of the
     reduced operator, and :func:`canonical.plane_minima` takes its minimum
-    over the planes of all kept eigenvectors from one batched SVD.  A tie of
+    over the planes of all kept eigenvectors of the batch, each against its
+    own state's one-body matrix, from one batched SVD.  A tie of
     several pairs is one space, compared with its smallest lam and named by
     its first pair.  Each report names its worst pair k.
     """
-    keep = np.flatnonzero(spectral.eigenvalues > tol)
-    lams, occ = plane_minima(spectral.matrices[keep], spectral.one_body)
-    need = 0.5 * spectral.eigenvalues[keep, None] * lams ** 2
+    members, keep, eigenvalues, mats, tags = _kept(spectral, tol, tag)
+    d = spectral.operator.d
+    lams, occ = plane_minima(mats, spectral.one_body.reshape(-1, d, d)[members])
+    need = 0.5 * eigenvalues[:, None] * lams ** 2
     excess = occ - need
     rows, k = np.arange(len(keep)), np.argmin(excess, axis=1)
     return _eigenpair_reports(
-        "prop_occupation", spectral, keep, occ[rows, k], need[rows, k],
+        "prop_occupation", spectral, members, keep, occ[rows, k], need[rows, k],
         excess[rows, k], {"k": k, "occupation": occ[rows, k],
-                          "required": need[rows, k]}, tol, tag)
+                          "required": need[rows, k]}, tol, tags)
 
 
 def norm_recursion_check(op: PairOperator, M_max: int,

@@ -249,7 +249,8 @@ def pair_clusters(sigmas) -> tuple[np.ndarray, np.ndarray]:
 def plane_minima(mats, gamma1) -> tuple[np.ndarray, np.ndarray]:
     """Minimum of the form x^T gamma1 conj(x) over the unit vectors x of each
     pair plane, for a stack (n, d, d) of unit antisymmetric matrices and a
-    Hermitian (d, d) ``gamma1``, from one batched singular value decomposition.
+    Hermitian (d, d) ``gamma1``, or a stack (n, d, d) of them, one per
+    matrix, from one batched singular value decomposition.
 
     Pair k of A = sum_k lam_k u_k ^ v_k spans the plane of u_k and v_k,
     which no rotation of the pair within it changes.  Its two rows of

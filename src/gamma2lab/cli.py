@@ -24,7 +24,14 @@ Reports are deterministic: identical single-threaded runs write
 byte-identical files.  Wall-clock timing therefore goes to stderr and is
 only embedded in the report when ``--timing`` is given.  The random-state
 generator is counter-based (Philox, 4x64) and keyed by the seed alone, so
-states are reproducible across platforms.
+states are reproducible across platforms; a seed outside [0, 2**64) is a
+usage error.
+
+``verify thm1/occupation`` run their trials in batches of as many as fit
+``SWEEP_BATCH_BYTES`` (one from d = 14 on): a batch is one stack of states,
+one assembly, one stacked eigensolve and one call of the eigenpair check,
+and its rows are written in trial order.  Every state of a batch gets the
+same bits as alone, so the report does not depend on the batch size.
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ import platform
 import sys
 import time
 from dataclasses import dataclass
+from math import comb
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +57,7 @@ from .fock import SectorVector, enumerate_sector
 SCHEMA_VERSION = 1
 RNG_NAME = "philox4x64"
 OUTDIR_ENV = "GAMMA2LAB_OUTDIR"
+SWEEP_BATCH_BYTES = 1 << 21  # a sweep's working set per batch of trials
 
 
 @dataclass
@@ -117,21 +126,37 @@ def parse_lambda_spec(text: str) -> LambdaSpec:
     raise ValueError(f"unknown coefficient profile {text!r}")
 
 
-def random_state(d: int, N: int, seed: int) -> SectorVector:
-    """Normalized random sector vector, deterministic per (d, N, seed).
+def random_state(d: int, N: int, seed) -> SectorVector:
+    """Normalized random sector vector, deterministic per (d, N, seed), or a
+    stack (B, dim) of them for a sequence of B seeds.
 
     Amplitudes are i.i.d. complex standard normal from a counter-based
     Philox stream keyed by the seed: the real parts, then the imaginary
-    parts.  They are filled into one complex array and normalized in place,
-    so the peak is that array plus one real part.
+    parts.  They are filled into one complex array, a row per seed, and each
+    row is normalized in place, so the peak is that array plus one real
+    part, and a state of a stack has the same bits as drawn alone.
     """
     sec = enumerate_sector(d, N)
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    z = np.empty(sec.dim, dtype=np.complex128)
-    z.real = rng.standard_normal(sec.dim)
-    z.imag = rng.standard_normal(sec.dim)
-    z /= np.linalg.norm(z)
-    return SectorVector(sec, z)
+    seeds = list(seed) if np.ndim(seed) else [seed]
+    z = np.empty((len(seeds), sec.dim), dtype=np.complex128)
+    for row, key in zip(z, seeds):
+        rng = np.random.Generator(np.random.Philox(key=np.uint64(key)))
+        row.real = rng.standard_normal(sec.dim)
+        row.imag = rng.standard_normal(sec.dim)
+        row /= np.linalg.norm(row)
+    return SectorVector(sec, z if np.ndim(seed) else z[0])
+
+
+def _batch_trials(d: int, N: int) -> int:
+    """Trials a (d, N) sweep runs as one batch: as many as fit
+    ``SWEEP_BATCH_BYTES``, and at least one.  A trial holds its state
+    (C(d, N) amplitudes), its operator and eigenvectors (P x P each, P =
+    d(d-1)/2) and about three stacks of its P coefficient matrices (the
+    matrices, the kept ones and their SVD factors, d x d each), all complex.
+    """
+    n_pairs = d * (d - 1) // 2
+    trial = 16 * (comb(d, N) + 2 * n_pairs ** 2 + 3 * n_pairs * d * d)
+    return max(1, SWEEP_BATCH_BYTES // trial)
 
 
 # --- report plumbing --------------------------------------------------------
@@ -241,23 +266,27 @@ def _cmd_canonical(args) -> tuple[dict, list]:
     return config, [check]
 
 
-def _spectrum_row(psi, spectral, tag, args) -> bounds.TheoremReport:
-    """Informational per-trial dump: eigenvalues and health residuals always,
-    more on request."""
+def _spectrum_rows(psi, spectral, tags, args) -> list[bounds.TheoremReport]:
+    """Informational per-trial dump of a batch, one row per tag: eigenvalues
+    and health residuals always, more on request."""
     g = spectral.operator
-    details = {"eigenvalues": spectral.eigenvalues.tolist(),
-               "trace_residual": g.trace_residual,
-               "partial_trace_residual":
-                   rdm.partial_trace_residual(spectral.one_body, psi)}
-    if args.eigenvectors:
-        details["eigenvectors"] = [{"re": x.real.tolist(), "im": x.imag.tolist()}
-                                   for x in spectral.wedge_vectors.T]
-    if args.dump_operator:
-        details["operator"] = {"re": g.mat.real.tolist(),
-                               "im": g.mat.imag.tolist()}
-    params = {"d": g.d, "N": g.n_particles}
-    params.update(tag)
-    return bounds.TheoremReport(kind="spectrum", params=params, details=details)
+    columns = zip(tags, spectral.eigenvalues.tolist(), g.trace_residual.tolist(),
+                  rdm.partial_trace_residual(spectral.one_body, psi).tolist(),
+                  spectral.eigen_residual.tolist())
+    rows = []
+    for m, (tag, eigenvalues, trace, partial, eigen) in enumerate(columns):
+        details = {"eigenvalues": eigenvalues, "trace_residual": trace,
+                   "partial_trace_residual": partial, "eigen_residual": eigen}
+        if args.eigenvectors:
+            details["eigenvectors"] = [{"re": x.real.tolist(), "im": x.imag.tolist()}
+                                       for x in spectral.wedge_vectors[m].T]
+        if args.dump_operator:
+            details["operator"] = {"re": g.mat[m].real.tolist(),
+                                   "im": g.mat[m].imag.tolist()}
+        rows.append(bounds.TheoremReport(
+            kind="spectrum", params={"d": g.d, "N": g.n_particles, **tag},
+            details=details))
+    return rows
 
 
 def _cmd_verify(args) -> tuple[dict, list]:
@@ -271,13 +300,17 @@ def _cmd_verify(args) -> tuple[dict, list]:
         if args.trials < 1:
             raise ValueError(f"no trial in --trials {args.trials}")
         rdm.admit_gamma2(args.dim, args.particles)  # refuse before drawing a state
+        batch = _batch_trials(args.dim, args.particles)
         checks = []
-        for t in range(args.trials):
-            psi = random_state(args.dim, args.particles, args.seed + t)
-            tag = {"seed": args.seed + t, "trial": t}
+        for first in range(0, args.trials, batch):
+            trials = range(first, min(first + batch, args.trials))
+            tags = [{"seed": args.seed + t, "trial": t} for t in trials]
+            psi = random_state(args.dim, args.particles, [tag["seed"] for tag in tags])
             spectral = rdm.spectral_decompose(rdm.compute_gamma2(psi))
-            checks.append(_spectrum_row(psi, spectral, tag, args))
-            checks += verify(spectral, tol=args.tol, tag=tag)
+            rows = (_spectrum_rows(psi, spectral, tags, args)
+                    + verify(spectral, tol=args.tol, tag=tags))
+            # stable: each trial's spectrum row, then its checks in eigen order
+            checks += sorted(rows, key=lambda r: r.params["trial"])
         return config, checks
 
     spec = parse_lambda_spec(args.lambda_spec)
@@ -395,6 +428,10 @@ def main(argv=None) -> int:
         except ValueError:
             print("verify thm1/occupation take a single particle number",
                   file=sys.stderr)
+            return 2
+        if args.seed < 0 or args.seed + args.trials - 1 >= 2 ** 64:
+            print(f"--seed {args.seed} with --trials {args.trials} leaves the "
+                  f"seed range [0, 2**64)", file=sys.stderr)
             return 2
     if args.command == "verify" and args.check in ("thm2", "prop", "norms"):
         if not args.lambda_spec:

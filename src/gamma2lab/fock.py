@@ -123,20 +123,32 @@ def enumerate_sector(d: int, N: int) -> SectorBasis:
 
 @dataclass
 class SectorVector:
-    """Complex amplitude vector over one sector's occupation basis."""
+    """Complex amplitude vector over one sector's occupation basis.
+
+    ``amplitudes`` may also be a stack (B, dim) of B vectors over the basis,
+    as a seeded sweep draws a batch of states: :meth:`norm_sq`,
+    :func:`occupations` and :func:`rdm.compute_gamma2` read every vector of
+    a stack; the other methods and operators take one vector.
+    """
 
     basis: SectorBasis
     amplitudes: np.ndarray
 
     def __post_init__(self):
         amps = np.ascontiguousarray(self.amplitudes, dtype=np.complex128)
-        if amps.shape != (self.basis.dim,):
+        if amps.ndim not in (1, 2) or amps.shape[-1] != self.basis.dim:
             raise SectorMismatchError(
                 f"amplitude length {amps.shape} does not match sector dim {self.basis.dim}")
         self.amplitudes = amps
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
+
+    def norm_sq(self) -> np.ndarray:
+        """<v, v> of the vector, or of each vector of a stack, by one ``vdot``
+        each; shape ``amplitudes.shape[:-1]``."""
+        rows = self.amplitudes.reshape(-1, self.basis.dim)
+        return np.array([np.vdot(a, a).real for a in rows]).reshape(self.amplitudes.shape[:-1])
 
     def normalized(self) -> "SectorVector":
         n = self.norm()
@@ -286,21 +298,23 @@ def apply_annihilate_vector(coeffs, vec: SectorVector) -> SectorVector:
 
 def occupations(vec: SectorVector) -> np.ndarray:
     """Expected occupations <n_i> of all d orbitals of a (nonzero) sector
-    vector, shape (d,).
+    vector, shape (d,), or of each vector of a stack, shape (B, d).
 
     One pass over slices of 2**(d // 2) basis states adds each slice's
     weights |psi|**2 times its occupation table (mask bit i set), so no
-    temporary grows with the sector.
+    temporary grows with the sector.  Each vector's weights are one row
+    times the table, so a vector of a stack gets the same bits as alone.
     """
-    nsq = float(np.vdot(vec.amplitudes, vec.amplitudes).real)
-    if nsq == 0.0:
+    nsq = vec.norm_sq()
+    if np.any(nsq == 0.0):
         raise ValueError("zero vector has no occupation expectation")
     d, step = vec.basis.d, 1 << vec.basis.d // 2
-    total = np.zeros(d)
+    total = np.zeros(nsq.shape + (d,))
     for start in range(0, vec.basis.dim, step):
         bits = (vec.basis.states[start:start + step, None] & 1 << np.arange(d)) != 0
-        total += np.abs(vec.amplitudes[start:start + step]) ** 2 @ bits
-    return total / nsq
+        weights = np.abs(vec.amplitudes[..., None, start:start + step]) ** 2
+        total += np.matmul(weights, bits)[..., 0, :]
+    return total / nsq[..., None]
 
 
 def number_expectation(vec: SectorVector) -> float:

@@ -21,7 +21,11 @@ so the sum is Hermitian by construction; its trace is checked against
 N(N-1).  Blocks with the same number of occupied top orbitals share a
 layout and are taken together, so their planes are zeroed once.  Nothing
 of the size of c_i psi is built, so within the sector caps the assembly
-holds little beyond psi itself.
+holds little beyond psi itself.  A stack of states, as a seeded sweep
+draws a batch, is assembled in the same pass: each gather reads the block
+of every state, and each state keeps its own symmetric product, so it gets
+the same bits as alone; the eigensolve, the one-body partial trace and the
+occupations then run over the stack.
 
 Two more quantities come from identities instead of per-vector work:
 
@@ -61,23 +65,27 @@ LOW_CACHE = 64      # low annihilation tables kept, one per (L, n, k)
 
 @dataclass
 class TwoBodyOperator:
-    """Hermitian matrix on the wedge basis of ordered pairs (i, j), i < j."""
+    """Hermitian matrix on the wedge basis of ordered pairs (i, j), i < j,
+    or a stack (B, P, P) of them with B trace residuals."""
 
     d: int
     n_particles: int
     mat: np.ndarray
-    trace_residual: float = 0.0
+    trace_residual: float | np.ndarray = 0.0
 
 
 @dataclass
 class SpectralData:
-    """Full eigensystem of a reduced operator, eigenvalues descending.
+    """Full eigensystem of a reduced operator, eigenvalues descending, or of
+    each operator of a stack, with every array led by the stack axis.
 
     Column k of ``wedge_vectors`` is the k-th eigenvector on the wedge basis.
     ``matrices`` holds the coefficient matrices of all of them, shape
-    (P, d, d), scattered in one call on first access; the eigenpair checks
-    read that stack.  ``one_body`` is the one-body matrix of the operator,
-    taken once on first access.
+    (P, d, d) (or (B, P, d, d)), scattered in one call on first access; the
+    eigenpair checks read that stack.  ``one_body`` is the one-body matrix
+    of the operator and ``eigen_residual`` max_k ||G v_k - Lambda_k v_k||,
+    numpy's ``eigh`` reporting no convergence of its own; each is taken
+    once, for the whole stack, on first access.
     """
 
     eigenvalues: np.ndarray
@@ -86,11 +94,20 @@ class SpectralData:
 
     @cached_property
     def matrices(self) -> np.ndarray:
-        return wedge_matrices(self.operator.d, self.wedge_vectors)
+        v, d = self.wedge_vectors, self.operator.d
+        columns = np.moveaxis(v, -2, 0).reshape(v.shape[-2], -1)  # (P, B * P)
+        return wedge_matrices(d, columns).reshape(v.shape[:-2] + (v.shape[-1], d, d))
 
     @cached_property
     def one_body(self) -> np.ndarray:
         return one_body_matrix(self.operator)
+
+    @cached_property
+    def eigen_residual(self) -> float | np.ndarray:
+        v = self.wedge_vectors
+        res = np.linalg.norm(self.operator.mat @ v - v * self.eigenvalues[..., None, :],
+                             axis=-2).max(axis=-1)
+        return res if res.ndim else float(res)
 
 
 def admit_gamma2(d: int, N: int) -> None:
@@ -101,7 +118,8 @@ def admit_gamma2(d: int, N: int) -> None:
     refuse a request before it draws any state.  Within the caps the
     assembly needs no budget of its own: besides psi (at most 43 MB) it
     holds the two real planes of one block of at most ``GRAM_CHUNK``
-    columns, that block's product, the P x P sum and low tables, a few MB.
+    columns, that block's product, the P x P sum and low tables, a few MB,
+    and as many of all but the tables as a stack has states.
     """
     admit_sector(d, N)
     if N < 2:
@@ -184,7 +202,8 @@ def _gram_blocks(d: int, N: int, cap: int) -> tuple:
 
 
 def compute_gamma2(psi: SectorVector) -> TwoBodyOperator:
-    """Assemble the two-body reduced operator of a normalized state.
+    """Assemble the two-body reduced operator of a normalized state, or of
+    each state of a stack (B, dim) in one pass over the blocks.
 
     Returns twice the transposed Gram matrix of the pair-annihilated vectors
     y_ij = c_j c_i psi, summed over the blocks of :func:`_gram_blocks`, runs
@@ -199,48 +218,61 @@ def compute_gamma2(psi: SectorVector) -> TwoBodyOperator:
     as the low masks.  Low pairs i < j come from the run of T along the
     pair table of :func:`_low_hops`, low i with top j from the runs of
     T + j along its single table, and top pairs i < j are the runs of
-    T + i + j themselves, each read by one gather per plane; the
-    Jordan-Wigner sign of the top orbitals is one constant per run.  Only
-    nonzero entries are written: blocks with one |T| write the same entries,
-    so the planes are zeroed once per |T|.  With Q = Z Z^T, one symmetric
-    real product,
+    T + i + j themselves, each read by one gather per plane for all states
+    of the stack; the Jordan-Wigner sign of the top orbitals is one
+    constant per run.  Only nonzero entries are written: blocks with one
+    |T| write the same entries, so the planes are zeroed once per |T|.
+    With Q = Z Z^T, one symmetric real product per state,
     conj(B) B^T = (Q_XX + Q_YY) + i (Q_XY - Q_YX), Q_YX = Y X^T the lower
     left quadrant, so the sum is Hermitian by construction; it runs in
     colex pair order and is reordered to the wedge basis once at the end.
+    A single state is a stack of one, and each state of a stack gets the
+    same bits as alone.  ``mat`` is (P, P) for a single state and
+    (B, P, P) for a stack, ``trace_residual`` a float or a (B,) array.
     A (d, N) refused by :func:`admit_gamma2` raises before anything is
-    allocated.  The trace is checked against N(N-1) ||psi||^2; a residual
+    allocated.  Each trace is checked against N(N-1) ||psi||^2; a residual
     above ``TRACE_TOL`` aborts, since at these sizes it signals an
     implementation bug, not roundoff.
     """
     basis = psi.basis
     d, N = basis.d, basis.N
     admit_gamma2(d, N)
-    if abs(psi.norm() - 1.0) > STATE_NORM_TOL:
+    nsq = psi.norm_sq().reshape(-1)
+    if np.any(np.abs(np.sqrt(nsq) - 1.0) > STATE_NORM_TOL):
         raise ValueError("state must be normalized")
-    re, im = psi.amplitudes.real, psi.amplitudes.imag
+    n_states, n_pairs = len(nsq), d * (d - 1) // 2
+    amps = psi.amplitudes.reshape(-1)
+    re, im = amps.real, amps.imag  # state b's amplitudes from b * dim
+    first = np.arange(n_states)[:, None] * basis.dim
     L, groups, size, (hi, lo), wedge = _gram_blocks(d, N, GRAM_CHUNK)
-    n_pairs = d * (d - 1) // 2
-    buf = np.empty(size)  # the largest block's planes; every block reuses it
-    acc = np.zeros((n_pairs, n_pairs), dtype=np.complex128)
+    buf = np.empty(n_states * size)  # the largest block's planes; every block reuses it
+    acc = np.zeros((n_states, n_pairs, n_pairs), dtype=np.complex128)
     for n_low, ts, tops in groups:
         n_top = tops.shape[1]
         n_free, n_tt = L + n_top, n_top * (n_top - 1) // 2
         n_rows, width = n_free * (n_free - 1) // 2, comb(L, n_low)
-        z = buf[:2 * n_rows * width].reshape(2 * n_rows, width)
+        z = buf[:n_states * 2 * n_rows * width].reshape(n_states, 2 * n_rows, width)
         z.fill(0)  # every block of the group writes the same entries
-        x, y = z[:n_rows], z[n_rows:]
-        xf, yf = x.reshape(-1), y.reshape(-1)
-        # (dst, src, sign) tables; low i < j: the run of T
+        # state b's X plane from 2 b n_rows width in zx, its Y plane likewise
+        # in zy; the same by rows in rx, ry
+        zx, rx = z.reshape(-1), z.reshape(-1, width)
+        zy, ry = zx[n_rows * width:], rx[n_rows:]
+        at = np.arange(n_states)[:, None] * z[0].size
+        q = np.empty((n_states, 2 * n_rows, 2 * n_rows))
+        # (dst, src, sign) tables, each row of dst and src one state's; low
+        # i < j: the run of T
         dp, sp, gp = _low_hops(L, n_low + 2, 2)
+        dp, sp = at + dp, first + sp
         t_col = keys = ts[:, None]
         if n_top:  # low i, top j: the runs of T + j; top i < j: the runs of T + i + j
             dst1, s1, g1 = _low_hops(L, n_low + 1, 1)
             heads = np.arange(L, n_free)
             heads = heads * (heads - 1) // 2  # the row of pair (0, L + q), free top q
-            d1 = (heads[:, None] * width + dst1).ravel()
+            d1 = at[:, :, None] + (heads[:, None] * width + dst1)
+            s1 = first[:, :, None] + s1
             qs, ps = hi[:n_tt], lo[:n_tt]  # the free top pairs p < q
-            rows_tt = heads[qs] + L + ps
-            ar = np.arange(width)
+            rows_tt = at // width + heads[qs] + L + ps
+            ar = first[:, :, None] + np.arange(width)
             bits = 1 << tops
             below = np.bitwise_count(t_col & (bits - 1))
             # past c_i, c_j crosses the other n_low low orbitals and T below j
@@ -252,43 +284,50 @@ def compute_gamma2(psi: SectorVector) -> TwoBodyOperator:
             free = np.concatenate((np.broadcast_to(np.arange(L), (len(ts), L)), tops), axis=1)
             i, j = free[:, lo[:n_rows]], free[:, hi[:n_rows]]
             rows = j * (j - 1) // 2 + i
-            blk = np.empty((n_rows, n_rows), dtype=np.complex128)
+            blk = np.empty((n_states, n_rows, n_rows), dtype=np.complex128)
         for k, T in enumerate(ts.tolist()):
             run = starts[k]
-            xf[dp] = re[run[0]:][sp] * gp
-            yf[dp] = im[run[0]:][sp] * gp
+            zx[dp] = re[run[0]:][sp] * gp
+            zy[dp] = im[run[0]:][sp] * gp
             if n_top:
-                src = (run[1:1 + n_top, None] + s1).ravel()
-                sg = (lt_sign[k, :, None] * g1).ravel()
-                xf[d1] = re[src] * sg
-                yf[d1] = im[src] * sg
+                src = run[1:1 + n_top, None] + s1
+                sg = lt_sign[k, :, None] * g1
+                zx[d1] = re[src] * sg
+                zy[d1] = im[src] * sg
             if n_tt:
                 src = run[1 + n_top:, None] + ar
-                x[rows_tt] = re[src] * tt_sign[k, :, None]
-                y[rows_tt] = im[src] * tt_sign[k, :, None]
-            q = z @ z.T
+                rx[rows_tt] = re[src] * tt_sign[k, :, None]
+                ry[rows_tt] = im[src] * tt_sign[k, :, None]
+            for zb, qb in zip(z, q):  # one 2-D syrk per state
+                np.matmul(zb, zb.T, out=qb)
             out = blk if T else acc  # T = 0 comes first and writes the sum itself
-            np.add(q[:n_rows, :n_rows], q[n_rows:, n_rows:], out=out.real)
-            out.imag = q[n_rows:, :n_rows]
+            np.add(q[:, :n_rows, :n_rows], q[:, n_rows:, n_rows:], out=out.real)
+            out.imag = q[:, n_rows:, :n_rows]
             if T:
-                acc.reshape(-1)[rows[k, :, None] * n_pairs + rows[k]] += blk
-    residual = abs(2.0 * float(np.trace(acc.real))
-                   - N * (N - 1) * float(np.vdot(psi.amplitudes, psi.amplitudes).real))
-    if residual > TRACE_TOL:
-        raise ArithmeticError(f"trace residual {residual:.3e} exceeds {TRACE_TOL:.1e}")
-    acc.imag -= acc.imag.T.copy()  # the transpose of the sum
-    return TwoBodyOperator(d=d, n_particles=N, mat=2.0 * acc.reshape(-1)[wedge],
-                           trace_residual=residual)
+                flat = rows[k, :, None] * n_pairs + rows[k]
+                for sum_b, blk_b in zip(acc.reshape(n_states, -1), blk):
+                    sum_b[flat] += blk_b
+    residual = np.array([abs(2.0 * float(np.trace(a.real)) - N * (N - 1) * float(s))
+                         for a, s in zip(acc, nsq)])
+    if np.any(residual > TRACE_TOL):
+        raise ArithmeticError(f"trace residual {np.max(residual):.3e} exceeds {TRACE_TOL:.1e}")
+    acc.imag -= acc.imag.transpose(0, 2, 1).copy()  # the transpose of the sum
+    mat = 2.0 * acc.reshape(n_states, -1)[:, wedge]
+    if psi.amplitudes.ndim == 1:
+        mat, residual = mat[0], float(residual[0])
+    return TwoBodyOperator(d=d, n_particles=N, mat=mat, trace_residual=residual)
 
 
 def spectral_decompose(g: TwoBodyOperator) -> SpectralData:
-    """Full eigensystem of the reduced operator, eigenvalues descending."""
+    """Full eigensystem of the reduced operator, or of each operator of a
+    stack by one stacked ``eigh``, eigenvalues descending."""
     try:
         evals, evecs = np.linalg.eigh(g.mat)
     except np.linalg.LinAlgError as exc:
         raise ArithmeticError("eigensolver did not converge") from exc
-    order = np.argsort(-evals, kind="stable")
-    return SpectralData(eigenvalues=evals[order], wedge_vectors=evecs[:, order],
+    order = np.argsort(-evals, axis=-1, kind="stable")
+    return SpectralData(eigenvalues=np.take_along_axis(evals, order, -1),
+                        wedge_vectors=np.take_along_axis(evecs, order[..., None, :], -1),
                         operator=g)
 
 
@@ -315,7 +354,8 @@ def one_body_matrix(g: TwoBodyOperator) -> np.ndarray:
 
     With G[i, j, k, l] the antisymmetric extension of the wedge matrix,
     sum_j G[i, j, k, j] = 2 (N-1) <c_k psi, c_i psi>; one gather of d**3
-    entries evaluates all of it.  Then ||c(u) psi||**2 = u^T gamma1 conj(u).
+    entries evaluates all of it, or of B d**3 for a stack of B operators.
+    Then ||c(u) psi||**2 = u^T gamma1 conj(u).
     """
     d = g.d
     iu, ju = wedge_index(d)
@@ -326,17 +366,19 @@ def one_body_matrix(g: TwoBodyOperator) -> np.ndarray:
     # G[i, j, k, j] = sign[j, i] * sign[j, k] * blocks[j, i, k], where
     # blocks[j, i, k] is the wedge entry of pairs {j, i} and {j, k}; the sign
     # is 0 when j equals i or k
-    blocks = g.mat[index[:, :, None], index[:, None, :]]
-    trace2 = np.einsum("jik,ji,jk->ik", blocks, sign, sign)
-    return trace2.T / (2.0 * (g.n_particles - 1))
+    blocks = g.mat[..., index[:, :, None], index[:, None, :]]
+    trace2 = np.einsum("...jik,ji,jk->...ik", blocks, sign, sign)
+    return trace2.swapaxes(-1, -2) / (2.0 * (g.n_particles - 1))
 
 
-def partial_trace_residual(gamma1: np.ndarray, psi: SectorVector) -> float:
+def partial_trace_residual(gamma1: np.ndarray, psi: SectorVector) -> float | np.ndarray:
     """max_i |gamma1[i, i] - <n_i>|: the partial trace, the one-body matrix of
     psi's reduced operator (:func:`one_body_matrix`), against the direct
-    occupations of :func:`fock.occupations`.
+    occupations of :func:`fock.occupations`; one float per state of a stack.
     """
-    return float(np.max(np.abs(np.diagonal(gamma1).real - occupations(psi))))
+    gaps = np.abs(np.diagonal(gamma1, axis1=-2, axis2=-1).real - occupations(psi))
+    res = np.max(gaps, axis=-1)
+    return res if res.ndim else float(res)
 
 
 def expectation(phi: AntisymmetricTensor, g: TwoBodyOperator) -> float:

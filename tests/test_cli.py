@@ -91,6 +91,15 @@ class TestRandomState:
         got = random_state(d, n, seed).amplitudes
         assert got.tobytes() == (z / np.linalg.norm(z)).tobytes()
 
+    @pytest.mark.parametrize("d,n", [(4, 2), (8, 4), (12, 6)])
+    def test_stack_rows_are_the_single_draws(self, d, n):
+        seeds = [5, 0, 2 ** 64 - 1, 5]
+        stack = random_state(d, n, seeds).amplitudes
+        assert stack.shape == (4, math.comb(d, n))
+        for row, seed in zip(stack, seeds):
+            assert row.tobytes() == random_state(d, n, seed).amplitudes.tobytes()
+        assert random_state(d, n, [7]).amplitudes.shape == (1, math.comb(d, n))
+
 
 def run_cli(tmp_path, *argv):
     out = tmp_path / "report.json"
@@ -148,6 +157,15 @@ class TestSubcommands:
             assert code == 0 and len(spectra) == 3
             assert all(0 <= c["details"]["partial_trace_residual"] < 1e-12
                        for c in spectra)
+
+    @pytest.mark.parametrize("d,n", [(4, 2), (6, 3), (7, 2), (8, 4), (9, 5),
+                                     (10, 5), (10, 8)])
+    def test_spectrum_rows_record_eigen_residual(self, tmp_path, d, n):
+        code, report = run_cli(tmp_path, "verify", "thm1", "--dim", str(d),
+                               "--particles", str(n), "--trials", "25")
+        spectra = [c for c in report["checks"] if c["kind"] == "spectrum"]
+        assert code == 0 and len(spectra) == 25
+        assert all(0 < c["details"]["eigen_residual"] < 1e-12 for c in spectra)
 
     def test_gamma2_over_budget_writes_error_report(self, tmp_path):
         # every sector of d <= 24 is admitted; d = 25 is above the dimension cap
@@ -351,6 +369,32 @@ class TestSubcommands:
         assert code == 2
         assert "--tol must be finite" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("check", ["thm1", "occupation"])
+    @pytest.mark.parametrize("seed,trials", [("-1", "1"), ("-5", "20"),
+                                             (str(2 ** 64 - 2), "3"),
+                                             (str(2 ** 64), "1")])
+    def test_seed_out_of_range_is_usage_error(self, tmp_path, capsys, monkeypatch,
+                                              check, seed, trials):
+        def no_state(*args):
+            raise AssertionError("a state was drawn")
+
+        monkeypatch.setattr(cli, "random_state", no_state)
+        out = tmp_path / "report.json"
+        code = main(["verify", check, "--dim", "6", "--particles", "3",
+                     "--seed", seed, "--trials", trials, "--out", str(out)])
+        assert code == 2
+        assert f"--seed {seed} with --trials {trials} leaves the seed range" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_last_seeds_of_the_range_are_drawn(self, tmp_path):
+        code, report = run_cli(tmp_path, "verify", "thm1", "--dim", "6",
+                               "--particles", "3", "--seed", str(2 ** 64 - 2),
+                               "--trials", "2")
+        assert code == 0
+        assert [c["params"]["seed"] for c in report["checks"]
+                if c["kind"] == "spectrum"] == [2 ** 64 - 2, 2 ** 64 - 1]
 
     def test_numerical_failure_writes_partial_report(self, tmp_path):
         code, report = run_cli(tmp_path, "verify", "thm2",

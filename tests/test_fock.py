@@ -230,6 +230,27 @@ class TestNumberOperator:
                for i in range(d)]
         assert np.allclose(occupations(v), ref, rtol=0.0, atol=1e-15)
 
+    @pytest.mark.parametrize("d, n", [(1, 1), (7, 3), (10, 5), (12, 11), (16, 8)])
+    def test_stack_occupations_are_the_single_ones(self, d, n):
+        vecs = [random_vector(d, n, seed) * (1.0 + seed) for seed in range(5)]
+        stack = SectorVector(vecs[0].basis, np.stack([v.amplitudes for v in vecs]))
+        assert np.array_equal(stack.norm_sq(), [v.norm_sq() for v in vecs])
+        got = occupations(stack)
+        assert got.shape == (5, d)
+        for row, v in zip(got, vecs):
+            assert row.tobytes() == occupations(v).tobytes()
+
+    def test_stack_with_a_zero_vector_rejected(self):
+        v = random_vector(6, 3, 1)
+        stack = SectorVector(v.basis, np.stack([v.amplitudes, 0 * v.amplitudes]))
+        with pytest.raises(ValueError, match="zero vector"):
+            occupations(stack)
+
+    @pytest.mark.parametrize("shape", [(2, 2, 6), (5,), (2, 7), ()])
+    def test_amplitude_shape_must_end_in_the_sector_dim(self, shape):
+        with pytest.raises(SectorMismatchError):
+            SectorVector(enumerate_sector(4, 2), np.zeros(shape))
+
 
 class TestVectorOperators:
     def test_create_vector_matches_single_orbital(self):

@@ -452,3 +452,74 @@ def test_spectral_data_builds_matrices_lazily():
         tensor = AntisymmetricTensor(6, a)
         assert np.allclose(tensor.wedge_amplitudes(), sd.wedge_vectors[:, k], atol=1e-15)
 
+
+
+def _stack(d, n, seeds):
+    return random_state(d, n, list(seeds))
+
+
+class TestStacks:
+    """A stack of states gives each state the same bits as alone."""
+
+    # one block; several blocks that read low pairs, low-top and top pairs
+    @pytest.mark.parametrize("d,n,chunk", [(6, 3, rdm.GRAM_CHUNK), (8, 4, rdm.GRAM_CHUNK),
+                                           (8, 4, 5), (9, 4, 1), (10, 5, 7),
+                                           (12, 10, 3), (14, 7, 64)])
+    def test_stacked_assembly_is_the_single_one(self, d, n, chunk):
+        seeds = [3, 1, 4, 1, 5]
+        stack = _stack(d, n, seeds)
+        with mock.patch.object(rdm, "GRAM_CHUNK", chunk):
+            g = compute_gamma2(stack)
+            singles = [compute_gamma2(random_state(d, n, s)) for s in seeds]
+        assert g.mat.shape == (5, d * (d - 1) // 2, d * (d - 1) // 2)
+        assert isinstance(g.trace_residual, np.ndarray)
+        for k, one in enumerate(singles):
+            assert g.mat[k].tobytes() == one.mat.tobytes()
+            assert g.trace_residual[k] == one.trace_residual
+            assert isinstance(one.trace_residual, float)
+
+    def test_stack_of_one_is_a_batch(self):
+        g = compute_gamma2(_stack(6, 3, [2]))
+        assert g.mat.shape == (1, 15, 15) and g.trace_residual.shape == (1,)
+        assert g.mat[0].tobytes() == compute_gamma2(random_state(6, 3, 2)).mat.tobytes()
+
+    def test_stack_with_one_unnormalized_state_refused(self):
+        stack = _stack(6, 3, range(3))
+        stack.amplitudes[1] *= 1.5
+        with pytest.raises(ValueError, match="normalized"):
+            compute_gamma2(stack)
+
+    @pytest.mark.parametrize("d,n", [(6, 3), (8, 4), (9, 4), (12, 6)])
+    def test_stacked_spectra_are_the_single_ones(self, d, n):
+        seeds = range(20, 24)
+        stack = _stack(d, n, seeds)
+        sd = spectral_decompose(compute_gamma2(stack))
+        partial = partial_trace_residual(sd.one_body, stack)
+        for k, seed in enumerate(seeds):
+            psi = random_state(d, n, seed)
+            one = spectral_decompose(compute_gamma2(psi))
+            for name in ("eigenvalues", "wedge_vectors", "matrices", "one_body"):
+                assert getattr(sd, name)[k].tobytes() == getattr(one, name).tobytes(), name
+            assert sd.eigen_residual[k] == one.eigen_residual
+            assert partial[k] == partial_trace_residual(one.one_body, psi)
+
+    @pytest.mark.parametrize("d,n", [(2, 2), (4, 2), (5, 3), (6, 3), (7, 4), (8, 4),
+                                     (9, 3), (10, 5), (10, 7)])
+    def test_eigen_residual_is_at_roundoff(self, d, n):
+        sd = spectral_decompose(compute_gamma2(_stack(d, n, range(6))))
+        assert sd.eigen_residual.shape == (6,)
+        assert np.all(sd.eigen_residual < 1e-12)
+        assert isinstance(spectral_decompose(compute_gamma2(slater_state(d, range(n))))
+                          .eigen_residual, float)
+
+    def test_eigen_residual_sees_one_perturbed_column(self):
+        sd = spectral_decompose(compute_gamma2(_stack(8, 4, range(3))))
+        vectors = sd.wedge_vectors.copy()
+        # the top eigenvector moved towards the bottom one, 1.38 below it:
+        # G v - Lambda v = 1e-6 (Lambda_bottom - Lambda_top) v_bottom
+        vectors[1, :, 0] += 1e-6 * vectors[1, :, -1]
+        assert sd.eigenvalues[1, 0] - sd.eigenvalues[1, -1] > 1.0
+        moved = rdm.SpectralData(sd.eigenvalues, vectors, sd.operator)
+        assert moved.eigen_residual[1] > 1e-7
+        assert moved.eigen_residual[[0, 2]].tolist() == sd.eigen_residual[[0, 2]].tolist()
+        assert np.all(sd.eigen_residual < 1e-12)
