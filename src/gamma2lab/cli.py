@@ -31,7 +31,14 @@ usage error.
 ``SWEEP_BATCH_BYTES`` (one from d = 14 on): a batch is one stack of states,
 one assembly, one stacked eigensolve and one call of the eigenpair check,
 and its rows are written in trial order.  Every state of a batch gets the
-same bits as alone, so the report does not depend on the batch size.
+same bits as alone, so the report does not depend on the batch size.  A
+sweep that could write more than ``SWEEP_MAX_ROWS`` rows (a trial writes at
+most 1 + d(d-1)/2) is refused before its first state is drawn.
+
+A process pays the command line's fixed costs once and starts no other
+process: :func:`main` builds its parser on the first call and reuses it,
+and ``meta.environment`` is read without ``platform.platform()``'s
+``uname -p`` subprocess on Linux (see :func:`build_report`).
 """
 
 from __future__ import annotations
@@ -42,9 +49,11 @@ import io
 import json
 import os
 import platform
+import re
 import sys
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 from pathlib import Path
 
@@ -52,12 +61,13 @@ import numpy as np
 import scipy
 
 from . import __version__, bounds, canonical, pairing, rdm
-from .fock import SectorVector, enumerate_sector
+from .fock import SectorSizeError, SectorVector, enumerate_sector
 
 SCHEMA_VERSION = 1
 RNG_NAME = "philox4x64"
 OUTDIR_ENV = "GAMMA2LAB_OUTDIR"
 SWEEP_BATCH_BYTES = 1 << 21  # a sweep's working set per batch of trials
+SWEEP_MAX_ROWS = 1_000_000   # report rows one sweep may hold, about 1.7 KB each
 
 
 @dataclass
@@ -159,10 +169,55 @@ def _batch_trials(d: int, N: int) -> int:
     return max(1, SWEEP_BATCH_BYTES // trial)
 
 
+def admit_sweep(d: int, trials: int) -> None:
+    """Refuse by arithmetic a sweep that could hold more than
+    ``SWEEP_MAX_ROWS`` report rows: a trial writes its spectrum row and at
+    most one row per eigenpair, 1 + d(d-1)/2 in all.  The rows stay in
+    memory until the report is written, about 1.7 KB each with their JSON
+    text, so the cap keeps a sweep's rows under about 1.7 GB.
+    """
+    rows = trials * (1 + d * (d - 1) // 2)
+    if rows > SWEEP_MAX_ROWS:
+        raise SectorSizeError(f"--trials {trials} at d={d} may write {rows} "
+                              f"report rows, cap is {SWEEP_MAX_ROWS}")
+
+
 # --- report plumbing --------------------------------------------------------
+
+# platform.platform()'s cleanup of characters unfit for a file name
+_CLEANUP = str.maketrans({" ": "_", "/": "-", "\\": "-", ":": "-", ";": "-",
+                          '"': "-", "(": "-", ")": "-"})
+
+
+def _environment() -> str:
+    """The string ``platform.platform()`` gives, with no subprocess on Linux.
+
+    There ``platform.platform()`` joins system, release, machine and
+    processor of ``platform.uname()`` with ``with`` and the C library
+    version, and its processor lookup runs ``uname -p``.  This joins the
+    same fields without the processor, which ``platform.platform()`` drops
+    anyway when it is blank, ``unknown`` or the machine name.
+    ``platform.uname()`` reads ``os.uname()``, ``platform.libc_ver()`` reads
+    ``os.confstr``, and the joined text gets ``platform.platform()``'s
+    cleanup.  Other systems call ``platform.platform()`` itself.
+    """
+    uname = platform.uname()
+    if uname.system != "Linux":
+        return platform.platform()
+    libc, version = platform.libc_ver()
+    fields = (uname.system, uname.release, uname.machine, "with", libc + version)
+    text = "-".join(f.strip() for f in fields if f).translate(_CLEANUP)
+    text = re.sub("-{2,}", "-", text.replace("unknown", ""))
+    return text.rstrip("-")
 
 
 def build_report(config: dict, checks: list, timing: float | None) -> dict:
+    """The report of one run: ``meta`` names the package, its random
+    generator and the numpy, scipy and Python versions, and
+    ``environment`` the system as ``platform.platform()`` names it (read by
+    :func:`_environment`, which starts no process).  ``config`` is stored
+    as given, each check as its ``to_dict()``.
+    """
     return {
         "schema_version": SCHEMA_VERSION,
         "meta": {
@@ -172,7 +227,7 @@ def build_report(config: dict, checks: list, timing: float | None) -> dict:
             "numpy": np.__version__,
             "scipy": scipy.__version__,
             "python": platform.python_version(),
-            "environment": platform.platform(),
+            "environment": _environment(),
         },
         "config": config,
         "checks": [c.to_dict() for c in checks],
@@ -267,16 +322,19 @@ def _cmd_canonical(args) -> tuple[dict, list]:
 
 
 def _spectrum_rows(psi, spectral, tags, args) -> list[bounds.TheoremReport]:
-    """Informational per-trial dump of a batch, one row per tag: eigenvalues
-    and health residuals always, more on request."""
+    """Informational per-trial dump of a batch, one row per tag: eigenvalues,
+    health residuals and the shape of the Gram sum's block plan always, more
+    on request."""
     g = spectral.operator
+    blocks, widest = rdm.gram_block_shape(g.d, g.n_particles)
     columns = zip(tags, spectral.eigenvalues.tolist(), g.trace_residual.tolist(),
                   rdm.partial_trace_residual(spectral.one_body, psi).tolist(),
                   spectral.eigen_residual.tolist())
     rows = []
     for m, (tag, eigenvalues, trace, partial, eigen) in enumerate(columns):
         details = {"eigenvalues": eigenvalues, "trace_residual": trace,
-                   "partial_trace_residual": partial, "eigen_residual": eigen}
+                   "partial_trace_residual": partial, "eigen_residual": eigen,
+                   "gamma2_blocks": blocks, "gamma2_widest": widest}
         if args.eigenvectors:
             details["eigenvectors"] = [{"re": x.real.tolist(), "im": x.imag.tolist()}
                                        for x in spectral.wedge_vectors[m].T]
@@ -300,6 +358,7 @@ def _cmd_verify(args) -> tuple[dict, list]:
         if args.trials < 1:
             raise ValueError(f"no trial in --trials {args.trials}")
         rdm.admit_gamma2(args.dim, args.particles)  # refuse before drawing a state
+        admit_sweep(args.dim, args.trials)
         batch = _batch_trials(args.dim, args.particles)
         checks = []
         for first in range(0, args.trials, batch):
@@ -362,7 +421,14 @@ def _cmd_counterexample(args) -> tuple[dict, list]:
     return config, bounds.counterexample_sweep(profiles, tol=args.tol)
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built on the first call and returned by
+    every later one, so a process that calls :func:`main` many times
+    validates its arguments' declarations once.  Nothing builds it at
+    import.  ``parse_args`` reads the parser and fills a new namespace per
+    call, so no state passes from one call to the next.
+    """
     parser = argparse.ArgumentParser(
         prog="gamma2lab",
         description="Exact verification of two-body reduced-operator bounds "

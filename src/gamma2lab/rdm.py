@@ -201,6 +201,15 @@ def _gram_blocks(d: int, N: int, cap: int) -> tuple:
     return L, groups, size, (hi, lo), wedge
 
 
+def gram_block_shape(d: int, N: int) -> tuple[int, int]:
+    """The number of blocks in the Gram sum of a (d, N) state and the most
+    (N-2)-particle columns in one, read off the cached plan that
+    :func:`compute_gamma2` runs at the current ``GRAM_CHUNK``."""
+    L, groups, *_ = _gram_blocks(d, N, GRAM_CHUNK)
+    return (sum(len(ts) for _, ts, _ in groups),
+            max(comb(L, n_low) for n_low, _, _ in groups))
+
+
 def compute_gamma2(psi: SectorVector) -> TwoBodyOperator:
     """Assemble the two-body reduced operator of a normalized state, or of
     each state of a stack (B, dim) in one pass over the blocks.

@@ -3,16 +3,20 @@
 import csv
 import json
 import math
+import os
+import platform
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gamma2lab import bounds, cli
+from gamma2lab import bounds, cli, rdm
 from gamma2lab.canonical import random_tensor, write_tensor_text
+from gamma2lab.fock import SectorSizeError
 from gamma2lab.cli import (build_report, main, parse_lambda_spec, random_state,
                            report_to_csv, report_to_json)
 
@@ -594,3 +598,179 @@ class TestDocumentedCommands:
                         "--outdir", str(tmp_path)], check=True, capture_output=True)
         for name in ("uniform_4.csv", "power_1_6.csv"):
             assert len(_read_report(tmp_path / name)) == 3
+
+
+def _fresh(*argv, cwd):
+    """Run ``python argv...`` in a fresh interpreter importing the package
+    from this checkout; return its stdout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    env.pop(cli.OUTDIR_ENV, None)
+    done = subprocess.run([sys.executable, *argv], cwd=cwd, env=env, check=True,
+                          capture_output=True, text=True)
+    return done.stdout
+
+
+NO_PROCESS = """
+import json, subprocess, sys
+
+def no_process(*args, **kwargs):
+    raise AssertionError("a process was started")
+
+subprocess.Popen = no_process
+from gamma2lab import cli
+
+codes = []
+for argv in json.loads(sys.argv[1]):
+    try:
+        codes.append(cli.main(argv))
+    except SystemExit as exc:  # argparse refuses the command line
+        codes.append(exc.code)
+print(json.dumps(codes))
+"""
+
+COUNT_PARSERS = """
+import argparse, json, sys
+
+built = []
+init = argparse.ArgumentParser.__init__
+
+def counting(self, *args, **kwargs):
+    init(self, *args, **kwargs)
+    if self.prog == "gamma2lab":  # subparsers are named "gamma2lab <command>"
+        built.append(self)
+
+argparse.ArgumentParser.__init__ = counting
+from gamma2lab import cli
+
+at_import = len(built)
+for argv in json.loads(sys.argv[1]):
+    cli.main(argv)
+print(json.dumps([at_import, len(built)]))
+"""
+
+ENVIRONMENT = """
+import json, platform, sys
+from gamma2lab import cli
+
+cli.main(["verify", "thm2", "--lambda", "uniform:4", "--particles", "4",
+          "--out", "report.json"])
+with open("report.json", encoding="utf-8") as fh:
+    environment = json.load(fh)["meta"]["environment"]
+print(json.dumps([environment, platform.platform()]))
+"""
+
+
+class TestFixedCosts:
+    """One parser per process, and no process started for a report."""
+
+    # every subcommand, an error report and three usage errors, with the
+    # exit codes they have always had
+    COMMANDS = [
+        (["canonical", "--tensor", "tensor.txt"], 0),
+        (["verify", "thm1", "--dim", "6", "--particles", "3", "--trials", "2"], 0),
+        (["verify", "thm2", "--lambda", "uniform:4", "--particles", "4"], 0),
+        (["verify", "prop", "--lambda", "uniform:4", "--particles", "2,4"], 0),
+        (["verify", "occupation", "--dim", "6", "--particles", "3", "--trials", "2"], 0),
+        (["verify", "norms", "--lambda", "power:1:6", "--m-max", "4"], 0),
+        (["explore", "--lambda", "uniform:6", "--particles", "2,4"], 0),
+        (["counterexample", "--lambda", "power:1:8", "--particles", "4,6",
+          "--k-equals-n"], 0),
+        (["verify", "thm1", "--dim", "25", "--particles", "12", "--trials", "1"], 1),
+        (["verify", "thm2", "--particles", "4"], 2),
+        (["verify", "thm1", "--tol", "nan"], 2),
+        (["verify", "nope"], 2),
+    ]
+
+    def test_no_process_is_started(self, tmp_path):
+        write_tensor_text(tmp_path / "tensor.txt",
+                          random_tensor(6, np.random.default_rng(0)))
+        commands = [argv + ["--out", f"op{i}.json"]
+                    for i, (argv, _) in enumerate(self.COMMANDS)]
+        codes = json.loads(_fresh("-c", NO_PROCESS, json.dumps(commands), cwd=tmp_path))
+        assert codes == [code for _, code in self.COMMANDS]
+
+    def test_environment_is_platform_string(self, tmp_path):
+        environment, expected = json.loads(_fresh("-c", ENVIRONMENT, cwd=tmp_path))
+        assert environment == expected
+
+    @pytest.mark.parametrize("release", ["6.1.0-13-amd64", " 5.15 (custom)/x:y;z\"w ",
+                                         "4.19-unknown--build-", "unknown"])
+    def test_environment_cleanup(self, monkeypatch, release):
+        # platform.platform() of a Linux host whose processor is blank, on
+        # releases that need each step of its cleanup
+        uname = platform.uname_result("Linux", "node", release, "#1", "x86_64")
+        uname.__dict__["processor"] = ""  # never ask `uname -p`
+        monkeypatch.setattr(platform, "uname", lambda: uname)
+        monkeypatch.setattr(platform, "libc_ver", lambda: ("glibc", "2.36"))
+        monkeypatch.setattr(platform, "_platform_cache", {})
+        assert cli._environment() == platform.platform()
+        assert cli._environment().endswith("-with-glibc2.36")
+
+    def test_one_parser_per_process(self, tmp_path):
+        commands = [["verify", "thm2", "--lambda", "uniform:4", "--particles", "4",
+                     "--out", f"op{i}.json"] for i in range(2)]
+        at_import, built = json.loads(_fresh("-c", COUNT_PARSERS, json.dumps(commands),
+                                             cwd=tmp_path))
+        assert (at_import, built) == (0, 1)
+
+    def test_mixed_sequence_matches_fresh_processes(self, tmp_path, monkeypatch):
+        # flags set by one call must not reach the next through the parser
+        commands = [
+            ["verify", "prop", "--lambda", "geometric:0.5:6", "--particles", "2,4"],
+            ["verify", "thm1", "--dim", "6", "--particles", "3", "--trials", "2",
+             "--eigenvectors"],
+            ["verify", "thm1", "--dim", "6", "--particles", "3", "--trials", "2"],
+            ["counterexample", "--lambda", "power:1:8", "--particles", "4,6",
+             "--k-equals-n"],
+        ]
+        monkeypatch.delenv(cli.OUTDIR_ENV, raising=False)
+        for i, argv in enumerate(commands):
+            assert main(argv + ["--out", str(tmp_path / f"seq{i}.json")]) == 0
+        for i, argv in enumerate(commands):
+            _fresh("-m", "gamma2lab", *argv, "--out", f"own{i}.json", cwd=tmp_path)
+            assert ((tmp_path / f"seq{i}.json").read_bytes()
+                    == (tmp_path / f"own{i}.json").read_bytes()), argv
+        spectra = [json.loads((tmp_path / f"seq{i}.json").read_text())["checks"][0]
+                   for i in (1, 2)]
+        assert ["eigenvectors" in s["details"] for s in spectra] == [True, False]
+
+
+class TestSweepCap:
+    @pytest.mark.parametrize("check", ["thm1", "occupation"])
+    def test_huge_sweep_refused_before_any_state(self, tmp_path, monkeypatch, check):
+        def no_state(*args):
+            raise AssertionError("a state was drawn")
+
+        monkeypatch.setattr(cli, "random_state", no_state)
+        started = time.perf_counter()
+        code, report = run_cli(tmp_path, "verify", check, "--dim", "8",
+                               "--particles", "4", "--trials", "1000000000")
+        assert time.perf_counter() - started < 0.5
+        assert code == 1
+        assert [c["note"] for c in report["checks"]] == [
+            "SectorSizeError: --trials 1000000000 at d=8 may write 29000000000 "
+            f"report rows, cap is {cli.SWEEP_MAX_ROWS}"]
+
+    @pytest.mark.parametrize("d", [2, 8, 24])
+    def test_admits_a_sweep_just_under_the_cap(self, d):
+        per_trial = 1 + d * (d - 1) // 2
+        trials = cli.SWEEP_MAX_ROWS // per_trial
+        cli.admit_sweep(d, trials)
+        with pytest.raises(SectorSizeError, match=f"may write {(trials + 1) * per_trial} "):
+            cli.admit_sweep(d, trials + 1)
+
+
+class TestGamma2Plan:
+    @pytest.mark.parametrize("chunk,plan", [(rdm.GRAM_CHUNK, [1, 28]), (8, [11, 6])])
+    def test_spectrum_rows_record_the_block_plan(self, tmp_path, monkeypatch, chunk,
+                                                 plan):
+        # at GRAM_CHUNK = 8 the sum runs over 11 blocks of at most C(4, 2) columns
+        monkeypatch.setattr(rdm, "GRAM_CHUNK", chunk)
+        code, report = run_cli(tmp_path, "verify", "thm1", "--dim", "8",
+                               "--particles", "4", "--trials", "3")
+        assert code == 0
+        plans = [[c["details"]["gamma2_blocks"], c["details"]["gamma2_widest"]]
+                 for c in report["checks"] if c["kind"] == "spectrum"]
+        assert plans == [plan] * 3

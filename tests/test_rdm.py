@@ -289,6 +289,24 @@ class TestIdentityOracles:
 
 
 class TestGramBlocks:
+    @pytest.mark.parametrize("d,n,chunk,shape", [
+        (8, 4, rdm.GRAM_CHUNK, (1, 28)),
+        (20, 10, rdm.GRAM_CHUNK, (256, 924)),
+        (8, 4, 8, (11, 6)),
+        (9, 5, 3, (42, 3)),
+    ])
+    def test_block_shape(self, d, n, chunk, shape):
+        with mock.patch.object(rdm, "GRAM_CHUNK", chunk):
+            got = rdm.gram_block_shape(d, n)
+        # oracle: the runs of (N-2)-particle masks that share their top m
+        # orbitals, m the fewest for which every run fits the chunk
+        masks = fock.occupation_masks(d, n - 2)
+        for m in range(d + 1):
+            runs = np.unique(masks >> (d - m), return_counts=True)[1]
+            if runs.max() <= chunk:
+                break
+        assert got == shape == (len(runs), runs.max())
+
     @pytest.mark.parametrize("d,n,cap,top,count", [
         (8, 4, rdm.GRAM_CHUNK, 0, 1),      # C(8, 2) = 28 columns, one block
         (20, 10, 1024, 8, 256),            # runs of at most C(12, 6) = 924

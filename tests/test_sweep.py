@@ -22,6 +22,7 @@ VERIFY = {"thm1": bounds.verify_theorem1,
 def oracle_checks(check, d, n, trials, seed):
     """The checks of a sweep, one state at a time."""
     rows = []
+    blocks, widest = rdm.gram_block_shape(d, n)
     for t in range(trials):
         psi = random_state(d, n, seed + t)
         sd = spectral_decompose(compute_gamma2(psi))
@@ -29,7 +30,8 @@ def oracle_checks(check, d, n, trials, seed):
         details = {"eigenvalues": sd.eigenvalues.tolist(),
                    "trace_residual": sd.operator.trace_residual,
                    "partial_trace_residual": partial_trace_residual(sd.one_body, psi),
-                   "eigen_residual": sd.eigen_residual}
+                   "eigen_residual": sd.eigen_residual,
+                   "gamma2_blocks": blocks, "gamma2_widest": widest}
         rows.append(bounds.TheoremReport(kind="spectrum", params={"d": d, "N": n, **tag},
                                          details=details))
         rows += VERIFY[check](sd, tag=tag)
