@@ -32,21 +32,29 @@ usage error.
 one assembly, one stacked eigensolve and one call of the eigenpair check,
 and its rows are written in trial order.  Every state of a batch gets the
 same bits as alone, so the report does not depend on the batch size.  A
-sweep that could write more than ``SWEEP_MAX_ROWS`` rows (a trial writes at
-most 1 + d(d-1)/2) is refused before its first state is drawn.
+sweep whose report could hold more than ``SWEEP_MAX_ROWS`` rows' bytes (a
+trial writes at most 1 + d(d-1)/2 rows, and each dump flag adds its P x P
+complex entries) is refused before its first state is drawn.
 
 A process pays the command line's fixed costs once and starts no other
 process: :func:`main` builds its parser on the first call and reuses it,
 and ``meta.environment`` is read without ``platform.platform()``'s
-``uname -p`` subprocess on Linux (see :func:`build_report`).
+``uname -p`` subprocess on Linux (see :func:`build_report`).  Importing
+this module imports no scipy: ``meta.scipy`` is read from scipy's
+``version.py`` (see :data:`SCIPY_VERSION`).  The import ends with
+``gc.freeze()``, so :func:`main` starts from the same collector state
+whatever the imports allocated.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import gc
+import importlib.util
 import io
 import json
+import locale  # noqa: F401  else argparse's gettext imports it in the first main()
 import os
 import platform
 import re
@@ -58,7 +66,6 @@ from math import comb
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__, bounds, canonical, pairing, rdm
 from .fock import SectorSizeError, SectorVector, enumerate_sector
@@ -67,7 +74,28 @@ SCHEMA_VERSION = 1
 RNG_NAME = "philox4x64"
 OUTDIR_ENV = "GAMMA2LAB_OUTDIR"
 SWEEP_BATCH_BYTES = 1 << 21  # a sweep's working set per batch of trials
-SWEEP_MAX_ROWS = 1_000_000   # report rows one sweep may hold, about 1.7 KB each
+SWEEP_ROW_BYTES = 1700       # one report row held until written, with its JSON text
+SWEEP_MAX_ROWS = 1_000_000   # one sweep's budget, in rows of SWEEP_ROW_BYTES: 1.7 GB
+DUMP_FLOAT_BYTES = 100       # one dumped float: object, list slot and JSON text
+
+
+def _scipy_version() -> str:
+    """``scipy.__version__`` without importing scipy.
+
+    ``scipy/__init__.py`` binds ``__version__`` to ``version`` of its
+    ``version.py``; ``find_spec`` locates the package without running its
+    ``__init__``, and this runs ``version.py`` alone.
+    """
+    spec = importlib.util.find_spec("scipy")
+    if spec is None:
+        raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+    path = Path(spec.origin).with_name("version.py")
+    scope: dict = {}
+    exec(compile(path.read_bytes(), str(path), "exec"), scope)
+    return scope["version"]
+
+
+SCIPY_VERSION = _scipy_version()  # meta.scipy of every report
 
 
 @dataclass
@@ -169,17 +197,25 @@ def _batch_trials(d: int, N: int) -> int:
     return max(1, SWEEP_BATCH_BYTES // trial)
 
 
-def admit_sweep(d: int, trials: int) -> None:
-    """Refuse by arithmetic a sweep that could hold more than
-    ``SWEEP_MAX_ROWS`` report rows: a trial writes its spectrum row and at
-    most one row per eigenpair, 1 + d(d-1)/2 in all.  The rows stay in
-    memory until the report is written, about 1.7 KB each with their JSON
-    text, so the cap keeps a sweep's rows under about 1.7 GB.
+def admit_sweep(d: int, trials: int, dumps: int = 0) -> None:
+    """Refuse by arithmetic a sweep whose report could hold more bytes than
+    ``SWEEP_MAX_ROWS`` rows of ``SWEEP_ROW_BYTES``, about 1.7 GB.
+
+    A trial writes its spectrum row and at most one row per eigenpair,
+    1 + P rows in all, P = d(d-1)/2.  Each of the ``dumps`` flags
+    (``--eigenvectors``, ``--dump-operator``) adds P x P complex entries to
+    the spectrum row, 2 P^2 floats of ``DUMP_FLOAT_BYTES`` each.  The rows
+    stay in memory until the report is written, so the budget bounds that
+    memory; the refusal counts the dumps in rows' worth of bytes.
     """
-    rows = trials * (1 + d * (d - 1) // 2)
-    if rows > SWEEP_MAX_ROWS:
+    n_pairs = d * (d - 1) // 2
+    rows = trials * (1 + n_pairs)
+    dumped = trials * dumps * 2 * n_pairs ** 2 * DUMP_FLOAT_BYTES
+    if rows * SWEEP_ROW_BYTES + dumped > SWEEP_MAX_ROWS * SWEEP_ROW_BYTES:
+        worth = -(-dumped // SWEEP_ROW_BYTES)  # the dumps in rows, rounded up
+        extra = f" and dumps worth {worth} rows more" if dumps else ""
         raise SectorSizeError(f"--trials {trials} at d={d} may write {rows} "
-                              f"report rows, cap is {SWEEP_MAX_ROWS}")
+                              f"report rows{extra}, cap is {SWEEP_MAX_ROWS}")
 
 
 # --- report plumbing --------------------------------------------------------
@@ -215,8 +251,10 @@ def build_report(config: dict, checks: list, timing: float | None) -> dict:
     """The report of one run: ``meta`` names the package, its random
     generator and the numpy, scipy and Python versions, and
     ``environment`` the system as ``platform.platform()`` names it (read by
-    :func:`_environment`, which starts no process).  ``config`` is stored
-    as given, each check as its ``to_dict()``.
+    :func:`_environment`, which starts no process).  The scipy version is
+    :data:`SCIPY_VERSION`, read at import from scipy's ``version.py``
+    without importing scipy.  ``config`` is stored as given, each check as
+    its ``to_dict()``.
     """
     return {
         "schema_version": SCHEMA_VERSION,
@@ -225,7 +263,7 @@ def build_report(config: dict, checks: list, timing: float | None) -> dict:
             "version": __version__,
             "rng": RNG_NAME,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
+            "scipy": SCIPY_VERSION,
             "python": platform.python_version(),
             "environment": _environment(),
         },
@@ -358,7 +396,7 @@ def _cmd_verify(args) -> tuple[dict, list]:
         if args.trials < 1:
             raise ValueError(f"no trial in --trials {args.trials}")
         rdm.admit_gamma2(args.dim, args.particles)  # refuse before drawing a state
-        admit_sweep(args.dim, args.trials)
+        admit_sweep(args.dim, args.trials, args.eigenvectors + args.dump_operator)
         batch = _batch_trials(args.dim, args.particles)
         checks = []
         for first in range(0, args.trials, batch):
@@ -528,6 +566,12 @@ def main(argv=None) -> int:
     ok = all(c.passed is not False for c in checks)
     return 0 if ok else 1
 
+
+# Objects made by the imports live as long as the process, so the collector
+# need never scan them again; the freeze also zeroes the young generation's
+# count, so main() starts at the same point of the collector's cycle
+# however much the imports allocated.
+gc.freeze()
 
 if __name__ == "__main__":
     raise SystemExit(main())

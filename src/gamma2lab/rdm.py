@@ -53,7 +53,7 @@ import numpy as np
 
 from .canonical import (AntisymmetricTensor, CanonicalForm, check_unit_norms,
                         reconstruct, wedge_index, wedge_matrices)
-from .fock import (SectorMismatchError, SectorVector, _hops, admit_sector,
+from .fock import (SectorMismatchError, SectorVector, admit_sector,
                    apply_annihilate, apply_annihilate_vector, enumerate_sector,
                    occupation_masks, occupations)
 
@@ -139,20 +139,23 @@ def _low_hops(L: int, n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     ``occupation_masks(L, n-k)``, and ``signs`` the Jordan-Wigner sign:
     (-1)**pop(s below i) for k = 1, (-1)**(pop(s below i) + pop(s below j) - 1)
     for k = 2.  All three are read-only.
+
+    The rows are tested on every (n-k)-orbital mask t at once: t lies in
+    row r's block when it misses the row's orbitals, and then s = t | row,
+    which keeps t's order, so one ``searchsorted`` places every s.  The test
+    has C(L, k) x C(L, n-k) entries, one block's columns per row.
     """
-    empty = np.zeros(0, dtype=np.intp)
-    dst, src, parity = [empty], [empty], [empty]
-    if n >= k:
-        masks, width = occupation_masks(L, n), comb(L, n - k)
-        for r, bits in enumerate(occupation_masks(L, k).tolist()):
-            rows, cols = _hops(L, n, bits)
-            below = [np.bitwise_count(masks[cols] & ((1 << o) - 1))
-                     for o in range(L) if bits >> o & 1]
-            dst.append(r * width + rows)
-            src.append(cols)
-            parity.append(sum(below, k * (k - 1) // 2))
-    table = (np.concatenate(dst), np.concatenate(src),
-             1.0 - 2.0 * (np.concatenate(parity) & 1))
+    bits = occupation_masks(L, k)
+    free = occupation_masks(L, n - k) if n >= k else np.zeros(0, dtype=np.int64)
+    r, col = np.nonzero((free & bits[:, None]) == 0)
+    held = bits[r]
+    s = free[col] | held
+    dst, src = r * len(free) + col, np.searchsorted(occupation_masks(L, n), s)
+    low = held & -held  # orbital i; for k = 2, held ^ low is orbital j
+    parity = np.bitwise_count(s & (low - 1))
+    if k == 2:
+        parity += np.bitwise_count(s & ((held ^ low) - 1)) + 1
+    table = (dst, src, 1.0 - 2.0 * (parity & 1))
     for part in table:
         part.setflags(write=False)
     return table

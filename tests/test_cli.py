@@ -661,9 +661,39 @@ with open("report.json", encoding="utf-8") as fh:
 print(json.dumps([environment, platform.platform()]))
 """
 
+MODULES_ADDED = """
+import json, sys
+from gamma2lab import cli
+
+added = []
+for argv in json.loads(sys.argv[1]):
+    before = set(sys.modules)
+    cli.main(argv)
+    added.append(sorted(set(sys.modules) - before))
+print(json.dumps(added))
+"""
+
+NUMPY_RANDOM_ADDS = """
+import json, sys
+from gamma2lab import cli
+
+before = set(sys.modules)
+import numpy.random
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+FROZEN = """
+import gc, json
+from gamma2lab import cli
+
+print(json.dumps([gc.get_freeze_count() > 0,
+                  any(o is cli.main for o in gc.get_objects())]))
+"""
+
 
 class TestFixedCosts:
-    """One parser per process, and no process started for a report."""
+    """One parser per process, no process started for a report, and no
+    scipy imported for one."""
 
     # every subcommand, an error report and three usage errors, with the
     # exit codes they have always had
@@ -707,6 +737,38 @@ class TestFixedCosts:
         monkeypatch.setattr(platform, "_platform_cache", {})
         assert cli._environment() == platform.platform()
         assert cli._environment().endswith("-with-glibc2.36")
+
+    def test_meta_scipy_is_the_scipy_version(self, tmp_path):
+        import scipy
+
+        code, report = run_cli(tmp_path, "verify", "thm2", "--lambda", "uniform:4",
+                               "--particles", "4")
+        assert code == 0
+        assert report["meta"]["scipy"] == cli.SCIPY_VERSION == scipy.__version__
+
+    def test_main_imports_nothing_the_import_left_out(self, tmp_path):
+        # argparse's gettext would import locale in the first main() had
+        # the import not done it; verify thm1 draws its states through
+        # numpy.random, which numpy loads on first use
+        commands = [
+            ["counterexample", "--lambda", "power:1:8", "--particles", "4,6",
+             "--k-equals-n"],
+            ["verify", "prop", "--lambda", "uniform:7", "--particles", "2,4"],
+            ["explore", "--lambda", "uniform:12", "--particles", "2,4,6"],
+            ["verify", "norms", "--lambda", "power:1:6", "--m-max", "4"],
+            ["verify", "thm1", "--dim", "6", "--particles", "3", "--trials", "2"],
+        ]
+        commands = [argv + ["--out", f"op{i}.json"] for i, argv in enumerate(commands)]
+        added = json.loads(_fresh("-c", MODULES_ADDED, json.dumps(commands), cwd=tmp_path))
+        assert added[:4] == [[], [], [], []]
+        random_only = json.loads(_fresh("-c", NUMPY_RANDOM_ADDS, cwd=tmp_path))
+        assert "numpy.random" in random_only
+        assert added[4] == random_only
+
+    def test_import_ends_in_a_freeze(self, tmp_path):
+        # what the imports made is out of every collection main() runs
+        frozen, tracked = json.loads(_fresh("-c", FROZEN, cwd=tmp_path))
+        assert frozen and not tracked
 
     def test_one_parser_per_process(self, tmp_path):
         commands = [["verify", "thm2", "--lambda", "uniform:4", "--particles", "4",
@@ -760,6 +822,36 @@ class TestSweepCap:
         cli.admit_sweep(d, trials)
         with pytest.raises(SectorSizeError, match=f"may write {(trials + 1) * per_trial} "):
             cli.admit_sweep(d, trials + 1)
+
+    @pytest.mark.parametrize("flags", [["--eigenvectors"], ["--dump-operator"],
+                                       ["--eigenvectors", "--dump-operator"]])
+    def test_dumps_count_against_the_cap(self, tmp_path, monkeypatch, flags):
+        # 8264 trials at d=16 are 999,944 rows, just under the cap without
+        # dumps; each dump adds 2 * 120**2 floats to every trial
+        def no_state(*args):
+            raise ValueError("a state was drawn")
+
+        monkeypatch.setattr(cli, "random_state", no_state)
+        argv = ["verify", "thm1", "--dim", "16", "--particles", "8", "--trials", "8264"]
+        code, report = run_cli(tmp_path, *argv, *flags)
+        assert code == 1
+        dumped = 8264 * len(flags) * 2 * 120 ** 2 * cli.DUMP_FLOAT_BYTES
+        assert [c["note"] for c in report["checks"]] == [
+            "SectorSizeError: --trials 8264 at d=16 may write 999944 report rows "
+            f"and dumps worth {-(-dumped // cli.SWEEP_ROW_BYTES)} rows more, "
+            f"cap is {cli.SWEEP_MAX_ROWS}"]
+        code, report = run_cli(tmp_path, *argv)  # admitted, so it draws
+        assert [c["note"] for c in report["checks"]] == ["ValueError: a state was drawn"]
+
+    @pytest.mark.parametrize("d,dumps", [(8, 1), (8, 2), (16, 2)])
+    def test_admits_a_dumping_sweep_just_under_the_cap(self, d, dumps):
+        n_pairs = d * (d - 1) // 2
+        per_trial = ((1 + n_pairs) * cli.SWEEP_ROW_BYTES
+                     + dumps * 2 * n_pairs ** 2 * cli.DUMP_FLOAT_BYTES)
+        trials = cli.SWEEP_MAX_ROWS * cli.SWEEP_ROW_BYTES // per_trial
+        cli.admit_sweep(d, trials, dumps)
+        with pytest.raises(SectorSizeError, match="and dumps worth"):
+            cli.admit_sweep(d, trials + 1, dumps)
 
 
 class TestGamma2Plan:

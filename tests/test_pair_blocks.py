@@ -296,12 +296,12 @@ class TestAdmission:
 
 
 def test_cli_import_defers_sparse_linalg():
-    # no scipy.linalg or scipy.sparse module: every command pays for the
-    # import, and only the iterative path of bounds.sup_over_states needs one
+    # no scipy module at all: every command pays for the import, and only
+    # the iterative path of bounds.sup_over_states needs scipy
     src = Path(__file__).resolve().parents[1] / "src"
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import gamma2lab.cli; "
             "print(sorted(m for m in sys.modules "
-            "if m.startswith(('scipy.linalg', 'scipy.sparse'))))")
+            "if m == 'scipy' or m.startswith('scipy.')))")
     proc = subprocess.run([sys.executable, "-c", code, str(src)],
                           capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"

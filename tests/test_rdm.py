@@ -381,6 +381,34 @@ class TestGramBlocks:
         assert g.trace_residual < 1e-12
         assert np.max(np.abs(g.mat - unchunked_gamma2(psi))) > 1e-13
 
+    # the tables built row by row from fock's hop tables: the reference
+    # for the one-pass build
+    @staticmethod
+    def per_row_low_hops(L, n, k):
+        empty = np.zeros(0, dtype=np.intp)
+        dst, src, parity = [empty], [empty], [empty]
+        if n >= k:
+            masks, width = fock.occupation_masks(L, n), comb(L, n - k)
+            for r, bits in enumerate(fock.occupation_masks(L, k).tolist()):
+                rows, cols = fock._hops(L, n, bits)
+                below = [np.bitwise_count(masks[cols] & ((1 << o) - 1))
+                         for o in range(L) if bits >> o & 1]
+                dst.append(r * width + rows)
+                src.append(cols)
+                parity.append(sum(below, k * (k - 1) // 2))
+        return (np.concatenate(dst), np.concatenate(src),
+                1.0 - 2.0 * (np.concatenate(parity) & 1))
+
+    @pytest.mark.parametrize("low", range(13))
+    def test_low_table_matches_per_row_construction(self, low):
+        for n in range(low + 3):
+            for k in (1, 2):
+                for part, expected in zip(rdm._low_hops(low, n, k),
+                                          self.per_row_low_hops(low, n, k)):
+                    assert part.dtype == expected.dtype
+                    assert np.array_equal(part, expected), (low, n, k)
+                    assert not part.flags.writeable
+
     # every entry of c_i, or c_j c_i, against fock's annihilators
     @pytest.mark.parametrize("low,n,k", [(5, 3, 1), (5, 3, 2), (6, 2, 2), (6, 6, 2)])
     def test_low_table_against_annihilators(self, low, n, k):
