@@ -501,7 +501,15 @@ def counterexample_driver(lambda_profile, N: int,
 
 
 def counterexample_sweep(profiles, tol: float = BOUND_TOL) -> list[TheoremReport]:
-    """Run the overlap floor over (N, profile) pairs and check growth in N."""
+    """Run the overlap floor over (N, profile) pairs and check growth in N.
+
+    The particle numbers must be strictly increasing, or growth in N is not
+    defined: :class:`ValueError` is raised before any run.
+    """
+    n_list = [N for N, _ in profiles]
+    if any(b <= a for a, b in zip(n_list, n_list[1:])):
+        raise ValueError(f"growth in N needs strictly increasing particle numbers, "
+                         f"not {n_list}")
     reports = [counterexample_driver(lams, N, tol) for N, lams in profiles]
     if len(reports) > 1:
         values = [r.observed for r in reports]

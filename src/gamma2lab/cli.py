@@ -120,9 +120,13 @@ class LambdaSpec:
 def _resolve(raw: np.ndarray) -> np.ndarray:
     if np.any(raw < 0):
         raise ValueError("coefficients must be non-negative")
-    nrm = float(np.linalg.norm(raw))
-    if not np.isfinite(nrm):  # NaN or inf entries, or a norm that overflows
+    if not np.all(np.isfinite(raw)):
         raise ValueError("coefficients and their norm must be finite")
+    with np.errstate(over="ignore"):
+        nrm = float(np.linalg.norm(raw))
+    if not 0.0 < nrm < np.inf and raw.max() > 0:  # the 2-norm under- or overflows
+        raw = raw / raw.max()
+        nrm = float(np.linalg.norm(raw))
     if nrm == 0.0:
         raise ValueError("coefficient profile is identically zero")
     vals = np.sort(raw / nrm)[::-1].copy()
@@ -525,6 +529,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if not np.isfinite(args.tol):
         print(f"--tol must be finite, not {args.tol!r}", file=sys.stderr)
+        return 2
+    if args.tol < 0:
+        print(f"--tol must be non-negative, not {args.tol!r}", file=sys.stderr)
         return 2
     if args.command == "verify" and args.check in ("thm1", "occupation"):
         try:

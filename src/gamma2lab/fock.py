@@ -12,18 +12,20 @@ Pair ``k`` is orbital ``2k`` (up) and ``2k + 1`` (down).  Both members see
 the same occupied orbitals below ``2k``, so the Jordan-Wigner signs of
 ``b_k = c_{2k+1} c_{2k}`` cancel and pair operators carry no sign.
 
-Every operator is built from one primitive, the hop table that clears the
-bits of a mask: ``cols`` lists the positions of the popcount-n masks
-holding all of them, ``rows`` the positions of the same masks with them
-cleared.  Creation scatters along the same table in the other direction.
-The mask is ``1 << i`` for the fermion operators, which attach the
-Jordan-Wigner sign to each entry, ``3 << 2k`` for pair k on a full sector,
-``1 << k`` for pair k on the pair-occupation bases of
-:mod:`gamma2lab.pairing`, and one or two low orbitals for the tables that
-:mod:`gamma2lab.rdm` reads Gamma2 blocks with.  Only the signed tables of the
-``apply_*`` operators are cached here, per (d, n, orbital) in a bounded LRU
-cache; pair hop tables are rebuilt on each use, and the tables that
-:mod:`gamma2lab.pairing` and :mod:`gamma2lab.rdm` build are cached there.
+Every operator is built from one primitive, the hop table of :func:`_hops`
+that clears the bits of row masks of one popcount k <= 2 on the (d, n)
+masks: for every mask s holding a row, the row, the position of s with the
+row's bits cleared, the position of s itself and the Jordan-Wigner sign of
+c_i (k = 1) or c_j c_i (k = 2, i < j).  Creation scatters along the same
+table in the other direction.  The ``apply_*`` operators take one row
+``1 << i`` per orbital and read its positions and signs; the pair operators
+of :mod:`gamma2lab.pairing` take one row ``3 << 2k`` per pair on a full
+sector, or ``1 << k`` on its pair-occupation bases, and read the positions
+alone, the sign of a spin pair being +1; :mod:`gamma2lab.rdm` takes every
+single or pair of the low orbitals at once and lays the table out in the
+blocks it reads Gamma2 with.  Only rdm caches its tables, one per low
+sector; the one-row tables are rebuilt on each use, so a table of a full
+sector holds one row's entries, not every row's.
 
 All operations are pure functions; vectors are never mutated in place.
 """
@@ -39,7 +41,6 @@ import numpy as np
 DEFAULT_MAX_DIM = 24
 DEFAULT_MAX_SECTOR = 3_000_000
 MASK_CACHE = 64                   # occupation-mask arrays kept, one per (d, n)
-HOP_CACHE = DEFAULT_MAX_DIM       # signed hop tables kept, one sector's orbitals
 
 
 class SectorSizeError(ValueError):
@@ -203,37 +204,37 @@ def slater_state(d: int, orbitals) -> SectorVector:
     return basis_state(d, mask)
 
 
-def _hops(d: int, n: int, bits: int) -> tuple[np.ndarray, np.ndarray]:
-    """Hop table ``(rows, cols)`` that clears every bit of the mask ``bits``.
+def _hops(d: int, n: int, rows: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The hop table that clears the bits of each mask of ``rows``, all of
+    one popcount k <= 2, on the (d, n) masks: ``(row, cleared, src, sign)``.
 
-    ``cols`` lists the positions in ``occupation_masks(d, n)`` of the masks
-    holding all of ``bits``; ``rows`` the positions in
-    ``occupation_masks(d, n - popcount(bits))`` of the same masks with those
-    bits cleared.  Both are read-only.
+    For every popcount-n mask s holding the bits of ``rows[r]``, ``row`` is
+    r, ``cleared`` the position of s with those bits cleared in
+    ``occupation_masks(d, n - k)``, ``src`` the position of s in
+    ``occupation_masks(d, n)`` and ``sign`` the Jordan-Wigner sign of
+    clearing them as ``float64``: (-1)**pop(s below i) for c_i, and
+    (-1)**(pop(s below i) + pop(s below j) - 1) for c_j c_i, i < j, which
+    is +1 for a pair (2k, 2k + 1).  Entries come row by row, ``cleared``
+    ascending.
+
+    Every row is tested on every mask t of ``occupation_masks(d, n - k)``
+    and every mask s of ``occupation_masks(d, n)`` at once: t is in the
+    table when it misses the row's bits, s when it holds them, and as
+    s = t | row keeps t's order, the i-th t and the i-th s of a row pair up.
+    The two tests have len(rows) x (C(d, n-k) + C(d, n)) entries.
     """
-    src = occupation_masks(d, n)
-    cols = np.flatnonzero((src & bits) == bits)
-    rows = np.searchsorted(occupation_masks(d, n - bits.bit_count()),
-                           src[cols] ^ bits)
-    for table in (rows, cols):
-        table.setflags(write=False)
-    return rows, cols
-
-
-@lru_cache(maxsize=HOP_CACHE)
-def _fermion_hops(d: int, n: int,
-                  orbital: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`_hops` of one orbital plus the Jordan-Wigner sign of each entry
-    as ``int8``.
-
-    The sign is (-1)**(occupied orbitals below ``orbital``), the same for the
-    annihilator on the ``cols`` mask and the creator on the ``rows`` mask.
-    """
-    rows, cols = _hops(d, n, 1 << orbital)
-    below = occupation_masks(d, n)[cols] & ((1 << orbital) - 1)
-    signs = 1 - 2 * (np.bitwise_count(below) & 1).astype(np.int8)
-    signs.setflags(write=False)
-    return rows, cols, signs
+    k = int(rows[0]).bit_count() if len(rows) else 0
+    masks = occupation_masks(d, n)
+    free = occupation_masks(d, n - k) if n >= k else masks[:0]
+    hits = np.flatnonzero((free & rows[:, None]) == 0)
+    row = hits // max(len(free), 1)
+    src = np.flatnonzero((masks & rows[:, None]) == rows[:, None]) - row * len(masks)
+    held, s = rows[row], masks[src]
+    low = held & -held  # orbital i; for k = 2, held ^ low is orbital j
+    parity = np.bitwise_count(s & (low - 1))
+    if k == 2:
+        parity += np.bitwise_count(s & ((held ^ low) - 1)) + 1
+    return row, hits - row * len(free), src, 1.0 - 2.0 * (parity & 1)
 
 
 def _scatter(vec: SectorVector, terms, create: bool) -> SectorVector:
@@ -251,7 +252,7 @@ def _scatter(vec: SectorVector, terms, create: bool) -> SectorVector:
     target = enumerate_sector(basis.d, basis.N + (1 if create else -1))
     out = np.zeros(target.dim, dtype=np.complex128)
     for orbital, coef in terms:
-        rows, cols, signs = _fermion_hops(basis.d, n, orbital)
+        _, rows, cols, signs = _hops(basis.d, n, np.array([1 << orbital]))
         dst, src = (cols, rows) if create else (rows, cols)
         out[dst] += coef * signs * vec.amplitudes[src]
     return SectorVector(target, out)

@@ -25,15 +25,17 @@ norm is cross-checked against the Fock-space construction before the test
 suite trusts it as an oracle.
 
 In this layout the Jordan-Wigner signs of c_{2k+1} and c_{2k} cancel, so
-b_k and b*_k act without signs on occupation masks.  States Psi_M live in
-the seniority-zero subspace (every pair jointly occupied or empty), on the
-K-bit pair-occupation basis of dimension binomial(K, M).  Where the
-construction itself is checked (the norm recursion, the identities) it is
-built by applying B* M times (:func:`pairing_states`); the kernel vector of
-the gap operator is read off the closed form instead
-(:func:`pairing_amplitudes`).  The embedding |S>> = prod_{k in S} b*_k
-|vacuum> into the full sector, built only on demand, spreads pair bit k onto
-orbital bits 2k and 2k + 1 with sign +1.
+b_k and b*_k act without signs on occupation masks: :func:`apply_B`,
+:func:`apply_B_star`, :func:`dense_b_matrix` and :func:`pairing_states`
+read only the positions of the hop table of :func:`fock._hops`, one
+pair's row per call.  States Psi_M live in the seniority-zero subspace
+(every pair jointly occupied or empty), on the K-bit pair-occupation basis
+of dimension binomial(K, M).  Where the construction itself is checked (the
+norm recursion, the identities) it is built by applying B* M times
+(:func:`pairing_states`); the kernel vector of the gap operator is read off
+the closed form instead (:func:`pairing_amplitudes`).  The embedding
+|S>> = prod_{k in S} b*_k |vacuum> into the full sector, built only on
+demand, spreads pair bit k onto orbital bits 2k and 2k + 1 with sign +1.
 
 The same holds away from seniority zero.  B, B* and the pair numbers keep
 fixed the set of broken pairs (exactly one member occupied) and the spins on
@@ -120,7 +122,7 @@ def _pair_scatter(lams, amps: np.ndarray, d: int, n: int, width: int,
     pair = (1 << width) - 1
     for k, lam in enumerate(lams):
         if lam != 0.0:
-            rows, cols = _hops(d, n, pair << (width * k))
+            _, rows, cols, _ = _hops(d, n, np.array([pair << (width * k)]))
             dst, src = (cols, rows) if create else (rows, cols)
             out[dst] += lam * amps[src]
     return out
@@ -156,7 +158,7 @@ def dense_b_matrix(op: PairOperator, N: int) -> np.ndarray:
     tgt = enumerate_sector(op.d, N - 2)
     mat = np.zeros((tgt.dim, src.dim), dtype=np.float64)
     for k, lam in enumerate(op.lambdas):
-        rows, cols = _hops(op.d, N, 3 << 2 * k)
+        _, rows, cols, _ = _hops(op.d, N, np.array([3 << 2 * k]))
         mat[rows, cols] = lam
     return mat
 

@@ -11,8 +11,9 @@ is summed over blocks of the (N-2)-particle sector, runs of masks that share
 the occupation of the top orbitals, and each block's columns of every
 c_j c_i psi are read straight from psi just before its product is added:
 psi's masks with one top occupation form a run ordered as the masks of the
-low orbitals, so a block needs only a few runs of psi and small annihilation
-tables on the low orbitals, cached per low sector.  A block keeps only the
+low orbitals, so a block needs only a few runs of psi and the hop tables of
+:func:`fock._hops` for every single and every pair of the low orbitals,
+laid out in blocks and cached per low sector.  A block keeps only the
 pairs outside its occupied top orbitals, the others being zero on it.  Its
 real and imaginary parts are gathered as two stacked real planes
 Z = [X; Y], and one symmetric real product Z Z^T holds all of its
@@ -53,7 +54,7 @@ import numpy as np
 
 from .canonical import (AntisymmetricTensor, CanonicalForm, check_unit_norms,
                         reconstruct, wedge_index, wedge_matrices)
-from .fock import (SectorMismatchError, SectorVector, admit_sector,
+from .fock import (SectorMismatchError, SectorVector, _hops, admit_sector,
                    apply_annihilate, apply_annihilate_vector, enumerate_sector,
                    occupation_masks, occupations)
 
@@ -129,33 +130,14 @@ def admit_gamma2(d: int, N: int) -> None:
 @lru_cache(maxsize=LOW_CACHE)
 def _low_hops(L: int, n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every product of ``k`` (1 or 2) annihilators on the L-orbital masks of
-    popcount ``n``, as one scatter into a block of C(L, n-k) columns.
-
-    Row r is the r-th mask of ``occupation_masks(L, k)``: orbital i for
-    k = 1, and pair (i, j), i < j, at its colex row j(j-1)/2 + i for k = 2,
-    applied as c_j c_i.  For every mask s holding the row's orbitals,
-    ``src`` is the position of s in ``occupation_masks(L, n)``, ``dst`` is
-    r * C(L, n-k) plus the position of s with those orbitals cleared in
-    ``occupation_masks(L, n-k)``, and ``signs`` the Jordan-Wigner sign:
-    (-1)**pop(s below i) for k = 1, (-1)**(pop(s below i) + pop(s below j) - 1)
-    for k = 2.  All three are read-only.
-
-    The rows are tested on every (n-k)-orbital mask t at once: t lies in
-    row r's block when it misses the row's orbitals, and then s = t | row,
-    which keeps t's order, so one ``searchsorted`` places every s.  The test
-    has C(L, k) x C(L, n-k) entries, one block's columns per row.
+    popcount ``n``, as one scatter into a block of C(L, n-k) columns: the
+    table of :func:`fock._hops` for the rows ``occupation_masks(L, k)``
+    (orbital i for k = 1; pair (i, j), i < j, at its colex row
+    j(j-1)/2 + i for k = 2, applied as c_j c_i) as ``(dst, src, signs)``,
+    with dst = row * C(L, n-k) + cleared.  All three are read-only.
     """
-    bits = occupation_masks(L, k)
-    free = occupation_masks(L, n - k) if n >= k else np.zeros(0, dtype=np.int64)
-    r, col = np.nonzero((free & bits[:, None]) == 0)
-    held = bits[r]
-    s = free[col] | held
-    dst, src = r * len(free) + col, np.searchsorted(occupation_masks(L, n), s)
-    low = held & -held  # orbital i; for k = 2, held ^ low is orbital j
-    parity = np.bitwise_count(s & (low - 1))
-    if k == 2:
-        parity += np.bitwise_count(s & ((held ^ low) - 1)) + 1
-    table = (dst, src, 1.0 - 2.0 * (parity & 1))
+    row, cleared, src, signs = _hops(L, n, occupation_masks(L, k))
+    table = (row * comb(L, max(n - k, 0)) + cleared, src, signs)  # n < k: no entries
     for part in table:
         part.setflags(write=False)
     return table

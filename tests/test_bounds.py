@@ -447,6 +447,12 @@ class TestCounterexample:
         with pytest.raises(ValueError, match="sum lam"):
             counterexample_driver(np.array([1.0, 1.0]), 2)
 
+    @pytest.mark.parametrize("n_list", [(8, 4, 6), (4, 4)])
+    def test_sweep_refuses_unordered_particle_numbers(self, n_list):
+        profiles = [(n, parse_lambda_spec(f"power:0.5:{n}").values) for n in n_list]
+        with pytest.raises(ValueError, match="strictly increasing"):
+            counterexample_sweep(profiles)
+
     def test_sweep_growth(self):
         profiles = [(n, parse_lambda_spec(f"power:1:{n}").values)
                     for n in (4, 6, 8)]

@@ -60,6 +60,28 @@ class TestLambdaSpec:
         with pytest.raises(ValueError):
             parse_lambda_spec(f"file:{path}")
 
+    # the 2-norm of these profiles under- or overflows; the largest entry
+    # rescales them first
+    @pytest.mark.parametrize("text,expected", [
+        ("geometric:1e-170:8", [1.0] + [0.0] * 7),
+        ("file:1e-200\n1e-200\n", "uniform:2"),
+        ("file:1e308\n1e308\n", "uniform:2"),
+    ])
+    def test_profile_with_unrepresentable_norm_is_rescaled(self, tmp_path, text, expected):
+        if text.startswith("file:"):
+            path = tmp_path / "profile.txt"
+            path.write_text(text.removeprefix("file:"))
+            text = f"file:{path}"
+        if isinstance(expected, str):
+            expected = parse_lambda_spec(expected).values
+        assert np.array_equal(parse_lambda_spec(text).values, expected)
+
+    def test_rejects_all_zero_file(self, tmp_path):
+        path = tmp_path / "profile.txt"
+        path.write_text("0\n0\n")
+        with pytest.raises(ValueError, match="identically zero"):
+            parse_lambda_spec(f"file:{path}")
+
     @pytest.mark.parametrize("text", ["power:nan:4", "geometric:inf:4",
                                       "file:1\nnan\n", "file:inf\n1\n"])
     def test_rejects_non_finite(self, tmp_path, text):
@@ -373,6 +395,26 @@ class TestSubcommands:
         assert code == 2
         assert "--tol must be finite" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "prop", "--lambda", "uniform:4", "--particles", "2,4"],
+        ["verify", "thm1", "--dim", "8", "--particles", "4", "--trials", "1"],
+    ])
+    def test_negative_tol_is_usage_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "report.json"
+        assert main(argv + ["--tol", "-1", "--out", str(out)]) == 2
+        assert "--tol must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(argv + ["--tol", "0", "--out", str(out)]) in (0, 1)  # a verdict
+        assert json.loads(out.read_text())["config"]["tol"] == 0.0
+
+    @pytest.mark.parametrize("particles", ["8,4,6", "4,4"])
+    def test_unordered_growth_writes_error_report(self, tmp_path, particles):
+        code, report = run_cli(tmp_path, "counterexample", "--lambda", "power:0.5:12",
+                               "--particles", particles, "--k-equals-n")
+        assert code == 1
+        assert [c["kind"] for c in report["checks"]] == ["error"]
+        assert "strictly increasing" in report["checks"][0]["note"]
 
     @pytest.mark.parametrize("check", ["thm1", "occupation"])
     @pytest.mark.parametrize("seed,trials", [("-1", "1"), ("-5", "20"),

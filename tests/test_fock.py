@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gamma2lab
-from gamma2lab import fock
+from gamma2lab import fock, rdm
 from gamma2lab.fock import (SectorMismatchError, SectorSizeError,
                             SectorVector, apply_annihilate,
                             apply_annihilate_vector, apply_create,
@@ -281,6 +281,68 @@ class TestVectorOperators:
         assert abs(lhs - rhs) < 1e-12
 
 
+def bit_string_hops(d, n, rows):
+    """The hop table of ``fock._hops`` from bit strings alone: for each row
+    mask in turn and each d-bit string s with n ones holding its bits, in
+    ascending order, clear the row's orbitals lowest first, each with the
+    sign (-1)**(occupied orbitals below it).  One tuple
+    (row, cleared position, position of s, sign) per entry."""
+    strings = {m: [s for s in range(1 << d) if bin(s).count("1") == m]
+               for m in range(n - 2, n + 1)}
+    table = []
+    for r, bits in enumerate(rows):
+        orbitals = [o for o in range(d) if bits >> o & 1]
+        for pos, s in enumerate(strings[n]):
+            if s & bits != bits:
+                continue
+            sign, t = 1, s
+            for o in orbitals:
+                sign *= (-1) ** bin(t & ((1 << o) - 1)).count("1")
+                t ^= 1 << o
+            table.append((r, strings[n - len(orbitals)].index(t), pos, sign))
+    return table
+
+
+def hop_entries(d, n, rows):
+    return list(zip(*(part.tolist() for part in
+                      fock._hops(d, n, np.array(rows, dtype=np.int64)))))
+
+
+class TestHopTable:
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_single_orbitals_match_bit_strings(self, d):
+        singles = [1 << o for o in range(d)]
+        for n in range(d + 1):
+            assert hop_entries(d, n, singles) == bit_string_hops(d, n, singles)
+            for bits in singles:
+                assert hop_entries(d, n, [bits]) == bit_string_hops(d, n, [bits])
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_pairs_match_bit_strings(self, d):
+        pairs = [1 << i | 1 << j for i, j in itertools.combinations(range(d), 2)]
+        for n in range(d + 1):
+            assert hop_entries(d, n, pairs) == bit_string_hops(d, n, pairs)
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_spin_pairs_carry_no_sign(self, d):
+        for n in range(d + 1):
+            for k in range(d // 2):
+                entries = hop_entries(d, n, [3 << 2 * k])
+                assert entries == bit_string_hops(d, n, [3 << 2 * k])
+                assert all(sign == 1.0 for *_, sign in entries)
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_gamma2_blocks_match_bit_strings(self, d):
+        for n in range(d + 1):
+            for k in (1, 2):
+                rows = [m for m in range(1 << d) if bin(m).count("1") == k]
+                width = math.comb(d, max(n - k, 0))
+                expected = [(r * width + cleared, pos, sign)
+                            for r, cleared, pos, sign in bit_string_hops(d, n, rows)]
+                dst, src, signs = rdm._low_hops(d, n, k)
+                assert list(zip(dst.tolist(), src.tolist(), signs.tolist())) == expected
+
+
 class TestCaches:
     def test_every_cache_is_bounded(self):
         caches = {}
@@ -289,7 +351,7 @@ class TestCaches:
             caches.update({f"{info.name}.{name}": f
                            for name, f in vars(module).items()
                            if hasattr(f, "cache_info")})
-        assert {"fock.occupation_masks", "fock._fermion_hops",
+        assert {"fock.occupation_masks", "rdm._low_hops",
                 "pairing._pair_moves"} <= set(caches)
         for name, f in caches.items():
             assert f.cache_info().maxsize is not None, name

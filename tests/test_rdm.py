@@ -381,8 +381,10 @@ class TestGramBlocks:
         assert g.trace_residual < 1e-12
         assert np.max(np.abs(g.mat - unchunked_gamma2(psi))) > 1e-13
 
-    # the tables built row by row from fock's hop tables: the reference
-    # for the one-pass build
+    # the tables built row by row, one row per call of fock's builder, with
+    # their own signs: the positions come from the same builder, so this
+    # checks the block layout and the signs (test_fock checks the builder
+    # against bit strings)
     @staticmethod
     def per_row_low_hops(L, n, k):
         empty = np.zeros(0, dtype=np.intp)
@@ -390,7 +392,7 @@ class TestGramBlocks:
         if n >= k:
             masks, width = fock.occupation_masks(L, n), comb(L, n - k)
             for r, bits in enumerate(fock.occupation_masks(L, k).tolist()):
-                rows, cols = fock._hops(L, n, bits)
+                _, rows, cols, _ = fock._hops(L, n, np.array([bits]))
                 below = [np.bitwise_count(masks[cols] & ((1 << o) - 1))
                          for o in range(L) if bits >> o & 1]
                 dst.append(r * width + rows)
