@@ -16,16 +16,21 @@ Every operator is built from one primitive, the hop table of :func:`_hops`
 that clears the bits of row masks of one popcount k <= 2 on the (d, n)
 masks: for every mask s holding a row, the row, the position of s with the
 row's bits cleared, the position of s itself and the Jordan-Wigner sign of
-c_i (k = 1) or c_j c_i (k = 2, i < j).  Creation scatters along the same
-table in the other direction.  The ``apply_*`` operators take one row
-``1 << i`` per orbital and read its positions and signs; the pair operators
-of :mod:`gamma2lab.pairing` take one row ``3 << 2k`` per pair on a full
-sector, or ``1 << k`` on its pair-occupation bases, and read the positions
-alone, the sign of a spin pair being +1; :mod:`gamma2lab.rdm` takes every
-single or pair of the low orbitals at once and lays the table out in the
-blocks it reads Gamma2 with.  Only rdm caches its tables, one per low
-sector; the one-row tables are rebuilt on each use, so a table of a full
-sector holds one row's entries, not every row's.
+c_i (k = 1) or c_j c_i (k = 2, i < j).  One applier, :func:`_scatter`,
+applies every signed operator along it: a weighted sum of such products,
+given as ``(row, coef)`` terms, scattered term by term down one table or
+up it for the adjoint.  The ``apply_*`` operators pass the rows ``1 << i``;
+the pair operators of :mod:`gamma2lab.pairing` pass ``3 << 2k``, whose sign
+is +1, and :mod:`gamma2lab.rdm` passes its pair annihilator as rows
+``(1 << i) | (1 << j)``.  Three callers read tables without the applier:
+the dense matrix of B writes the positions of one table of every pair; the
+pairing states scatter without a sign, since b*_k carries none on their
+pair-occupation basis while the table's is that of a single creator; and
+the Gamma2 assembly of :mod:`gamma2lab.rdm` takes every single or pair of
+the low orbitals at once and lays the table out in the blocks it reads
+Gamma2 with.  Only rdm caches its tables, one per low sector; the applier
+builds one row's table per term, so a table of a full sector holds one
+row's entries, not every row's.
 
 All operations are pure functions; vectors are never mutated in place.
 """
@@ -129,7 +134,8 @@ class SectorVector:
     ``amplitudes`` may also be a stack (B, dim) of B vectors over the basis,
     as a seeded sweep draws a batch of states: :meth:`norm_sq`,
     :func:`occupations` and :func:`rdm.compute_gamma2` read every vector of
-    a stack; the other methods and operators take one vector.
+    a stack; the other methods and operators take one vector and raise
+    :class:`SectorMismatchError` on a stack.
     """
 
     basis: SectorBasis
@@ -142,8 +148,14 @@ class SectorVector:
                 f"amplitude length {amps.shape} does not match sector dim {self.basis.dim}")
         self.amplitudes = amps
 
+    def single(self) -> np.ndarray:
+        """The amplitudes of a single vector; a stack raises."""
+        if self.amplitudes.ndim != 1:
+            raise SectorMismatchError("this operation takes one vector, not a stack")
+        return self.amplitudes
+
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        return float(np.linalg.norm(self.single()))
 
     def norm_sq(self) -> np.ndarray:
         """<v, v> of the vector, or of each vector of a stack, by one ``vdot``
@@ -160,7 +172,7 @@ class SectorVector:
     def inner(self, other: "SectorVector") -> complex:
         """Hermitian inner product <self, other> (conjugate on self)."""
         self._check_same_sector(other)
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
+        return complex(np.vdot(self.single(), other.single()))
 
     def _check_same_sector(self, other: "SectorVector"):
         if (self.basis.d, self.basis.N) != (other.basis.d, other.basis.N):
@@ -237,24 +249,25 @@ def _hops(d: int, n: int, rows: np.ndarray) -> tuple[np.ndarray, ...]:
     return row, hits - row * len(free), src, 1.0 - 2.0 * (parity & 1)
 
 
-def _scatter(vec: SectorVector, terms, create: bool) -> SectorVector:
-    """sum of coef * c*_orbital vec (``create``) or coef * c_orbital vec.
+def _scatter(vec: SectorVector, terms, k: int, create: bool) -> SectorVector:
+    """sum of coef * a vec over the ``(row, coef)`` terms, a the product of
+    the annihilators of the row's k bits (c_i for ``1 << i``, c_j c_i for
+    ``(1 << i) | (1 << j)``, i < j), or of coef * a* vec (``create``).
 
-    ``terms`` lists ``(orbital, coef)``; the result lives one sector up or
-    down.
+    Each nonzero term scatters along the one-row table of :func:`_hops`,
+    with its sign; the result lives k sectors up or down.
     """
-    basis = vec.basis
-    if create and basis.N + 1 > basis.d:
-        raise SectorMismatchError("sector is already full")
-    if not create and basis.N < 1:
-        raise SectorMismatchError("cannot annihilate in the vacuum sector")
-    n = basis.N + 1 if create else basis.N
-    target = enumerate_sector(basis.d, basis.N + (1 if create else -1))
+    basis, amps = vec.basis, vec.single()
+    N = basis.N + (k if create else -k)
+    if not 0 <= N <= basis.d:
+        raise SectorMismatchError(f"no (d={basis.d}, N={N}) sector to map into")
+    target = enumerate_sector(basis.d, N)
     out = np.zeros(target.dim, dtype=np.complex128)
-    for orbital, coef in terms:
-        _, rows, cols, signs = _hops(basis.d, n, np.array([1 << orbital]))
-        dst, src = (cols, rows) if create else (rows, cols)
-        out[dst] += coef * signs * vec.amplitudes[src]
+    for row, coef in terms:
+        if coef:
+            _, cleared, held, signs = _hops(basis.d, max(basis.N, N), np.array([row]))
+            dst, src = (held, cleared) if create else (cleared, held)
+            out[dst] += coef * signs * amps[src]
     return SectorVector(target, out)
 
 
@@ -264,17 +277,19 @@ def _check_orbital(orbital: int, basis: SectorBasis) -> None:
 
 
 def _coefficient_terms(coeffs, basis: SectorBasis) -> list:
-    """``(orbital, coef)`` for the nonzero entries of a length-d vector."""
+    """``(1 << orbital, coef)`` for the entries of a finite length-d vector."""
     coeffs = np.asarray(coeffs, dtype=np.complex128)
     if coeffs.shape != (basis.d,):
         raise SectorMismatchError("coefficient vector has wrong length")
-    return [(int(i), coeffs[i]) for i in np.flatnonzero(np.abs(coeffs) > 0)]
+    if not np.all(np.isfinite(coeffs)):
+        raise ValueError("coefficients must be finite")
+    return [(1 << i, c) for i, c in enumerate(coeffs)]
 
 
 def apply_create(orbital: int, vec: SectorVector) -> SectorVector:
     """Creation operator on one orbital, (d, N) -> (d, N+1)."""
     _check_orbital(orbital, vec.basis)
-    return _scatter(vec, [(orbital, 1)], create=True)
+    return _scatter(vec, [(1 << orbital, 1)], 1, create=True)
 
 
 def apply_annihilate(orbital: int, vec: SectorVector) -> SectorVector:
@@ -283,18 +298,17 @@ def apply_annihilate(orbital: int, vec: SectorVector) -> SectorVector:
     Adjoint of :func:`apply_create`: <w, c_i v> = <c*_i w, v>.
     """
     _check_orbital(orbital, vec.basis)
-    return _scatter(vec, [(orbital, 1)], create=False)
+    return _scatter(vec, [(1 << orbital, 1)], 1, create=False)
 
 
 def apply_create_vector(coeffs, vec: SectorVector) -> SectorVector:
     """Creation of the single-particle state sum_i coeffs[i] e_i (linear)."""
-    return _scatter(vec, _coefficient_terms(coeffs, vec.basis), create=True)
+    return _scatter(vec, _coefficient_terms(coeffs, vec.basis), 1, create=True)
 
 
 def apply_annihilate_vector(coeffs, vec: SectorVector) -> SectorVector:
     """Annihilation of sum_i coeffs[i] e_i; conjugate-linear in coeffs."""
-    terms = _coefficient_terms(coeffs, vec.basis)
-    return _scatter(vec, [(i, np.conj(c)) for i, c in terms], create=False)
+    return _scatter(vec, _coefficient_terms(np.conj(coeffs), vec.basis), 1, create=False)
 
 
 def occupations(vec: SectorVector) -> np.ndarray:

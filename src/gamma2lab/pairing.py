@@ -25,10 +25,14 @@ norm is cross-checked against the Fock-space construction before the test
 suite trusts it as an oracle.
 
 In this layout the Jordan-Wigner signs of c_{2k+1} and c_{2k} cancel, so
-b_k and b*_k act without signs on occupation masks: :func:`apply_B`,
-:func:`apply_B_star`, :func:`dense_b_matrix` and :func:`pairing_states`
-read only the positions of the hop table of :func:`fock._hops`, one
-pair's row per call.  States Psi_M live in the seniority-zero subspace
+b_k and b*_k act without signs on occupation masks: :func:`apply_B` and
+:func:`apply_B_star` pass the rows ``3 << 2k`` to the one applier
+:func:`fock._scatter`, whose sign there is +1, and :func:`dense_b_matrix`
+writes the positions of one hop table of :func:`fock._hops` for every pair
+at once.  On the K-bit pair-occupation basis b*_k carries no sign at all
+while the table's sign is that of a single creator, so
+:func:`pairing_states` scatters along its positions in a loop of its own.
+States Psi_M live in the seniority-zero subspace
 (every pair jointly occupied or empty), on the K-bit pair-occupation basis
 of dimension binomial(K, M).  Where the construction itself is checked (the
 norm recursion, the identities) it is built by applying B* M times
@@ -68,7 +72,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .fock import (DEFAULT_MAX_SECTOR, SectorMismatchError, SectorSizeError,
-                   SectorVector, _hops, apply_annihilate, apply_create,
+                   SectorVector, _hops, _scatter, apply_annihilate, apply_create,
                    enumerate_sector, occupation_masks)
 
 NORM_TOL = 1e-10
@@ -109,25 +113,6 @@ class PairOperator:
         return 2 * self.n_pairs
 
 
-def _pair_scatter(lams, amps: np.ndarray, d: int, n: int, width: int,
-                  create: bool) -> np.ndarray:
-    """sum_k lam_k b*_k amps (``create``) or sum_k lam_k b_k amps.
-
-    Pair k is the ``width`` bits from ``width * k`` up: two orbitals on a
-    full sector, one bit on a pair-occupation basis.  ``n`` is the popcount
-    of the fuller side: ``amps`` lives on ``occupation_masks(d, n - width)``
-    when creating and on ``occupation_masks(d, n)`` when annihilating.
-    """
-    out = np.zeros(comb(d, n if create else n - width), dtype=amps.dtype)
-    pair = (1 << width) - 1
-    for k, lam in enumerate(lams):
-        if lam != 0.0:
-            _, rows, cols, _ = _hops(d, n, np.array([pair << (width * k)]))
-            dst, src = (cols, rows) if create else (rows, cols)
-            out[dst] += lam * amps[src]
-    return out
-
-
 def apply_B(op: PairOperator, vec: SectorVector) -> SectorVector:
     """Matrix-free pair annihilation, (d, N) -> (d, N-2)."""
     basis = vec.basis
@@ -135,9 +120,7 @@ def apply_B(op: PairOperator, vec: SectorVector) -> SectorVector:
         raise SectorMismatchError("state dimension does not match the pair basis")
     if basis.N < 2:
         raise SectorMismatchError("pair annihilation needs at least two particles")
-    target = enumerate_sector(basis.d, basis.N - 2)
-    return SectorVector(target, _pair_scatter(op.lambdas, vec.amplitudes, basis.d,
-                                              basis.N, 2, create=False))
+    return _scatter(vec, zip(3 << 2 * np.arange(op.n_pairs), op.lambdas), 2, create=False)
 
 
 def apply_B_star(op: PairOperator, vec: SectorVector) -> SectorVector:
@@ -147,19 +130,16 @@ def apply_B_star(op: PairOperator, vec: SectorVector) -> SectorVector:
         raise SectorMismatchError("state dimension does not match the pair basis")
     if basis.N + 2 > basis.d:
         raise SectorSizeError("sector overflow")
-    target = enumerate_sector(basis.d, basis.N + 2)
-    return SectorVector(target, _pair_scatter(op.lambdas, vec.amplitudes, basis.d,
-                                              basis.N + 2, 2, create=True))
+    return _scatter(vec, zip(3 << 2 * np.arange(op.n_pairs), op.lambdas), 2, create=True)
 
 
 def dense_b_matrix(op: PairOperator, N: int) -> np.ndarray:
-    """Dense matrix of B from the (d, N) sector to the (d, N-2) sector."""
-    src = enumerate_sector(op.d, N)
-    tgt = enumerate_sector(op.d, N - 2)
-    mat = np.zeros((tgt.dim, src.dim), dtype=np.float64)
-    for k, lam in enumerate(op.lambdas):
-        _, rows, cols, _ = _hops(op.d, N, np.array([3 << 2 * k]))
-        mat[rows, cols] = lam
+    """Dense matrix of B from the (d, N) sector to the (d, N-2) sector, read
+    off one hop table of every pair."""
+    src, tgt = (enumerate_sector(op.d, n).dim for n in (N, N - 2))
+    mat = np.zeros((tgt, src))
+    pair, cleared, held, _ = _hops(op.d, N, 3 << 2 * np.arange(op.n_pairs))
+    mat[cleared, held] = op.lambdas[pair]
     return mat
 
 
@@ -225,8 +205,12 @@ def pairing_states(op: PairOperator, M_max: int) -> Iterator[PairingState]:
     _admit(K, comb(K, min(M_max, K // 2)), DEFAULT_MAX_SECTOR, "pairing state")
     amps = np.ones(1, dtype=np.float64)
     for M in range(M_max + 1):
-        if M:
-            amps = _pair_scatter(op.lambdas, amps, K, M, 1, create=True)
+        if M:  # b*_k is unsigned on the pair basis, where _hops gives c*_k's sign
+            amps, prev = np.zeros(comb(K, M)), amps
+            for k, lam in enumerate(op.lambdas):
+                _, rows, cols, _ = _hops(K, M, np.array([1 << k]))
+                amps[cols] += lam * prev[rows]
+                del _, rows, cols  # before the next table is built
         yield PairingState(M=M, n_pairs=K, norm_sq=float(np.sum(amps ** 2)),
                            pair_masks=occupation_masks(K, M), pair_amplitudes=amps)
 
@@ -509,7 +493,7 @@ def commutator_defect(op: PairOperator, N: int) -> float:
 def write_state_text(path, state: SectorVector) -> None:
     """Text export: header ``d N``, then ``mask re im`` per nonzero amplitude."""
     lines = [f"{state.basis.d} {state.basis.N}"]
-    for i in np.nonzero(state.amplitudes)[0]:
+    for i in np.nonzero(state.single())[0]:
         a = state.amplitudes[i]
         lines.append(f"{int(state.basis.states[i])} {float(a.real)!r} {float(a.imag)!r}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -40,7 +40,10 @@ Two more quantities come from identities instead of per-vector work:
 
 Quadratic forms <phi, G phi> can also be evaluated without assembling G:
 with phi in canonical form, the pair annihilator
-B = sum_k lam_k c(v_k) c(u_k) satisfies <phi, G phi> = 2 ||B psi||^2.
+B = sum_k lam_k c(v_k) c(u_k) satisfies <phi, G phi> = 2 ||B psi||^2.  B is
+one term list of the applier :func:`fock._scatter`, one pair row
+``(1 << i) | (1 << j)`` per entry of phi's coefficient matrix above the
+diagonal.
 """
 
 from __future__ import annotations
@@ -54,8 +57,7 @@ import numpy as np
 
 from .canonical import (AntisymmetricTensor, CanonicalForm, check_unit_norms,
                         reconstruct, wedge_index, wedge_matrices)
-from .fock import (SectorMismatchError, SectorVector, _hops, admit_sector,
-                   apply_annihilate, apply_annihilate_vector, enumerate_sector,
+from .fock import (SectorMismatchError, SectorVector, _hops, _scatter, admit_sector,
                    occupation_masks, occupations)
 
 STATE_NORM_TOL = 1e-10
@@ -392,9 +394,9 @@ def apply_pair_annihilator(phi, psi: SectorVector) -> SectorVector:
 
     Accepts a raw antisymmetric tensor with coefficient matrix A, or a
     canonical form (vectors in psi's orbital basis), which is reconstructed
-    first; then B = sum_k lam_k c(v_k) c(u_k).  Since A is antisymmetric,
-    B = (1/sqrt 2) sum_i c(A[i]) c_i with c(u) the annihilator of
-    sum_j u_j e_j: d steps, one per orbital.
+    first; then B = sum_k lam_k c(v_k) c(u_k).  sum_{i<j} conj(A[i, j]) c_j c_i
+    is one term list of :func:`fock._scatter`, the pair rows
+    ``(1 << i) | (1 << j)`` in wedge order, scaled by sqrt(2) once.
     """
     basis = psi.basis
     if basis.N < 2:
@@ -407,11 +409,9 @@ def apply_pair_annihilator(phi, psi: SectorVector) -> SectorVector:
         raise TypeError("phi must be a CanonicalForm or AntisymmetricTensor")
     if phi.d != basis.d:
         raise SectorMismatchError("tensor dimension does not match the state")
-    target = enumerate_sector(basis.d, basis.N - 2)
-    out = np.zeros(target.dim, dtype=np.complex128)
-    for i, row in enumerate(phi.mat):
-        out += apply_annihilate_vector(row, apply_annihilate(i, psi)).amplitudes
-    return SectorVector(target, out / np.sqrt(2.0))
+    i, j = wedge_index(basis.d)
+    terms = zip((1 << i) | (1 << j), np.conj(phi.mat[i, j]))
+    return np.sqrt(2.0) * _scatter(psi, terms, 2, create=False)
 
 
 def expectation_fast(phi, psi: SectorVector) -> float:

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gamma2lab
-from gamma2lab import fock, rdm
+from gamma2lab import fock, pairing, rdm
 from gamma2lab.fock import (SectorMismatchError, SectorSizeError,
                             SectorVector, apply_annihilate,
                             apply_annihilate_vector, apply_create,
@@ -279,6 +279,87 @@ class TestVectorOperators:
         lhs = w.inner(apply_annihilate_vector(u, v))
         rhs = apply_create_vector(u, w).inner(v)
         assert abs(lhs - rhs) < 1e-12
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+    @pytest.mark.parametrize("apply", [apply_create_vector, apply_annihilate_vector])
+    def test_non_finite_coefficients_refused(self, apply, bad):
+        # a NaN used to be dropped as if zero, an inf to write NaN amplitudes
+        with pytest.raises(ValueError, match="finite"):
+            apply([bad, 0, 0, 0], random_vector(4, 2, 0))
+
+
+def stack(d, n, seeds):
+    """A (B, dim) stack of the random vectors of ``seeds``."""
+    vecs = [random_vector(d, n, seed) for seed in seeds]
+    return SectorVector(vecs[0].basis, np.stack([v.amplitudes for v in vecs]))
+
+
+class TestSingleVectorOperations:
+    """Only norm_sq, occupations and compute_gamma2 read a stack; every
+    other operation refuses one instead of mixing its vectors."""
+
+    def test_norm_refuses_a_stack(self):
+        with pytest.raises(SectorMismatchError, match="stack"):
+            stack(6, 3, [1, 2]).norm()
+
+    def test_normalized_refuses_a_stack(self):
+        with pytest.raises(SectorMismatchError, match="stack"):
+            stack(6, 3, [1, 2]).normalized()
+
+    @pytest.mark.parametrize("stacked_left", [True, False])
+    def test_inner_refuses_a_stack(self, stacked_left):
+        pair = stack(6, 3, [1, 2]), random_vector(6, 3, 3)
+        left, right = pair if stacked_left else pair[::-1]
+        with pytest.raises(SectorMismatchError, match="stack"):
+            left.inner(right)
+
+    @pytest.mark.parametrize("apply", [
+        lambda v: apply_create(0, v), lambda v: apply_annihilate(0, v),
+        lambda v: apply_create_vector(np.ones(6), v),
+        lambda v: apply_annihilate_vector(np.ones(6), v),
+        lambda v: fock._scatter(v, [(0b11, 1.0)], 2, create=False),
+        lambda v: fock._scatter(v, [(0b11, 1.0)], 2, create=True)],
+        ids=["create", "annihilate", "create_vector", "annihilate_vector",
+             "pair_annihilate", "pair_create"])
+    def test_operators_refuse_a_stack(self, apply):
+        with pytest.raises(SectorMismatchError, match="stack"):
+            apply(stack(6, 3, [1, 2]))
+
+
+class TestPairRows:
+    """The k = 2 rows of the applier against products of single
+    annihilators, so the pair annihilator of rdm and the Gamma2 assembly do
+    not rest on the pair sign rule alone."""
+
+    @given(st.integers(2, 8), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_pair_rows_are_two_single_annihilators(self, d, data):
+        n = data.draw(st.integers(2, d))
+        seed = data.draw(st.integers(0, 2 ** 31))
+        v, w = random_vector(d, n, seed), random_vector(d, n - 2, seed + 1)
+        for i, j in itertools.combinations(range(d), 2):
+            row = (1 << i) | (1 << j)
+            down = fock._scatter(v, [(row, 1.0)], 2, create=False)
+            assert np.array_equal(down.amplitudes,
+                                  apply_annihilate(j, apply_annihilate(i, v)).amplitudes)
+            up = fock._scatter(w, [(row, 1.0)], 2, create=True)
+            assert abs(w.inner(down) - up.inner(v)) < 1e-12
+
+    @given(st.integers(1, 4), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_pair_operator_is_its_single_annihilators(self, K, data):
+        d = 2 * K
+        n = data.draw(st.integers(2, d))
+        seed = data.draw(st.integers(0, 2 ** 31))
+        rng = np.random.default_rng(seed)
+        lams = rng.random(K) * (rng.random(K) < 0.8)  # some pairs absent
+        lams[0] += 0.1
+        op = pairing.PairOperator(lams / np.linalg.norm(lams))
+        v = random_vector(d, n, seed)
+        oracle = sum(lam * apply_annihilate(2 * k + 1, apply_annihilate(2 * k, v)).amplitudes
+                     for k, lam in enumerate(op.lambdas))
+        np.testing.assert_allclose(pairing.apply_B(op, v).amplitudes, oracle,
+                                   rtol=0, atol=1e-15)
 
 
 def bit_string_hops(d, n, rows):

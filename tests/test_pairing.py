@@ -19,7 +19,7 @@ from gamma2lab.pairing import (PairOperator, annihilation_identity_check,
                                pair_number_diagonal, pairing_amplitudes,
                                write_state_text)
 
-from test_fock import dense_annihilator, random_vector
+from test_fock import dense_annihilator, random_vector, stack
 
 UNIFORM4 = np.full(4, 0.5)
 
@@ -367,6 +367,12 @@ class TestAnnihilationIdentities:
             annihilation_identity_check(make_op(UNIFORM4), 1, 0, "sideways")
 
 
+@pytest.mark.parametrize("apply", [apply_B, apply_B_star])
+def test_pair_operators_refuse_a_stack(apply):
+    with pytest.raises(SectorMismatchError, match="stack"):
+        apply(make_op(UNIFORM4), stack(8, 4, [1, 2]))
+
+
 class TestDenseHelpers:
     def test_dense_matrix_matches_matrix_free(self):
         op = make_op(PROFILES["power"](4))
@@ -380,6 +386,13 @@ class TestDenseHelpers:
 
 
 class TestStateExport:
+    def test_a_stack_is_refused(self, tmp_path):
+        # its row indices would be written as masks
+        path = tmp_path / "state.txt"
+        with pytest.raises(SectorMismatchError, match="stack"):
+            write_state_text(path, stack(8, 4, [1, 2]))
+        assert not path.exists()
+
     def test_written_file_lists_nonzero_amplitudes(self, tmp_path):
         op = make_op(UNIFORM4)
         state = build_pairing_state(op, 2)

@@ -135,6 +135,11 @@ class TestExpectationFast:
         form = canonical_from_lambdas(np.full(4, 0.5))
         assert abs(expectation_fast(form, psi) - 3.0) < 1e-9
 
+    def test_a_stack_is_refused(self):
+        with pytest.raises(SectorMismatchError, match="stack"):
+            expectation_fast(canonical_from_lambdas(np.full(3, 3 ** -0.5)),
+                             random_state(6, 3, [1, 2]))
+
     @pytest.mark.parametrize("seed", range(8))
     def test_dual_path_agreement(self, seed):
         rng = np.random.default_rng(seed)
