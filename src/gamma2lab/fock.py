@@ -29,8 +29,9 @@ pair-occupation basis while the table's is that of a single creator; and
 the Gamma2 assembly of :mod:`gamma2lab.rdm` takes every single or pair of
 the low orbitals at once and lays the table out in the blocks it reads
 Gamma2 with.  Only rdm caches its tables, one per low sector; the applier
-builds one row's table per term, so a table of a full sector holds one
-row's entries, not every row's.
+builds one row's table per term and drops it before the next term's is
+built, so a table of a full sector holds one row's entries, not every
+row's, and one such table is alive at a time.
 
 All operations are pure functions; vectors are never mutated in place.
 """
@@ -268,6 +269,7 @@ def _scatter(vec: SectorVector, terms, k: int, create: bool) -> SectorVector:
             _, cleared, held, signs = _hops(basis.d, max(basis.N, N), np.array([row]))
             dst, src = (held, cleared) if create else (cleared, held)
             out[dst] += coef * signs * amps[src]
+            del cleared, held, signs, dst, src  # before the next term's table is built
     return SectorVector(target, out)
 
 

@@ -20,13 +20,15 @@ Z = [X; Y], and one symmetric real product Z Z^T holds all of its
 Hermitian product: X X^T + Y Y^T on the diagonal quadrants, Y X^T below,
 so the sum is Hermitian by construction; its trace is checked against
 N(N-1).  Blocks with the same number of occupied top orbitals share a
-layout and are taken together, so their planes are zeroed once.  Nothing
-of the size of c_i psi is built, so within the sector caps the assembly
-holds little beyond psi itself.  A stack of states, as a seeded sweep
-draws a batch, is assembled in the same pass: each gather reads the block
-of every state, and each state keeps its own symmetric product, so it gets
-the same bits as alone; the eigensolve, the one-body partial trace and the
-occupations then run over the stack.
+layout and are taken together, so their planes are zeroed once, and every
+block, the T = 0 one included, adds its product to the rows of its pairs
+in the sum.  Nothing of the size of c_i psi is built, so within the sector
+caps the assembly holds little beyond psi itself.  A stack of states, as a
+seeded sweep draws a batch, is assembled one state at a time: each block's
+indices are built once and read by every state in turn, through the
+planes and product of one state, so a state gets the same bits as alone
+and only the P x P sums grow with the stack; the eigensolve, the one-body
+partial trace and the occupations then run over the stack.
 
 Two more quantities come from identities instead of per-vector work:
 
@@ -121,8 +123,8 @@ def admit_gamma2(d: int, N: int) -> None:
     refuse a request before it draws any state.  Within the caps the
     assembly needs no budget of its own: besides psi (at most 43 MB) it
     holds the two real planes of one block of at most ``GRAM_CHUNK``
-    columns, that block's product, the P x P sum and low tables, a few MB,
-    and as many of all but the tables as a stack has states.
+    columns, that block's product and the low tables, a few MB, whatever
+    the stack, and one P x P sum per state.
     """
     admit_sector(d, N)
     if N < 2:
@@ -155,8 +157,7 @@ def _gram_blocks(d: int, N: int, cap: int) -> tuple:
     form one run, ordered as ``occupation_masks(L, N-2-|T|)`` of their
     L = d - m low orbitals; m is the fewest for which every run, C(L, N-2-t)
     masks with t top orbitals occupied, fits in ``cap``.  Blocks with the
-    same |T| have the same layout, so they come in groups, |T| ascending:
-    T = 0, when it is a block, is a group of its own and comes first.
+    same |T| have the same layout, so they come in groups, |T| ascending.
     Returns L; per group, the low popcount N-2-|T| of its columns, its
     masks T ascending and, per block, its free top orbitals ascending; the
     number of floats in the largest block's two planes; the colex pairs
@@ -199,7 +200,7 @@ def gram_block_shape(d: int, N: int) -> tuple[int, int]:
 
 def compute_gamma2(psi: SectorVector) -> TwoBodyOperator:
     """Assemble the two-body reduced operator of a normalized state, or of
-    each state of a stack (B, dim) in one pass over the blocks.
+    each state of a stack (B, dim), one state at a time.
 
     Returns twice the transposed Gram matrix of the pair-annihilated vectors
     y_ij = c_j c_i psi, summed over the blocks of :func:`_gram_blocks`, runs
@@ -207,22 +208,24 @@ def compute_gamma2(psi: SectorVector) -> TwoBodyOperator:
     occupation T of the top orbitals (one block for small sectors).  y_ij
     vanishes on a column holding i or j, so a block has rows only for the
     C(d-|T|, 2) pairs outside T, in colex order, and its product lands on
-    those rows and columns of the sum by one flat scatter (none for T = 0,
-    whose rows are every pair in order).  Each block B = X + iY is read
-    straight from psi's real and imaginary parts into the two real planes
+    those rows and columns of the sum by one flat scatter (the identity for
+    T = 0, whose rows are every pair in order).  Each block B = X + iY is
+    read straight from psi's real and imaginary parts into the two real planes
     of Z = [X; Y]: psi's masks with top occupation U form one run, ordered
     as the low masks.  Low pairs i < j come from the run of T along the
     pair table of :func:`_low_hops`, low i with top j from the runs of
     T + j along its single table, and top pairs i < j are the runs of
-    T + i + j themselves, each read by one gather per plane for all states
-    of the stack; the Jordan-Wigner sign of the top orbitals is one
-    constant per run.  Only nonzero entries are written: blocks with one
-    |T| write the same entries, so the planes are zeroed once per |T|.
+    T + i + j themselves, each read by one gather per plane; the
+    Jordan-Wigner sign of the top orbitals is one constant per run.  Only
+    nonzero entries are written: blocks with one |T| write the same
+    entries, so the planes are zeroed once per |T|.
     With Q = Z Z^T, one symmetric real product per state,
     conj(B) B^T = (Q_XX + Q_YY) + i (Q_XY - Q_YX), Q_YX = Y X^T the lower
     left quadrant, so the sum is Hermitian by construction; it runs in
     colex pair order and is reordered to the wedge basis once at the end.
-    A single state is a stack of one, and each state of a stack gets the
+    A single state is a stack of one.  The states of a stack take each
+    block in turn, through one state's planes and product, so every index
+    is one state's and is built once per block, and each state gets the
     same bits as alone.  ``mat`` is (P, P) for a single state and
     (B, P, P) for a stack, ``trace_residual`` a float or a (B,) array.
     A (d, N) refused by :func:`admit_gamma2` raises before anything is
@@ -237,38 +240,28 @@ def compute_gamma2(psi: SectorVector) -> TwoBodyOperator:
     if np.any(np.abs(np.sqrt(nsq) - 1.0) > STATE_NORM_TOL):
         raise ValueError("state must be normalized")
     n_states, n_pairs = len(nsq), d * (d - 1) // 2
-    amps = psi.amplitudes.reshape(-1)
-    re, im = amps.real, amps.imag  # state b's amplitudes from b * dim
-    first = np.arange(n_states)[:, None] * basis.dim
     L, groups, size, (hi, lo), wedge = _gram_blocks(d, N, GRAM_CHUNK)
-    buf = np.empty(n_states * size)  # the largest block's planes; every block reuses it
+    buf = np.empty(size)  # the largest block's planes; every block reuses it
     acc = np.zeros((n_states, n_pairs, n_pairs), dtype=np.complex128)
+    states = [(a.real, a.imag, total) for a, total in
+              zip(psi.amplitudes.reshape(n_states, -1), acc.reshape(n_states, -1))]
     for n_low, ts, tops in groups:
         n_top = tops.shape[1]
         n_free, n_tt = L + n_top, n_top * (n_top - 1) // 2
         n_rows, width = n_free * (n_free - 1) // 2, comb(L, n_low)
-        z = buf[:n_states * 2 * n_rows * width].reshape(n_states, 2 * n_rows, width)
-        z.fill(0)  # every block of the group writes the same entries
-        # state b's X plane from 2 b n_rows width in zx, its Y plane likewise
-        # in zy; the same by rows in rx, ry
-        zx, rx = z.reshape(-1), z.reshape(-1, width)
-        zy, ry = zx[n_rows * width:], rx[n_rows:]
-        at = np.arange(n_states)[:, None] * z[0].size
-        q = np.empty((n_states, 2 * n_rows, 2 * n_rows))
-        # (dst, src, sign) tables, each row of dst and src one state's; low
-        # i < j: the run of T
+        z = buf[:2 * n_rows * width].reshape(2 * n_rows, width)
+        z.fill(0)  # every block and state of the group writes the same entries
+        zx, zy = z[:n_rows].reshape(-1), z[n_rows:].reshape(-1)  # the X and Y planes, flat
+        # (dst, src, sign) tables; low i < j: the run of T
         dp, sp, gp = _low_hops(L, n_low + 2, 2)
-        dp, sp = at + dp, first + sp
         t_col = keys = ts[:, None]
         if n_top:  # low i, top j: the runs of T + j; top i < j: the runs of T + i + j
             dst1, s1, g1 = _low_hops(L, n_low + 1, 1)
             heads = np.arange(L, n_free)
             heads = heads * (heads - 1) // 2  # the row of pair (0, L + q), free top q
-            d1 = at[:, :, None] + (heads[:, None] * width + dst1)
-            s1 = first[:, :, None] + s1
+            d1 = heads[:, None] * width + dst1
             qs, ps = hi[:n_tt], lo[:n_tt]  # the free top pairs p < q
-            rows_tt = at // width + heads[qs] + L + ps
-            ar = first[:, :, None] + np.arange(width)
+            rows_tt = heads[qs] + L + ps
             bits = 1 << tops
             below = np.bitwise_count(t_col & (bits - 1))
             # past c_i, c_j crosses the other n_low low orbitals and T below j
@@ -276,33 +269,29 @@ def compute_gamma2(psi: SectorVector) -> TwoBodyOperator:
             tt_sign = 1.0 - 2.0 * ((below[:, qs] + below[:, ps]) & 1)
             keys = np.concatenate((t_col, t_col | bits, t_col | bits[:, qs] | bits[:, ps]), axis=1)
         starts = np.searchsorted(basis.states, keys)
-        if ts[0]:  # T = 0 is a group of its own, whose rows are every pair in order
-            free = np.concatenate((np.broadcast_to(np.arange(L), (len(ts), L)), tops), axis=1)
-            i, j = free[:, lo[:n_rows]], free[:, hi[:n_rows]]
-            rows = j * (j - 1) // 2 + i
-            blk = np.empty((n_states, n_rows, n_rows), dtype=np.complex128)
-        for k, T in enumerate(ts.tolist()):
-            run = starts[k]
-            zx[dp] = re[run[0]:][sp] * gp
-            zy[dp] = im[run[0]:][sp] * gp
+        free = np.concatenate((np.broadcast_to(np.arange(L), (len(ts), L)), tops), axis=1)
+        i, j = free[:, lo[:n_rows]], free[:, hi[:n_rows]]
+        rows = j * (j - 1) // 2 + i  # each block's rows of the sum, in colex order
+        q = np.empty((2 * n_rows, 2 * n_rows))
+        blk = np.empty((n_rows, n_rows), dtype=np.complex128)
+        for k, run in enumerate(starts):
+            flat = rows[k, :, None] * n_pairs + rows[k]
+            src_ll = run[0] + sp
             if n_top:
-                src = run[1:1 + n_top, None] + s1
-                sg = lt_sign[k, :, None] * g1
-                zx[d1] = re[src] * sg
-                zy[d1] = im[src] * sg
-            if n_tt:
-                src = run[1 + n_top:, None] + ar
-                rx[rows_tt] = re[src] * tt_sign[k, :, None]
-                ry[rows_tt] = im[src] * tt_sign[k, :, None]
-            for zb, qb in zip(z, q):  # one 2-D syrk per state
-                np.matmul(zb, zb.T, out=qb)
-            out = blk if T else acc  # T = 0 comes first and writes the sum itself
-            np.add(q[:, :n_rows, :n_rows], q[:, n_rows:, n_rows:], out=out.real)
-            out.imag = q[:, n_rows:, :n_rows]
-            if T:
-                flat = rows[k, :, None] * n_pairs + rows[k]
-                for sum_b, blk_b in zip(acc.reshape(n_states, -1), blk):
-                    sum_b[flat] += blk_b
+                src_lt, sg_lt = run[1:1 + n_top, None] + s1, lt_sign[k, :, None] * g1
+                src_tt, sg_tt = run[1 + n_top:, None] + np.arange(width), tt_sign[k, :, None]
+            for re, im, total in states:
+                zx[dp] = re[src_ll] * gp
+                zy[dp] = im[src_ll] * gp
+                if n_top:
+                    zx[d1] = re[src_lt] * sg_lt
+                    zy[d1] = im[src_lt] * sg_lt
+                    z[rows_tt] = re[src_tt] * sg_tt
+                    z[n_rows + rows_tt] = im[src_tt] * sg_tt
+                np.matmul(z, z.T, out=q)
+                np.add(q[:n_rows, :n_rows], q[n_rows:, n_rows:], out=blk.real)
+                blk.imag = q[n_rows:, :n_rows]
+                total[flat] += blk
     residual = np.array([abs(2.0 * float(np.trace(a.real)) - N * (N - 1) * float(s))
                          for a, s in zip(acc, nsq)])
     if np.any(residual > TRACE_TOL):

@@ -4,6 +4,7 @@ import importlib
 import itertools
 import math
 import pkgutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -436,3 +437,21 @@ class TestCaches:
                 "pairing._pair_moves"} <= set(caches)
         for name, f in caches.items():
             assert f.cache_info().maxsize is not None, name
+
+
+@pytest.mark.parametrize("apply,bound_mib", [
+    (lambda psi: apply_annihilate_vector(np.ones(20), psi), 10.5),
+    (lambda psi: pairing.apply_B(pairing.PairOperator(np.full(10, 10 ** -0.5)), psi), 5.8),
+], ids=["annihilate_vector", "apply_B"])
+def test_applier_drops_each_term_table(apply, bound_mib):
+    # psi is 2.8 MiB; holding one term's table while the next is built costs
+    # about 2 MiB more for 20 single terms and 1 MiB for 10 pair terms
+    psi = random_vector(20, 10, 0)
+    apply(psi)  # warm the mask cache
+    tracemalloc.start()
+    try:
+        apply(psi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mib * 2 ** 20

@@ -496,6 +496,28 @@ def test_assembly_memory_at_the_sector_large_size():
     assert peak < 9_000_000
 
 
+@pytest.mark.parametrize("chunk", [rdm.GRAM_CHUNK, 64])
+def test_assembly_scratch_does_not_grow_with_the_stack(chunk):
+    d, n = 12, 6
+    one, four = random_state(d, n, 0), random_state(d, n, [0, 1, 2, 3])
+
+    def peak(psi):
+        tracemalloc.start()
+        try:
+            compute_gamma2(psi)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    with mock.patch.object(rdm, "GRAM_CHUNK", chunk):
+        compute_gamma2(four)  # warm the plan and tables
+        excess = peak(four) - peak(one)
+    # each further state adds its P x P sum and the sum's reordered copy,
+    # here with 1.5x slack; the block planes and product are one state's
+    p = d * (d - 1) // 2
+    assert excess <= 1.5 * 3 * 2 * p * p * 16
+
+
 def test_spectral_data_builds_matrices_lazily():
     sd = spectral_decompose(compute_gamma2(random_state(6, 3, 1)))
     assert "matrices" not in vars(sd)
