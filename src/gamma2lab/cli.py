@@ -100,16 +100,17 @@ SCIPY_VERSION = _scipy_version()  # meta.scipy of every report
 
 @dataclass
 class LambdaSpec:
-    """Parsed coefficient profile: kind, raw parameters, resolved values."""
+    """Parsed coefficient profile: kind, canonical text, resolved values.
+
+    ``label`` is ``uniform:K``, ``geometric:R:K``, ``power:P:K`` (R and P
+    as Python prints the parsed floats) or ``explicit-file:PATH``.  A
+    parametric profile's text ends in its K: with that field replaced,
+    :func:`parse_lambda_spec` reads the same profile at another K.
+    """
 
     kind: str
-    params: dict
+    label: str
     values: np.ndarray
-
-    @property
-    def label(self) -> str:
-        inner = ":".join(str(v) for v in self.params.values())
-        return f"{self.kind}:{inner}" if inner else self.kind
 
     @property
     def config(self) -> dict:
@@ -143,28 +144,28 @@ def parse_lambda_spec(text: str) -> LambdaSpec:
         k = int(rest)
         if k < 1:
             raise ValueError("uniform profile needs K >= 1")
-        return LambdaSpec("uniform", {"K": k}, _resolve(np.ones(k)))
+        return LambdaSpec("uniform", f"uniform:{k}", _resolve(np.ones(k)))
     if head == "geometric":
         ratio_s, _, k_s = rest.partition(":")
         ratio, k = float(ratio_s), int(k_s)
         if ratio <= 0 or k < 1:
             raise ValueError("geometric profile needs R > 0 and K >= 1")
         raw = ratio ** np.arange(1, k + 1)
-        return LambdaSpec("geometric", {"R": ratio, "K": k}, _resolve(raw))
+        return LambdaSpec("geometric", f"geometric:{ratio}:{k}", _resolve(raw))
     if head == "power":
         p_s, _, k_s = rest.partition(":")
         p, k = float(p_s), int(k_s)
         if k < 1:
             raise ValueError("power profile needs K >= 1")
         raw = np.arange(1, k + 1, dtype=np.float64) ** (-p)
-        return LambdaSpec("power", {"P": p, "K": k}, _resolve(raw))
+        return LambdaSpec("power", f"power:{p}:{k}", _resolve(raw))
     if head == "file":
         path = Path(rest)
         rows = [ln.strip() for ln in path.read_text(encoding="utf-8").splitlines()]
         raw = np.array([float(r) for r in rows if r and not r.startswith("#")])
         if raw.size < 1:
             raise ValueError(f"no coefficients found in {path}")
-        return LambdaSpec("explicit-file", {"path": str(path)}, _resolve(raw))
+        return LambdaSpec("explicit-file", f"explicit-file:{path}", _resolve(raw))
     raise ValueError(f"unknown coefficient profile {text!r}")
 
 
@@ -449,17 +450,12 @@ def _cmd_counterexample(args) -> tuple[dict, list]:
     n_list = _particles_list(args.particles)
     config = {"lambda": spec.config, "particles": args.particles,
               "tol": args.tol, "k_equals_n": args.k_equals_n}
-    profiles = []
-    for n in n_list:
-        if args.k_equals_n:
-            if spec.kind == "explicit-file":
-                raise ValueError("--k-equals-n needs a parametric profile")
-            params = dict(spec.params)
-            params["K"] = n
-            inner = ":".join(str(v) for v in params.values())
-            profiles.append((n, parse_lambda_spec(f"{spec.kind}:{inner}").values))
-        else:
-            profiles.append((n, spec.values))
+    profiles = [(n, spec.values) for n in n_list]
+    if args.k_equals_n:
+        if spec.kind == "explicit-file":
+            raise ValueError("--k-equals-n needs a parametric profile")
+        profiles = [(n, parse_lambda_spec(f"{spec.label.rpartition(':')[0]}:{n}").values)
+                    for n in n_list]  # the profile's text with N for its K
     return config, bounds.counterexample_sweep(profiles, tol=args.tol)
 
 
@@ -520,38 +516,41 @@ def build_parser() -> argparse.ArgumentParser:
     ctr.add_argument("--lambda", dest="lambda_spec", type=str, required=True)
     ctr.add_argument("--particles", type=str, required=True)
     ctr.add_argument("--k-equals-n", action="store_true",
-                     help="re-resolve the parametric profile with K = N per run")
+                     help="replace K, the profile's last field, by each N; file: refused")
     common(ctr)
     return parser
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+def _usage_error(args, out_path: Path) -> str | None:
+    """The message of the first usage error in ``args``, or None.  A
+    single particle number of ``verify thm1/occupation`` is read to an int
+    here; an ``out_path`` that is a directory could take no report."""
     if not np.isfinite(args.tol):
-        print(f"--tol must be finite, not {args.tol!r}", file=sys.stderr)
-        return 2
+        return f"--tol must be finite, not {args.tol!r}"
     if args.tol < 0:
-        print(f"--tol must be non-negative, not {args.tol!r}", file=sys.stderr)
-        return 2
+        return f"--tol must be non-negative, not {args.tol!r}"
     if args.command == "verify" and args.check in ("thm1", "occupation"):
         try:
             args.particles = int(args.particles)
         except ValueError:
-            print("verify thm1/occupation take a single particle number",
-                  file=sys.stderr)
-            return 2
+            return "verify thm1/occupation take a single particle number"
         if args.seed < 0 or args.seed + args.trials - 1 >= 2 ** 64:
-            print(f"--seed {args.seed} with --trials {args.trials} leaves the "
-                  f"seed range [0, 2**64)", file=sys.stderr)
-            return 2
-    if args.command == "verify" and args.check in ("thm2", "prop", "norms"):
-        if not args.lambda_spec:
-            print(f"verify {args.check} requires --lambda", file=sys.stderr)
-            return 2
+            return (f"--seed {args.seed} with --trials {args.trials} leaves the "
+                    f"seed range [0, 2**64)")
+    elif args.command == "verify" and not args.lambda_spec:  # thm2, prop, norms
+        return f"verify {args.check} requires --lambda"
+    if out_path.is_dir():
+        return f"report path {out_path} is a directory"
 
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    out_path = _default_out(args.command, args.out)
+    if (message := _usage_error(args, out_path)) is not None:  # before any handler
+        print(message, file=sys.stderr)
+        return 2
     handlers = {"canonical": _cmd_canonical, "verify": _cmd_verify,
                 "explore": _cmd_explore, "counterexample": _cmd_counterexample}
-    out_path = _default_out(args.command, args.out)
     started = time.monotonic()
     failure = None
     try:

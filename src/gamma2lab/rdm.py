@@ -222,7 +222,9 @@ def compute_gamma2(psi: SectorVector) -> TwoBodyOperator:
     With Q = Z Z^T, one symmetric real product per state,
     conj(B) B^T = (Q_XX + Q_YY) + i (Q_XY - Q_YX), Q_YX = Y X^T the lower
     left quadrant, so the sum is Hermitian by construction; it runs in
-    colex pair order and is reordered to the wedge basis once at the end.
+    colex pair order and is reordered to the wedge basis once at the end;
+    the colex sum is released before the fix-up of the imaginary part and
+    the factor 2 act in place on the reordered copy.
     A single state is a stack of one.  The states of a stack take each
     block in turn, through one state's planes and product, so every index
     is one state's and is built once per block, and each state gets the
@@ -296,8 +298,10 @@ def compute_gamma2(psi: SectorVector) -> TwoBodyOperator:
                          for a, s in zip(acc, nsq)])
     if np.any(residual > TRACE_TOL):
         raise ArithmeticError(f"trace residual {np.max(residual):.3e} exceeds {TRACE_TOL:.1e}")
-    acc.imag -= acc.imag.transpose(0, 2, 1).copy()  # the transpose of the sum
-    mat = 2.0 * acc.reshape(n_states, -1)[:, wedge]
+    mat = acc.reshape(n_states, -1)[:, wedge]
+    del acc, states, total  # the loop's views keep the colex sum alive
+    mat.imag -= mat.imag.transpose(0, 2, 1).copy()  # the transpose of the sum
+    mat *= 2.0
     if psi.amplitudes.ndim == 1:
         mat, residual = mat[0], float(residual[0])
     return TwoBodyOperator(d=d, n_particles=N, mat=mat, trace_residual=residual)

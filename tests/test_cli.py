@@ -262,6 +262,30 @@ class TestSubcommands:
         assert kinds.count("counterexample") == 3  # 2 runs + growth row
         assert report["checks"][0]["params"]["K"] == 4
 
+    # each N's row is the run of the profile's text with N for its K; the
+    # power exponent prints shorter than it is typed
+    @pytest.mark.parametrize("text", ["uniform:3", "geometric:0.9:4",
+                                      "power:0.37512345678901234:12"])
+    def test_k_equals_n_rows_are_the_runs_at_k_n(self, tmp_path, text):
+        stem = text.rpartition(":")[0]
+        code, report = run_cli(tmp_path, "counterexample", "--lambda", text,
+                               "--particles", "2,4,6", "--k-equals-n")
+        assert code == 0
+        for n, row in zip([2, 4, 6], report["checks"]):
+            _, alone = run_cli(tmp_path, "counterexample", "--lambda", f"{stem}:{n}",
+                               "--particles", str(n))
+            assert alone["checks"] == [row]
+        assert report["checks"][3]["params"] == {"aspect": "growth", "N_list": [2, 4, 6]}
+
+    def test_k_equals_n_refuses_a_file_profile(self, tmp_path):
+        profile = tmp_path / "profile.txt"
+        profile.write_text("3.0\n2.0\n1.0\n")
+        code, report = run_cli(tmp_path, "counterexample", "--lambda", f"file:{profile}",
+                               "--particles", "2", "--k-equals-n")
+        assert code == 1
+        assert [c["note"] for c in report["checks"]] == [
+            "ValueError: --k-equals-n needs a parametric profile"]
+
     def test_counterexample_beyond_full_sector_cap(self, tmp_path):
         # K = N = 14 means d = 28, above the full-sector cap; the pair basis
         # of the check holds C(14, 7) = 3432 states.
@@ -407,6 +431,17 @@ class TestSubcommands:
         assert not out.exists()
         assert main(argv + ["--tol", "0", "--out", str(out)]) in (0, 1)  # a verdict
         assert json.loads(out.read_text())["config"]["tol"] == 0.0
+
+    def test_directory_out_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        def no_run(args):
+            raise AssertionError("a handler ran")
+
+        monkeypatch.setattr(cli, "_cmd_verify", no_run)
+        code = main(["verify", "thm2", "--lambda", "uniform:4", "--particles", "4",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == f"report path {tmp_path} is a directory\n"
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("particles", ["8,4,6", "4,4"])
     def test_unordered_growth_writes_error_report(self, tmp_path, particles):

@@ -497,9 +497,9 @@ def test_assembly_memory_at_the_sector_large_size():
 
 
 @pytest.mark.parametrize("chunk", [rdm.GRAM_CHUNK, 64])
-def test_assembly_scratch_does_not_grow_with_the_stack(chunk):
-    d, n = 12, 6
-    one, four = random_state(d, n, 0), random_state(d, n, [0, 1, 2, 3])
+@pytest.mark.parametrize("d,n,n_states", [(12, 6, 4), (8, 4, 18)])
+def test_assembly_scratch_does_not_grow_with_the_stack(chunk, d, n, n_states):
+    one, stack = random_state(d, n, 0), random_state(d, n, list(range(n_states)))
 
     def peak(psi):
         tracemalloc.start()
@@ -510,12 +510,13 @@ def test_assembly_scratch_does_not_grow_with_the_stack(chunk):
             tracemalloc.stop()
 
     with mock.patch.object(rdm, "GRAM_CHUNK", chunk):
-        compute_gamma2(four)  # warm the plan and tables
-        excess = peak(four) - peak(one)
+        compute_gamma2(stack)  # warm the plan and tables
+        excess = peak(stack) - peak(one)
     # each further state adds its P x P sum and the sum's reordered copy,
-    # here with 1.5x slack; the block planes and product are one state's
+    # never both with the fix-up's copy of the imaginary part; the block
+    # planes and product are one state's
     p = d * (d - 1) // 2
-    assert excess <= 1.5 * 3 * 2 * p * p * 16
+    assert excess <= 2.3 * (n_states - 1) * p * p * 16
 
 
 def test_spectral_data_builds_matrices_lazily():
