@@ -36,9 +36,9 @@ import numpy as np
 
 from .canonical import CanonicalForm, plane_minima
 from .fock import SectorSizeError, SectorVector, enumerate_sector
-from .pairing import (DENSE_CAP, PairOperator, admit_gram, admit_pair_blocks,
-                      apply_B, apply_B_star, dense_b_matrix, norm_sq_oracle,
-                      pair_blocks, pair_expectation, pair_grams,
+from .pairing import (DENSE_CAP, PairOperator, admit_pair_blocks, apply_B,
+                      apply_B_star, dense_b_matrix, norm_sq_oracles, pair_blocks,
+                      pair_expectation, pair_expectation_and_norm, pair_grams,
                       pairing_amplitudes, pairing_states)
 from .rdm import SpectralData, correlation_invariants
 
@@ -166,9 +166,10 @@ def verify_theorem2(phi, N: int, tol: float = BOUND_TOL) -> TheoremReport:
     read off the log-form recurrence of :func:`pairing.pair_expectation`
     in O(K M); no state is built.  ``details.norm_sq`` is
     :func:`pairing.norm_sq_oracle`, (M!)^2 e_M(x), or None where that
-    exceeds the float range.  Preconditions (N even, N lam_max**2 <= 1,
-    coefficient support >= N/2) are reported as skipped, not failed:
-    outside them the floor is not asserted.
+    exceeds the float range; both come from one scan
+    (:func:`pairing.pair_expectation_and_norm`).  Preconditions (N even,
+    N lam_max**2 <= 1, coefficient support >= N/2) are reported as skipped,
+    not failed: outside them the floor is not asserted.
     """
     lams = _as_lambdas(phi)
     s4 = float(np.sum(lams ** 4))
@@ -189,8 +190,7 @@ def verify_theorem2(phi, N: int, tol: float = BOUND_TOL) -> TheoremReport:
     if np.count_nonzero(lams) < N // 2:
         return skipped("pairing state vanishes: support smaller than N/2")
     _check_descending(lams)
-    observed = pair_expectation(lams, lams, N // 2)
-    norm_sq = norm_sq_oracle(lams, N // 2)
+    observed, norm_sq = pair_expectation_and_norm(lams, lams, N // 2)
     bound = theorem2_floor(N, s4, lmax_sq)
     margin = observed - bound
     return TheoremReport(kind="thm2", params=params, observed=observed,
@@ -206,12 +206,11 @@ class GapResult(NamedTuple):
 
 def admit_proposition(op: PairOperator, N: int) -> None:
     """Refuse N before any solve: ValueError unless N is a positive even
-    integer, :class:`SectorSizeError` if its pair blocks exceed the caps.
-    :func:`proposition_gap` builds each block's Gram on M = (N - s) / 2
-    pairs; the largest is the seniority-zero one."""
+    integer, :class:`SectorSizeError` if its pair blocks or the Grams
+    :func:`proposition_gap` builds on M = (N - s) / 2 pairs exceed the caps
+    (:func:`pairing.admit_pair_blocks`)."""
     if N < 2 or N % 2:
         raise ValueError("N must be a positive even integer")
-    admit_gram(op.n_pairs, N // 2)
     admit_pair_blocks(op.n_pairs, N)
 
 
@@ -235,7 +234,7 @@ def proposition_gap(op: PairOperator, N: int) -> GapResult:
     admit_proposition(op, N)
     min_eig = np.inf
     for blocks in pair_blocks(op.lambdas, N):
-        gap = pair_grams(blocks.coeffs, (N - blocks.seniority) // 2)
+        gap = pair_grams(blocks.coeffs, blocks.pairs)
         diag = np.arange(gap.shape[-1])
         gram_diag = gap[:, diag, diag]
         np.negative(gap, out=gap)
@@ -322,9 +321,9 @@ def norm_recursion_check(op: PairOperator, M_max: int,
     reports = []
     states = pairing_states(op, M_max)
     prev = next(states).norm_sq
+    oracles = norm_sq_oracles(op.lambdas, M_max)
     for M, state in enumerate(states, start=1):
-        built = state.norm_sq
-        oracle = norm_sq_oracle(op.lambdas, M)
+        built, oracle = state.norm_sq, oracles[M]
         agree = abs(built - oracle) / max(1.0, abs(oracle))
         lower = (1.0 - (M - 1) * lmax_sq) * M * prev
         upper = M * prev
@@ -384,28 +383,23 @@ def sup_over_states(phi, N: int, method: str = "dense") -> float:
     raise ValueError(f"unknown method {method!r}")
 
 
-def _top_side(K: int, M: int) -> int:
-    """Pairs of the smaller basis on which B*B of M of K pairs has its
-    largest eigenvalue: max(M, K + 1 - M), or 0 for the vacuum (M = 0)."""
-    return max(M, K + 1 - M) if M else 0
-
-
 def block_sups(phi, N: int) -> dict[int, float]:
     """Twice the largest eigenvalue of B*B in the pair blocks of each seniority.
 
     Keys are the numbers s of broken pairs present in the (d, N) sector; the
     largest value is sup <phi, G phi> over the whole sector, the one at s = 0
     the seniority-zero supremum.  A block of M of K' pairs is solved as
-    ``pairing.pair_grams`` on max(M, K' + 1 - M) pairs, the smaller basis:
-    both sides share their largest eigenvalue (see :mod:`pairing`).  With
-    M = 0 the block is the vacuum, where B*B is the 1 x 1 zero.
+    ``pairing.pair_grams`` on max(M, K' + 1 - M) pairs, the smaller basis
+    that ``pairing.pair_blocks(..., top=True)`` gives it: both sides share
+    their largest eigenvalue (see :mod:`pairing`).  With M = 0 the block is
+    the vacuum, where B*B is the 1 x 1 zero.
     """
     op = PairOperator.from_lambdas(_as_lambdas(phi))
     sups: dict[int, float] = {}
-    for blocks in pair_blocks(op.lambdas, N):
-        s, K = blocks.seniority, blocks.coeffs.shape[1]
-        grams = pair_grams(blocks.coeffs, _top_side(K, (N - s) // 2))
-        sups[s] = max(sups.get(s, 0.0), 2.0 * float(np.linalg.eigvalsh(grams).max()))
+    for blocks in pair_blocks(op.lambdas, N, top=True):
+        grams = pair_grams(blocks.coeffs, blocks.pairs)
+        sups[blocks.seniority] = max(sups.get(blocks.seniority, 0.0),
+                                     2.0 * float(np.linalg.eigvalsh(grams).max()))
     return sups
 
 
@@ -437,9 +431,8 @@ def explore_conjecture(phi, N_list) -> list[TheoremReport]:
 
     notes = [skip_note(N) for N in N_list]
     for N, note in zip(N_list, notes):
-        if not note:  # the seniority-zero block has the largest Gram
-            admit_gram(len(lams), _top_side(len(lams), N // 2))
-            admit_pair_blocks(len(lams), N)
+        if not note:
+            admit_pair_blocks(len(lams), N, top=True)
     reports = []
     for N, note in zip(N_list, notes):
         params = {"N": int(N), "K": len(lams), "sum_lambda4": s4,

@@ -329,10 +329,12 @@ def _default_out(subcommand: str, explicit: str | None) -> Path:
 
 
 def _particles_list(text: str) -> list[int]:
-    n_list = [int(p) for p in text.split(",") if p]
-    if not n_list:
+    fields = text.split(",")
+    if not any(fields):
         raise ValueError(f"no particle number in {text!r}")
-    return n_list
+    if not all(fields):
+        raise ValueError(f"empty particle number in {text!r}")
+    return [int(p) for p in fields]
 
 
 def _cmd_canonical(args) -> tuple[dict, list]:
@@ -497,7 +499,8 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--trials", type=int, default=20)
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--threads", type=int, default=1,
-                     help="recorded in the report; trials always run in order")
+                     help="at least 1; recorded in the report, trials always "
+                          "run in order")
     ver.add_argument("--lambda", dest="lambda_spec", type=str, default=None,
                      help="coefficient profile, e.g. uniform:4 or power:1:8")
     ver.add_argument("--m-max", type=int, default=None)
@@ -524,11 +527,14 @@ def build_parser() -> argparse.ArgumentParser:
 def _usage_error(args, out_path: Path) -> str | None:
     """The message of the first usage error in ``args``, or None.  A
     single particle number of ``verify thm1/occupation`` is read to an int
-    here; an ``out_path`` that is a directory could take no report."""
+    here; an ``out_path`` that is a directory, or lies under a path whose
+    nearest existing ancestor is not a directory, could take no report."""
     if not np.isfinite(args.tol):
         return f"--tol must be finite, not {args.tol!r}"
     if args.tol < 0:
         return f"--tol must be non-negative, not {args.tol!r}"
+    if args.command == "verify" and args.threads < 1:
+        return f"--threads must be at least 1, not {args.threads}"
     if args.command == "verify" and args.check in ("thm1", "occupation"):
         try:
             args.particles = int(args.particles)
@@ -541,6 +547,9 @@ def _usage_error(args, out_path: Path) -> str | None:
         return f"verify {args.check} requires --lambda"
     if out_path.is_dir():
         return f"report path {out_path} is a directory"
+    ancestor = next(p for p in out_path.parents if p.exists())
+    if not ancestor.is_dir():
+        return f"report path {out_path} lies under {ancestor}, which is not a directory"
 
 
 def main(argv=None) -> int:

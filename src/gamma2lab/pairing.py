@@ -17,9 +17,9 @@ list mu, B_mu |S>> = sum_{k in S} mu_k |S minus k>>, and with x = lam**2
     2 ||B_mu Psi_M||^2 / ||Psi_M||^2
         = 2 sum_{|T|=M-1} prod_{k in T} x_k (sum_{k not in T} lam_k mu_k)^2 / e_M(x),
 
-the one number the trial-state checks read.  :func:`pair_expectation` and
-:func:`norm_sq_oracle` evaluate both identities from one scan over the
-pairs that carries e_j and two companion sums, j <= M, in log form
+the one number the trial-state checks read.
+:func:`pair_expectation_and_norm` evaluates both identities from one scan
+over the pairs that carries e_j and two companion sums, j <= M, in log form
 (:func:`_log_pair_sums`): O(K M) time, O(M) memory, no state built.  The
 norm is cross-checked against the Fock-space construction before the test
 suite trusts it as an oracle.
@@ -56,7 +56,9 @@ an empty pair l, read off one cached move table (:func:`_pair_moves`).  By
 particle-hole symmetry B*B on M of K' pairs has the same largest eigenvalue
 as B*B on K' + 1 - M pairs: the latter is B B* on M - 1 pairs read on the
 complements, and B B* shares the nonzero spectrum of B*B.  The top
-eigenvalue is taken on whichever side has the smaller basis.
+eigenvalue is taken on whichever side has the smaller basis: the side of
+each block's Gram, and with it the batch budget and the admission, is
+chosen in :func:`admit_pair_blocks` alone.
 """
 
 from __future__ import annotations
@@ -292,41 +294,48 @@ class PairBlocks(NamedTuple):
     """A batch of pair blocks with the same number s of broken pairs.
 
     ``coeffs`` holds the coefficients of the kept pairs of each block, shape
-    (n, K - s); the block's B*B is ``pair_grams(coeffs, (N - s) // 2)``.
+    (n, K - s); the B*B its caller builds is ``pair_grams(coeffs, pairs)``.
     ``broken`` holds sum_{k broken} lam_k^2 of each block, shape (n,), so the
     diagonal of sum_k lam_k^2 (n_up + n_down) on a block is
-    broken + 2 diag(B*B).
+    broken + 2 diag(B*B) with B*B on M = (N - s) / 2 pairs.
     """
 
     seniority: int
     coeffs: np.ndarray
     broken: np.ndarray
+    pairs: int
 
 
-def admit_pair_blocks(K: int, N: int) -> range:
-    """Seniorities of the pair blocks of the (2K, N) sector, after admission.
+def admit_pair_blocks(K: int, N: int, top: bool = False) -> dict[int, int]:
+    """The pair blocks of the (2K, N) sector after admission, as the Gram
+    side {s: pairs} of each seniority s.
 
-    Admission is arithmetic: all blocks together must fit
+    ``pairs`` is M = (N - s) / 2, the pairs of the block's B*B, or with
+    ``top`` the side max(M, K - s + 1 - M) of the smaller basis, which
+    shares its largest eigenvalue (the vacuum, M = 0, stays on 0 pairs).
+    Admission is arithmetic: the largest of these Grams must fit
+    ``DENSE_CAP`` rows (:func:`admit_gram`) and all blocks together
     ``DEFAULT_MAX_SECTOR`` states, or :class:`SectorSizeError` is raised.
-    The Gram each block needs is admitted by the solver, with
-    :func:`admit_gram` on the side it builds.  Callers that solve several N
-    admit each before the first solve, so an oversized N is refused before
-    any work.
+    Callers that solve several N admit each before the first solve, so an
+    oversized N is refused before any work.
     """
     if N < 0 or N > 2 * K:
         raise SectorSizeError(f"no (d={2 * K}, N={N}) sector")
-    seniorities = range(N % 2, min(N, 2 * K - N) + 1, 2)
-    total = sum(comb(K, s) * comb(K - s, (N - s) // 2) for s in seniorities)
+    sides = {s: max(M, K - s + 1 - M) if top and M else M
+             for s in range(N % 2, min(N, 2 * K - N) + 1, 2) for M in [(N - s) // 2]}
+    widest = max(sides, key=lambda s: comb(K - s, sides[s]))
+    admit_gram(K - widest, sides[widest])
+    total = sum(comb(K, s) * comb(K - s, (N - s) // 2) for s in sides)
     if total > DEFAULT_MAX_SECTOR:
         raise SectorSizeError(
             f"pair blocks of (d={2 * K}, N={N}) hold {total} states, "
             f"cap is {DEFAULT_MAX_SECTOR}")
-    return seniorities
+    return sides
 
 
-def pair_blocks(lambdas, N: int) -> Iterator[PairBlocks]:
+def pair_blocks(lambdas, N: int, top: bool = False) -> Iterator[PairBlocks]:
     """Every distinct pair block of the (2K, N) sector, one spin copy each,
-    in batches.
+    in batches, each with the Gram side :func:`admit_pair_blocks` gives it.
 
     A block is fixed by its set S of s broken pairs (s = N mod 2, ..., up to
     min(N, 2K - N)); its 2**s spin copies are identical and yielded once.
@@ -336,17 +345,17 @@ def pair_blocks(lambdas, N: int) -> Iterator[PairBlocks]:
     run are yielded: one block per seniority for a uniform profile.
     Seniorities come in ascending order, so the seniority-zero block (even N)
     comes first, alone.  A batch holds at most ``BATCH_ENTRIES // 2`` entries
-    of the blocks' B*B, or one block, which leaves the other half for the
-    solver's copy.  :func:`admit_pair_blocks` runs before the first batch.
+    of the Grams its caller builds, or one block, which leaves the other half
+    for the solver's copy.  :func:`admit_pair_blocks` runs before the first
+    batch.
     """
     lams = np.asarray(lambdas, dtype=np.float64)
     K = len(lams)
-    seniorities = admit_pair_blocks(K, N)
+    sides = admit_pair_blocks(K, N, top)
     lam2 = lams ** 2
     tied = np.r_[False, lams[1:].view(np.int64) == lams[:-1].view(np.int64)]
-    for s in seniorities:
-        entries = comb(K - s, (N - s) // 2) ** 2  # of one block's B*B
-        per_batch = max(1, BATCH_ENTRIES // (2 * entries))
+    for s, pairs in sides.items():
+        per_batch = max(1, BATCH_ENTRIES // (2 * comb(K - s, pairs) ** 2))
         subsets = combinations(range(K), s)
         while chunk := list(islice(subsets, per_batch)):
             broken = np.array(chunk, dtype=np.intp).reshape(len(chunk), s)
@@ -357,7 +366,7 @@ def pair_blocks(lambdas, N: int) -> Iterator[PairBlocks]:
                 kept = np.ones((n, K), dtype=bool)
                 kept[np.arange(n)[:, None], broken] = False
                 coeffs = np.broadcast_to(lams, kept.shape)[kept].reshape(n, K - s)
-                yield PairBlocks(s, coeffs, lam2[broken].sum(axis=1))
+                yield PairBlocks(s, coeffs, lam2[broken].sum(axis=1), pairs)
 
 
 def _log_pair_sums(x: np.ndarray, c: np.ndarray, M: int) -> np.ndarray:
@@ -406,6 +415,16 @@ def pair_expectation(lambdas, state_lambdas, M: int) -> float:
     both sums read off :func:`_log_pair_sums`.  For phi with coefficients
     ``lambdas`` on the state's pairs this is <phi, G_Psi phi>.
     """
+    return pair_expectation_and_norm(lambdas, state_lambdas, M)[0]
+
+
+def pair_expectation_and_norm(lambdas, state_lambdas, M: int) -> tuple[float, float]:
+    """:func:`pair_expectation` and ||Psi_M||^2 of :func:`norm_sq_oracle`
+    for ``state_lambdas``, both off one scan of :func:`_log_pair_sums`.
+
+    Its e_j row does not depend on c, so each value has the bits of its
+    own function.
+    """
     mu = np.asarray(lambdas, dtype=np.float64)
     lam = np.asarray(state_lambdas, dtype=np.float64)
     if mu.ndim != 1 or mu.shape != lam.shape:
@@ -415,22 +434,35 @@ def pair_expectation(lambdas, state_lambdas, M: int) -> float:
     log_e, _, log_r2 = _log_pair_sums(lam ** 2, lam * mu, M)
     if log_e[M] == -np.inf:
         raise ValueError("cannot normalize the zero vector")
-    return 2.0 * float(np.exp(log_r2[M - 1] - log_e[M])) if M else 0.0
+    return (2.0 * float(np.exp(log_r2[M - 1] - log_e[M])) if M else 0.0,
+            _norm_sq(log_e, M))
+
+
+def _norm_sq(log_e: np.ndarray, M: int) -> float:
+    """(M!)^2 e_M from the logarithms ``log_e`` of e_0, e_1, ...; inf when
+    that exceeds the float range."""
+    with np.errstate(over="ignore"):
+        return float(np.exp(2.0 * lgamma(M + 1) + log_e[M]))
+
+
+def norm_sq_oracles(lambdas, M_max: int) -> list[float]:
+    """Exact ||Psi_M||^2 = (M!)^2 e_M(lam**2) for M = 0 .. M_max, independent
+    of the Fock build.
+
+    Every e_M comes from one scan of the log-form recurrence of
+    :func:`_log_pair_sums`.  A norm is 0 when M exceeds the number of
+    nonzero coefficients, and inf when it exceeds the float range.
+    """
+    lams = np.asarray(lambdas, dtype=np.float64)
+    if M_max < 0:
+        raise ValueError("M must be non-negative")
+    log_e = _log_pair_sums(lams ** 2, np.zeros_like(lams), M_max)[0]
+    return [_norm_sq(log_e, M) for M in range(M_max + 1)]
 
 
 def norm_sq_oracle(lambdas, M: int) -> float:
-    """Exact ||Psi_M||^2 = (M!)^2 e_M(lam**2), independent of the Fock build.
-
-    e_M comes from the log-form recurrence of :func:`_log_pair_sums`.
-    Returns 0 when M exceeds the number of nonzero coefficients, and inf
-    when the norm exceeds the float range.
-    """
-    lams = np.asarray(lambdas, dtype=np.float64)
-    if M < 0:
-        raise ValueError("M must be non-negative")
-    log_e = _log_pair_sums(lams ** 2, np.zeros_like(lams), M)[0, M]
-    with np.errstate(over="ignore"):
-        return float(np.exp(2.0 * lgamma(M + 1) + log_e))
+    """||Psi_M||^2 of :func:`norm_sq_oracles`."""
+    return norm_sq_oracles(lambdas, M)[M]
 
 
 class IdentityResiduals(NamedTuple):

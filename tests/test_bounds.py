@@ -21,6 +21,7 @@ from gamma2lab.canonical import (AntisymmetricTensor, _decompose_clusters,
                                  youla_decompose)
 from gamma2lab.cli import parse_lambda_spec, random_state
 from gamma2lab.fock import apply_annihilate_vector, slater_state
+import gamma2lab.pairing as pairing
 from gamma2lab.pairing import (PairOperator, build_pairing_state,
                                norm_sq_oracle, pairing_states)
 from gamma2lab.rdm import compute_gamma2, spectral_decompose
@@ -336,13 +337,29 @@ class TestNormRecursion:
                 yield SimpleNamespace(norm_sq=state.norm_sq * push.get(m, 1.0))
 
         monkeypatch.setattr(bounds, "pairing_states", pushed_states)
-        monkeypatch.setattr(bounds, "norm_sq_oracle",
-                            lambda lams, m: norm_sq_oracle(lams, m) * push.get(m, 1.0))
+        monkeypatch.setattr(bounds, "norm_sq_oracles",
+                            lambda lams, m_max: [norm_sq_oracle(lams, m) * push.get(m, 1.0)
+                                                 for m in range(m_max + 1)])
         reports = norm_recursion_check(op, 12)
         assert all(r.passed for r in reports[:-1])
         last = reports[-1]
         assert last.details["oracle_agreement"] <= 1e-10
         assert last.bound > 1e4 and not last.passed
+
+
+@pytest.mark.parametrize("run", [
+    lambda: verify_theorem2(uniform(12), 8),
+    lambda: norm_recursion_check(PairOperator.from_lambdas(uniform(12)), 12),
+], ids=["thm2", "norms"])
+def test_one_log_scan_per_report(monkeypatch, run):
+    # thm2 reads its norm off the scan of its expectation, and a norms run
+    # reads every M off one scan up to M_max
+    calls = []
+    scan = pairing._log_pair_sums
+    monkeypatch.setattr(pairing, "_log_pair_sums",
+                        lambda *args: calls.append(args[2]) or scan(*args))
+    run()
+    assert len(calls) == 1
 
 
 class TestSupOverStates:

@@ -443,6 +443,54 @@ class TestSubcommands:
         assert capsys.readouterr().err == f"report path {tmp_path} is a directory\n"
         assert list(tmp_path.iterdir()) == []
 
+    THM2 = ["verify", "thm2", "--lambda", "uniform:4", "--particles", "4"]
+
+    @pytest.mark.parametrize("argv, outdir, code, message", [
+        (THM2 + ["--out", "F/r.json"], None, 2,
+         "report path F/r.json lies under F, which is not a directory"),
+        (THM2 + ["--out", "F/sub/r.json"], None, 2,
+         "report path F/sub/r.json lies under F, which is not a directory"),
+        (THM2, "F", 2,
+         "report path F/verify_report.json lies under F, which is not a directory"),
+        (["verify", "thm1", "--dim", "6", "--particles", "3", "--threads", "0",
+          "--out", "report.json"], None, 2, "--threads must be at least 1, not 0"),
+        (THM2 + ["--threads", "-5", "--out", "report.json"], None, 2,
+         "--threads must be at least 1, not -5"),
+        (["verify", "prop", "--lambda", "uniform:4", "--particles", "2,,4",
+          "--out", "report.json"], None, 1,
+         "ValueError: empty particle number in '2,,4'"),
+        (["explore", "--lambda", "uniform:4", "--particles", "2,4,",
+          "--out", "report.json"], None, 1,
+         "ValueError: empty particle number in '2,4,'"),
+    ], ids=["out-under-a-file", "out-deep-under-a-file", "outdir-is-a-file",
+            "threads-0", "threads-negative", "empty-field", "trailing-comma"])
+    def test_refused_arguments(self, tmp_path, capsys, monkeypatch, argv, outdir,
+                               code, message):
+        # a usage error exits 2 with one stderr line before any handler
+        # runs, and writes nothing; an empty --particles field is an error
+        # report, as an empty list is
+        def no_run(args):
+            raise AssertionError("a handler ran")
+
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "F").write_text("a regular file\n")
+        if outdir is None:
+            monkeypatch.delenv(cli.OUTDIR_ENV, raising=False)
+        else:
+            monkeypatch.setenv(cli.OUTDIR_ENV, outdir)
+        if code == 2:
+            for name in ("_cmd_verify", "_cmd_explore"):
+                monkeypatch.setattr(cli, name, no_run)
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        if code == 2:
+            assert err == message + "\n"
+            assert [p.name for p in tmp_path.iterdir()] == ["F"]
+            assert (tmp_path / "F").read_text() == "a regular file\n"
+        else:
+            report = json.loads((tmp_path / "report.json").read_text())
+            assert [c["note"] for c in report["checks"]] == [message]
+
     @pytest.mark.parametrize("particles", ["8,4,6", "4,4"])
     def test_unordered_growth_writes_error_report(self, tmp_path, particles):
         code, report = run_cli(tmp_path, "counterexample", "--lambda", "power:0.5:12",

@@ -191,15 +191,25 @@ class TestBlockStructure:
         [blocks] = pair_blocks(lams, 1)
         assert blocks.coeffs.tolist() == [[1.0, lams[2]], [1.0, 1.0]]
 
-    @pytest.mark.parametrize("K, N", [(12, 6), (12, 9), (16, 8), (16, 10), (20, 4)])
-    def test_batches_bounded_by_gram_entries(self, K, N):
-        # every batch but a single block fits half the entry budget, which
-        # leaves the other half for the solver's copy; distinct coefficients,
-        # since tied ones leave one block per seniority
-        for blocks in pair_blocks(np.arange(K, 0, -1), N):
+    @pytest.mark.parametrize("K, N, top", [
+        pytest.param(K, N, top, id=f"{K}-{N}" + "-top" * top)
+        for top in (False, True)
+        for K, N in [(12, 6), (12, 9), (16, 8), (16, 10), (20, 4)]])
+    def test_batches_bounded_by_gram_entries(self, K, N, top):
+        # every batch but a single block fits half the entry budget, counted
+        # on the Gram its caller builds (M pairs, or with top the smaller
+        # particle-hole side), which leaves the other half for the solver's
+        # copy, and every batch but the last of its seniority is full;
+        # distinct coefficients, since tied ones leave one block per seniority
+        batches = list(pair_blocks(np.arange(K, 0, -1), N, top))
+        for blocks, following in zip(batches, batches[1:] + [None]):
             n, kept = blocks.coeffs.shape
-            entries = n * math.comb(kept, (N - blocks.seniority) // 2) ** 2
-            assert n == 1 or entries <= BATCH_ENTRIES // 2
+            M = (N - blocks.seniority) // 2
+            assert blocks.pairs == (max(M, kept + 1 - M) if top and M else M)
+            entries = math.comb(kept, blocks.pairs) ** 2
+            assert n == 1 or n * entries <= BATCH_ENTRIES // 2
+            if following is not None and following.seniority == blocks.seniority:
+                assert (n + 1) * entries > BATCH_ENTRIES // 2
             assert blocks.broken.shape == (n,)
 
 

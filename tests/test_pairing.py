@@ -12,10 +12,12 @@ from hypothesis import strategies as st
 from gamma2lab.fock import (SectorMismatchError, SectorSizeError,
                             apply_annihilate, apply_create, enumerate_sector,
                             vacuum_state)
-from gamma2lab.pairing import (PairOperator, annihilation_identity_check,
-                               apply_B, apply_B_star, build_pairing_state,
+from gamma2lab.pairing import (PairOperator, _log_pair_sums,
+                               annihilation_identity_check, apply_B,
+                               apply_B_star, build_pairing_state,
                                commutator_defect, dense_b_matrix,
-                               norm_sq_oracle, pair_expectation,
+                               norm_sq_oracle, norm_sq_oracles,
+                               pair_expectation, pair_expectation_and_norm,
                                pair_number_diagonal, pairing_amplitudes,
                                write_state_text)
 
@@ -296,6 +298,22 @@ class TestNormOracle:
     def test_overflow_is_inf(self):
         # (M!)^2 e_M for uniform:400 at M = 200 is about 2.5e348
         assert norm_sq_oracle(np.full(400, 0.05), 200) == np.inf
+
+    @pytest.mark.parametrize("profile", list(PROFILES))
+    def test_one_scan_keeps_every_bit(self, profile):
+        # the e_j row of the scan depends neither on c nor on how far it
+        # runs, so the norms off one scan, and the norm beside the
+        # expectation, have the bits of a scan of their own
+        lams = make_op(PROFILES[profile](9)).lambdas
+        x = lams ** 2
+        e_row = _log_pair_sums(x, x, 9)[0]
+        norms = norm_sq_oracles(lams, 9)
+        for m in range(10):
+            assert _log_pair_sums(x, np.zeros(9), m)[0].tobytes() == e_row[:m + 1].tobytes()
+            assert norms[m] == norm_sq_oracle(lams, m)
+            if m:
+                assert pair_expectation_and_norm(lams, lams, m) == (
+                    pair_expectation(lams, lams, m), norms[m])
 
 
 # Up to 60 pairs; zero coefficients make some states vanish.
