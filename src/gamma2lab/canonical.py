@@ -99,13 +99,22 @@ class AntisymmetricTensor:
         return cls(mat.shape[0], upper - upper.T)
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.mat))
+        """The Frobenius norm, inf when it exceeds the float range."""
+        with np.errstate(over="ignore"):
+            return float(np.linalg.norm(self.mat))
 
     def normalized(self) -> "AntisymmetricTensor":
-        n = self.norm()
+        """This tensor over its norm.  When the norm underflows to 0 or
+        overflows, the matrix is first divided by its largest entry modulus,
+        which keeps it exactly antisymmetric.  That division is done on the
+        real and imaginary parts: a complex quotient by 1e-320 overflows."""
+        mat, n = self.mat, self.norm()
+        if not 0.0 < n < np.inf and mat.any():
+            mat = (mat.view(np.float64) / np.abs(mat).max()).view(np.complex128)
+            n = float(np.linalg.norm(mat))
         if n == 0.0:
             raise ValueError("cannot normalize the zero tensor")
-        return AntisymmetricTensor(self.d, self.mat / n)
+        return AntisymmetricTensor(self.d, mat / n)
 
     def wedge_amplitudes(self) -> np.ndarray:
         """Coefficients on the wedge basis e_i ^ e_j, i < j (value sqrt(2) A[i, j])."""

@@ -134,7 +134,7 @@ def _resolve(raw: np.ndarray) -> np.ndarray:
     nrm2 = float(np.sum(vals ** 2))
     if abs(nrm2 - 1.0) > 1e-14:
         vals = vals / np.sqrt(nrm2)
-    return vals
+    return vals + 0.0  # a -0 entry becomes +0; no other bit changes
 
 
 def parse_lambda_spec(text: str) -> LambdaSpec:

@@ -22,10 +22,8 @@ given as ``(row, coef)`` terms, scattered term by term down one table or
 up it for the adjoint.  The ``apply_*`` operators pass the rows ``1 << i``;
 the pair operators of :mod:`gamma2lab.pairing` pass ``3 << 2k``, whose sign
 is +1, and :mod:`gamma2lab.rdm` passes its pair annihilator as rows
-``(1 << i) | (1 << j)``.  Three callers read tables without the applier:
-the dense matrix of B writes the positions of one table of every pair; the
-pairing states scatter without a sign, since b*_k carries none on their
-pair-occupation basis while the table's is that of a single creator; and
+``(1 << i) | (1 << j)``.  Two callers read tables without the applier:
+the dense matrix of B writes the positions of one table of every pair, and
 the Gamma2 assembly of :mod:`gamma2lab.rdm` takes every single or pair of
 the low orbitals at once and lays the table out in the blocks it reads
 Gamma2 with.  Only rdm caches its tables, one per low sector; the applier

@@ -29,9 +29,11 @@ b_k and b*_k act without signs on occupation masks: :func:`apply_B` and
 :func:`apply_B_star` pass the rows ``3 << 2k`` to the one applier
 :func:`fock._scatter`, whose sign there is +1, and :func:`dense_b_matrix`
 writes the positions of one hop table of :func:`fock._hops` for every pair
-at once.  On the K-bit pair-occupation basis b*_k carries no sign at all
-while the table's sign is that of a single creator, so
-:func:`pairing_states` scatters along its positions in a loop of its own.
+at once.  On the K-bit pair-occupation basis b*_k needs no table: it maps
+the masks of M - 1 pairs that lack k, in ascending order, onto the masks of
+M pairs that hold k, in the same order (the fact :func:`fock._hops` rests
+on), so :func:`pairing_states` selects both runs by bit k and adds one to
+the other.
 States Psi_M live in the seniority-zero subspace
 (every pair jointly occupied or empty), on the K-bit pair-occupation basis
 of dimension binomial(K, M).  Where the construction itself is checked (the
@@ -167,23 +169,23 @@ def _admit(K: int, states: int, cap: int, what: str) -> None:
 class PairingState:
     """Psi_M = (B*)^M |vacuum> with its exact squared norm.
 
-    ``pair_masks`` / ``pair_amplitudes`` hold the seniority-zero coefficients
-    in the operator-product basis; ``vector`` is the full-sector embedding,
-    built on first access.  A state whose coefficient support is smaller than
-    M is exactly zero (``norm_sq`` 0) rather than rejected.
+    ``pair_amplitudes`` holds the seniority-zero coefficients on
+    ``occupation_masks(n_pairs, M)``, the operator-product basis;
+    ``vector`` is the full-sector embedding, built on first access.  A
+    state whose coefficient support is smaller than M is exactly zero
+    (``norm_sq`` 0) rather than rejected.
     """
 
     M: int
     n_pairs: int
     norm_sq: float
-    pair_masks: np.ndarray
     pair_amplitudes: np.ndarray
 
     @cached_property
     def vector(self) -> SectorVector:
         sector = enumerate_sector(2 * self.n_pairs, 2 * self.M)
         support = np.flatnonzero(self.pair_amplitudes)
-        pairs = self.pair_masks[support]
+        pairs = occupation_masks(self.n_pairs, self.M)[support]
         masks = np.zeros_like(pairs)
         for k in range(self.n_pairs):
             masks |= ((pairs >> k) & 1) * (3 << 2 * k)
@@ -195,8 +197,11 @@ class PairingState:
 def pairing_states(op: PairOperator, M_max: int) -> Iterator[PairingState]:
     """Psi_0, ..., Psi_{M_max}, each from the previous by one B*.
 
-    Works on the pair-occupation basis.  Admission is arithmetic: if the
-    largest pair basis on the way, C(K, min(M_max, K // 2)) states, exceeds
+    Works on the pair-occupation basis, where b*_k carries no sign: it adds
+    lam_k times the amplitudes on the (M-1)-pair masks without bit k, in
+    order, to those on the M-pair masks with bit k, one pair k at a time,
+    with no hop table.  Admission is arithmetic: if the largest pair basis
+    on the way, C(K, min(M_max, K // 2)) states, exceeds
     ``DEFAULT_MAX_SECTOR`` nothing is enumerated or allocated.
     """
     if M_max < 0:
@@ -205,16 +210,15 @@ def pairing_states(op: PairOperator, M_max: int) -> Iterator[PairingState]:
         raise SectorSizeError("sector overflow: 2M exceeds the orbital count")
     K = op.n_pairs
     _admit(K, comb(K, min(M_max, K // 2)), DEFAULT_MAX_SECTOR, "pairing state")
-    amps = np.ones(1, dtype=np.float64)
+    amps, masks = np.ones(1, dtype=np.float64), occupation_masks(K, 0)
     for M in range(M_max + 1):
-        if M:  # b*_k is unsigned on the pair basis, where _hops gives c*_k's sign
-            amps, prev = np.zeros(comb(K, M)), amps
+        if M:
+            below, masks = masks, occupation_masks(K, M)
+            amps, prev = np.zeros(len(masks)), amps
             for k, lam in enumerate(op.lambdas):
-                _, rows, cols, _ = _hops(K, M, np.array([1 << k]))
-                amps[cols] += lam * prev[rows]
-                del _, rows, cols  # before the next table is built
+                amps[np.flatnonzero(masks >> k & 1)] += lam * prev[(below >> k & 1) == 0]
         yield PairingState(M=M, n_pairs=K, norm_sq=float(np.sum(amps ** 2)),
-                           pair_masks=occupation_masks(K, M), pair_amplitudes=amps)
+                           pair_amplitudes=amps)
 
 
 def build_pairing_state(op: PairOperator, M: int) -> PairingState:

@@ -76,6 +76,16 @@ class TestLambdaSpec:
             expected = parse_lambda_spec(expected).values
         assert np.array_equal(parse_lambda_spec(text).values, expected)
 
+    @pytest.mark.parametrize("entries", [("1", "0.5"), ("1e308", "1e308")])
+    def test_negative_zero_entry_reads_as_zero(self, tmp_path, entries):
+        values = []
+        for zero in ("-0", "0"):
+            path = tmp_path / f"profile{zero}.txt"
+            path.write_text("\n".join([entries[0], zero, entries[1], "0"]) + "\n")
+            values.append(parse_lambda_spec(f"file:{path}").values)
+        # by bytes: np.array_equal treats -0.0 as equal to 0.0
+        assert values[0].tobytes() == values[1].tobytes()
+
     def test_rejects_all_zero_file(self, tmp_path):
         path = tmp_path / "profile.txt"
         path.write_text("0\n0\n")
@@ -243,6 +253,21 @@ class TestSubcommands:
         code, report = run_cli(tmp_path, "canonical", "--tensor",
                                str(tensor_path), "--normalize")
         assert code == 0
+
+    # the norm of the first tensor overflows, that of the second underflows
+    @pytest.mark.parametrize("scaled,plain", [(("1e200", "1e200"), ("1", "1")),
+                                              (("1e-320", "2e-320"), ("1", "2"))])
+    def test_canonical_normalize_rescales_unrepresentable_norm(self, tmp_path,
+                                                                scaled, plain):
+        lambdas = []
+        for entries in (scaled, plain):
+            tensor_path = tmp_path / "tensor.txt"
+            tensor_path.write_text(f"4\n0 1 {entries[0]} 0\n2 3 {entries[1]} 0\n")
+            code, report = run_cli(tmp_path, "canonical", "--tensor",
+                                   str(tensor_path), "--normalize")
+            assert code == 0
+            lambdas.append(report["checks"][0]["details"]["lambdas"])
+        assert lambdas[0] == lambdas[1]
 
     def test_explore_csv(self, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gamma2lab import pairing
 from gamma2lab.fock import (SectorMismatchError, SectorSizeError,
                             apply_annihilate, apply_create, enumerate_sector,
                             vacuum_state)
@@ -67,6 +68,12 @@ def pairing_state_by_fock_ops(op, m):
     for _ in range(m):
         vec = apply_B_star(op, vec)
     return vec
+
+
+def no_hop_table(*args):
+    """Stands in for ``pairing._hops`` where B* must build no hop table; the
+    references still reach ``fock._hops`` through ``fock._scatter``."""
+    raise AssertionError("B* on the pair basis needs no fermion hop table")
 
 
 class TestPairOperatorValidation:
@@ -180,7 +187,8 @@ class TestSignsFromFermionAlgebra:
                 assert np.max(np.abs(diff)) <= 1e-14
 
     @pytest.mark.parametrize("K", [1, 2, 3, 4])
-    def test_pairing_state_vector_from_fermion_creators(self, K):
+    def test_pairing_state_vector_from_fermion_creators(self, K, monkeypatch):
+        monkeypatch.setattr(pairing, "_hops", no_hop_table)
         op = make_op(np.arange(1.0, K + 1))
         ref = vacuum_state(2 * K)
         for m in range(min(K, 3) + 1):
@@ -209,7 +217,8 @@ class TestBuildPairingState:
 
     @pytest.mark.parametrize("profile", list(PROFILES))
     @pytest.mark.parametrize("m", [0, 1, 2, 3])
-    def test_matches_fock_space_construction(self, profile, m):
+    def test_matches_fock_space_construction(self, profile, m, monkeypatch):
+        monkeypatch.setattr(pairing, "_hops", no_hop_table)
         op = make_op(PROFILES[profile](3))
         built = build_pairing_state(op, m)
         ref = pairing_state_by_fock_ops(op, m)
