@@ -388,18 +388,27 @@ def block_sups(phi, N: int) -> dict[int, float]:
 
     Keys are the numbers s of broken pairs present in the (d, N) sector; the
     largest value is sup <phi, G phi> over the whole sector, the one at s = 0
-    the seniority-zero supremum.  A block of M of K' pairs is solved as
-    ``pairing.pair_grams`` on max(M, K' + 1 - M) pairs, the smaller basis
-    that ``pairing.pair_blocks(..., top=True)`` gives it: both sides share
-    their largest eigenvalue (see :mod:`pairing`).  With M = 0 the block is
-    the vacuum, where B*B is the 1 x 1 zero.
+    the seniority-zero supremum.  One block per seniority is solved, the
+    one that breaks the s smallest coefficients: every entry of a block's
+    B*B (sum_{k in S} c_k^2 on the diagonal, c_k c_l at a move of pair k
+    to l) is nondecreasing in each kept coefficient c >= 0, and its
+    spectrum depends only on the multiset of c, so with pairs matched by
+    rank every block of seniority s is entrywise at most that one, and by
+    Perron-Frobenius monotonicity its largest eigenvalue is the largest of
+    the seniority.  It is solved as ``pairing.pair_grams`` on the side
+    ``pairing.admit_pair_blocks(..., top=True)`` gives it, max(M, K' + 1 - M)
+    of its K' pairs, the smaller basis: both sides share their largest
+    eigenvalue (see :mod:`pairing`).  With M = 0 the block is the vacuum,
+    where B*B is the 1 x 1 zero.
     """
-    op = PairOperator.from_lambdas(_as_lambdas(phi))
+    lams = PairOperator.from_lambdas(_as_lambdas(phi)).lambdas
+    K = len(lams)
+    ranked = np.argsort(-lams, kind="stable")
     sups: dict[int, float] = {}
-    for blocks in pair_blocks(op.lambdas, N, top=True):
-        grams = pair_grams(blocks.coeffs, blocks.pairs)
-        sups[blocks.seniority] = max(sups.get(blocks.seniority, 0.0),
-                                     2.0 * float(np.linalg.eigvalsh(grams).max()))
+    for s, pairs in admit_pair_blocks(K, N, top=True).items():
+        kept = np.sort(ranked[:K - s])  # the K - s largest, in their order
+        gram = pair_grams(lams[kept][None], pairs)
+        sups[s] = 2.0 * float(np.linalg.eigvalsh(gram).max())
     return sups
 
 
@@ -411,9 +420,12 @@ def explore_conjecture(phi, N_list) -> list[TheoremReport]:
     C_emp = (S/N - 1 + (N-2)/2 sum lam^4) / (N lam_max^2)^2 is reported,
     together with the trial-state floor and ceiling for context.  The
     statement being probed is open, so no report here ever passes or fails.
-    S is the largest of the :func:`block_sups`; the seniority-zero value is
-    recorded too, and ``seniority_gap`` is S minus it, so any gain from
-    broken pairs is visible.  If the pair blocks of any N that is not
+    S is the largest of the :func:`block_sups`, each from the one pair
+    block of its seniority that keeps the largest coefficients, which
+    dominates every other block of that seniority entrywise and so carries
+    its largest eigenvalue; no other block is built.  The seniority-zero
+    value is recorded too, and ``seniority_gap`` is S minus it, so any gain
+    from broken pairs is visible.  If the pair blocks of any N that is not
     skipped, or the Gram :func:`block_sups` builds for one, exceed the caps,
     :class:`SectorSizeError` is raised before the first N is solved.
     """

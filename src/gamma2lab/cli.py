@@ -77,6 +77,7 @@ SWEEP_BATCH_BYTES = 1 << 21  # a sweep's working set per batch of trials
 SWEEP_ROW_BYTES = 1700       # one report row held until written, with its JSON text
 SWEEP_MAX_ROWS = 1_000_000   # one sweep's budget, in rows of SWEEP_ROW_BYTES: 1.7 GB
 DUMP_FLOAT_BYTES = 100       # one dumped float: object, list slot and JSON text
+MAX_PROFILE_PAIRS = 1_000_000  # one log-form scan of ~10 us per pair: ~10 s
 
 
 def _scipy_version() -> str:
@@ -137,26 +138,37 @@ def _resolve(raw: np.ndarray) -> np.ndarray:
     return vals + 0.0  # a -0 entry becomes +0; no other bit changes
 
 
+def _profile_length(k: int, what: str) -> int:
+    """``k`` pairs of a ``what`` profile, at least 1 and at most
+    ``MAX_PROFILE_PAIRS`` (else :class:`SectorSizeError`)."""
+    if k < 1:
+        raise ValueError(f"{what} profile needs K >= 1")
+    if k > MAX_PROFILE_PAIRS:
+        raise SectorSizeError(f"{what} profile of {k} pairs, cap is {MAX_PROFILE_PAIRS}")
+    return k
+
+
 def parse_lambda_spec(text: str) -> LambdaSpec:
-    """Parse ``uniform:K``, ``geometric:R:K``, ``power:P:K`` or ``file:PATH``."""
+    """Parse ``uniform:K``, ``geometric:R:K``, ``power:P:K`` or ``file:PATH``.
+
+    A profile of more than ``MAX_PROFILE_PAIRS`` pairs raises
+    :class:`SectorSizeError`, a parametric one before anything is allocated
+    and a file once read.
+    """
     head, _, rest = text.partition(":")
     if head == "uniform":
-        k = int(rest)
-        if k < 1:
-            raise ValueError("uniform profile needs K >= 1")
+        k = _profile_length(int(rest), "uniform")
         return LambdaSpec("uniform", f"uniform:{k}", _resolve(np.ones(k)))
     if head == "geometric":
         ratio_s, _, k_s = rest.partition(":")
-        ratio, k = float(ratio_s), int(k_s)
-        if ratio <= 0 or k < 1:
-            raise ValueError("geometric profile needs R > 0 and K >= 1")
+        ratio, k = float(ratio_s), _profile_length(int(k_s), "geometric")
+        if ratio <= 0:
+            raise ValueError("geometric profile needs R > 0")
         raw = ratio ** np.arange(1, k + 1)
         return LambdaSpec("geometric", f"geometric:{ratio}:{k}", _resolve(raw))
     if head == "power":
         p_s, _, k_s = rest.partition(":")
-        p, k = float(p_s), int(k_s)
-        if k < 1:
-            raise ValueError("power profile needs K >= 1")
+        p, k = float(p_s), _profile_length(int(k_s), "power")
         raw = np.arange(1, k + 1, dtype=np.float64) ** (-p)
         return LambdaSpec("power", f"power:{p}:{k}", _resolve(raw))
     if head == "file":
@@ -165,6 +177,7 @@ def parse_lambda_spec(text: str) -> LambdaSpec:
         raw = np.array([float(r) for r in rows if r and not r.startswith("#")])
         if raw.size < 1:
             raise ValueError(f"no coefficients found in {path}")
+        _profile_length(raw.size, "file")
         return LambdaSpec("explicit-file", f"explicit-file:{path}", _resolve(raw))
     raise ValueError(f"unknown coefficient profile {text!r}")
 
@@ -421,8 +434,12 @@ def _cmd_verify(args) -> tuple[dict, list]:
     config["lambda"] = spec.config
     if args.check == "thm2":
         config["particles"] = args.particles
-        return config, [bounds.verify_theorem2(spec.values, n, tol=args.tol)
-                        for n in _particles_list(args.particles)]
+        checks = [bounds.verify_theorem2(spec.values, n, tol=args.tol)
+                  for n in _particles_list(args.particles)]
+        if all(c.passed is None for c in checks):  # a vacuous pass
+            raise ValueError(f"no check evaluated in --particles {args.particles}: "
+                             + "; ".join(f"N={c.params['N']} {c.note}" for c in checks))
+        return config, checks
     if args.check == "prop":
         config["particles"] = args.particles
         op = pairing.PairOperator.from_lambdas(spec.values)

@@ -47,20 +47,25 @@ The same holds away from seniority zero.  B, B* and the pair numbers keep
 fixed the set of broken pairs (exactly one member occupied) and the spins on
 them, so on the (2K, N) sector they split into pair blocks: with s broken
 pairs, B acts as the sign-free seniority-zero B of the other K - s pairs
-(coefficients not renormalized) on (N - s)/2 pairs.  :func:`pair_blocks`
-enumerates one spin copy of each distinct block as its kept coefficients
-(blocks that tied coefficients make equal come once); the smallest
-eigenvalue of the gap operator and the largest of B*B are a min or max over
-them, so no pairing computation needs the full sector.  No block
-builds B: :func:`pair_grams` writes B*B on M pairs from its defining formula,
-the diagonal sum_{k in S} c_k^2 plus c_k c_l at every move of a pair k to
-an empty pair l, read off one cached move table (:func:`_pair_moves`).  By
-particle-hole symmetry B*B on M of K' pairs has the same largest eigenvalue
-as B*B on K' + 1 - M pairs: the latter is B B* on M - 1 pairs read on the
-complements, and B B* shares the nonzero spectrum of B*B.  The top
-eigenvalue is taken on whichever side has the smaller basis: the side of
-each block's Gram, and with it the batch budget and the admission, is
-chosen in :func:`admit_pair_blocks` alone.
+(coefficients not renormalized) on (N - s)/2 pairs.  No block builds B:
+:func:`pair_grams` writes B*B on M pairs from its defining formula, the
+diagonal sum_{k in S} c_k^2 plus c_k c_l at every move of a pair k to an
+empty pair l, read off one cached move table (:func:`_pair_moves`).
+:func:`pair_blocks` enumerates one spin copy of each distinct block as its
+kept coefficients (blocks that tied coefficients make equal come once), for
+``verify prop``, whose smallest eigenvalue of the gap operator is a min
+over them, so no pairing computation needs the full sector.  The largest
+eigenvalue of B*B needs no enumeration: every entry of B*B grows with each
+kept coefficient, so the block of each seniority that breaks the smallest
+coefficients dominates the others entrywise and carries the seniority's top
+eigenvalue (Perron-Frobenius), and ``bounds.block_sups`` builds that one
+block alone.  By particle-hole symmetry B*B on M of K' pairs has the same
+largest eigenvalue as B*B on K' + 1 - M pairs: the latter is B B* on M - 1
+pairs read on the complements, and B B* shares the nonzero spectrum of
+B*B.  The top eigenvalue is taken on whichever side has the smaller basis:
+the side of each Gram, and with it the admission, is chosen in
+:func:`admit_pair_blocks` alone (``top=True`` for the top eigenvalue, M
+pairs for the gap operator).
 """
 
 from __future__ import annotations
@@ -337,9 +342,9 @@ def admit_pair_blocks(K: int, N: int, top: bool = False) -> dict[int, int]:
     return sides
 
 
-def pair_blocks(lambdas, N: int, top: bool = False) -> Iterator[PairBlocks]:
+def pair_blocks(lambdas, N: int) -> Iterator[PairBlocks]:
     """Every distinct pair block of the (2K, N) sector, one spin copy each,
-    in batches, each with the Gram side :func:`admit_pair_blocks` gives it.
+    in batches, each on M = (N - s) / 2 pairs, the Gram of the gap operator.
 
     A block is fixed by its set S of s broken pairs (s = N mod 2, ..., up to
     min(N, 2K - N)); its 2**s spin copies are identical and yielded once.
@@ -351,14 +356,14 @@ def pair_blocks(lambdas, N: int, top: bool = False) -> Iterator[PairBlocks]:
     comes first, alone.  A batch holds at most ``BATCH_ENTRIES // 2`` entries
     of the Grams its caller builds, or one block, which leaves the other half
     for the solver's copy.  :func:`admit_pair_blocks` runs before the first
-    batch.
+    batch.  Only ``verify prop`` enumerates blocks: the largest eigenvalue of
+    B*B sits in one known block per seniority (see ``bounds.block_sups``).
     """
     lams = np.asarray(lambdas, dtype=np.float64)
     K = len(lams)
-    sides = admit_pair_blocks(K, N, top)
     lam2 = lams ** 2
     tied = np.r_[False, lams[1:].view(np.int64) == lams[:-1].view(np.int64)]
-    for s, pairs in sides.items():
+    for s, pairs in admit_pair_blocks(K, N).items():
         per_batch = max(1, BATCH_ENTRIES // (2 * comb(K - s, pairs) ** 2))
         subsets = combinations(range(K), s)
         while chunk := list(islice(subsets, per_batch)):

@@ -102,6 +102,25 @@ class TestLambdaSpec:
         with pytest.raises(ValueError, match="finite"):
             parse_lambda_spec(text)
 
+    @pytest.mark.parametrize("text", ["uniform:{k}", "geometric:0.5:{k}", "power:1:{k}"])
+    def test_profile_length_refused_before_allocation(self, monkeypatch, text):
+        def refuse(*args, **kwargs):
+            raise AssertionError("profile allocated before admission")
+
+        for name in ("ones", "arange"):
+            monkeypatch.setattr(np, name, refuse)
+        for k in (cli.MAX_PROFILE_PAIRS + 1, 99999999999):
+            with pytest.raises(SectorSizeError, match="cap is"):
+                parse_lambda_spec(text.format(k=k))
+
+    def test_profile_length_cap_is_inclusive(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_PROFILE_PAIRS", 3)
+        assert len(parse_lambda_spec("power:1:3").values) == 3
+        path = tmp_path / "profile.txt"
+        path.write_text("1\n1\n1\n1\n")
+        with pytest.raises(SectorSizeError, match="file profile of 4 pairs"):
+            parse_lambda_spec(f"file:{path}")
+
 
 class TestRandomState:
     def test_deterministic(self):
@@ -344,6 +363,28 @@ class TestSubcommands:
                                "--particles", "2,13")
         assert code == 0
         assert report["checks"][1]["note"] == "skipped: N not admissible"
+
+    def test_fully_skipped_thm2_writes_error_report(self, tmp_path):
+        # no N evaluated is a vacuous pass, refused as --trials 0 is
+        code, report = run_cli(tmp_path, "verify", "thm2", "--lambda", "uniform:4",
+                               "--particles", "5")
+        assert code == 1
+        assert [c["note"] for c in report["checks"]] == [
+            "ValueError: no check evaluated in --particles 5: "
+            "N=5 skipped: N must be a positive even integer"]
+        # one evaluated N is enough
+        code, report = run_cli(tmp_path, "verify", "thm2", "--lambda", "uniform:4",
+                               "--particles", "5,4")
+        assert code == 0
+        assert [c["pass"] for c in report["checks"]] == [None, True]
+
+    def test_oversized_profile_writes_error_report(self, tmp_path):
+        code, report = run_cli(tmp_path, "verify", "thm2", "--lambda",
+                               "uniform:99999999999", "--particles", "2")
+        assert code == 1
+        assert [c["note"] for c in report["checks"]] == [
+            f"SectorSizeError: uniform profile of 99999999999 pairs, "
+            f"cap is {cli.MAX_PROFILE_PAIRS}"]
 
     def test_eigenvector_and_operator_dumps(self, tmp_path):
         code, report = run_cli(tmp_path, "verify", "thm1", "--dim", "6",

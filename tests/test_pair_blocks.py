@@ -117,6 +117,24 @@ class TestOracles:
             report = counterexample_driver(lams, N)
             assert abs(report.observed - embedded_expectation(lams, state)) <= ORACLE_TOL
 
+    @given(st.lists(st.one_of(st.just(0.0), st.just(1.0), st.floats(0.05, 2.0)),
+                    min_size=1, max_size=8).filter(lambda raw: any(raw)))
+    @settings(max_examples=25, deadline=None)
+    def test_block_sups_match_every_block(self, raw):
+        # the one block per seniority that keeps the largest coefficients
+        # against all blocks of pair_blocks, solved on M pairs; the profile
+        # keeps its drawn order, so the largest may sit anywhere
+        lams = np.asarray(raw) / np.linalg.norm(raw)
+        for N in range(1, 2 * len(lams) + 1):
+            every: dict[int, float] = {}
+            for blocks in pair_blocks(lams, N):
+                top = 2.0 * np.linalg.eigvalsh(pair_grams(blocks.coeffs, blocks.pairs)).max()
+                every[blocks.seniority] = max(every.get(blocks.seniority, 0.0), top)
+            sups = block_sups(lams, N)
+            assert sups.keys() == every.keys()
+            for s, v in every.items():
+                assert abs(sups[s] - v) <= 1e-12 * max(1.0, abs(v))
+
     def test_explore_matches_lanczos(self):
         lams = normalized(np.linspace(1.1, 0.9, 8))
         for report in explore_conjecture(lams, [2, 4, 6]):
@@ -179,6 +197,20 @@ class TestBlockStructure:
         top = [np.linalg.eigvalsh(pair_grams(coeffs, m)).max() for m in (M, K + 1 - M)]
         assert abs(top[0] - top[1]) <= 1e-12
 
+    def test_block_sups_build_one_gram_per_seniority(self, monkeypatch):
+        # distinct coefficients: C(12, s) blocks of each seniority, of which
+        # only the one that breaks the s smallest is built
+        built = []
+
+        def recording(coeffs, M):
+            built.append(coeffs.shape[0])
+            return pair_grams(coeffs, M)
+
+        monkeypatch.setattr(bounds, "pair_grams", recording)
+        lams = np.arange(12, 0, -1) / np.linalg.norm(np.arange(12, 0, -1))
+        assert sorted(block_sups(lams, 6)) == [0, 2, 4, 6]
+        assert built == [1, 1, 1, 1]
+
     def test_tied_coefficients_give_one_block_per_seniority(self):
         blocks = list(pair_blocks(np.ones(8), 4))
         assert [(b.seniority, len(b.coeffs)) for b in blocks] == [(0, 1), (2, 1), (4, 1)]
@@ -191,21 +223,19 @@ class TestBlockStructure:
         [blocks] = pair_blocks(lams, 1)
         assert blocks.coeffs.tolist() == [[1.0, lams[2]], [1.0, 1.0]]
 
-    @pytest.mark.parametrize("K, N, top", [
-        pytest.param(K, N, top, id=f"{K}-{N}" + "-top" * top)
-        for top in (False, True)
+    @pytest.mark.parametrize("K, N", [
+        pytest.param(K, N, id=f"{K}-{N}")
         for K, N in [(12, 6), (12, 9), (16, 8), (16, 10), (20, 4)]])
-    def test_batches_bounded_by_gram_entries(self, K, N, top):
+    def test_batches_bounded_by_gram_entries(self, K, N):
         # every batch but a single block fits half the entry budget, counted
-        # on the Gram its caller builds (M pairs, or with top the smaller
-        # particle-hole side), which leaves the other half for the solver's
-        # copy, and every batch but the last of its seniority is full;
-        # distinct coefficients, since tied ones leave one block per seniority
-        batches = list(pair_blocks(np.arange(K, 0, -1), N, top))
+        # on the Gram its caller builds (M pairs), which leaves the other
+        # half for the solver's copy, and every batch but the last of its
+        # seniority is full; distinct coefficients, since tied ones leave
+        # one block per seniority
+        batches = list(pair_blocks(np.arange(K, 0, -1), N))
         for blocks, following in zip(batches, batches[1:] + [None]):
             n, kept = blocks.coeffs.shape
-            M = (N - blocks.seniority) // 2
-            assert blocks.pairs == (max(M, kept + 1 - M) if top and M else M)
+            assert blocks.pairs == (N - blocks.seniority) // 2
             entries = math.comb(kept, blocks.pairs) ** 2
             assert n == 1 or n * entries <= BATCH_ENTRIES // 2
             if following is not None and following.seniority == blocks.seniority:
