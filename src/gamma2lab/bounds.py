@@ -38,8 +38,8 @@ from .canonical import CanonicalForm, plane_minima
 from .fock import SectorSizeError, SectorVector, enumerate_sector
 from .pairing import (DENSE_CAP, PairOperator, admit_pair_blocks, apply_B,
                       apply_B_star, dense_b_matrix, norm_sq_oracles, pair_blocks,
-                      pair_expectation, pair_expectation_and_norm, pair_grams,
-                      pairing_amplitudes, pairing_states)
+                      pair_expectation_and_norm, pair_grams, pairing_amplitudes,
+                      pairing_states)
 from .rdm import SpectralData, correlation_invariants
 
 BOUND_TOL = 1e-8
@@ -425,9 +425,10 @@ def explore_conjecture(phi, N_list) -> list[TheoremReport]:
     dominates every other block of that seniority entrywise and so carries
     its largest eigenvalue; no other block is built.  The seniority-zero
     value is recorded too, and ``seniority_gap`` is S minus it, so any gain
-    from broken pairs is visible.  If the pair blocks of any N that is not
-    skipped, or the Gram :func:`block_sups` builds for one, exceed the caps,
-    :class:`SectorSizeError` is raised before the first N is solved.
+    from broken pairs is visible.  If the Grams :func:`block_sups` builds
+    for any N that is not skipped exceed the caps, one of them or all
+    together, :class:`SectorSizeError` is raised before the first N is
+    solved.
     """
     lams = _as_lambdas(phi)
     s4 = float(np.sum(lams ** 4))
@@ -476,12 +477,22 @@ def counterexample_driver(lambda_profile, N: int,
         <phi, G phi>  >=  (N/2 + 1) (sum_{k<=N} lam_k)^2 / N
                       >=  (1/2) (sum_{k<=N} lam_k)^2.
 
-    The left side is 2 ||B Psi_M||^2 / ||Psi_M||^2 with B from the profile,
-    read off the log-form recurrence of :func:`pairing.pair_expectation`
-    (state coefficients 1/sqrt(N) on the first N pairs) in O(N M); no state
-    is built.  Growing this left side in N while the delocalization ceiling
-    stays fixed is what rules out an N-independent strong bound; the
-    uniform ceiling 2 / sum lam^4 is reported for that comparison.
+    The left side is 2 ||B Psi_M||^2 / ||Psi_M||^2 with B from the profile.
+    With state coefficients 1/sqrt(N) on the first N pairs every set T of
+    M - 1 pairs has the same weight in the sum of
+    :func:`pairing.pair_expectation`, and (sum_{k not in T} lam_k)^2 counts
+    each lam_k^2 in C(N-1, M-1) of them and each lam_k lam_l, k != l, in
+    C(N-2, M-1).  So, with S1 and S2 the sum and the sum of squares of
+    lam_1 .. lam_N,
+
+        <phi, G phi> = S2 + N (S1^2 - S2) / (2 (N - 1)),
+
+    read in O(N) with no scan and no state built.  The log-form recurrence
+    of :func:`pairing.pair_expectation` on the same state, O(N M), is its
+    oracle in the tests.  Growing this left side in N while the
+    delocalization ceiling stays fixed is what rules out an N-independent
+    strong bound; the uniform ceiling 2 / sum lam^4 is reported for that
+    comparison.
     """
     lams = np.asarray(lambda_profile, dtype=np.float64)
     K = len(lams)
@@ -491,8 +502,9 @@ def counterexample_driver(lambda_profile, N: int,
         raise ValueError(f"profile too short: need at least N={N} coefficients")
     lams = PairOperator(lams).lambdas  # finite, non-negative, sum lam**2 = 1
     _check_descending(lams)
-    observed = pair_expectation(lams[:N], np.full(N, 1.0 / np.sqrt(N)), N // 2)
     head_sum = float(np.sum(lams[:N]))
+    head_sq = float(np.sum(lams[:N] ** 2))
+    observed = head_sq + N * (head_sum ** 2 - head_sq) / (2 * (N - 1))
     overlap_floor = (0.5 * N + 1.0) * head_sum ** 2 / N
     half_floor = 0.5 * head_sum ** 2
     margin = observed - overlap_floor

@@ -34,7 +34,11 @@ and its rows are written in trial order.  Every state of a batch gets the
 same bits as alone, so the report does not depend on the batch size.  A
 sweep whose report could hold more than ``SWEEP_MAX_ROWS`` rows' bytes (a
 trial writes at most 1 + d(d-1)/2 rows, and each dump flag adds its P x P
-complex entries) is refused before its first state is drawn.
+complex entries) is refused before its first state is drawn.  ``verify
+thm2/norms`` scan the pairs in log form, and a run whose scans would take
+more than ``LOG_SCAN_STEPS`` pair steps is refused before the first
+(:func:`admit_log_scans`).  A report is renamed into place once written
+(:func:`write_report`), so no run leaves part of one.
 
 A process pays the command line's fixed costs once and starts no other
 process: :func:`main` builds its parser on the first call and reuses it,
@@ -78,6 +82,7 @@ SWEEP_ROW_BYTES = 1700       # one report row held until written, with its JSON 
 SWEEP_MAX_ROWS = 1_000_000   # one sweep's budget, in rows of SWEEP_ROW_BYTES: 1.7 GB
 DUMP_FLOAT_BYTES = 100       # one dumped float: object, list slot and JSON text
 MAX_PROFILE_PAIRS = 1_000_000  # one log-form scan of ~10 us per pair: ~10 s
+LOG_SCAN_STEPS = 10_000_000    # K (M + 1) summed over one run's log-form scans: ~15 s
 
 
 def _scipy_version() -> str:
@@ -180,6 +185,17 @@ def parse_lambda_spec(text: str) -> LambdaSpec:
         _profile_length(raw.size, "file")
         return LambdaSpec("explicit-file", f"explicit-file:{path}", _resolve(raw))
     raise ValueError(f"unknown coefficient profile {text!r}")
+
+
+def admit_log_scans(k: int, ms: list[int]) -> None:
+    """Refuse by arithmetic the log-form scans of one run, one over ``k``
+    pairs up to each M of ``ms`` (:func:`pairing._log_pair_sums`), whose
+    k (M + 1) pair steps sum to more than ``LOG_SCAN_STEPS``
+    (:class:`SectorSizeError`)."""
+    steps = sum(k * (m + 1) for m in ms)
+    if steps > LOG_SCAN_STEPS:
+        raise SectorSizeError(f"log-form scans over {k} pairs up to M = {max(ms)} "
+                              f"take {steps} pair steps, cap is {LOG_SCAN_STEPS}")
 
 
 def random_state(d: int, N: int, seed) -> SectorVector:
@@ -325,10 +341,20 @@ def _cell(v):
 
 
 def write_report(report: dict, out_path: Path) -> None:
+    """Write the report as CSV for a ``.csv`` path, else as JSON.  The text
+    goes to a hidden file next to ``out_path``, which is then renamed over
+    it, so a run stopped mid-write leaves the old report or none, never a
+    partial one; a failed write removes its hidden file."""
     text = (report_to_csv(report) if out_path.suffix.lower() == ".csv"
             else report_to_json(report))
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text(text, encoding="utf-8")
+    partial = out_path.with_name(f".{out_path.name}.{os.getpid()}.tmp")
+    try:
+        partial.write_text(text, encoding="utf-8")
+        os.replace(partial, out_path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 def _default_out(subcommand: str, explicit: str | None) -> Path:
@@ -434,8 +460,10 @@ def _cmd_verify(args) -> tuple[dict, list]:
     config["lambda"] = spec.config
     if args.check == "thm2":
         config["particles"] = args.particles
-        checks = [bounds.verify_theorem2(spec.values, n, tol=args.tol)
-                  for n in _particles_list(args.particles)]
+        n_list, k = _particles_list(args.particles), len(spec.values)
+        # one scan per even N up to K; a larger N has N lam_max^2 > 1 and is skipped
+        admit_log_scans(k, [n // 2 for n in n_list if 2 <= n <= k and n % 2 == 0])
+        checks = [bounds.verify_theorem2(spec.values, n, tol=args.tol) for n in n_list]
         if all(c.passed is None for c in checks):  # a vacuous pass
             raise ValueError(f"no check evaluated in --particles {args.particles}: "
                              + "; ".join(f"N={c.params['N']} {c.note}" for c in checks))
@@ -452,6 +480,7 @@ def _cmd_verify(args) -> tuple[dict, list]:
         op = pairing.PairOperator.from_lambdas(spec.values)
         m_max = args.m_max if args.m_max is not None else op.n_pairs
         config["m_max"] = m_max
+        admit_log_scans(op.n_pairs, [min(m_max, op.n_pairs)])  # M_max > K: ValueError
         return config, bounds.norm_recursion_check(op, m_max, tol=args.tol)
     raise ValueError(f"unknown verify target {args.check!r}")
 

@@ -20,9 +20,13 @@ list mu, B_mu |S>> = sum_{k in S} mu_k |S minus k>>, and with x = lam**2
 the one number the trial-state checks read.
 :func:`pair_expectation_and_norm` evaluates both identities from one scan
 over the pairs that carries e_j and two companion sums, j <= M, in log form
-(:func:`_log_pair_sums`): O(K M) time, O(M) memory, no state built.  The
-norm is cross-checked against the Fock-space construction before the test
-suite trusts it as an oracle.
+(:func:`_log_pair_sums`): O(K M) time, O(M) memory, no state built.  Two
+checks still scan: ``verify thm2`` reads its number and norm off one scan
+per N, ``verify norms`` its oracle norms off one scan up to M_max.  The
+counterexample's state is uniform on its pairs, where the sum has a closed
+form (``bounds.counterexample_driver``), so it runs no scan and the
+recurrence is its oracle in the tests.  The norm is cross-checked against
+the Fock-space construction before the test suite trusts it as an oracle.
 
 In this layout the Jordan-Wigner signs of c_{2k+1} and c_{2k} cancel, so
 b_k and b*_k act without signs on occupation masks: :func:`apply_B` and
@@ -323,8 +327,10 @@ def admit_pair_blocks(K: int, N: int, top: bool = False) -> dict[int, int]:
     ``top`` the side max(M, K - s + 1 - M) of the smaller basis, which
     shares its largest eigenvalue (the vacuum, M = 0, stays on 0 pairs).
     Admission is arithmetic: the largest of these Grams must fit
-    ``DENSE_CAP`` rows (:func:`admit_gram`) and all blocks together
-    ``DEFAULT_MAX_SECTOR`` states, or :class:`SectorSizeError` is raised.
+    ``DENSE_CAP`` rows (:func:`admit_gram`), and what the caller builds
+    ``DEFAULT_MAX_SECTOR`` states, or :class:`SectorSizeError` is raised:
+    every block of the sector for the gap operator, or with ``top`` one
+    Gram per seniority, the only ones ``bounds.block_sups`` builds.
     Callers that solve several N admit each before the first solve, so an
     oversized N is refused before any work.
     """
@@ -334,7 +340,8 @@ def admit_pair_blocks(K: int, N: int, top: bool = False) -> dict[int, int]:
              for s in range(N % 2, min(N, 2 * K - N) + 1, 2) for M in [(N - s) // 2]}
     widest = max(sides, key=lambda s: comb(K - s, sides[s]))
     admit_gram(K - widest, sides[widest])
-    total = sum(comb(K, s) * comb(K - s, (N - s) // 2) for s in sides)
+    total = sum(comb(K - s, pairs) * (1 if top else comb(K, s))
+                for s, pairs in sides.items())
     if total > DEFAULT_MAX_SECTOR:
         raise SectorSizeError(
             f"pair blocks of (d={2 * K}, N={N}) hold {total} states, "

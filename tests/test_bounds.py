@@ -1,5 +1,7 @@
 """Bound verifiers: ceilings, floors, gap positivity, and the explorers."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,7 +25,7 @@ from gamma2lab.cli import parse_lambda_spec, random_state
 from gamma2lab.fock import apply_annihilate_vector, slater_state
 import gamma2lab.pairing as pairing
 from gamma2lab.pairing import (PairOperator, build_pairing_state,
-                               norm_sq_oracle, pairing_states)
+                               norm_sq_oracle, pair_expectation, pairing_states)
 from gamma2lab.rdm import compute_gamma2, spectral_decompose
 
 UNIFORM4 = np.full(4, 0.5)
@@ -457,6 +459,38 @@ class TestCounterexample:
         report = counterexample_driver(lams, N)
         assert abs(report.observed - expected) <= 1e-11 * expected
         assert report.passed
+
+    def test_reads_no_log_form_scan(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a log-form scan ran")
+
+        monkeypatch.setattr(pairing, "_log_pair_sums", refuse)
+        reports = counterexample_sweep(
+            [(n, parse_lambda_spec(f"power:0.5:{n}").values) for n in (2, 100, 1000)])
+        assert [r.passed for r in reports] == [True] * 4
+
+    @given(st.lists(st.one_of(st.just(0.0), st.just(0.5), st.floats(1e-3, 1.0)),
+                    min_size=2, max_size=60).filter(lambda raw: any(raw)),
+           st.integers(1, 30))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_log_form_recurrence(self, raw, half):
+        # the closed form against the recurrence it replaced, on profiles
+        # with zeros and ties
+        lams = np.sort(raw)[::-1] / np.linalg.norm(raw)
+        N = 2 * min(half, len(lams) // 2)
+        expected = pair_expectation(lams[:N], np.full(N, 1.0 / np.sqrt(N)), N // 2)
+        observed = counterexample_driver(lams, N).observed
+        assert abs(observed - expected) <= 1e-11 * max(1.0, expected)
+
+    def test_exact_at_a_thousand_pairs(self):
+        # against exact rationals of the same floats, the test formula above
+        lams = parse_lambda_spec("power:0.5:1000").values
+        N, M = 1000, 500
+        head = [Fraction(x) for x in lams.tolist()]
+        L, q = sum(head), sum(x * x for x in head)
+        exact = 2 * (Fraction(M, N) * q + Fraction(M * (N - M), N * (N - 1)) * (L * L - q))
+        observed = Fraction(counterexample_driver(lams, N).observed)
+        assert abs(observed - exact) <= Fraction(1e-14) * exact
 
     def test_refuses_non_canonical_profiles(self):
         with pytest.raises(ValueError, match="descending"):

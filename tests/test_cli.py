@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gamma2lab import bounds, cli, rdm
+from gamma2lab import bounds, cli, pairing, rdm
 from gamma2lab.canonical import random_tensor, write_tensor_text
 from gamma2lab.fock import SectorSizeError
 from gamma2lab.cli import (build_report, main, parse_lambda_spec, random_state,
@@ -356,6 +356,23 @@ class TestSubcommands:
             "SectorSizeError: dense pair block on 16 pairs needs 8008 pair "
             "states, cap is 5000"]
 
+    def test_explore_admits_the_grams_it_builds(self, tmp_path):
+        # N = 6 on 36 pairs: the blocks of the sector hold 4193322 states,
+        # over the cap; explore builds one Gram per seniority, 630, 34, 1 and
+        # 1 states, while prop needs every block, the widest on C(36, 3) =
+        # 7140 states, and is refused as it was
+        code, report = run_cli(tmp_path, "explore", "--lambda", "geometric:0.99:36",
+                               "--particles", "6")
+        assert code == 0
+        trial = bounds.verify_theorem2(parse_lambda_spec("geometric:0.99:36").values, 6)
+        assert report["checks"][0]["observed"] >= trial.observed  # sup over states
+        code, report = run_cli(tmp_path, "verify", "prop", "--lambda", "geometric:0.99:36",
+                               "--particles", "6")
+        assert code == 1
+        assert [c["note"] for c in report["checks"]] == [
+            "SectorSizeError: dense pair block on 36 pairs needs 7140 pair "
+            "states, cap is 5000"]
+
     def test_skipped_n_is_not_admitted(self, tmp_path):
         # odd N = 13 is skipped by explore; its pair blocks (3465840
         # states) would exceed the cap on all blocks together
@@ -612,6 +629,84 @@ class TestSubcommands:
                                "uniform:4", "--particles", "4", "--timing")
         assert code == 0
         assert report["timing"]["elapsed_s"] >= 0
+
+
+class TestLogScanBudget:
+    @pytest.fixture
+    def no_scan(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a log-form scan or pairing state ran")
+
+        monkeypatch.setattr(pairing, "_log_pair_sums", refuse)
+        monkeypatch.setattr(bounds, "pairing_states", refuse)
+
+    def test_thm2_refused_before_any_scan(self, tmp_path, no_scan):
+        code, report = run_cli(tmp_path, "verify", "thm2", "--lambda", "uniform:1000000",
+                               "--particles", "2000")
+        assert code == 1
+        assert [c["note"] for c in report["checks"]] == [
+            "SectorSizeError: log-form scans over 1000000 pairs up to M = 1000 take "
+            f"1001000000 pair steps, cap is {cli.LOG_SCAN_STEPS}"]
+
+    @pytest.mark.parametrize("budget, code", [(49, 1), (50, 0)])
+    def test_thm2_budget_sums_the_scans_it_runs(self, tmp_path, monkeypatch, budget, code):
+        # 10 (1 + 1) + 10 (2 + 1) steps for N = 2 and 4; N = 5 (odd) and
+        # N = 12 (above K) are skipped and run no scan
+        monkeypatch.setattr(cli, "LOG_SCAN_STEPS", budget)
+        got, report = run_cli(tmp_path, "verify", "thm2", "--lambda", "uniform:10",
+                              "--particles", "2,4,5,12")
+        assert got == code
+        if code:
+            assert [c["note"] for c in report["checks"]] == [
+                "SectorSizeError: log-form scans over 10 pairs up to M = 2 take "
+                "50 pair steps, cap is 49"]
+        else:
+            assert [c["pass"] for c in report["checks"]] == [True, True, None, None]
+
+    def test_norms_refused_before_any_scan(self, tmp_path, monkeypatch, no_scan):
+        monkeypatch.setattr(cli, "LOG_SCAN_STEPS", 4 * (2 + 1) - 1)
+        code, report = run_cli(tmp_path, "verify", "norms", "--lambda", "uniform:4",
+                               "--m-max", "2")
+        assert code == 1
+        assert [c["note"] for c in report["checks"]] == [
+            "SectorSizeError: log-form scans over 4 pairs up to M = 2 take 12 pair "
+            "steps, cap is 11"]
+
+    def test_norms_m_max_above_k_is_still_a_value_error(self, tmp_path):
+        code, report = run_cli(tmp_path, "verify", "norms", "--lambda", "uniform:4",
+                               "--m-max", "5")
+        assert code == 1
+        assert [c["note"] for c in report["checks"]] == [
+            "ValueError: M_max cannot exceed the number of pairs"]
+
+
+class TestAtomicReports:
+    @pytest.mark.parametrize("name", ["report.json", "report.csv"])
+    def test_failed_write_keeps_the_old_report(self, tmp_path, monkeypatch, name):
+        out = tmp_path / name
+        assert main(["verify", "thm2", "--lambda", "uniform:4", "--particles", "4",
+                     "--out", str(out)]) == 0
+        old = out.read_bytes()
+
+        def half_then_fail(path, text, encoding=None):
+            with open(path, "w", encoding=encoding) as f:
+                f.write(text[:len(text) // 2])
+            raise OSError("No space left on device")
+
+        monkeypatch.setattr(Path, "write_text", half_then_fail)
+        report = build_report({"command": "verify"}, [], None)
+        with pytest.raises(OSError, match="No space"):
+            cli.write_report(report, out)
+        assert out.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == [name]
+
+    def test_write_replaces_and_leaves_one_file(self, tmp_path):
+        out = tmp_path / "report.json"
+        out.write_text("stale\n")
+        report = build_report({"command": "verify"}, [], None)
+        cli.write_report(report, out)
+        assert out.read_text() == report_to_json(report)
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
 
 class TestReportDeterminism:

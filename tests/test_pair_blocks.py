@@ -26,7 +26,7 @@ from gamma2lab.bounds import (block_sups, counterexample_driver,
 from gamma2lab.canonical import canonical_from_lambdas
 from gamma2lab.cli import parse_lambda_spec
 from gamma2lab.fock import SectorSizeError, enumerate_sector
-from gamma2lab.pairing import (BATCH_ENTRIES, PairOperator,
+from gamma2lab.pairing import (BATCH_ENTRIES, PairOperator, admit_pair_blocks,
                                build_pairing_state, dense_b_matrix,
                                pair_blocks, pair_expectation, pair_grams,
                                pair_number_diagonal)
@@ -267,9 +267,18 @@ class TestAdmission:
             explore_conjecture(op.lambdas, [40])
 
     def test_block_total_refused(self, no_enumeration):
-        # Largest block C(100, 2) = 4950 fits, all blocks together do not.
-        with pytest.raises(SectorSizeError):
-            next(pair_blocks(np.ones(100), 4))
+        # N = 11 on 17 pairs: the widest Gram, C(16, 5) = 4368 rows at
+        # seniority 1, fits; all blocks together do not
+        with pytest.raises(SectorSizeError, match="hold 3198312 states"):
+            next(pair_blocks(np.ones(17), 11))
+
+    def test_top_side_counts_only_the_grams_built(self, no_enumeration, monkeypatch):
+        # N = 6 on 36 pairs: the blocks hold 4193322 states, over the cap,
+        # but explore builds one Gram per seniority, 630 + 34 + 1 + 1 states
+        assert admit_pair_blocks(36, 6, top=True) == {0: 34, 2: 33, 4: 32, 6: 0}
+        monkeypatch.setattr(pairing, "DEFAULT_MAX_SECTOR", 665)
+        with pytest.raises(SectorSizeError, match="hold 666 states, cap is 665"):
+            admit_pair_blocks(36, 6, top=True)
 
     def test_oversized_block_refused(self, no_enumeration):
         with pytest.raises(SectorSizeError):
