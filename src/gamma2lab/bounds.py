@@ -206,8 +206,8 @@ class GapResult(NamedTuple):
 
 def admit_proposition(op: PairOperator, N: int) -> None:
     """Refuse N before any solve: ValueError unless N is a positive even
-    integer, :class:`SectorSizeError` if its pair blocks or the Grams
-    :func:`proposition_gap` builds on M = (N - s) / 2 pairs exceed the caps
+    integer, :class:`SectorSizeError` if a Gram :func:`proposition_gap`
+    builds on M = (N - s) / 2 pairs exceeds the caps
     (:func:`pairing.admit_pair_blocks`)."""
     if N < 2 or N % 2:
         raise ValueError("N must be a positive even integer")
@@ -425,10 +425,9 @@ def explore_conjecture(phi, N_list) -> list[TheoremReport]:
     dominates every other block of that seniority entrywise and so carries
     its largest eigenvalue; no other block is built.  The seniority-zero
     value is recorded too, and ``seniority_gap`` is S minus it, so any gain
-    from broken pairs is visible.  If the Grams :func:`block_sups` builds
-    for any N that is not skipped exceed the caps, one of them or all
-    together, :class:`SectorSizeError` is raised before the first N is
-    solved.
+    from broken pairs is visible.  If a Gram :func:`block_sups` builds for
+    any N that is not skipped exceeds the caps, :class:`SectorSizeError` is
+    raised before the first N is solved.
     """
     lams = _as_lambdas(phi)
     s4 = float(np.sum(lams ** 4))

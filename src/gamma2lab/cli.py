@@ -35,9 +35,11 @@ same bits as alone, so the report does not depend on the batch size.  A
 sweep whose report could hold more than ``SWEEP_MAX_ROWS`` rows' bytes (a
 trial writes at most 1 + d(d-1)/2 rows, and each dump flag adds its P x P
 complex entries) is refused before its first state is drawn.  ``verify
-thm2/norms`` scan the pairs in log form, and a run whose scans would take
-more than ``LOG_SCAN_STEPS`` pair steps is refused before the first
-(:func:`admit_log_scans`).  A report is renamed into place once written
+thm2`` scans the pairs in log form, and a run whose scans would take more
+than ``LOG_SCAN_STEPS`` pair steps is refused before the first
+(:func:`admit_log_scans`); ``verify norms`` scans no more pairs than the
+pair masks of its pairing states hold (``pairing.MAX_PAIRS``), which are
+admitted first.  A report is renamed into place once written
 (:func:`write_report`), so no run leaves part of one.
 
 A process pays the command line's fixed costs once and starts no other
@@ -480,7 +482,6 @@ def _cmd_verify(args) -> tuple[dict, list]:
         op = pairing.PairOperator.from_lambdas(spec.values)
         m_max = args.m_max if args.m_max is not None else op.n_pairs
         config["m_max"] = m_max
-        admit_log_scans(op.n_pairs, [min(m_max, op.n_pairs)])  # M_max > K: ValueError
         return config, bounds.norm_recursion_check(op, m_max, tol=args.tol)
     raise ValueError(f"unknown verify target {args.check!r}")
 
@@ -574,7 +575,8 @@ def _usage_error(args, out_path: Path) -> str | None:
     """The message of the first usage error in ``args``, or None.  A
     single particle number of ``verify thm1/occupation`` is read to an int
     here; an ``out_path`` that is a directory, or lies under a path whose
-    nearest existing ancestor is not a directory, could take no report."""
+    nearest existing ancestor is not a directory that this process may
+    write and search, could take no report."""
     if not np.isfinite(args.tol):
         return f"--tol must be finite, not {args.tol!r}"
     if args.tol < 0:
@@ -594,8 +596,8 @@ def _usage_error(args, out_path: Path) -> str | None:
     if out_path.is_dir():
         return f"report path {out_path} is a directory"
     ancestor = next(p for p in out_path.parents if p.exists())
-    if not ancestor.is_dir():
-        return f"report path {out_path} lies under {ancestor}, which is not a directory"
+    if not (ancestor.is_dir() and os.access(ancestor, os.W_OK | os.X_OK)):
+        return f"report path {out_path} lies under {ancestor}, not a writable directory"
 
 
 def main(argv=None) -> int:

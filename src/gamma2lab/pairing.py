@@ -165,11 +165,15 @@ def pair_number_diagonal(op: PairOperator, sector) -> np.ndarray:
     return vals
 
 
-def _admit(K: int, states: int, cap: int, what: str) -> None:
-    """Refuse a pair basis on K pairs needing ``states`` states above ``cap``."""
+def _admit(K: int, M: int, cap: int, what: str) -> None:
+    """Refuse the basis of M of K pairs, C(K, M) states, above ``cap``.
+
+    The mask width is checked first, so no binomial of more than
+    ``MAX_PAIRS`` pairs is ever taken.
+    """
     if K > MAX_PAIRS:
         raise SectorSizeError(f"{K} pairs exceed the mask width of {MAX_PAIRS}")
-    if states > cap:
+    if (states := comb(K, M)) > cap:
         raise SectorSizeError(f"{what} on {K} pairs needs {states} pair states, "
                               f"cap is {cap}")
 
@@ -209,16 +213,17 @@ def pairing_states(op: PairOperator, M_max: int) -> Iterator[PairingState]:
     Works on the pair-occupation basis, where b*_k carries no sign: it adds
     lam_k times the amplitudes on the (M-1)-pair masks without bit k, in
     order, to those on the M-pair masks with bit k, one pair k at a time,
-    with no hop table.  Admission is arithmetic: if the largest pair basis
-    on the way, C(K, min(M_max, K // 2)) states, exceeds
-    ``DEFAULT_MAX_SECTOR`` nothing is enumerated or allocated.
+    with no hop table.  Admission is arithmetic (:func:`_admit`): if K
+    exceeds the mask width, or the largest pair basis on the way,
+    C(K, min(M_max, K // 2)) states, exceeds ``DEFAULT_MAX_SECTOR``,
+    nothing is enumerated or allocated.
     """
     if M_max < 0:
         raise ValueError("M must be non-negative")
     if 2 * M_max > op.d:
         raise SectorSizeError("sector overflow: 2M exceeds the orbital count")
     K = op.n_pairs
-    _admit(K, comb(K, min(M_max, K // 2)), DEFAULT_MAX_SECTOR, "pairing state")
+    _admit(K, min(M_max, K // 2), DEFAULT_MAX_SECTOR, "pairing state")
     amps, masks = np.ones(1, dtype=np.float64), occupation_masks(K, 0)
     for M in range(M_max + 1):
         if M:
@@ -256,8 +261,8 @@ def _pair_moves(K: int, M: int) -> tuple[np.ndarray, ...]:
 
 def admit_gram(K: int, M: int) -> None:
     """Refuse the Gram of :func:`pair_grams` on M of K pairs, C(K, M) rows,
-    above ``DENSE_CAP`` rows, by arithmetic."""
-    _admit(K, comb(K, M), DENSE_CAP, "dense pair block")
+    above ``DENSE_CAP`` rows, by arithmetic (:func:`_admit`)."""
+    _admit(K, M, DENSE_CAP, "dense pair block")
 
 
 def pair_grams(coeffs, M: int) -> np.ndarray:
@@ -326,26 +331,21 @@ def admit_pair_blocks(K: int, N: int, top: bool = False) -> dict[int, int]:
     ``pairs`` is M = (N - s) / 2, the pairs of the block's B*B, or with
     ``top`` the side max(M, K - s + 1 - M) of the smaller basis, which
     shares its largest eigenvalue (the vacuum, M = 0, stays on 0 pairs).
-    Admission is arithmetic: the largest of these Grams must fit
-    ``DENSE_CAP`` rows (:func:`admit_gram`), and what the caller builds
-    ``DEFAULT_MAX_SECTOR`` states, or :class:`SectorSizeError` is raised:
-    every block of the sector for the gap operator, or with ``top`` one
-    Gram per seniority, the only ones ``bounds.block_sups`` builds.
-    Callers that solve several N admit each before the first solve, so an
-    oversized N is refused before any work.
+    Admission is arithmetic: each Gram, in ascending s, must fit
+    ``DENSE_CAP`` rows (:func:`admit_gram`), or :class:`SectorSizeError` is
+    raised.  C(K - s, pairs) falls as s grows on either side, so the first
+    Gram refused is the widest; and the first block has the most pairs, so
+    a sector too wide for the pair masks is refused before any binomial is
+    taken.  Callers that solve several N admit each before the first solve,
+    so an oversized N is refused before any work.
     """
     if N < 0 or N > 2 * K:
         raise SectorSizeError(f"no (d={2 * K}, N={N}) sector")
-    sides = {s: max(M, K - s + 1 - M) if top and M else M
-             for s in range(N % 2, min(N, 2 * K - N) + 1, 2) for M in [(N - s) // 2]}
-    widest = max(sides, key=lambda s: comb(K - s, sides[s]))
-    admit_gram(K - widest, sides[widest])
-    total = sum(comb(K - s, pairs) * (1 if top else comb(K, s))
-                for s, pairs in sides.items())
-    if total > DEFAULT_MAX_SECTOR:
-        raise SectorSizeError(
-            f"pair blocks of (d={2 * K}, N={N}) hold {total} states, "
-            f"cap is {DEFAULT_MAX_SECTOR}")
+    sides = {}
+    for s in range(N % 2, min(N, 2 * K - N) + 1, 2):
+        M = (N - s) // 2
+        sides[s] = max(M, K - s + 1 - M) if top and M else M
+        admit_gram(K - s, sides[s])
     return sides
 
 

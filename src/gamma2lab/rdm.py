@@ -151,20 +151,19 @@ def _low_hops(L: int, n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
 def _gram_blocks(d: int, N: int, cap: int) -> tuple:
     """Blocks of the Gram sum of a (d, N) state, at most ``cap`` columns each.
 
-    The sum runs in colex pair order, pair (i, j), i < j, at row
-    j(j-1)/2 + i, so the pairs of one j are contiguous.  The (N-2)-particle
-    masks ascend, so those sharing the occupation T of the top m orbitals
-    form one run, ordered as ``occupation_masks(L, N-2-|T|)`` of their
-    L = d - m low orbitals; m is the fewest for which every run, C(L, N-2-t)
-    masks with t top orbitals occupied, fits in ``cap``.  Blocks with the
-    same |T| have the same layout, so they come in groups, |T| ascending.
+    A block's rows run in colex order of its free orbitals' pairs, pair
+    (i, j), i < j, at row j(j-1)/2 + i, so the pairs of one j are
+    contiguous.  The (N-2)-particle masks ascend, so those sharing the
+    occupation T of the top m orbitals form one run, ordered as
+    ``occupation_masks(L, N-2-|T|)`` of their L = d - m low orbitals; m is
+    the fewest for which every run, C(L, N-2-t) masks with t top orbitals
+    occupied, fits in ``cap``.  Blocks with the same |T| have the same
+    layout, so they come in groups, |T| ascending.
     Returns L; per group, the low popcount N-2-|T| of its columns, its
     masks T ascending and, per block, its free top orbitals ascending; the
-    number of floats in the largest block's two planes; the colex pairs
-    ``(hi, lo)`` of all d orbitals, whose first C(f, 2) entries are the
-    colex pairs of any f orbitals; and the flat colex index of each entry
-    of the wedge basis, which reorders the sum to it.  All arrays are
-    read-only.
+    number of floats in the largest block's two planes; and the colex
+    pairs ``(hi, lo)`` of all d orbitals, whose first C(f, 2) entries are
+    the colex pairs of any f orbitals.  All arrays are read-only.
     """
     n = N - 2
     m = next(k for k in range(d + 1)
@@ -183,10 +182,9 @@ def _gram_blocks(d: int, N: int, cap: int) -> tuple:
     colex = j * (j - 1) // 2 + i  # the colex row of each wedge pair
     hi, lo = np.empty_like(j), np.empty_like(i)
     hi[colex], lo[colex] = j, i  # the wedge pairs in colex order
-    wedge = colex[:, None] * len(colex) + colex
-    for part in (hi, lo, wedge, *(a for group in groups for a in group[1:])):
+    for part in (hi, lo, *(a for group in groups for a in group[1:])):
         part.setflags(write=False)
-    return L, groups, size, (hi, lo), wedge
+    return L, groups, size, (hi, lo)
 
 
 def gram_block_shape(d: int, N: int) -> tuple[int, int]:
@@ -208,23 +206,20 @@ def compute_gamma2(psi: SectorVector) -> TwoBodyOperator:
     occupation T of the top orbitals (one block for small sectors).  y_ij
     vanishes on a column holding i or j, so a block has rows only for the
     C(d-|T|, 2) pairs outside T, in colex order, and its product lands on
-    those rows and columns of the sum by one flat scatter (the identity for
-    T = 0, whose rows are every pair in order).  Each block B = X + iY is
-    read straight from psi's real and imaginary parts into the two real planes
-    of Z = [X; Y]: psi's masks with top occupation U form one run, ordered
-    as the low masks.  Low pairs i < j come from the run of T along the
-    pair table of :func:`_low_hops`, low i with top j from the runs of
-    T + j along its single table, and top pairs i < j are the runs of
-    T + i + j themselves, each read by one gather per plane; the
-    Jordan-Wigner sign of the top orbitals is one constant per run.  Only
-    nonzero entries are written: blocks with one |T| write the same
-    entries, so the planes are zeroed once per |T|.
+    the wedge rows and columns of those pairs by one flat scatter.  Each
+    block B = X + iY is read straight from psi's real and imaginary parts
+    into the two real planes of Z = [X; Y]: psi's masks with top
+    occupation U form one run, ordered as the low masks.  Low pairs i < j
+    come from the run of T along the pair table of :func:`_low_hops`, low i
+    with top j from the runs of T + j along its single table, and top pairs
+    i < j are the runs of T + i + j themselves, each read by one gather per
+    plane; the Jordan-Wigner sign of the top orbitals is one constant per
+    run.  Only nonzero entries are written: blocks with one |T| write the
+    same entries, so the planes are zeroed once per |T|.
     With Q = Z Z^T, one symmetric real product per state,
     conj(B) B^T = (Q_XX + Q_YY) + i (Q_XY - Q_YX), Q_YX = Y X^T the lower
-    left quadrant, so the sum is Hermitian by construction; it runs in
-    colex pair order and is reordered to the wedge basis once at the end;
-    the colex sum is released before the fix-up of the imaginary part and
-    the factor 2 act in place on the reordered copy.
+    left quadrant, so the sum is Hermitian by construction; the fix-up of
+    the imaginary part and the factor 2 act on it in place.
     A single state is a stack of one.  The states of a stack take each
     block in turn, through one state's planes and product, so every index
     is one state's and is built once per block, and each state gets the
@@ -242,11 +237,11 @@ def compute_gamma2(psi: SectorVector) -> TwoBodyOperator:
     if np.any(np.abs(np.sqrt(nsq) - 1.0) > STATE_NORM_TOL):
         raise ValueError("state must be normalized")
     n_states, n_pairs = len(nsq), d * (d - 1) // 2
-    L, groups, size, (hi, lo), wedge = _gram_blocks(d, N, GRAM_CHUNK)
+    L, groups, size, (hi, lo) = _gram_blocks(d, N, GRAM_CHUNK)
     buf = np.empty(size)  # the largest block's planes; every block reuses it
-    acc = np.zeros((n_states, n_pairs, n_pairs), dtype=np.complex128)
+    mat = np.zeros((n_states, n_pairs, n_pairs), dtype=np.complex128)
     states = [(a.real, a.imag, total) for a, total in
-              zip(psi.amplitudes.reshape(n_states, -1), acc.reshape(n_states, -1))]
+              zip(psi.amplitudes.reshape(n_states, -1), mat.reshape(n_states, -1))]
     for n_low, ts, tops in groups:
         n_top = tops.shape[1]
         n_free, n_tt = L + n_top, n_top * (n_top - 1) // 2
@@ -273,7 +268,7 @@ def compute_gamma2(psi: SectorVector) -> TwoBodyOperator:
         starts = np.searchsorted(basis.states, keys)
         free = np.concatenate((np.broadcast_to(np.arange(L), (len(ts), L)), tops), axis=1)
         i, j = free[:, lo[:n_rows]], free[:, hi[:n_rows]]
-        rows = j * (j - 1) // 2 + i  # each block's rows of the sum, in colex order
+        rows = i * (2 * d - i - 1) // 2 + j - i - 1  # each block's wedge rows, in colex order
         q = np.empty((2 * n_rows, 2 * n_rows))
         blk = np.empty((n_rows, n_rows), dtype=np.complex128)
         for k, run in enumerate(starts):
@@ -295,11 +290,9 @@ def compute_gamma2(psi: SectorVector) -> TwoBodyOperator:
                 blk.imag = q[n_rows:, :n_rows]
                 total[flat] += blk
     residual = np.array([abs(2.0 * float(np.trace(a.real)) - N * (N - 1) * float(s))
-                         for a, s in zip(acc, nsq)])
+                         for a, s in zip(mat, nsq)])
     if np.any(residual > TRACE_TOL):
         raise ArithmeticError(f"trace residual {np.max(residual):.3e} exceeds {TRACE_TOL:.1e}")
-    mat = acc.reshape(n_states, -1)[:, wedge]
-    del acc, states, total  # the loop's views keep the colex sum alive
     mat.imag -= mat.imag.transpose(0, 2, 1).copy()  # the transpose of the sum
     mat *= 2.0
     if psi.amplitudes.ndim == 1:

@@ -530,11 +530,17 @@ class TestSubcommands:
 
     @pytest.mark.parametrize("argv, outdir, code, message", [
         (THM2 + ["--out", "F/r.json"], None, 2,
-         "report path F/r.json lies under F, which is not a directory"),
+         "report path F/r.json lies under F, not a writable directory"),
         (THM2 + ["--out", "F/sub/r.json"], None, 2,
-         "report path F/sub/r.json lies under F, which is not a directory"),
+         "report path F/sub/r.json lies under F, not a writable directory"),
         (THM2, "F", 2,
-         "report path F/verify_report.json lies under F, which is not a directory"),
+         "report path F/verify_report.json lies under F, not a writable directory"),
+        (THM2 + ["--out", "ro/r.json"], None, 2,
+         "report path ro/r.json lies under ro, not a writable directory"),
+        (THM2 + ["--out", "ro/sub/r.json"], None, 2,
+         "report path ro/sub/r.json lies under ro, not a writable directory"),
+        (THM2, "ro", 2,
+         "report path ro/verify_report.json lies under ro, not a writable directory"),
         (["verify", "thm1", "--dim", "6", "--particles", "3", "--threads", "0",
           "--out", "report.json"], None, 2, "--threads must be at least 1, not 0"),
         (THM2 + ["--threads", "-5", "--out", "report.json"], None, 2,
@@ -546,17 +552,23 @@ class TestSubcommands:
           "--out", "report.json"], None, 1,
          "ValueError: empty particle number in '2,4,'"),
     ], ids=["out-under-a-file", "out-deep-under-a-file", "outdir-is-a-file",
+            "out-under-unwritable", "out-deep-under-unwritable", "outdir-is-unwritable",
             "threads-0", "threads-negative", "empty-field", "trailing-comma"])
     def test_refused_arguments(self, tmp_path, capsys, monkeypatch, argv, outdir,
                                code, message):
         # a usage error exits 2 with one stderr line before any handler
         # runs, and writes nothing; an empty --particles field is an error
-        # report, as an empty list is
+        # report, as an empty list is.  Root passes every permission check,
+        # so the directory ro is made unwritable through os.access.
         def no_run(args):
             raise AssertionError("a handler ran")
 
+        real_access, ro = os.access, tmp_path.resolve() / "ro"
+        monkeypatch.setattr(cli.os, "access", lambda path, mode: (
+            Path(path).resolve() != ro and real_access(path, mode)))
         monkeypatch.chdir(tmp_path)
         (tmp_path / "F").write_text("a regular file\n")
+        ro.mkdir()
         if outdir is None:
             monkeypatch.delenv(cli.OUTDIR_ENV, raising=False)
         else:
@@ -568,7 +580,7 @@ class TestSubcommands:
         err = capsys.readouterr().err
         if code == 2:
             assert err == message + "\n"
-            assert [p.name for p in tmp_path.iterdir()] == ["F"]
+            assert sorted(p.name for p in tmp_path.rglob("*")) == ["F", "ro"]
             assert (tmp_path / "F").read_text() == "a regular file\n"
         else:
             report = json.loads((tmp_path / "report.json").read_text())
@@ -638,7 +650,7 @@ class TestLogScanBudget:
             raise AssertionError("a log-form scan or pairing state ran")
 
         monkeypatch.setattr(pairing, "_log_pair_sums", refuse)
-        monkeypatch.setattr(bounds, "pairing_states", refuse)
+        monkeypatch.setattr(pairing, "occupation_masks", refuse)
 
     def test_thm2_refused_before_any_scan(self, tmp_path, no_scan):
         code, report = run_cli(tmp_path, "verify", "thm2", "--lambda", "uniform:1000000",
@@ -663,14 +675,12 @@ class TestLogScanBudget:
         else:
             assert [c["pass"] for c in report["checks"]] == [True, True, None, None]
 
-    def test_norms_refused_before_any_scan(self, tmp_path, monkeypatch, no_scan):
-        monkeypatch.setattr(cli, "LOG_SCAN_STEPS", 4 * (2 + 1) - 1)
-        code, report = run_cli(tmp_path, "verify", "norms", "--lambda", "uniform:4",
-                               "--m-max", "2")
+    def test_norms_refused_before_any_scan(self, tmp_path, no_scan):
+        # the pairing states' mask width refuses K > 62 before the first scan
+        code, report = run_cli(tmp_path, "verify", "norms", "--lambda", "uniform:1000000")
         assert code == 1
         assert [c["note"] for c in report["checks"]] == [
-            "SectorSizeError: log-form scans over 4 pairs up to M = 2 take 12 pair "
-            "steps, cap is 11"]
+            "SectorSizeError: 1000000 pairs exceed the mask width of 62"]
 
     def test_norms_m_max_above_k_is_still_a_value_error(self, tmp_path):
         code, report = run_cli(tmp_path, "verify", "norms", "--lambda", "uniform:4",

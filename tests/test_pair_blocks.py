@@ -6,6 +6,7 @@ sector: the dense gap operator, the dense and Lanczos suprema, and the
 quadratic form of the embedded pairing state.
 """
 
+import json
 import math
 import subprocess
 import sys
@@ -24,7 +25,7 @@ from gamma2lab.bounds import (block_sups, counterexample_driver,
                               explore_conjecture, proposition_gap,
                               sup_over_states, verify_theorem2)
 from gamma2lab.canonical import canonical_from_lambdas
-from gamma2lab.cli import parse_lambda_spec
+from gamma2lab.cli import main, parse_lambda_spec
 from gamma2lab.fock import SectorSizeError, enumerate_sector
 from gamma2lab.pairing import (BATCH_ENTRIES, PairOperator, admit_pair_blocks,
                                build_pairing_state, dense_b_matrix,
@@ -266,19 +267,44 @@ class TestAdmission:
         with pytest.raises(SectorSizeError):
             explore_conjecture(op.lambdas, [40])
 
-    def test_block_total_refused(self, no_enumeration):
-        # N = 11 on 17 pairs: the widest Gram, C(16, 5) = 4368 rows at
-        # seniority 1, fits; all blocks together do not
-        with pytest.raises(SectorSizeError, match="hold 3198312 states"):
-            next(pair_blocks(np.ones(17), 11))
-
-    def test_top_side_counts_only_the_grams_built(self, no_enumeration, monkeypatch):
-        # N = 6 on 36 pairs: the blocks hold 4193322 states, over the cap,
-        # but explore builds one Gram per seniority, 630 + 34 + 1 + 1 states
+    def test_top_side_counts_only_the_grams_built(self, no_enumeration):
+        # N = 6 on 36 pairs: explore builds one Gram per seniority, of
+        # 630, 34, 1 and 1 states, each on its smaller side
         assert admit_pair_blocks(36, 6, top=True) == {0: 34, 2: 33, 4: 32, 6: 0}
-        monkeypatch.setattr(pairing, "DEFAULT_MAX_SECTOR", 665)
-        with pytest.raises(SectorSizeError, match="hold 666 states, cap is 665"):
-            admit_pair_blocks(36, 6, top=True)
+
+    @pytest.mark.parametrize("K", [63, 20000, 10 ** 6])
+    def test_mask_width_before_any_binomial(self, K, tmp_path, monkeypatch):
+        # every pair-basis admission refuses more than 62 pairs before it
+        # takes a binomial: C(10**6, 5 * 10**5) alone takes seconds
+        wide = []
+
+        def narrow_comb(n, k):
+            if n > pairing.MAX_PAIRS:
+                wide.append((n, k))
+                raise AssertionError(f"binomial of {n} pairs taken")
+            return math.comb(n, k)
+
+        monkeypatch.setattr(pairing, "comb", narrow_comb)
+        width = f"{K} pairs exceed the mask width of {pairing.MAX_PAIRS}"
+        lams = np.full(K, 1 / np.sqrt(K))
+        op = PairOperator.from_lambdas(lams)
+        top_n = K - K % 2
+        for N in (2, top_n):
+            for top in (False, True):
+                with pytest.raises(SectorSizeError, match=width):
+                    admit_pair_blocks(K, N, top)
+            with pytest.raises(SectorSizeError, match=width):
+                pair_grams(lams[None], N // 2)
+            with pytest.raises(SectorSizeError, match=width):
+                build_pairing_state(op, N // 2)
+        out = tmp_path / "report.json"
+        for argv in (["verify", "prop", "--particles", f"2,{top_n}"],
+                     ["explore", "--particles", f"2,{top_n}"],
+                     ["verify", "norms"]):
+            assert main(argv + ["--lambda", f"uniform:{K}", "--out", str(out)]) == 1
+            report = json.loads(out.read_text())
+            assert [c["note"] for c in report["checks"]] == [f"SectorSizeError: {width}"]
+        assert wide == []
 
     def test_oversized_block_refused(self, no_enumeration):
         with pytest.raises(SectorSizeError):

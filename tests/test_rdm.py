@@ -318,7 +318,7 @@ class TestGramBlocks:
         (20, 10, 4096, 6, 64),             # runs of at most C(14, 7) = 3432
     ])
     def test_block_plan(self, d, n, cap, top, count):
-        low, groups, size, _, _ = rdm._gram_blocks(d, n, cap)
+        low, groups, size, _ = rdm._gram_blocks(d, n, cap)
         blocks = [(T, n_low) for n_low, ts, _ in groups for T in ts.tolist()]
         assert low == d - top and len(blocks) == count
         # the blocks come in groups of one |T|, fewest top orbitals occupied
