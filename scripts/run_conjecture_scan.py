@@ -1,24 +1,23 @@
 #!/usr/bin/env python3
 """Scan the empirical constant of the highly correlated regime.
 
-For each coefficient profile the supremum of the two-body quadratic form is
-computed on every admissible particle number and the resulting empirical
-constants are collected into one CSV per profile plus a combined summary
-on stdout.  Uniform profiles should come out at zero; structured profiles
-show how far the first-order picture bends.
+Runs ``gamma2lab explore`` once per coefficient profile, each writing one
+CSV report, and prints a combined summary read back from those reports.
+Uniform profiles should come out at zero; structured profiles show how far
+the first-order picture bends.  Exits with the largest exit code of the
+runs, so a failed run (an error report) makes the scan fail.
 
     python scripts/run_conjecture_scan.py --particles 2,4,6 --outdir results/
 """
 
 import argparse
+import csv
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from gamma2lab.bounds import explore_conjecture  # noqa: E402
-from gamma2lab.cli import (build_report, parse_lambda_spec,  # noqa: E402
-                           write_report)
+from gamma2lab.cli import main as cli_main  # noqa: E402
 
 DEFAULT_PROFILES = [
     "uniform:8",
@@ -38,21 +37,25 @@ def main():
     parser.add_argument("--outdir", type=Path, default=Path("results"))
     args = parser.parse_args()
 
-    n_list = [int(x) for x in args.particles.split(",")]
+    status = 0
     print(f"{'profile':>18} {'N':>3} {'sup':>12} {'c_emp':>12}")
     for label in args.profiles:
-        spec = parse_lambda_spec(label)
-        checks = explore_conjecture(spec.values, n_list)
-        config = {"command": "explore", "lambda": {"spec": spec.label},
-                  "particles": args.particles}
         out = args.outdir / (label.replace(":", "_") + ".csv")
-        write_report(build_report(config, checks, None), out)
-        for c in checks:
-            c_emp = c.details.get("c_emp")
-            sup = "-" if c.observed is None else f"{c.observed:12.8f}"
-            c_str = "-" if c_emp is None else f"{c_emp:12.3e}"
-            print(f"{label:>18} {c.params['N']:>3} {sup:>12} {c_str:>12}")
-    return 0
+        code = cli_main(["explore", "--lambda", label, "--particles", args.particles,
+                         "--out", str(out)])
+        status = max(status, code)
+        if code == 2:  # a usage error, printed by cli_main, writes no report
+            continue
+        with open(out, newline="", encoding="utf-8") as fh:
+            for row in csv.DictReader(fh):
+                if row["kind"] == "error":
+                    print(f"{label:>18} exit {code}: {row['note']}")
+                    continue
+                sup, c_emp = row["observed"], row.get("detail:c_emp", "")
+                sup = f"{float(sup):12.8f}" if sup else "-"
+                c_emp = f"{float(c_emp):12.3e}" if c_emp else "-"
+                print(f"{label:>18} {row['param:N']:>3} {sup:>12} {c_emp:>12}")
+    return status
 
 
 if __name__ == "__main__":

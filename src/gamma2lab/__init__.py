@@ -15,12 +15,11 @@ from .canonical import (AntisymmetricTensor, CanonicalForm,
                         write_tensor_text, youla_decompose)
 from .fock import (SectorBasis, SectorMismatchError, SectorSizeError,
                    SectorVector, apply_annihilate, apply_annihilate_vector,
-                   apply_create, apply_create_vector, basis_state,
-                   enumerate_sector, number_expectation, occupations,
+                   apply_create, basis_state, enumerate_sector, occupations,
                    slater_state, vacuum_state)
 from .pairing import (PairingState, PairOperator, annihilation_identity_check,
                       apply_B, apply_B_star, build_pairing_state,
-                      commutator_defect, norm_sq_oracle, write_state_text)
+                      commutator_defect, norm_sq_oracle)
 from .rdm import (SpectralData, TwoBodyOperator, compute_gamma2, expectation,
                   expectation_fast, spectral_decompose)
 

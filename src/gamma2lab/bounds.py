@@ -163,13 +163,13 @@ def verify_theorem2(phi, N: int, tol: float = BOUND_TOL) -> TheoremReport:
         <phi, G phi> = 2 ||B Psi_M||^2 / ||Psi_M||^2
                      = 2 sum_{|T|=M-1} prod_T x (sum_{k not in T} x_k)^2 / e_M(x),
 
-    read off the log-form recurrence of :func:`pairing.pair_expectation`
-    in O(K M); no state is built.  ``details.norm_sq`` is
-    :func:`pairing.norm_sq_oracle`, (M!)^2 e_M(x), or None where that
-    exceeds the float range; both come from one scan
-    (:func:`pairing.pair_expectation_and_norm`).  Preconditions (N even,
-    N lam_max**2 <= 1, coefficient support >= N/2) are reported as skipped,
-    not failed: outside them the floor is not asserted.
+    read off the log-form recurrence of
+    :func:`pairing.pair_expectation_and_norm` in O(K M); no state is built.
+    ``details.norm_sq`` is :func:`pairing.norm_sq_oracle`, (M!)^2 e_M(x), or
+    None where that exceeds the float range, off the same scan.
+    Preconditions (N even, N lam_max**2 <= 1, coefficient support >= N/2)
+    are reported as skipped, not failed: outside them the floor is not
+    asserted.
     """
     lams = _as_lambdas(phi)
     s4 = float(np.sum(lams ** 4))
@@ -479,19 +479,19 @@ def counterexample_driver(lambda_profile, N: int,
     The left side is 2 ||B Psi_M||^2 / ||Psi_M||^2 with B from the profile.
     With state coefficients 1/sqrt(N) on the first N pairs every set T of
     M - 1 pairs has the same weight in the sum of
-    :func:`pairing.pair_expectation`, and (sum_{k not in T} lam_k)^2 counts
-    each lam_k^2 in C(N-1, M-1) of them and each lam_k lam_l, k != l, in
-    C(N-2, M-1).  So, with S1 and S2 the sum and the sum of squares of
-    lam_1 .. lam_N,
+    :func:`pairing.pair_expectation_and_norm`, and
+    (sum_{k not in T} lam_k)^2 counts each lam_k^2 in C(N-1, M-1) of them
+    and each lam_k lam_l, k != l, in C(N-2, M-1).  So, with S1 and S2 the
+    sum and the sum of squares of lam_1 .. lam_N,
 
         <phi, G phi> = S2 + N (S1^2 - S2) / (2 (N - 1)),
 
     read in O(N) with no scan and no state built.  The log-form recurrence
-    of :func:`pairing.pair_expectation` on the same state, O(N M), is its
-    oracle in the tests.  Growing this left side in N while the
-    delocalization ceiling stays fixed is what rules out an N-independent
-    strong bound; the uniform ceiling 2 / sum lam^4 is reported for that
-    comparison.
+    of :func:`pairing.pair_expectation_and_norm` on the same state,
+    O(N M), is its oracle in the tests.  Growing this left side in N while
+    the delocalization ceiling stays fixed is what rules out an
+    N-independent strong bound; the uniform ceiling 2 / sum lam^4 is
+    reported for that comparison.
     """
     lams = np.asarray(lambda_profile, dtype=np.float64)
     K = len(lams)

@@ -37,7 +37,6 @@ from .fock import SectorMismatchError, SectorVector, enumerate_sector
 
 LAMBDA_DROP_TOL = 1e-12
 NORM_TOL = 1e-8
-ANTISYM_TOL = 1e-12
 CLUSTER_RTOL = 1e-8
 REPAIR_TOL = 1e-13  # Gram defect above roundoff, repaired by Gram-Schmidt
 
@@ -64,12 +63,6 @@ def wedge_index(d: int) -> tuple[np.ndarray, np.ndarray]:
     return index
 
 
-def wedge_pairs(d: int) -> tuple[tuple[int, int], ...]:
-    """Ordered-pair index list (i, j), i < j, row-major."""
-    iu, ju = wedge_index(d)
-    return tuple((int(i), int(j)) for i, j in zip(iu, ju))
-
-
 @dataclass
 class AntisymmetricTensor:
     """Complex antisymmetric d x d coefficient matrix (exactly A.T == -A)."""
@@ -84,19 +77,6 @@ class AntisymmetricTensor:
         if not np.array_equal(mat, -mat.T):
             raise NotAntisymmetricError("matrix is not exactly antisymmetric")
         self.mat = mat
-
-    @classmethod
-    def from_matrix(cls, mat, *, atol: float = ANTISYM_TOL) -> "AntisymmetricTensor":
-        """Validate near-antisymmetry, then store the exact upper-triangle form."""
-        mat = np.asarray(mat, dtype=np.complex128)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise SectorMismatchError("need a square matrix")
-        defect = float(np.max(np.abs(mat + mat.T))) if mat.size else 0.0
-        if defect > atol:
-            raise NotAntisymmetricError(
-                f"antisymmetry defect {defect:.3e} exceeds {atol:.1e}")
-        upper = np.triu(mat, 1)
-        return cls(mat.shape[0], upper - upper.T)
 
     def norm(self) -> float:
         """The Frobenius norm, inf when it exceeds the float range."""
@@ -404,7 +384,8 @@ def embed_as_sector_vector(obj) -> SectorVector:
 def write_tensor_text(path, tensor: AntisymmetricTensor) -> None:
     """Text form: header line ``d``, then ``i j re im`` per strictly-upper entry."""
     lines = [str(tensor.d)]
-    for i, j in wedge_pairs(tensor.d):
+    iu, ju = wedge_index(tensor.d)
+    for i, j in zip(iu.tolist(), ju.tolist()):
         val = tensor.mat[i, j]
         if val != 0:
             lines.append(f"{i} {j} {float(val.real)!r} {float(val.imag)!r}")

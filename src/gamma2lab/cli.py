@@ -46,8 +46,9 @@ A process pays the command line's fixed costs once and starts no other
 process: :func:`main` builds its parser on the first call and reuses it,
 and ``meta.environment`` is read without ``platform.platform()``'s
 ``uname -p`` subprocess on Linux (see :func:`build_report`).  Importing
-this module imports no scipy: ``meta.scipy`` is read from scipy's
-``version.py`` (see :data:`SCIPY_VERSION`).  The import ends with
+this module imports no scipy, which the command line does not need:
+``meta.scipy`` is read from scipy's ``version.py``, or is None where scipy
+is not installed (see :data:`SCIPY_VERSION`).  The import ends with
 ``gc.freeze()``, so :func:`main` starts from the same collector state
 whatever the imports allocated.
 """
@@ -87,8 +88,9 @@ MAX_PROFILE_PAIRS = 1_000_000  # one log-form scan of ~10 us per pair: ~10 s
 LOG_SCAN_STEPS = 10_000_000    # K (M + 1) summed over one run's log-form scans: ~15 s
 
 
-def _scipy_version() -> str:
-    """``scipy.__version__`` without importing scipy.
+def _scipy_version() -> str | None:
+    """``scipy.__version__`` without importing scipy, or None when scipy is
+    not installed.
 
     ``scipy/__init__.py`` binds ``__version__`` to ``version`` of its
     ``version.py``; ``find_spec`` locates the package without running its
@@ -96,7 +98,7 @@ def _scipy_version() -> str:
     """
     spec = importlib.util.find_spec("scipy")
     if spec is None:
-        raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+        return None
     path = Path(spec.origin).with_name("version.py")
     scope: dict = {}
     exec(compile(path.read_bytes(), str(path), "exec"), scope)
@@ -289,8 +291,8 @@ def build_report(config: dict, checks: list, timing: float | None) -> dict:
     ``environment`` the system as ``platform.platform()`` names it (read by
     :func:`_environment`, which starts no process).  The scipy version is
     :data:`SCIPY_VERSION`, read at import from scipy's ``version.py``
-    without importing scipy.  ``config`` is stored as given, each check as
-    its ``to_dict()``.
+    without importing scipy, and None where scipy is not installed.
+    ``config`` is stored as given, each check as its ``to_dict()``.
     """
     return {
         "schema_version": SCHEMA_VERSION,

@@ -98,9 +98,6 @@ class SectorBasis:
             raise SectorMismatchError("mask outside this sector")
         return idx
 
-    def __repr__(self):
-        return f"SectorBasis(d={self.d}, N={self.N}, dim={self.dim})"
-
 
 def admit_sector(d: int, N: int) -> None:
     """Refuse a (d, N) sector by arithmetic, before anything is enumerated.
@@ -301,11 +298,6 @@ def apply_annihilate(orbital: int, vec: SectorVector) -> SectorVector:
     return _scatter(vec, [(1 << orbital, 1)], 1, create=False)
 
 
-def apply_create_vector(coeffs, vec: SectorVector) -> SectorVector:
-    """Creation of the single-particle state sum_i coeffs[i] e_i (linear)."""
-    return _scatter(vec, _coefficient_terms(coeffs, vec.basis), 1, create=True)
-
-
 def apply_annihilate_vector(coeffs, vec: SectorVector) -> SectorVector:
     """Annihilation of sum_i coeffs[i] e_i; conjugate-linear in coeffs."""
     return _scatter(vec, _coefficient_terms(np.conj(coeffs), vec.basis), 1, create=False)
@@ -330,15 +322,3 @@ def occupations(vec: SectorVector) -> np.ndarray:
         weights = np.abs(vec.amplitudes[..., None, start:start + step]) ** 2
         total += np.matmul(weights, bits)[..., 0, :]
     return total / nsq[..., None]
-
-
-def number_expectation(vec: SectorVector) -> float:
-    """Total-number expectation of a nonzero sector vector.
-
-    Every basis mask of the (d, N) sector has popcount N, so the sector is an
-    eigenspace of the total number operator and the expectation is N exactly.
-    """
-    if vec.norm() == 0.0:
-        raise ValueError("zero vector has no number expectation")
-    return float(vec.basis.N)
-

@@ -79,7 +79,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, islice
 from math import comb, lgamma
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -416,8 +415,10 @@ def _log_pair_sums(x: np.ndarray, c: np.ndarray, M: int) -> np.ndarray:
     return sums[:, 1:]
 
 
-def pair_expectation(lambdas, state_lambdas, M: int) -> float:
-    """2 ||B Psi_M||^2 / ||Psi_M||^2 in O(K M), with no state built.
+def pair_expectation_and_norm(lambdas, state_lambdas, M: int) -> tuple[float, float]:
+    """2 ||B Psi_M||^2 / ||Psi_M||^2 and ||Psi_M||^2 of :func:`norm_sq_oracle`
+    in O(K M), both off one scan of :func:`_log_pair_sums`, with no state
+    built.
 
     B = sum_k mu_k b_k has the coefficients ``lambdas`` and
     Psi_M = (sum_k lam_k b*_k)^M |vacuum> those of ``state_lambdas``; both
@@ -426,20 +427,11 @@ def pair_expectation(lambdas, state_lambdas, M: int) -> float:
     B |S>> = sum_{k in S} mu_k |S minus k>>, with x = lam**2,
 
         2 ||B Psi_M||^2 / ||Psi_M||^2
-            = 2 sum_{|T|=M-1} prod_T x (sum_{k not in T} c_k)^2 / e_M(x),
+            = 2 sum_{|T|=M-1} prod_T x (sum_{k not in T} c_k)^2 / e_M(x).
 
-    both sums read off :func:`_log_pair_sums`.  For phi with coefficients
-    ``lambdas`` on the state's pairs this is <phi, G_Psi phi>.
-    """
-    return pair_expectation_and_norm(lambdas, state_lambdas, M)[0]
-
-
-def pair_expectation_and_norm(lambdas, state_lambdas, M: int) -> tuple[float, float]:
-    """:func:`pair_expectation` and ||Psi_M||^2 of :func:`norm_sq_oracle`
-    for ``state_lambdas``, both off one scan of :func:`_log_pair_sums`.
-
-    Its e_j row does not depend on c, so each value has the bits of its
-    own function.
+    For phi with coefficients ``lambdas`` on the state's pairs the first
+    value is <phi, G_Psi phi>.  The scan's e_j row does not depend on c, so
+    the norm has the bits of :func:`norm_sq_oracles`.
     """
     mu = np.asarray(lambdas, dtype=np.float64)
     lam = np.asarray(state_lambdas, dtype=np.float64)
@@ -536,12 +528,3 @@ def commutator_defect(op: PairOperator, N: int) -> float:
         down = dense_b_matrix(op, N)
         defect -= down.T @ down
     return float(np.max(np.abs(defect)))
-
-
-def write_state_text(path, state: SectorVector) -> None:
-    """Text export: header ``d N``, then ``mask re im`` per nonzero amplitude."""
-    lines = [f"{state.basis.d} {state.basis.N}"]
-    for i in np.nonzero(state.single())[0]:
-        a = state.amplitudes[i]
-        lines.append(f"{int(state.basis.states[i])} {float(a.real)!r} {float(a.imag)!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

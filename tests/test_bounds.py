@@ -25,7 +25,8 @@ from gamma2lab.cli import parse_lambda_spec, random_state
 from gamma2lab.fock import apply_annihilate_vector, slater_state
 import gamma2lab.pairing as pairing
 from gamma2lab.pairing import (PairOperator, build_pairing_state,
-                               norm_sq_oracle, pair_expectation, pairing_states)
+                               norm_sq_oracle, pair_expectation_and_norm,
+                               pairing_states)
 from gamma2lab.rdm import compute_gamma2, spectral_decompose
 
 UNIFORM4 = np.full(4, 0.5)
@@ -478,7 +479,8 @@ class TestCounterexample:
         # with zeros and ties
         lams = np.sort(raw)[::-1] / np.linalg.norm(raw)
         N = 2 * min(half, len(lams) // 2)
-        expected = pair_expectation(lams[:N], np.full(N, 1.0 / np.sqrt(N)), N // 2)
+        expected = pair_expectation_and_norm(lams[:N], np.full(N, 1.0 / np.sqrt(N)),
+                                             N // 2)[0]
         observed = counterexample_driver(lams, N).observed
         assert abs(observed - expected) <= 1e-11 * max(1.0, expected)
 

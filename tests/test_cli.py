@@ -889,11 +889,29 @@ class TestDocumentedCommands:
             _read_report(tmp_path / f"{check}_d6_n3.json")
 
     def test_conjecture_scan_script(self, tmp_path):
-        subprocess.run([sys.executable, str(ROOT / "scripts/run_conjecture_scan.py"),
-                        "--profiles", "uniform:4", "power:1:6", "--particles", "2,4",
-                        "--outdir", str(tmp_path)], check=True, capture_output=True)
+        def scan(particles, outdir):
+            return subprocess.run(
+                [sys.executable, str(ROOT / "scripts/run_conjecture_scan.py"),
+                 "--profiles", "uniform:4", "power:1:6", "--particles", particles,
+                 "--outdir", str(outdir)], capture_output=True, text=True)
+
+        done = scan("2,4", tmp_path)
+        assert done.returncode == 0
         for name in ("uniform_4.csv", "power_1_6.csv"):
             assert len(_read_report(tmp_path / name)) == 3
+        # each report is the one `explore` writes
+        assert main(["explore", "--lambda", "uniform:4", "--particles", "2,4",
+                     "--out", str(tmp_path / "own.csv")]) == 0
+        own, scanned = tmp_path / "own.csv", tmp_path / "uniform_4.csv"
+        assert own.read_bytes() == scanned.read_bytes()
+        # an empty field is an error report per profile and a failed scan,
+        # not a traceback
+        done = scan("2,,4", tmp_path / "bad")
+        assert done.returncode == 1 and "Traceback" not in done.stderr
+        for name in ("uniform_4.csv", "power_1_6.csv"):
+            rows = _read_report(tmp_path / "bad" / name)
+            assert [row[0] for row in rows[1:]] == ["error"]
+        assert done.stdout.count("empty particle number in '2,,4'") == 2
 
 
 def _fresh(*argv, cwd):
@@ -924,6 +942,21 @@ for argv in json.loads(sys.argv[1]):
     except SystemExit as exc:  # argparse refuses the command line
         codes.append(exc.code)
 print(json.dumps(codes))
+"""
+
+NO_SCIPY = """
+import json, sys
+
+sys.modules["scipy"] = None  # as if not installed: every import of it fails
+from gamma2lab import cli
+
+codes = []
+for argv in json.loads(sys.argv[1]):
+    try:
+        codes.append(cli.main(argv))
+    except SystemExit as exc:
+        codes.append(exc.code)
+print(json.dumps([codes, cli.SCIPY_VERSION]))
 """
 
 COUNT_PARSERS = """
@@ -1016,6 +1049,22 @@ class TestFixedCosts:
                     for i, (argv, _) in enumerate(self.COMMANDS)]
         codes = json.loads(_fresh("-c", NO_PROCESS, json.dumps(commands), cwd=tmp_path))
         assert codes == [code for _, code in self.COMMANDS]
+
+    def test_commands_run_without_scipy(self, tmp_path):
+        # scipy is a test extra: every command keeps its exit code, and each
+        # report it writes names no scipy version
+        write_tensor_text(tmp_path / "tensor.txt",
+                          random_tensor(6, np.random.default_rng(0)))
+        commands = [argv + ["--out", f"op{i}.json"]
+                    for i, (argv, _) in enumerate(self.COMMANDS)]
+        codes, version = json.loads(_fresh("-c", NO_SCIPY, json.dumps(commands),
+                                           cwd=tmp_path))
+        assert codes == [code for _, code in self.COMMANDS] and version is None
+        for i, code in enumerate(codes):
+            report = tmp_path / f"op{i}.json"
+            assert report.exists() == (code != 2)  # a usage error writes none
+            if code != 2:
+                assert json.loads(report.read_text())["meta"]["scipy"] is None
 
     def test_environment_is_platform_string(self, tmp_path):
         environment, expected = json.loads(_fresh("-c", ENVIRONMENT, cwd=tmp_path))

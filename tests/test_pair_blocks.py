@@ -29,8 +29,8 @@ from gamma2lab.cli import main, parse_lambda_spec
 from gamma2lab.fock import SectorSizeError, enumerate_sector
 from gamma2lab.pairing import (BATCH_ENTRIES, PairOperator, admit_pair_blocks,
                                build_pairing_state, dense_b_matrix,
-                               pair_blocks, pair_expectation, pair_grams,
-                               pair_number_diagonal)
+                               pair_blocks, pair_expectation_and_norm,
+                               pair_grams, pair_number_diagonal)
 from gamma2lab.rdm import expectation_fast
 
 ORACLE_TOL = 1e-10
@@ -101,7 +101,8 @@ class TestOracles:
             if state.norm_sq == 0.0:
                 continue
             oracle = embedded_expectation(lams, state)
-            assert abs(pair_expectation(lams, lams, N // 2) - oracle) <= ORACLE_TOL
+            observed = pair_expectation_and_norm(lams, lams, N // 2)[0]
+            assert abs(observed - oracle) <= ORACLE_TOL
             report = verify_theorem2(lams, N)
             if report.observed is not None:
                 assert abs(report.observed - oracle) <= ORACLE_TOL
@@ -340,7 +341,8 @@ class TestAdmission:
         assert len(state.pair_amplitudes) == 3432
         with pytest.raises(SectorSizeError):
             state.vector
-        assert abs(pair_expectation(op.lambdas, op.lambdas, 7) - 8.0) < 1e-12  # N/2 + 1
+        observed = pair_expectation_and_norm(op.lambdas, op.lambdas, 7)[0]
+        assert abs(observed - 8.0) < 1e-12  # N/2 + 1
 
     @pytest.fixture
     def no_pairing_state(self, monkeypatch):
