@@ -20,6 +20,8 @@ from gamma2lab.fock import SectorSizeError
 from gamma2lab.cli import (build_report, main, parse_lambda_spec, random_state,
                            report_to_csv, report_to_json)
 
+from corpus import COMMANDS, RUN, fresh, write_inputs
+
 
 class TestLambdaSpec:
     def test_uniform(self):
@@ -103,12 +105,9 @@ class TestLambdaSpec:
             parse_lambda_spec(text)
 
     @pytest.mark.parametrize("text", ["uniform:{k}", "geometric:0.5:{k}", "power:1:{k}"])
-    def test_profile_length_refused_before_allocation(self, monkeypatch, text):
-        def refuse(*args, **kwargs):
-            raise AssertionError("profile allocated before admission")
-
+    def test_profile_length_refused_before_allocation(self, refuse, text):
         for name in ("ones", "arange"):
-            monkeypatch.setattr(np, name, refuse)
+            refuse(np, name, "profile allocated before admission")
         for k in (cli.MAX_PROFILE_PAIRS + 1, 99999999999):
             with pytest.raises(SectorSizeError, match="cap is"):
                 parse_lambda_spec(text.format(k=k))
@@ -161,6 +160,15 @@ def run_cli(tmp_path, *argv):
     code = main(list(argv) + ["--out", str(out)])
     report = json.loads(out.read_text()) if out.exists() else None
     return code, report
+
+
+def usage_error(tmp_path, capsys, *argv):
+    """The stderr of ``argv``, which must be a usage error: exit 2 and no
+    report written."""
+    out = tmp_path / "report.json"
+    assert main(list(argv) + ["--out", str(out)]) == 2
+    assert not out.exists()
+    return capsys.readouterr().err
 
 
 class TestSubcommands:
@@ -231,11 +239,8 @@ class TestSubcommands:
         assert report["checks"][0]["note"].startswith("SectorSizeError")
 
     @pytest.mark.parametrize("check", ["thm1", "occupation"])
-    def test_gamma2_refused_before_any_state(self, tmp_path, monkeypatch, check):
-        def no_state(*args):
-            raise AssertionError("a state was drawn")
-
-        monkeypatch.setattr(cli, "random_state", no_state)
+    def test_gamma2_refused_before_any_state(self, tmp_path, refuse, check):
+        refuse(cli, "random_state", "a state was drawn")
         code, report = run_cli(tmp_path, "verify", check, "--dim", "25",
                                "--particles", "12", "--trials", "1")
         assert code == 1
@@ -243,19 +248,18 @@ class TestSubcommands:
             "SectorSizeError: d=25 outside the configured cap 24"]
 
     def test_canonical_subcommand(self, tmp_path):
-        tensor_path = tmp_path / "tensor.txt"
-        write_tensor_text(tensor_path, random_tensor(6, np.random.default_rng(0)))
-        code, report = run_cli(tmp_path, "canonical", "--tensor", str(tensor_path))
+        write_inputs(tmp_path)
+        code, report = run_cli(tmp_path, "canonical", "--tensor",
+                               str(tmp_path / "tensor.txt"))
         assert code == 0
         check = report["checks"][0]
         assert check["pass"]
         assert abs(sum(x ** 2 for x in check["details"]["lambdas"]) - 1.0) < 1e-8
 
     def test_canonical_tol_bounds_the_round_trip(self, tmp_path):
-        tensor_path = tmp_path / "tensor.txt"
-        write_tensor_text(tensor_path, random_tensor(6, np.random.default_rng(0)))
-        code, report = run_cli(tmp_path, "canonical", "--tensor", str(tensor_path),
-                               "--tol", "1e-20")
+        write_inputs(tmp_path)
+        code, report = run_cli(tmp_path, "canonical", "--tensor",
+                               str(tmp_path / "tensor.txt"), "--tol", "1e-20")
         check = report["checks"][0]
         assert check["observed"] > 1e-20
         assert code == 1 and not check["pass"]
@@ -342,14 +346,11 @@ class TestSubcommands:
         ["explore", "--lambda", "uniform:16", "--particles", "2,4,6,8,10,12,14"],
         ["verify", "prop", "--lambda", "uniform:16", "--particles", "8,12"],
     ])
-    def test_oversized_n_refused_before_any_solve(self, tmp_path, monkeypatch, argv):
+    def test_oversized_n_refused_before_any_solve(self, tmp_path, refuse, argv):
         # prop at N = 12 on 16 pairs needs a dense Gram of C(16, 6) = 8008
         # states; explore builds the smaller particle-hole side, and at
         # N = 14 that is C(16, 10) = 8008 states
-        def no_solve(*args):
-            raise AssertionError("a pair block was built")
-
-        monkeypatch.setattr(bounds, "pair_blocks", no_solve)
+        refuse(bounds, "pair_blocks", "a pair block was built")
         code, report = run_cli(tmp_path, *argv)
         assert code == 1
         assert [c["note"] for c in report["checks"]] == [
@@ -483,43 +484,31 @@ class TestSubcommands:
     @pytest.mark.parametrize("particles", ["abc", "4,6", ""])
     def test_single_particle_number_is_usage_error(self, tmp_path, capsys,
                                                    check, particles):
-        out = tmp_path / "report.json"
-        code = main(["verify", check, "--particles", particles, "--out", str(out)])
-        assert code == 2
-        assert "take a single particle number" in capsys.readouterr().err
-        assert not out.exists()
+        err = usage_error(tmp_path, capsys, "verify", check, "--particles", particles)
+        assert "take a single particle number" in err
 
-    def test_missing_lambda_is_usage_error(self, tmp_path):
-        code = main(["verify", "thm2", "--particles", "4",
-                     "--out", str(tmp_path / "r.json")])
-        assert code == 2
+    def test_missing_lambda_is_usage_error(self, tmp_path, capsys):
+        err = usage_error(tmp_path, capsys, "verify", "thm2", "--particles", "4")
+        assert err == "verify thm2 requires --lambda\n"
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
     def test_non_finite_tol_is_usage_error(self, tmp_path, capsys, tol):
-        out = tmp_path / "report.json"
-        code = main(["verify", "thm2", "--lambda", "uniform:4", "--particles", "4",
-                     f"--tol={tol}", "--out", str(out)])
-        assert code == 2
-        assert "--tol must be finite" in capsys.readouterr().err
-        assert not out.exists()
+        err = usage_error(tmp_path, capsys, "verify", "thm2", "--lambda", "uniform:4",
+                          "--particles", "4", f"--tol={tol}")
+        assert "--tol must be finite" in err
 
     @pytest.mark.parametrize("argv", [
         ["verify", "prop", "--lambda", "uniform:4", "--particles", "2,4"],
         ["verify", "thm1", "--dim", "8", "--particles", "4", "--trials", "1"],
     ])
     def test_negative_tol_is_usage_error(self, tmp_path, capsys, argv):
-        out = tmp_path / "report.json"
-        assert main(argv + ["--tol", "-1", "--out", str(out)]) == 2
-        assert "--tol must be non-negative" in capsys.readouterr().err
-        assert not out.exists()
-        assert main(argv + ["--tol", "0", "--out", str(out)]) in (0, 1)  # a verdict
-        assert json.loads(out.read_text())["config"]["tol"] == 0.0
+        assert "--tol must be non-negative" in usage_error(tmp_path, capsys, *argv,
+                                                           "--tol", "-1")
+        code, report = run_cli(tmp_path, *argv, "--tol", "0")
+        assert code in (0, 1) and report["config"]["tol"] == 0.0  # a verdict
 
-    def test_directory_out_is_usage_error(self, tmp_path, capsys, monkeypatch):
-        def no_run(args):
-            raise AssertionError("a handler ran")
-
-        monkeypatch.setattr(cli, "_cmd_verify", no_run)
+    def test_directory_out_is_usage_error(self, tmp_path, capsys, refuse):
+        refuse(cli, "_cmd_verify", "a handler ran")
         code = main(["verify", "thm2", "--lambda", "uniform:4", "--particles", "4",
                      "--out", str(tmp_path)])
         assert code == 2
@@ -554,15 +543,12 @@ class TestSubcommands:
     ], ids=["out-under-a-file", "out-deep-under-a-file", "outdir-is-a-file",
             "out-under-unwritable", "out-deep-under-unwritable", "outdir-is-unwritable",
             "threads-0", "threads-negative", "empty-field", "trailing-comma"])
-    def test_refused_arguments(self, tmp_path, capsys, monkeypatch, argv, outdir,
-                               code, message):
+    def test_refused_arguments(self, tmp_path, capsys, monkeypatch, refuse, argv,
+                               outdir, code, message):
         # a usage error exits 2 with one stderr line before any handler
         # runs, and writes nothing; an empty --particles field is an error
         # report, as an empty list is.  Root passes every permission check,
         # so the directory ro is made unwritable through os.access.
-        def no_run(args):
-            raise AssertionError("a handler ran")
-
         real_access, ro = os.access, tmp_path.resolve() / "ro"
         monkeypatch.setattr(cli.os, "access", lambda path, mode: (
             Path(path).resolve() != ro and real_access(path, mode)))
@@ -575,7 +561,7 @@ class TestSubcommands:
             monkeypatch.setenv(cli.OUTDIR_ENV, outdir)
         if code == 2:
             for name in ("_cmd_verify", "_cmd_explore"):
-                monkeypatch.setattr(cli, name, no_run)
+                refuse(cli, name, "a handler ran")
         assert main(argv) == code
         err = capsys.readouterr().err
         if code == 2:
@@ -598,19 +584,12 @@ class TestSubcommands:
     @pytest.mark.parametrize("seed,trials", [("-1", "1"), ("-5", "20"),
                                              (str(2 ** 64 - 2), "3"),
                                              (str(2 ** 64), "1")])
-    def test_seed_out_of_range_is_usage_error(self, tmp_path, capsys, monkeypatch,
+    def test_seed_out_of_range_is_usage_error(self, tmp_path, capsys, refuse,
                                               check, seed, trials):
-        def no_state(*args):
-            raise AssertionError("a state was drawn")
-
-        monkeypatch.setattr(cli, "random_state", no_state)
-        out = tmp_path / "report.json"
-        code = main(["verify", check, "--dim", "6", "--particles", "3",
-                     "--seed", seed, "--trials", trials, "--out", str(out)])
-        assert code == 2
-        assert f"--seed {seed} with --trials {trials} leaves the seed range" in (
-            capsys.readouterr().err)
-        assert not out.exists()
+        refuse(cli, "random_state", "a state was drawn")
+        err = usage_error(tmp_path, capsys, "verify", check, "--dim", "6",
+                          "--particles", "3", "--seed", seed, "--trials", trials)
+        assert f"--seed {seed} with --trials {trials} leaves the seed range" in err
 
     def test_last_seeds_of_the_range_are_drawn(self, tmp_path):
         code, report = run_cli(tmp_path, "verify", "thm1", "--dim", "6",
@@ -645,12 +624,9 @@ class TestSubcommands:
 
 class TestLogScanBudget:
     @pytest.fixture
-    def no_scan(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("a log-form scan or pairing state ran")
-
-        monkeypatch.setattr(pairing, "_log_pair_sums", refuse)
-        monkeypatch.setattr(pairing, "occupation_masks", refuse)
+    def no_scan(self, refuse):
+        for name in ("_log_pair_sums", "occupation_masks"):
+            refuse(pairing, name, "a log-form scan or pairing state ran")
 
     def test_thm2_refused_before_any_scan(self, tmp_path, no_scan):
         code, report = run_cli(tmp_path, "verify", "thm2", "--lambda", "uniform:1000000",
@@ -807,11 +783,10 @@ class TestPlainReports:
     @pytest.mark.parametrize("argv, kinds", CASES,
                              ids=["-".join(sorted(k)) for _, k in CASES])
     def test_leaves_are_plain_json(self, tmp_path, monkeypatch, argv, kinds):
-        profile = tmp_path / "profile.txt"
+        write_inputs(tmp_path)
+        profile = tmp_path / "support2.txt"
         profile.write_text("1\n1\n0\n0\n")  # support 2 of 4 pairs
-        tensor = tmp_path / "tensor.txt"
-        write_tensor_text(tensor, random_tensor(6, np.random.default_rng(0)))
-        argv = [a.format(profile=profile, tensor=tensor) for a in argv]
+        argv = [a.format(profile=profile, tensor=tmp_path / "tensor.txt") for a in argv]
         built = []
 
         def recording_build_report(config, checks, timing):
@@ -872,9 +847,10 @@ class TestDocumentedCommands:
     def test_readme_command_lines(self, tmp_path, monkeypatch):
         commands = _readme_commands()
         assert len(commands) >= 8
+        assert commands == [argv for _, tags, argv in COMMANDS if "readme" in tags]
         monkeypatch.chdir(tmp_path)
         monkeypatch.delenv(cli.OUTDIR_ENV, raising=False)
-        write_tensor_text("tensor.txt", random_tensor(6, np.random.default_rng(0)))
+        write_inputs(tmp_path)
         for argv in commands:
             assert main(argv) == 0, argv
             out = (argv[argv.index("--out") + 1] if "--out" in argv
@@ -914,71 +890,6 @@ class TestDocumentedCommands:
         assert done.stdout.count("empty particle number in '2,,4'") == 2
 
 
-def _fresh(*argv, cwd):
-    """Run ``python argv...`` in a fresh interpreter importing the package
-    from this checkout; return its stdout."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
-                                                      env.get("PYTHONPATH")]))
-    env.pop(cli.OUTDIR_ENV, None)
-    done = subprocess.run([sys.executable, *argv], cwd=cwd, env=env, check=True,
-                          capture_output=True, text=True)
-    return done.stdout
-
-
-NO_PROCESS = """
-import json, subprocess, sys
-
-def no_process(*args, **kwargs):
-    raise AssertionError("a process was started")
-
-subprocess.Popen = no_process
-from gamma2lab import cli
-
-codes = []
-for argv in json.loads(sys.argv[1]):
-    try:
-        codes.append(cli.main(argv))
-    except SystemExit as exc:  # argparse refuses the command line
-        codes.append(exc.code)
-print(json.dumps(codes))
-"""
-
-NO_SCIPY = """
-import json, sys
-
-sys.modules["scipy"] = None  # as if not installed: every import of it fails
-from gamma2lab import cli
-
-codes = []
-for argv in json.loads(sys.argv[1]):
-    try:
-        codes.append(cli.main(argv))
-    except SystemExit as exc:
-        codes.append(exc.code)
-print(json.dumps([codes, cli.SCIPY_VERSION]))
-"""
-
-COUNT_PARSERS = """
-import argparse, json, sys
-
-built = []
-init = argparse.ArgumentParser.__init__
-
-def counting(self, *args, **kwargs):
-    init(self, *args, **kwargs)
-    if self.prog == "gamma2lab":  # subparsers are named "gamma2lab <command>"
-        built.append(self)
-
-argparse.ArgumentParser.__init__ = counting
-from gamma2lab import cli
-
-at_import = len(built)
-for argv in json.loads(sys.argv[1]):
-    cli.main(argv)
-print(json.dumps([at_import, len(built)]))
-"""
-
 ENVIRONMENT = """
 import json, platform, sys
 from gamma2lab import cli
@@ -997,7 +908,10 @@ from gamma2lab import cli
 added = []
 for argv in json.loads(sys.argv[1]):
     before = set(sys.modules)
-    cli.main(argv)
+    try:
+        cli.main(argv)
+    except SystemExit:  # argparse refuses the command line
+        pass
     added.append(sorted(set(sys.modules) - before))
 print(json.dumps(added))
 """
@@ -1011,63 +925,58 @@ import numpy.random
 print(json.dumps(sorted(set(sys.modules) - before)))
 """
 
-FROZEN = """
-import gc, json
-from gamma2lab import cli
+class TestCorpus:
+    """The corpus run beyond its exit codes (those are checked with the
+    fixed costs and in ``test_reach.py``)."""
 
-print(json.dumps([gc.get_freeze_count() > 0,
-                  any(o is cli.main for o in gc.get_objects())]))
-"""
+    def test_lines_keep_the_failure_contract(self, corpus_run):
+        # exit 2 writes no report and one message line, after argparse's
+        # usage block where argparse refuses; every other line writes one
+        # complete report, an error report alone on an error line, whose
+        # refusal takes under 2 s even with the profiler on
+        for (code, tags, argv), (_, stderr, seconds) in zip(corpus_run.lines,
+                                                            corpus_run.runs):
+            out = corpus_run.path / argv[argv.index("--out") + 1]
+            messages = [ln for ln in stderr.splitlines()
+                        if not ln.startswith(("usage: ", " "))]
+            if code == 2:
+                assert not out.exists() and len(messages) == 1, (argv, stderr)
+            elif out.suffix == ".json":
+                report = json.loads(out.read_text())
+                assert report["schema_version"] == 1, argv
+                if "error" in tags:
+                    assert [c["kind"] for c in report["checks"]] == ["error"], argv
+            if "error" in tags:
+                assert seconds < 2.0, argv
+
+    def test_heavy_lines_parse(self):
+        assert {t for _, tags, _ in COMMANDS for t in tags} <= {"-", "readme", "error",
+                                                               "heavy"}
+        heavy = [argv for _, tags, argv in COMMANDS if "heavy" in tags]
+        assert len(heavy) == 5
+        for argv in heavy:
+            cli.build_parser().parse_args(argv)
 
 
 class TestFixedCosts:
     """One parser per process, no process started for a report, and no
     scipy imported for one."""
 
-    # every subcommand, an error report and three usage errors, with the
-    # exit codes they have always had
-    COMMANDS = [
-        (["canonical", "--tensor", "tensor.txt"], 0),
-        (["verify", "thm1", "--dim", "6", "--particles", "3", "--trials", "2"], 0),
-        (["verify", "thm2", "--lambda", "uniform:4", "--particles", "4"], 0),
-        (["verify", "prop", "--lambda", "uniform:4", "--particles", "2,4"], 0),
-        (["verify", "occupation", "--dim", "6", "--particles", "3", "--trials", "2"], 0),
-        (["verify", "norms", "--lambda", "power:1:6", "--m-max", "4"], 0),
-        (["explore", "--lambda", "uniform:6", "--particles", "2,4"], 0),
-        (["counterexample", "--lambda", "power:1:8", "--particles", "4,6",
-          "--k-equals-n"], 0),
-        (["verify", "thm1", "--dim", "25", "--particles", "12", "--trials", "1"], 1),
-        (["verify", "thm2", "--particles", "4"], 2),
-        (["verify", "thm1", "--tol", "nan"], 2),
-        (["verify", "nope"], 2),
-    ]
+    def test_no_process_is_started(self, corpus_run):
+        assert corpus_run.codes == corpus_run.expected and corpus_run.processes == []
 
-    def test_no_process_is_started(self, tmp_path):
-        write_tensor_text(tmp_path / "tensor.txt",
-                          random_tensor(6, np.random.default_rng(0)))
-        commands = [argv + ["--out", f"op{i}.json"]
-                    for i, (argv, _) in enumerate(self.COMMANDS)]
-        codes = json.loads(_fresh("-c", NO_PROCESS, json.dumps(commands), cwd=tmp_path))
-        assert codes == [code for _, code in self.COMMANDS]
-
-    def test_commands_run_without_scipy(self, tmp_path):
+    def test_commands_run_without_scipy(self, corpus_run):
         # scipy is a test extra: every command keeps its exit code, and each
         # report it writes names no scipy version
-        write_tensor_text(tmp_path / "tensor.txt",
-                          random_tensor(6, np.random.default_rng(0)))
-        commands = [argv + ["--out", f"op{i}.json"]
-                    for i, (argv, _) in enumerate(self.COMMANDS)]
-        codes, version = json.loads(_fresh("-c", NO_SCIPY, json.dumps(commands),
-                                           cwd=tmp_path))
-        assert codes == [code for _, code in self.COMMANDS] and version is None
-        for i, code in enumerate(codes):
-            report = tmp_path / f"op{i}.json"
+        assert corpus_run.codes == corpus_run.expected and corpus_run.scipy is None
+        for code, _, argv in corpus_run.lines:
+            report = corpus_run.path / argv[argv.index("--out") + 1]
             assert report.exists() == (code != 2)  # a usage error writes none
-            if code != 2:
+            if code != 2 and report.suffix == ".json":
                 assert json.loads(report.read_text())["meta"]["scipy"] is None
 
     def test_environment_is_platform_string(self, tmp_path):
-        environment, expected = json.loads(_fresh("-c", ENVIRONMENT, cwd=tmp_path))
+        environment, expected = json.loads(fresh("-c", ENVIRONMENT, cwd=tmp_path))
         assert environment == expected
 
     @pytest.mark.parametrize("release", ["6.1.0-13-amd64", " 5.15 (custom)/x:y;z\"w ",
@@ -1093,33 +1002,22 @@ class TestFixedCosts:
 
     def test_main_imports_nothing_the_import_left_out(self, tmp_path):
         # argparse's gettext would import locale in the first main() had
-        # the import not done it; verify thm1 draws its states through
-        # numpy.random, which numpy loads on first use
-        commands = [
-            ["counterexample", "--lambda", "power:1:8", "--particles", "4,6",
-             "--k-equals-n"],
-            ["verify", "prop", "--lambda", "uniform:7", "--particles", "2,4"],
-            ["explore", "--lambda", "uniform:12", "--particles", "2,4,6"],
-            ["verify", "norms", "--lambda", "power:1:6", "--m-max", "4"],
-            ["verify", "thm1", "--dim", "6", "--particles", "3", "--trials", "2"],
-        ]
-        commands = [argv + ["--out", f"op{i}.json"] for i, argv in enumerate(commands)]
-        added = json.loads(_fresh("-c", MODULES_ADDED, json.dumps(commands), cwd=tmp_path))
-        assert added[:4] == [[], [], [], []]
-        random_only = json.loads(_fresh("-c", NUMPY_RANDOM_ADDS, cwd=tmp_path))
+        # the import not done it; the first line to draw a state (verify
+        # thm1) loads numpy.random, which numpy loads on first use
+        write_inputs(tmp_path)
+        added = json.loads(fresh("-c", MODULES_ADDED,
+                                 json.dumps([argv for _, _, argv in RUN]), cwd=tmp_path))
+        random_only = json.loads(fresh("-c", NUMPY_RANDOM_ADDS, cwd=tmp_path))
         assert "numpy.random" in random_only
-        assert added[4] == random_only
+        assert [a for a in added if a] == [random_only]
 
-    def test_import_ends_in_a_freeze(self, tmp_path):
+    def test_import_ends_in_a_freeze(self, corpus_run):
         # what the imports made is out of every collection main() runs
-        frozen, tracked = json.loads(_fresh("-c", FROZEN, cwd=tmp_path))
+        frozen, tracked = corpus_run.frozen
         assert frozen and not tracked
 
-    def test_one_parser_per_process(self, tmp_path):
-        commands = [["verify", "thm2", "--lambda", "uniform:4", "--particles", "4",
-                     "--out", f"op{i}.json"] for i in range(2)]
-        at_import, built = json.loads(_fresh("-c", COUNT_PARSERS, json.dumps(commands),
-                                             cwd=tmp_path))
+    def test_one_parser_per_process(self, corpus_run):
+        at_import, built = corpus_run.parsers
         assert (at_import, built) == (0, 1)
 
     def test_mixed_sequence_matches_fresh_processes(self, tmp_path, monkeypatch):
@@ -1136,7 +1034,7 @@ class TestFixedCosts:
         for i, argv in enumerate(commands):
             assert main(argv + ["--out", str(tmp_path / f"seq{i}.json")]) == 0
         for i, argv in enumerate(commands):
-            _fresh("-m", "gamma2lab", *argv, "--out", f"own{i}.json", cwd=tmp_path)
+            fresh("-m", "gamma2lab", *argv, "--out", f"own{i}.json", cwd=tmp_path)
             assert ((tmp_path / f"seq{i}.json").read_bytes()
                     == (tmp_path / f"own{i}.json").read_bytes()), argv
         spectra = [json.loads((tmp_path / f"seq{i}.json").read_text())["checks"][0]
@@ -1146,11 +1044,8 @@ class TestFixedCosts:
 
 class TestSweepCap:
     @pytest.mark.parametrize("check", ["thm1", "occupation"])
-    def test_huge_sweep_refused_before_any_state(self, tmp_path, monkeypatch, check):
-        def no_state(*args):
-            raise AssertionError("a state was drawn")
-
-        monkeypatch.setattr(cli, "random_state", no_state)
+    def test_huge_sweep_refused_before_any_state(self, tmp_path, refuse, check):
+        refuse(cli, "random_state", "a state was drawn")
         started = time.perf_counter()
         code, report = run_cli(tmp_path, "verify", check, "--dim", "8",
                                "--particles", "4", "--trials", "1000000000")

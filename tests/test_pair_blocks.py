@@ -247,10 +247,8 @@ class TestBlockStructure:
 
 class TestAdmission:
     @pytest.fixture
-    def no_enumeration(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("pair basis enumerated before admission")
-        monkeypatch.setattr(pairing, "occupation_masks", refuse)
+    def no_enumeration(self, refuse):
+        refuse(pairing, "occupation_masks", "pair basis enumerated before admission")
 
     def test_pairing_state_refused_by_arithmetic(self, no_enumeration):
         # C(40, 20) ~ 1.4e11 pair states: refused before any enumeration.
@@ -345,20 +343,17 @@ class TestAdmission:
         assert abs(observed - 8.0) < 1e-12  # N/2 + 1
 
     @pytest.fixture
-    def no_pairing_state(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("pairing state built")
-        for module in (pairing, bounds):
-            monkeypatch.setattr(module, "build_pairing_state", refuse, raising=False)
-            monkeypatch.setattr(module, "pairing_states", refuse)
-        return refuse
+    def no_pairing_state(self, refuse):
+        for module, name in ((pairing, "build_pairing_state"), (pairing, "pairing_states"),
+                             (bounds, "pairing_states")):
+            refuse(module, name, "pairing state built")
 
     def test_trial_state_checks_build_nothing(self, no_enumeration, no_pairing_state,
-                                              monkeypatch):
+                                              refuse):
         # thm2 and counterexample read their number off the pairing-state
         # identity, so pair bases of C(26, 13) ~ 1.0e7 and C(30, 15) ~ 1.6e8
         # states, far above the cap, are never needed
-        monkeypatch.setattr(fock, "occupation_masks", no_pairing_state)
+        refuse(fock, "occupation_masks", "pairing state built")
         assert verify_theorem2(np.full(26, 1 / np.sqrt(26)), 26).passed
         assert counterexample_driver(parse_lambda_spec("power:1:30").values, 30).passed
 

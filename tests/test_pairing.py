@@ -69,12 +69,6 @@ def pairing_state_by_fock_ops(op, m):
     return vec
 
 
-def no_hop_table(*args):
-    """Stands in for ``pairing._hops`` where B* must build no hop table; the
-    references still reach ``fock._hops`` through ``fock._scatter``."""
-    raise AssertionError("B* on the pair basis needs no fermion hop table")
-
-
 class TestPairOperatorValidation:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
@@ -186,8 +180,9 @@ class TestSignsFromFermionAlgebra:
                 assert np.max(np.abs(diff)) <= 1e-14
 
     @pytest.mark.parametrize("K", [1, 2, 3, 4])
-    def test_pairing_state_vector_from_fermion_creators(self, K, monkeypatch):
-        monkeypatch.setattr(pairing, "_hops", no_hop_table)
+    def test_pairing_state_vector_from_fermion_creators(self, K, refuse):
+        # the references still reach fock._hops through fock._scatter
+        refuse(pairing, "_hops", "B* on the pair basis needs no fermion hop table")
         op = make_op(np.arange(1.0, K + 1))
         ref = vacuum_state(2 * K)
         for m in range(min(K, 3) + 1):
@@ -216,8 +211,8 @@ class TestBuildPairingState:
 
     @pytest.mark.parametrize("profile", list(PROFILES))
     @pytest.mark.parametrize("m", [0, 1, 2, 3])
-    def test_matches_fock_space_construction(self, profile, m, monkeypatch):
-        monkeypatch.setattr(pairing, "_hops", no_hop_table)
+    def test_matches_fock_space_construction(self, profile, m, refuse):
+        refuse(pairing, "_hops", "B* on the pair basis needs no fermion hop table")
         op = make_op(PROFILES[profile](3))
         built = build_pairing_state(op, m)
         ref = pairing_state_by_fock_ops(op, m)

@@ -450,14 +450,10 @@ class TestGamma2Admission:
                     admit_gamma2(d, n)
         admit_gamma2(24, 12)
 
-    def test_refused_before_any_gather(self, monkeypatch):
+    def test_refused_before_any_gather(self, refuse):
         psi = random_state(8, 1, 0)
-
-        def no_tables(*args):
-            raise AssertionError("assembly started")
-
-        monkeypatch.setattr(rdm, "_low_hops", no_tables)
-        monkeypatch.setattr(rdm, "_gram_blocks", no_tables)
+        for name in ("_low_hops", "_gram_blocks"):
+            refuse(rdm, name, "assembly started")
         with pytest.raises(SectorMismatchError):
             compute_gamma2(psi)
 
