@@ -510,6 +510,18 @@ def _cmd_counterexample(args) -> tuple[dict, list]:
     return config, bounds.counterexample_sweep(profiles, tol=args.tol)
 
 
+class _Refusal(Exception):
+    """A command line that :class:`_Parser` refuses; the one-line message."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser whose refusals are the usage errors of :func:`main`:
+    one stderr line and exit 2, no usage block; ``--help`` still exits 0."""
+
+    def error(self, message):
+        raise _Refusal(f"{self.prog}: error: {message}")
+
+
 @lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     """The command line's parser, built on the first call and returned by
@@ -518,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
     import.  ``parse_args`` reads the parser and fills a new namespace per
     call, so no state passes from one call to the next.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gamma2lab",
         description="Exact verification of two-body reduced-operator bounds "
                     "on a finite fermionic Fock space.")
@@ -603,9 +615,13 @@ def _usage_error(args, out_path: Path) -> str | None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    out_path = _default_out(args.command, args.out)
-    if (message := _usage_error(args, out_path)) is not None:  # before any handler
+    try:
+        args = build_parser().parse_args(argv)
+        out_path = _default_out(args.command, args.out)
+        message = _usage_error(args, out_path)
+    except _Refusal as exc:
+        message = str(exc)
+    if message is not None:  # before any handler
         print(message, file=sys.stderr)
         return 2
     handlers = {"canonical": _cmd_canonical, "verify": _cmd_verify,

@@ -16,7 +16,8 @@ Every operator is built from one primitive, the hop table of :func:`_hops`
 that clears the bits of row masks of one popcount k <= 2 on the (d, n)
 masks: for every mask s holding a row, the row, the position of s with the
 row's bits cleared, the position of s itself and the Jordan-Wigner sign of
-c_i (k = 1) or c_j c_i (k = 2, i < j).  One applier, :func:`_scatter`,
+c_i (k = 1) or c_j c_i (k = 2, i < j); the empty row (k = 0) clears
+nothing and is the identity, sign +1.  One applier, :func:`_scatter`,
 applies every signed operator along it: a weighted sum of such products,
 given as ``(row, coef)`` terms, scattered term by term down one table or
 up it for the adjoint.  The ``apply_*`` operators pass the rows ``1 << i``;
@@ -24,12 +25,12 @@ the pair operators of :mod:`gamma2lab.pairing` pass ``3 << 2k``, whose sign
 is +1, and :mod:`gamma2lab.rdm` passes its pair annihilator as rows
 ``(1 << i) | (1 << j)``.  Two callers read tables without the applier:
 the dense matrix of B writes the positions of one table of every pair, and
-the Gamma2 assembly of :mod:`gamma2lab.rdm` takes every single or pair of
-the low orbitals at once and lays the table out in the blocks it reads
-Gamma2 with.  Only rdm caches its tables, one per low sector; the applier
-builds one row's table per term and drops it before the next term's is
-built, so a table of a full sector holds one row's entries, not every
-row's, and one such table is alive at a time.
+the Gamma2 assembly of :mod:`gamma2lab.rdm` takes the empty row, every
+single or every pair of the low orbitals at once and lays the table out in
+the blocks it reads Gamma2 with.  Only rdm caches its tables, one per low
+sector; the applier builds one row's table per term and drops it before
+the next term's is built, so a table of a full sector holds one row's
+entries, not every row's, and one such table is alive at a time.
 
 All operations are pure functions; vectors are never mutated in place.
 """
@@ -222,8 +223,9 @@ def _hops(d: int, n: int, rows: np.ndarray) -> tuple[np.ndarray, ...]:
     ``occupation_masks(d, n)`` and ``sign`` the Jordan-Wigner sign of
     clearing them as ``float64``: (-1)**pop(s below i) for c_i, and
     (-1)**(pop(s below i) + pop(s below j) - 1) for c_j c_i, i < j, which
-    is +1 for a pair (2k, 2k + 1).  Entries come row by row, ``cleared``
-    ascending.
+    is +1 for a pair (2k, 2k + 1).  The empty row (k = 0) is the identity:
+    every s, at its own position, with sign +1.  Entries come row by row,
+    ``cleared`` ascending.
 
     Every row is tested on every mask t of ``occupation_masks(d, n - k)``
     and every mask s of ``occupation_masks(d, n)`` at once: t is in the
@@ -239,7 +241,7 @@ def _hops(d: int, n: int, rows: np.ndarray) -> tuple[np.ndarray, ...]:
     src = np.flatnonzero((masks & rows[:, None]) == rows[:, None]) - row * len(masks)
     held, s = rows[row], masks[src]
     low = held & -held  # orbital i; for k = 2, held ^ low is orbital j
-    parity = np.bitwise_count(s & (low - 1))
+    parity = np.bitwise_count(s & (low - 1)) if k else np.zeros_like(s)
     if k == 2:
         parity += np.bitwise_count(s & ((held ^ low) - 1)) + 1
     return row, hits - row * len(free), src, 1.0 - 2.0 * (parity & 1)

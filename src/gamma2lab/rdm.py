@@ -12,12 +12,15 @@ the occupation of the top orbitals, and each block's columns of every
 c_j c_i psi are read straight from psi just before its product is added:
 psi's masks with one top occupation form a run ordered as the masks of the
 low orbitals, so a block needs only a few runs of psi and the hop tables of
-:func:`fock._hops` for every single and every pair of the low orbitals,
-laid out in blocks and cached per low sector.  A block keeps only the
-pairs outside its occupied top orbitals, the others being zero on it.  Its
-real and imaginary parts are gathered as two stacked real planes
-Z = [X; Y], and one symmetric real product Z Z^T holds all of its
-Hermitian product: X X^T + Y Y^T on the diagonal quadrants, Y X^T below,
+:func:`fock._hops` for the empty row, every single and every pair of the
+low orbitals, laid out in blocks and cached per low sector.  A pair of k
+low and 2 - k top orbitals is read by one rule whatever k: the run of the
+block's top occupation plus its top orbitals, along the table of k low
+annihilators, with one sign per run.  A block keeps only the pairs
+outside its occupied top orbitals, the others being zero on it.  Its real
+and imaginary parts are gathered as two stacked real planes Z = [X; Y],
+and one symmetric real product Z Z^T holds all of its Hermitian product:
+X X^T + Y Y^T on the diagonal quadrants, Y X^T below,
 so the sum is Hermitian by construction; its trace is checked against
 N(N-1).  Blocks with the same number of occupied top orbitals share a
 layout and are taken together, so their planes are zeroed once, and every
@@ -52,7 +55,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import groupby
+from itertools import combinations, groupby
 from math import comb
 
 import numpy as np
@@ -133,12 +136,13 @@ def admit_gamma2(d: int, N: int) -> None:
 
 @lru_cache(maxsize=LOW_CACHE)
 def _low_hops(L: int, n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every product of ``k`` (1 or 2) annihilators on the L-orbital masks of
-    popcount ``n``, as one scatter into a block of C(L, n-k) columns: the
+    """Every product of ``k`` (0, 1 or 2) annihilators on the L-orbital masks
+    of popcount ``n``, as one scatter into a block of C(L, n-k) columns: the
     table of :func:`fock._hops` for the rows ``occupation_masks(L, k)``
-    (orbital i for k = 1; pair (i, j), i < j, at its colex row
-    j(j-1)/2 + i for k = 2, applied as c_j c_i) as ``(dst, src, signs)``,
-    with dst = row * C(L, n-k) + cleared.  All three are read-only.
+    (the identity, sign +1, for k = 0; orbital i for k = 1; pair (i, j),
+    i < j, at its colex row j(j-1)/2 + i for k = 2, applied as c_j c_i) as
+    ``(dst, src, signs)``, with dst = row * C(L, n-k) + cleared.  All three
+    are read-only.
     """
     row, cleared, src, signs = _hops(L, n, occupation_masks(L, k))
     table = (row * comb(L, max(n - k, 0)) + cleared, src, signs)  # n < k: no entries
@@ -209,12 +213,15 @@ def compute_gamma2(psi: SectorVector) -> TwoBodyOperator:
     the wedge rows and columns of those pairs by one flat scatter.  Each
     block B = X + iY is read straight from psi's real and imaginary parts
     into the two real planes of Z = [X; Y]: psi's masks with top
-    occupation U form one run, ordered as the low masks.  Low pairs i < j
-    come from the run of T along the pair table of :func:`_low_hops`, low i
-    with top j from the runs of T + j along its single table, and top pairs
-    i < j are the runs of T + i + j themselves, each read by one gather per
-    plane; the Jordan-Wigner sign of the top orbitals is one constant per
-    run.  Only nonzero entries are written: blocks with one |T| write the
+    occupation U form one run, ordered as the low masks.  Every pair is
+    read by one rule: a pair of k low orbitals (k = 2, 1 or 0) and a set S
+    of 2 - k free top orbitals comes from the run of T + S along the table
+    of k low annihilators of :func:`_low_hops`, the identity for k = 0,
+    landing from the row of the pair of the first k low orbitals and S on;
+    the Jordan-Wigner sign of S is one constant per run,
+    (-1)**((2 - k) n_low + sum over S of pop(T below it)), n_low the low
+    popcount of the block's columns.  Each kind of a block is one gather per
+    plane.  Only nonzero entries are written: blocks with one |T| write the
     same entries, so the planes are zeroed once per |T|.
     With Q = Z Z^T, one symmetric real product per state,
     conj(B) B^T = (Q_XX + Q_YY) + i (Q_XY - Q_YX), Q_YX = Y X^T the lower
@@ -243,52 +250,44 @@ def compute_gamma2(psi: SectorVector) -> TwoBodyOperator:
     states = [(a.real, a.imag, total) for a, total in
               zip(psi.amplitudes.reshape(n_states, -1), mat.reshape(n_states, -1))]
     for n_low, ts, tops in groups:
-        n_top = tops.shape[1]
-        n_free, n_tt = L + n_top, n_top * (n_top - 1) // 2
+        n_free = L + tops.shape[1]
         n_rows, width = n_free * (n_free - 1) // 2, comb(L, n_low)
         z = buf[:2 * n_rows * width].reshape(2 * n_rows, width)
         z.fill(0)  # every block and state of the group writes the same entries
         zx, zy = z[:n_rows].reshape(-1), z[n_rows:].reshape(-1)  # the X and Y planes, flat
-        # (dst, src, sign) tables; low i < j: the run of T
-        dp, sp, gp = _low_hops(L, n_low + 2, 2)
-        t_col = keys = ts[:, None]
-        if n_top:  # low i, top j: the runs of T + j; top i < j: the runs of T + i + j
-            dst1, s1, g1 = _low_hops(L, n_low + 1, 1)
-            heads = np.arange(L, n_free)
-            heads = heads * (heads - 1) // 2  # the row of pair (0, L + q), free top q
-            d1 = heads[:, None] * width + dst1
-            qs, ps = hi[:n_tt], lo[:n_tt]  # the free top pairs p < q
-            rows_tt = heads[qs] + L + ps
-            bits = 1 << tops
-            below = np.bitwise_count(t_col & (bits - 1))
-            # past c_i, c_j crosses the other n_low low orbitals and T below j
-            lt_sign = 1.0 - 2.0 * ((n_low + below) & 1)
-            tt_sign = 1.0 - 2.0 * ((below[:, qs] + below[:, ps]) & 1)
-            keys = np.concatenate((t_col, t_col | bits, t_col | bits[:, qs] | bits[:, ps]), axis=1)
-        starts = np.searchsorted(basis.states, keys)
         free = np.concatenate((np.broadcast_to(np.arange(L), (len(ts), L)), tops), axis=1)
         i, j = free[:, lo[:n_rows]], free[:, hi[:n_rows]]
         rows = i * (2 * d - i - 1) // 2 + j - i - 1  # each block's wedge rows, in colex order
+        kinds = []  # the pairs of k low and 2 - k free top orbitals, as many as there are
+        for k in (2, 1, 0)[:tops.shape[1] + 1]:
+            dst, src, sign = _low_hops(L, n_low + k, k)
+            # the free slots of the first k low orbitals with each 2 - k tops
+            slots = np.array([(*range(k), *s) for s in combinations(range(L, n_free), 2 - k)],
+                             dtype=np.int64).reshape(-1, 2)
+            bits = 1 << free[:, slots[:, k:]]
+            runs = np.searchsorted(basis.states, ts[:, None] | bits.sum(axis=2))
+            # past a top, c_j c_i crosses the other n_low low orbitals and T below it
+            below = np.bitwise_count(ts[:, None, None] & (bits - 1)).sum(axis=2)
+            parity = (2 - k) * n_low + below
+            base = slots[:, 1] * (slots[:, 1] - 1) // 2 + slots[:, 0]
+            kinds.append(((base[:, None] * width + dst).reshape(-1), runs, src,
+                          1.0 - 2.0 * (parity & 1), sign))
         q = np.empty((2 * n_rows, 2 * n_rows))
         blk = np.empty((n_rows, n_rows), dtype=np.complex128)
-        for k, run in enumerate(starts):
-            flat = rows[k, :, None] * n_pairs + rows[k]
-            src_ll = run[0] + sp
-            if n_top:
-                src_lt, sg_lt = run[1:1 + n_top, None] + s1, lt_sign[k, :, None] * g1
-                src_tt, sg_tt = run[1 + n_top:, None] + np.arange(width), tt_sign[k, :, None]
+        for b in range(len(ts)):
+            flat = rows[b, :, None] * n_pairs + rows[b]
+            reads = [(dst, (runs[b, :, None] + src).reshape(-1),
+                      (top_sign[b, :, None] * sign).reshape(-1))
+                     for dst, runs, src, top_sign, sign in kinds]
             for re, im, total in states:
-                zx[dp] = re[src_ll] * gp
-                zy[dp] = im[src_ll] * gp
-                if n_top:
-                    zx[d1] = re[src_lt] * sg_lt
-                    zy[d1] = im[src_lt] * sg_lt
-                    z[rows_tt] = re[src_tt] * sg_tt
-                    z[n_rows + rows_tt] = im[src_tt] * sg_tt
+                for dst, src, sign in reads:
+                    zx[dst] = re[src] * sign
+                    zy[dst] = im[src] * sign
                 np.matmul(z, z.T, out=q)
                 np.add(q[:n_rows, :n_rows], q[n_rows:, n_rows:], out=blk.real)
                 blk.imag = q[n_rows:, :n_rows]
                 total[flat] += blk
+            del reads  # before the next block's are built
     residual = np.array([abs(2.0 * float(np.trace(a.real)) - N * (N - 1) * float(s))
                          for a, s in zip(mat, nsq)])
     if np.any(residual > TRACE_TOL):

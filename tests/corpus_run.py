@@ -65,9 +65,7 @@ for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stderr(err):
         try:
             code = cli.main(argv)
-        except SystemExit as exc:  # argparse refuses the command line
-            code = exc.code
-        except Exception as exc:  # recorded, so one line cannot hide the others
+        except (Exception, SystemExit) as exc:  # recorded, so one line cannot hide the others
             code = type(exc).__name__
             traceback.print_exc()
     runs.append([code, err.getvalue(), time.perf_counter() - started])

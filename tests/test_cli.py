@@ -491,6 +491,25 @@ class TestSubcommands:
         err = usage_error(tmp_path, capsys, "verify", "thm2", "--particles", "4")
         assert err == "verify thm2 requires --lambda\n"
 
+    # argparse's own refusals keep the contract: one line, no usage block
+    @pytest.mark.parametrize("argv, message", [
+        (["verify", "nope"],
+         "gamma2lab verify: error: argument check: invalid choice: 'nope'"),
+        (["verify", "thm1", "--dim", "x"],
+         "gamma2lab verify: error: argument --dim: invalid int value: 'x'\n"),
+        (["explore", "--particles", "2"],
+         "gamma2lab explore: error: the following arguments are required: --lambda\n"),
+    ])
+    def test_argparse_refusal_is_usage_error(self, tmp_path, capsys, argv, message):
+        err = usage_error(tmp_path, capsys, *argv)
+        assert err.startswith(message) and err.count("\n") == 1
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: gamma2lab verify")
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
     def test_non_finite_tol_is_usage_error(self, tmp_path, capsys, tol):
         err = usage_error(tmp_path, capsys, "verify", "thm2", "--lambda", "uniform:4",
@@ -908,10 +927,7 @@ from gamma2lab import cli
 added = []
 for argv in json.loads(sys.argv[1]):
     before = set(sys.modules)
-    try:
-        cli.main(argv)
-    except SystemExit:  # argparse refuses the command line
-        pass
+    cli.main(argv)
     added.append(sorted(set(sys.modules) - before))
 print(json.dumps(added))
 """
@@ -930,17 +946,15 @@ class TestCorpus:
     fixed costs and in ``test_reach.py``)."""
 
     def test_lines_keep_the_failure_contract(self, corpus_run):
-        # exit 2 writes no report and one message line, after argparse's
-        # usage block where argparse refuses; every other line writes one
-        # complete report, an error report alone on an error line, whose
-        # refusal takes under 2 s even with the profiler on
+        # exit 2 writes no report and one message line, argparse's refusals
+        # too; every other line writes one complete report, an error report
+        # alone on an error line, whose refusal takes under 2 s even with
+        # the profiler on
         for (code, tags, argv), (_, stderr, seconds) in zip(corpus_run.lines,
                                                             corpus_run.runs):
             out = corpus_run.path / argv[argv.index("--out") + 1]
-            messages = [ln for ln in stderr.splitlines()
-                        if not ln.startswith(("usage: ", " "))]
             if code == 2:
-                assert not out.exists() and len(messages) == 1, (argv, stderr)
+                assert not out.exists() and len(stderr.splitlines()) == 1, (argv, stderr)
             elif out.suffix == ".json":
                 report = json.loads(out.read_text())
                 assert report["schema_version"] == 1, argv

@@ -393,7 +393,7 @@ class TestHopTable:
     @pytest.mark.parametrize("d", range(1, 9))
     def test_gamma2_blocks_match_bit_strings(self, d):
         for n in range(d + 1):
-            for k in (1, 2):
+            for k in (0, 1, 2):
                 rows = [m for m in range(1 << d) if bin(m).count("1") == k]
                 width = math.comb(d, max(n - k, 0))
                 expected = [(r * width + cleared, pos, sign)

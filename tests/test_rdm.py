@@ -275,9 +275,9 @@ class TestIdentityOracles:
             assert np.array_equal(g.mat, g.mat.conj().T)
             assert g.trace_residual < 1e-12
 
-    # the default cap splits these by 2, 1 and 4 top orbitals, so blocks read
-    # low pairs, low-top pairs and (but at (15, 6)) top pairs
-    @pytest.mark.parametrize("d,n", [(14, 7), (15, 6), (16, 8)])
+    # the default cap splits these by 2, 1, 4, 10 and 10 top orbitals, so
+    # blocks read low pairs, low-top pairs and (but at (15, 6)) top pairs
+    @pytest.mark.parametrize("d,n", [(14, 7), (15, 6), (16, 8), (24, 22), (22, 19)])
     def test_default_split_matches_single_product(self, d, n):
         assert rdm._gram_blocks(d, n, rdm.GRAM_CHUNK)[0] < d
         psi = random_state(d, n, 17 * d + n)
@@ -402,14 +402,14 @@ class TestGramBlocks:
                          for o in range(L) if bits >> o & 1]
                 dst.append(r * width + rows)
                 src.append(cols)
-                parity.append(sum(below, k * (k - 1) // 2))
+                parity.append(sum(below, np.full(len(cols), k * (k - 1) // 2)))
         return (np.concatenate(dst), np.concatenate(src),
                 1.0 - 2.0 * (np.concatenate(parity) & 1))
 
     @pytest.mark.parametrize("low", range(13))
     def test_low_table_matches_per_row_construction(self, low):
         for n in range(low + 3):
-            for k in (1, 2):
+            for k in (0, 1, 2):
                 for part, expected in zip(rdm._low_hops(low, n, k),
                                           self.per_row_low_hops(low, n, k)):
                     assert part.dtype == expected.dtype
