@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .canonical import CanonicalForm, plane_minima
+from .canonical import plane_minima
 from .fock import SectorSizeError, SectorVector, enumerate_sector
 from .pairing import (DENSE_CAP, PairOperator, admit_pair_blocks, apply_B,
                       apply_B_star, dense_b_matrix, norm_sq_oracles, pair_blocks,
@@ -73,14 +73,8 @@ class TheoremReport:
         }
 
 
-def _as_lambdas(phi) -> np.ndarray:
-    if isinstance(phi, CanonicalForm):
-        return np.asarray(phi.lambdas, dtype=np.float64)
-    return np.asarray(phi, dtype=np.float64)
-
-
 def _check_descending(lams: np.ndarray) -> None:
-    """The coefficient order :class:`CanonicalForm` requires."""
+    """The coefficient order of a canonical form."""
     if np.any(np.diff(lams) > 1e-12):
         raise ValueError("coefficients must be non-negative and descending")
 
@@ -154,9 +148,10 @@ def theorem2_floor(N: int, sum_lambda4: float, lambda_max_sq: float) -> float:
     return N * (1.0 - 0.5 * (N - 2) * sum_lambda4 - 0.5 * (N * lambda_max_sq) ** 2)
 
 
-def verify_theorem2(phi, N: int, tol: float = BOUND_TOL) -> TheoremReport:
-    """Check that the normalized M = N/2 pairing state built from phi's
-    coefficients pushes <phi, G phi> above the correlational floor.
+def verify_theorem2(lambdas, N: int, tol: float = BOUND_TOL) -> TheoremReport:
+    """Check that the normalized M = N/2 pairing state built from the
+    coefficients ``lambdas`` of phi pushes <phi, G phi> above the
+    correlational floor.
 
     With x = lam**2, Psi_M = (B*)^M |vacuum> and B = sum_k lam_k b_k,
 
@@ -165,13 +160,14 @@ def verify_theorem2(phi, N: int, tol: float = BOUND_TOL) -> TheoremReport:
 
     read off the log-form recurrence of
     :func:`pairing.pair_expectation_and_norm` in O(K M); no state is built.
-    ``details.norm_sq`` is :func:`pairing.norm_sq_oracle`, (M!)^2 e_M(x), or
-    None where that exceeds the float range, off the same scan.
+    ``details.norm_sq`` is ||Psi_M||^2 = (M!)^2 e_M(x) of
+    :func:`pairing.norm_sq_oracles`, or None where that exceeds the float
+    range, off the same scan.
     Preconditions (N even, N lam_max**2 <= 1, coefficient support >= N/2)
     are reported as skipped, not failed: outside them the floor is not
     asserted.
     """
-    lams = _as_lambdas(phi)
+    lams = np.asarray(lambdas, dtype=np.float64)
     s4 = float(np.sum(lams ** 4))
     lmax_sq = float(np.max(lams) ** 2) if len(lams) else 0.0
     params = {"N": N, "K": len(lams), "sum_lambda4": s4, "lambda_max_sq": lmax_sq}
@@ -343,18 +339,18 @@ def norm_recursion_check(op: PairOperator, M_max: int,
     return reports
 
 
-def sup_over_states(phi, N: int, method: str = "dense") -> float:
+def sup_over_states(lambdas, N: int, method: str = "dense") -> float:
     """sup over normalized N-particle states of <phi, G_psi phi>.
 
     The supremum equals twice the largest eigenvalue of B*B on the N-particle
-    sector, with B built from phi's coefficients; no search is involved.
+    sector, with B built from phi's coefficients ``lambdas``; no search is
+    involved.
     ``dense`` diagonalizes the assembled matrix, ``iterative`` runs a
     matrix-free Lanczos iteration; the two must agree to 1e-8 where both run.
     Both work on the full sector and serve as oracles for the pair-block
     supremum that :func:`explore_conjecture` uses.
     """
-    lams = _as_lambdas(phi)
-    op = PairOperator.from_lambdas(lams)
+    op = PairOperator(lambdas)
     d = op.d
     if N < 2 or N > d:
         raise ValueError(f"no admissible sector (d={d}, N={N})")
@@ -383,7 +379,7 @@ def sup_over_states(phi, N: int, method: str = "dense") -> float:
     raise ValueError(f"unknown method {method!r}")
 
 
-def block_sups(phi, N: int) -> dict[int, float]:
+def block_sups(lambdas, N: int) -> dict[int, float]:
     """Twice the largest eigenvalue of B*B in the pair blocks of each seniority.
 
     Keys are the numbers s of broken pairs present in the (d, N) sector; the
@@ -401,7 +397,7 @@ def block_sups(phi, N: int) -> dict[int, float]:
     eigenvalue (see :mod:`pairing`).  With M = 0 the block is the vacuum,
     where B*B is the 1 x 1 zero.
     """
-    lams = PairOperator.from_lambdas(_as_lambdas(phi)).lambdas
+    lams = PairOperator(lambdas).lambdas
     K = len(lams)
     ranked = np.argsort(-lams, kind="stable")
     sups: dict[int, float] = {}
@@ -412,7 +408,7 @@ def block_sups(phi, N: int) -> dict[int, float]:
     return sups
 
 
-def explore_conjecture(phi, N_list) -> list[TheoremReport]:
+def explore_conjecture(lambdas, N_list) -> list[TheoremReport]:
     """Empirical constant for the highly correlated regime, reporting only.
 
     For each admissible even N the supremum S = sup <phi, G phi> over the
@@ -429,10 +425,10 @@ def explore_conjecture(phi, N_list) -> list[TheoremReport]:
     any N that is not skipped exceeds the caps, :class:`SectorSizeError` is
     raised before the first N is solved.
     """
-    lams = _as_lambdas(phi)
+    lams = np.asarray(lambdas, dtype=np.float64)
     s4 = float(np.sum(lams ** 4))
     lmax_sq = float(np.max(lams) ** 2)
-    d = PairOperator.from_lambdas(lams).d
+    d = PairOperator(lams).d
 
     def skip_note(N):
         if N < 2 or N % 2 or N > d:

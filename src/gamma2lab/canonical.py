@@ -28,12 +28,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .fock import SectorMismatchError, SectorVector, enumerate_sector
+from .fock import (DEFAULT_MAX_SECTOR, SectorMismatchError, SectorSizeError,
+                   SectorVector, enumerate_sector)
 
 LAMBDA_DROP_TOL = 1e-12
 NORM_TOL = 1e-8
@@ -366,13 +368,12 @@ def correlation_measures(form: CanonicalForm) -> CorrelationMeasures:
     return CorrelationMeasures(s4, lmax, 1.0 / s4 if s4 > 0 else np.inf)
 
 
-def embed_as_sector_vector(obj) -> SectorVector:
+def embed_as_sector_vector(tensor: AntisymmetricTensor) -> SectorVector:
     """Express a two-particle tensor in the (d, 2) occupation sector.
 
     The amplitude on the mask occupying orbitals i < j is sqrt(2) A[i, j],
     matching the convention e_i ^ e_j = c*_i c*_j |vacuum>.
     """
-    tensor = reconstruct(obj) if isinstance(obj, CanonicalForm) else obj
     sec = enumerate_sector(tensor.d, 2)
     iu, ju = wedge_index(tensor.d)
     masks = (1 << iu.astype(np.int64)) | (1 << ju.astype(np.int64))
@@ -393,13 +394,21 @@ def write_tensor_text(path, tensor: AntisymmetricTensor) -> None:
 
 
 def read_tensor_text(path) -> AntisymmetricTensor:
-    """Parse the text form written by :func:`write_tensor_text`."""
+    """Parse the text form written by :func:`write_tensor_text`.
+
+    The tensor is a vector of the (d, 2) sector, so a header d whose
+    C(d, 2) exceeds ``fock.DEFAULT_MAX_SECTOR`` (d > 2449) is refused with
+    :class:`SectorSizeError` before any array is allocated.
+    """
     raw = Path(path).read_text(encoding="utf-8").splitlines()
     rows = [(n, ln.strip()) for n, ln in enumerate(raw, start=1)]
     rows = [(n, ln) for n, ln in rows if ln and not ln.startswith("#")]
     if not rows:
         raise ValueError("empty tensor file")
     d = int(rows[0][1])
+    if comb(d, 2) > DEFAULT_MAX_SECTOR:
+        raise SectorSizeError(f"tensor of d={d} has {comb(d, 2)} wedge entries, "
+                              f"cap is {DEFAULT_MAX_SECTOR}")
     upper = np.zeros((d, d), dtype=np.complex128)
     seen = set()
     for n, ln in rows[1:]:

@@ -474,18 +474,16 @@ def _cmd_verify(args) -> tuple[dict, list]:
         return config, checks
     if args.check == "prop":
         config["particles"] = args.particles
-        op = pairing.PairOperator.from_lambdas(spec.values)
+        op = pairing.PairOperator(spec.values)
         n_list = _particles_list(args.particles)
         for n in n_list:  # refuse the whole request before the first solve
             bounds.admit_proposition(op, n)
         return config, [bounds.proposition_report(op, n, tol=args.tol)
                         for n in n_list]
-    if args.check == "norms":
-        op = pairing.PairOperator.from_lambdas(spec.values)
-        m_max = args.m_max if args.m_max is not None else op.n_pairs
-        config["m_max"] = m_max
-        return config, bounds.norm_recursion_check(op, m_max, tol=args.tol)
-    raise ValueError(f"unknown verify target {args.check!r}")
+    op = pairing.PairOperator(spec.values)  # norms, the one target argparse leaves
+    m_max = args.m_max if args.m_max is not None else op.n_pairs
+    config["m_max"] = m_max
+    return config, bounds.norm_recursion_check(op, m_max, tol=args.tol)
 
 
 def _cmd_explore(args) -> tuple[dict, list]:

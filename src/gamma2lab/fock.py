@@ -105,7 +105,10 @@ def admit_sector(d: int, N: int) -> None:
 
     Rejects N < 0, N > d, d above ``DEFAULT_MAX_DIM``, and sectors larger
     than ``DEFAULT_MAX_SECTOR`` states.  Caps are soft configuration, not
-    physics.
+    physics.  For a full sector d <= 24 binds first: the largest,
+    C(24, 12) = 2,704,156 states, is under the state cap, which binds for
+    the pair bases of :mod:`gamma2lab.pairing` and the (d, 2) sector of a
+    tensor file (``canonical.read_tensor_text``), neither capped in d.
     """
     if N < 0 or N > d:
         raise SectorSizeError(f"no (d={d}, N={N}) sector")
@@ -187,11 +190,6 @@ class SectorVector:
         return SectorVector(self.basis, self.amplitudes * scalar)
 
     __rmul__ = __mul__
-
-
-def vacuum_state(d: int) -> SectorVector:
-    """The single basis vector of the zero-particle sector."""
-    return SectorVector(enumerate_sector(d, 0), np.ones(1, dtype=np.complex128))
 
 
 def basis_state(d: int, mask: int) -> SectorVector:

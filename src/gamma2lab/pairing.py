@@ -111,11 +111,6 @@ class PairOperator:
             raise ValueError("pair coefficients must satisfy sum lam**2 = 1")
         self.lambdas = lams
 
-    @classmethod
-    def from_lambdas(cls, lambdas) -> "PairOperator":
-        """The operator with coefficients ``lambdas``, one per pair."""
-        return cls(lambdas)
-
     @property
     def n_pairs(self) -> int:
         return len(self.lambdas)
@@ -215,7 +210,10 @@ def pairing_states(op: PairOperator, M_max: int) -> Iterator[PairingState]:
     with no hop table.  Admission is arithmetic (:func:`_admit`): if K
     exceeds the mask width, or the largest pair basis on the way,
     C(K, min(M_max, K // 2)) states, exceeds ``DEFAULT_MAX_SECTOR``,
-    nothing is enumerated or allocated.
+    nothing is enumerated or allocated.  Each mask array is read by one or
+    two steps only, so it is built past the cache of
+    :func:`fock.occupation_masks` (``__wrapped__``) and none stays there: at
+    K = 24 the M = 0 .. 24 arrays would hold 128 MiB.
     """
     if M_max < 0:
         raise ValueError("M must be non-negative")
@@ -223,10 +221,10 @@ def pairing_states(op: PairOperator, M_max: int) -> Iterator[PairingState]:
         raise SectorSizeError("sector overflow: 2M exceeds the orbital count")
     K = op.n_pairs
     _admit(K, min(M_max, K // 2), DEFAULT_MAX_SECTOR, "pairing state")
-    amps, masks = np.ones(1, dtype=np.float64), occupation_masks(K, 0)
+    amps, masks = np.ones(1, dtype=np.float64), occupation_masks.__wrapped__(K, 0)
     for M in range(M_max + 1):
         if M:
-            below, masks = masks, occupation_masks(K, M)
+            below, masks = masks, occupation_masks.__wrapped__(K, M)
             amps, prev = np.zeros(len(masks)), amps
             for k, lam in enumerate(op.lambdas):
                 amps[np.flatnonzero(masks >> k & 1)] += lam * prev[(below >> k & 1) == 0]
@@ -416,9 +414,9 @@ def _log_pair_sums(x: np.ndarray, c: np.ndarray, M: int) -> np.ndarray:
 
 
 def pair_expectation_and_norm(lambdas, state_lambdas, M: int) -> tuple[float, float]:
-    """2 ||B Psi_M||^2 / ||Psi_M||^2 and ||Psi_M||^2 of :func:`norm_sq_oracle`
-    in O(K M), both off one scan of :func:`_log_pair_sums`, with no state
-    built.
+    """2 ||B Psi_M||^2 / ||Psi_M||^2 and ||Psi_M||^2, the M-th entry of
+    :func:`norm_sq_oracles`, in O(K M), both off one scan of
+    :func:`_log_pair_sums`, with no state built.
 
     B = sum_k mu_k b_k has the coefficients ``lambdas`` and
     Psi_M = (sum_k lam_k b*_k)^M |vacuum> those of ``state_lambdas``; both
@@ -466,11 +464,6 @@ def norm_sq_oracles(lambdas, M_max: int) -> list[float]:
         raise ValueError("M must be non-negative")
     log_e = _log_pair_sums(lams ** 2, np.zeros_like(lams), M_max)[0]
     return [_norm_sq(log_e, M) for M in range(M_max + 1)]
-
-
-def norm_sq_oracle(lambdas, M: int) -> float:
-    """||Psi_M||^2 of :func:`norm_sq_oracles`."""
-    return norm_sq_oracles(lambdas, M)[M]
 
 
 class IdentityResiduals(NamedTuple):

@@ -44,11 +44,13 @@ Two more quantities come from identities instead of per-vector work:
   lam_max = sqrt(2) ||A||_2, batched over all eigenvectors at once.
 
 Quadratic forms <phi, G phi> can also be evaluated without assembling G:
-with phi in canonical form, the pair annihilator
-B = sum_k lam_k c(v_k) c(u_k) satisfies <phi, G phi> = 2 ||B psi||^2.  B is
-one term list of the applier :func:`fock._scatter`, one pair row
-``(1 << i) | (1 << j)`` per entry of phi's coefficient matrix above the
-diagonal.
+for a tensor phi with coefficient matrix A, the pair annihilator
+B = sum_{i<j} conj(sqrt(2) A[i, j]) c_j c_i satisfies
+<phi, G phi> = 2 ||B psi||^2 (for phi = sum_k lam_k u_k ^ v_k it is
+sum_k lam_k c(v_k) c(u_k)).  B is one term list of the applier
+:func:`fock._scatter`, one pair row ``(1 << i) | (1 << j)`` per entry of A
+above the diagonal.  A canonical form is passed as its tensor,
+``canonical.reconstruct(form)``.
 """
 
 from __future__ import annotations
@@ -60,8 +62,8 @@ from math import comb
 
 import numpy as np
 
-from .canonical import (AntisymmetricTensor, CanonicalForm, check_unit_norms,
-                        reconstruct, wedge_index, wedge_matrices)
+from .canonical import (AntisymmetricTensor, check_unit_norms, wedge_index,
+                        wedge_matrices)
 from .fock import (SectorMismatchError, SectorVector, _hops, _scatter, admit_sector,
                    occupation_masks, occupations)
 
@@ -373,25 +375,17 @@ def expectation(phi: AntisymmetricTensor, g: TwoBodyOperator) -> float:
     return float(val.real)
 
 
-def apply_pair_annihilator(phi, psi: SectorVector) -> SectorVector:
-    """Apply B = sum_{i<j} conj(sqrt(2) A[i, j]) c_j c_i built from phi,
-    (d, N) -> (d, N-2).
+def apply_pair_annihilator(phi: AntisymmetricTensor, psi: SectorVector) -> SectorVector:
+    """Apply B = sum_{i<j} conj(sqrt(2) A[i, j]) c_j c_i built from the
+    tensor phi with coefficient matrix A, (d, N) -> (d, N-2).
 
-    Accepts a raw antisymmetric tensor with coefficient matrix A, or a
-    canonical form (vectors in psi's orbital basis), which is reconstructed
-    first; then B = sum_k lam_k c(v_k) c(u_k).  sum_{i<j} conj(A[i, j]) c_j c_i
-    is one term list of :func:`fock._scatter`, the pair rows
-    ``(1 << i) | (1 << j)`` in wedge order, scaled by sqrt(2) once.
+    sum_{i<j} conj(A[i, j]) c_j c_i is one term list of
+    :func:`fock._scatter`, the pair rows ``(1 << i) | (1 << j)`` in wedge
+    order, scaled by sqrt(2) once.
     """
     basis = psi.basis
     if basis.N < 2:
         raise SectorMismatchError("pair annihilation needs at least two particles")
-    if isinstance(phi, CanonicalForm):
-        if phi.d != basis.d:
-            raise SectorMismatchError("canonical vectors live in a different basis")
-        phi = reconstruct(phi)
-    elif not isinstance(phi, AntisymmetricTensor):
-        raise TypeError("phi must be a CanonicalForm or AntisymmetricTensor")
     if phi.d != basis.d:
         raise SectorMismatchError("tensor dimension does not match the state")
     i, j = wedge_index(basis.d)
@@ -399,6 +393,6 @@ def apply_pair_annihilator(phi, psi: SectorVector) -> SectorVector:
     return np.sqrt(2.0) * _scatter(psi, terms, 2, create=False)
 
 
-def expectation_fast(phi, psi: SectorVector) -> float:
+def expectation_fast(phi: AntisymmetricTensor, psi: SectorVector) -> float:
     """Quadratic form <phi, G_psi phi> = 2 ||B psi||^2, no operator assembly."""
     return 2.0 * apply_pair_annihilator(phi, psi).norm() ** 2

@@ -39,6 +39,7 @@ def write_inputs(path):
     for name in ("tensor.txt", "t6.txt"):
         write_tensor_text(path / name, random_tensor(6, np.random.default_rng(0)))
     (path / "big.txt").write_text("4\n0 1 1e200 0\n2 3 1e200 0\n")
+    (path / "huge.txt").write_text("1000000000\n")  # a header, refused before any array
     # pairs of 1e-8 and 1e-9 on Hadamard columns: the partners found in
     # their merged cluster are orthonormal only to 6.9e-8 and get repaired
     h = np.array([[1.0]])

@@ -26,7 +26,7 @@ from gamma2lab.cli import parse_lambda_spec, random_state
 from gamma2lab.fock import slater_state
 from gamma2lab.pairing import (PairOperator, annihilation_identity_check,
                                build_pairing_state, commutator_defect,
-                               norm_sq_oracle)
+                               norm_sq_oracles)
 from gamma2lab.rdm import (compute_gamma2, expectation, expectation_fast,
                            spectral_decompose)
 
@@ -93,7 +93,7 @@ def test_c04_slater_saturation():
 def test_c05_yang_pairing_spectrum():
     for n in (2, 4, 6):
         lams = np.full(n, 1 / np.sqrt(n))
-        op = PairOperator.from_lambdas(lams)
+        op = PairOperator(lams)
         psi = build_pairing_state(op, n // 2).vector.normalized()
         sd = spectral_decompose(compute_gamma2(psi))
         assert abs(sd.eigenvalues[0] - (n / 2 + 1)) < 1e-9
@@ -111,7 +111,7 @@ def test_c06_proposition_positivity_and_optimality():
 
     for k in (4, 6):
         for raw in profiles(k):
-            op = PairOperator.from_lambdas(raw / np.linalg.norm(raw))
+            op = PairOperator(raw / np.linalg.norm(raw))
             for n in (2, 4):
                 result = proposition_gap(op, n)
                 assert result.min_eigenvalue >= -1e-10
@@ -131,9 +131,9 @@ def test_c07_theorem2_floor():
     # power:1 profile sits outside the guaranteed regime (N lam_max^2 > 1);
     # the floor is then far below zero and the inequality is checked directly
     lams = parse_lambda_spec("power:1:8").values
-    psi_hat = build_pairing_state(PairOperator.from_lambdas(lams), 2
+    psi_hat = build_pairing_state(PairOperator(lams), 2
                                   ).vector.normalized()
-    observed = expectation_fast(canonical_from_lambdas(lams), psi_hat)
+    observed = expectation_fast(reconstruct(canonical_from_lambdas(lams)), psi_hat)
     floor = theorem2_floor(4, float(np.sum(lams ** 4)), float(lams[0] ** 2))
     assert observed >= floor - 1e-8
     _announce(7, "trial-state floor on three profiles")
@@ -148,12 +148,12 @@ def test_c08_norm_oracle_equivalence():
     for k in range(1, 7):
         for raw_of in profiles.values():
             raw = raw_of(k)
-            op = PairOperator.from_lambdas(raw / np.linalg.norm(raw))
+            op = PairOperator(raw / np.linalg.norm(raw))
             lmax_sq = float(np.max(op.lambdas) ** 2)
             prev = 1.0
             for m in range(1, k + 1):
                 built = build_pairing_state(op, m).norm_sq
-                oracle = norm_sq_oracle(op.lambdas, m)
+                oracle = norm_sq_oracles(op.lambdas, m)[m]
                 assert abs(built - oracle) <= 1e-10 * max(1.0, abs(oracle))
                 lower = (1.0 - (m - 1) * lmax_sq) * m * prev
                 upper = m * prev
@@ -165,7 +165,7 @@ def test_c08_norm_oracle_equivalence():
 def test_c09_identity_residuals():
     profiles = [np.ones(6), 1.0 / np.arange(1, 7)]
     for raw in profiles:
-        op = PairOperator.from_lambdas(raw / np.linalg.norm(raw))
+        op = PairOperator(raw / np.linalg.norm(raw))
         for m in range(0, 4):
             for k in range(op.n_pairs):
                 for spin in ("up", "down"):
@@ -174,7 +174,7 @@ def test_c09_identity_residuals():
                     assert res.rearranged < 1e-12
     for k, n_list in ((2, (2,)), (4, (2, 4))):
         raw = 1.0 / np.arange(1, k + 1)
-        op = PairOperator.from_lambdas(raw / np.linalg.norm(raw))
+        op = PairOperator(raw / np.linalg.norm(raw))
         for n in n_list:
             assert commutator_defect(op, n) < 1e-12
     _announce(9, "pairing-state identities and quasi-boson commutator")
@@ -187,7 +187,7 @@ def test_c10_dual_path_consistency():
         psi = random_state(8, 4, 2000 + seed)
         g = compute_gamma2(psi)
         assembled = expectation(phi, g)
-        fast = expectation_fast(youla_decompose(phi), psi)
+        fast = expectation_fast(reconstruct(youla_decompose(phi)), psi)
         assert abs(assembled - fast) < 1e-9
     lams = parse_lambda_spec("geometric:0.6:6").values
     dense = sup_over_states(lams, 4, "dense")

@@ -18,14 +18,14 @@ from dataclasses import replace
 from types import SimpleNamespace
 
 import gamma2lab.bounds as bounds
+import gamma2lab.fock as fock
 from gamma2lab.canonical import (AntisymmetricTensor, _decompose_clusters,
-                                 canonical_from_lambdas, correlation_measures,
-                                 youla_decompose)
+                                 correlation_measures, youla_decompose)
 from gamma2lab.cli import parse_lambda_spec, random_state
 from gamma2lab.fock import apply_annihilate_vector, slater_state
 import gamma2lab.pairing as pairing
 from gamma2lab.pairing import (PairOperator, build_pairing_state,
-                               norm_sq_oracle, pair_expectation_and_norm,
+                               norm_sq_oracles, pair_expectation_and_norm,
                                pairing_states)
 from gamma2lab.rdm import compute_gamma2, spectral_decompose
 
@@ -41,7 +41,7 @@ def spectrum(psi):
 
 
 def yang_state(n_pairs, m):
-    op = PairOperator.from_lambdas(uniform(n_pairs))
+    op = PairOperator(uniform(n_pairs))
     return build_pairing_state(op, m).vector.normalized()
 
 
@@ -162,10 +162,6 @@ class TestVerifyTheorem2:
         assert abs(report.observed - 2.0) < 1e-12
         assert report.margin >= 0
 
-    def test_accepts_canonical_form(self):
-        report = verify_theorem2(canonical_from_lambdas(UNIFORM4), 4)
-        assert abs(report.observed - 3.0) < 1e-9
-
     def test_skips_odd_particle_number(self):
         report = verify_theorem2(UNIFORM4, 3)
         assert report.passed is None and "skipped" in report.note
@@ -193,7 +189,7 @@ class TestVerifyTheorem2:
 
 class TestPropositionGap:
     def test_uniform_optimality(self):
-        op = PairOperator.from_lambdas(UNIFORM4)
+        op = PairOperator(UNIFORM4)
         result = proposition_gap(op, 4)
         assert result.min_eigenvalue >= -1e-10
         assert result.kernel_residual < 1e-10
@@ -201,19 +197,19 @@ class TestPropositionGap:
 
     def test_two_particle_structure(self):
         # D = 1 - B*B there; the single-pair condensate spans the kernel
-        op = PairOperator.from_lambdas(uniform(3))
+        op = PairOperator(uniform(3))
         result = proposition_gap(op, 2)
         assert result.min_eigenvalue >= -1e-10
         assert result.kernel_residual < 1e-10
 
     def test_nonuniform_profile(self):
         lams = np.array([2.0, 1.0, 1.0, 1.0]) / np.sqrt(7.0)
-        result = proposition_gap(PairOperator.from_lambdas(lams), 4)
+        result = proposition_gap(PairOperator(lams), 4)
         assert result.min_eigenvalue >= -1e-10
         assert result.kernel_residual < 1e-10
 
     def test_degenerate_support_reported(self):
-        op = PairOperator.from_lambdas([np.sqrt(0.5), np.sqrt(0.5), 0.0, 0.0])
+        op = PairOperator([np.sqrt(0.5), np.sqrt(0.5), 0.0, 0.0])
         result = proposition_gap(op, 6)
         assert result.degenerate
         assert result.min_eigenvalue >= -1e-10
@@ -222,11 +218,11 @@ class TestPropositionGap:
 
     def test_odd_particle_number_rejected(self):
         with pytest.raises(ValueError):
-            proposition_gap(PairOperator.from_lambdas(UNIFORM4), 3)
+            proposition_gap(PairOperator(UNIFORM4), 3)
 
     def test_tiny_pairing_state_not_degenerate(self):
         # support 8 >= M = 4, though ||Psi_4||^2 underflows to 0
-        op = PairOperator.from_lambdas(parse_lambda_spec("geometric:1e-30:8").values)
+        op = PairOperator(parse_lambda_spec("geometric:1e-30:8").values)
         result = proposition_gap(op, 8)
         assert not result.degenerate
         assert result.min_eigenvalue >= -1e-10
@@ -294,8 +290,13 @@ class TestOccupationCheck:
 
 
 class TestNormRecursion:
+    def test_leaves_the_mask_cache_as_it_found_it(self):
+        fock.occupation_masks.cache_clear()
+        norm_recursion_check(PairOperator(uniform(12)), 12)
+        assert fock.occupation_masks.cache_info().currsize == 0
+
     def test_uniform_saturates_lower_bound(self):
-        reports = norm_recursion_check(PairOperator.from_lambdas(UNIFORM4), 4)
+        reports = norm_recursion_check(PairOperator(UNIFORM4), 4)
         m2 = reports[1]
         assert m2.params["M"] == 2
         assert abs(m2.observed - 1.5) < 1e-12
@@ -304,35 +305,35 @@ class TestNormRecursion:
         assert all(r.passed for r in reports)
 
     def test_first_step_is_equality(self):
-        reports = norm_recursion_check(PairOperator.from_lambdas(uniform(5)), 1)
+        reports = norm_recursion_check(PairOperator(uniform(5)), 1)
         assert abs(reports[0].observed - 1.0) < 1e-14
         assert abs(reports[0].details["upper"] - 1.0) < 1e-14
 
     def test_geometric_profile_strict(self):
         spec = parse_lambda_spec("geometric:0.5:6")
-        reports = norm_recursion_check(PairOperator.from_lambdas(spec.values), 4)
+        reports = norm_recursion_check(PairOperator(spec.values), 4)
         for r in reports[1:]:
             assert r.observed < r.details["upper"] - 1e-6
             assert r.observed > r.details["lower"] + 1e-6
 
     def test_m_max_validated(self):
         with pytest.raises(ValueError):
-            norm_recursion_check(PairOperator.from_lambdas(UNIFORM4), 5)
+            norm_recursion_check(PairOperator(UNIFORM4), 5)
 
     @pytest.mark.parametrize("m_max", [0, -1])
     def test_m_max_must_be_positive(self, m_max):
         with pytest.raises(ValueError):
-            norm_recursion_check(PairOperator.from_lambdas(UNIFORM4), m_max)
+            norm_recursion_check(PairOperator(UNIFORM4), m_max)
 
     def test_saturated_bound_passes_at_large_norm(self):
         # At M = 22 the norm is ~3.7e12 and sits ~2.5e-15 (relative) below
         # the lower bound it saturates; an absolute 1e-8 slack rejected it.
-        reports = norm_recursion_check(PairOperator.from_lambdas(uniform(22)), 22)
+        reports = norm_recursion_check(PairOperator(uniform(22)), 22)
         assert all(r.passed for r in reports)
         assert reports[-1].bound > 1e12
 
     def test_norm_pushed_outside_bound_fails(self, monkeypatch):
-        op = PairOperator.from_lambdas(uniform(12))
+        op = PairOperator(uniform(12))
         push = {12: 1.0 - 1e-6}  # relative push below the saturated lower bound
 
         def pushed_states(op, m_max):
@@ -341,7 +342,8 @@ class TestNormRecursion:
 
         monkeypatch.setattr(bounds, "pairing_states", pushed_states)
         monkeypatch.setattr(bounds, "norm_sq_oracles",
-                            lambda lams, m_max: [norm_sq_oracle(lams, m) * push.get(m, 1.0)
+                            lambda lams, m_max: [norm_sq_oracles(lams, m_max)[m]
+                                                 * push.get(m, 1.0)
                                                  for m in range(m_max + 1)])
         reports = norm_recursion_check(op, 12)
         assert all(r.passed for r in reports[:-1])
@@ -352,7 +354,7 @@ class TestNormRecursion:
 
 @pytest.mark.parametrize("run", [
     lambda: verify_theorem2(uniform(12), 8),
-    lambda: norm_recursion_check(PairOperator.from_lambdas(uniform(12)), 12),
+    lambda: norm_recursion_check(PairOperator(uniform(12)), 12),
 ], ids=["thm2", "norms"])
 def test_one_log_scan_per_report(monkeypatch, run):
     # thm2 reads its norm off the scan of its expectation, and a norms run
@@ -395,7 +397,7 @@ class TestSupOverStates:
         assert sup_over_states(uniform(6), 4, "dense") <= 4 + 1e-9
 
     def test_seniority_matches_full(self):
-        op = PairOperator.from_lambdas(parse_lambda_spec("power:1:5").values)
+        op = PairOperator(parse_lambda_spec("power:1:5").values)
         full = sup_over_states(op.lambdas, 4, "dense")
         assert abs(block_sups(op.lambdas, 4)[0] - full) < 1e-8
 

@@ -18,7 +18,7 @@ from gamma2lab.canonical import (CLUSTER_RTOL, AntisymmetricTensor,
                                  reconstruct, tensor_inner, wedge_index,
                                  wedge_matrices, write_tensor_text,
                                  youla_decompose)
-from gamma2lab.fock import SectorMismatchError
+from gamma2lab.fock import SectorMismatchError, SectorSizeError
 
 
 def seeded_tensor(d, seed):
@@ -333,13 +333,28 @@ class TestEmbedding:
         t = seeded_tensor(8, seed)
         assert abs(embed_as_sector_vector(t).norm() - 1.0) < 1e-12
 
-    def test_canonical_form_input(self):
-        form = canonical_from_lambdas(np.full(2, 1 / np.sqrt(2)))
-        vec = embed_as_sector_vector(form)
-        assert abs(vec.norm() - 1.0) < 1e-12
-
 
 class TestTextFormat:
+    def test_header_over_the_sector_cap_refused(self, tmp_path, refuse):
+        path = tmp_path / "tensor.txt"
+        path.write_text("2450\n")  # C(2450, 2) = 3,000,025 wedge entries
+        refuse(np, "zeros", "a tensor was allocated")
+        with pytest.raises(SectorSizeError, match="3000025 wedge entries"):
+            read_tensor_text(path)
+
+    def test_header_at_the_sector_cap_allocates(self, tmp_path, monkeypatch):
+        class Allocated(Exception):
+            pass
+
+        def sentinel(shape, dtype=None):
+            raise Allocated(shape)
+
+        path = tmp_path / "tensor.txt"
+        path.write_text("2449\n")  # C(2449, 2) = 2,997,576 wedge entries
+        monkeypatch.setattr(np, "zeros", sentinel)
+        with pytest.raises(Allocated):
+            read_tensor_text(path)
+
     def test_roundtrip(self, tmp_path):
         t = seeded_tensor(6, 77)
         path = tmp_path / "tensor.txt"

@@ -247,6 +247,15 @@ class TestSubcommands:
         assert [c["note"] for c in report["checks"]] == [
             "SectorSizeError: d=25 outside the configured cap 24"]
 
+    def test_canonical_header_refused_before_any_array(self, tmp_path, refuse):
+        write_inputs(tmp_path)
+        refuse(np, "zeros", "a tensor was allocated")
+        code, report = run_cli(tmp_path, "canonical", "--tensor", str(tmp_path / "huge.txt"))
+        assert code == 1
+        assert [c["note"] for c in report["checks"]] == [
+            f"SectorSizeError: tensor of d=1000000000 has {math.comb(10 ** 9, 2)} "
+            "wedge entries, cap is 3000000"]
+
     def test_canonical_subcommand(self, tmp_path):
         write_inputs(tmp_path)
         code, report = run_cli(tmp_path, "canonical", "--tensor",

@@ -17,7 +17,7 @@ from gamma2lab.fock import (SectorMismatchError, SectorSizeError,
                             SectorVector, apply_annihilate,
                             apply_annihilate_vector, apply_create,
                             basis_state, enumerate_sector, occupations,
-                            slater_state, vacuum_state)
+                            slater_state)
 
 
 def dense_annihilator(d, i):
@@ -106,7 +106,7 @@ class TestEnumeration:
 
 class TestCreationAnnihilation:
     def test_vacuum_excitation(self):
-        out = apply_create(0, vacuum_state(2))
+        out = apply_create(0, basis_state(2, 0))
         assert out.basis.N == 1
         assert out.amplitudes[out.basis.index_of([0b01])[0]] == 1.0
 
@@ -116,7 +116,7 @@ class TestCreationAnnihilation:
         assert out.amplitudes[out.basis.index_of([0b11])[0]] == -1.0
 
     def test_double_creation_is_zero(self):
-        once = apply_create(0, vacuum_state(4))
+        once = apply_create(0, basis_state(4, 0))
         twice = apply_create(0, once)
         assert np.all(twice.amplitudes == 0)
 
@@ -136,7 +136,7 @@ class TestCreationAnnihilation:
 
     def test_out_of_range_orbital(self):
         with pytest.raises(SectorMismatchError):
-            apply_create(5, vacuum_state(4))
+            apply_create(5, basis_state(4, 0))
 
     def test_full_sector_rejects_creation(self):
         with pytest.raises(SectorMismatchError):

@@ -24,7 +24,7 @@ import gamma2lab.pairing as pairing
 from gamma2lab.bounds import (block_sups, counterexample_driver,
                               explore_conjecture, proposition_gap,
                               sup_over_states, verify_theorem2)
-from gamma2lab.canonical import canonical_from_lambdas
+from gamma2lab.canonical import canonical_from_lambdas, reconstruct
 from gamma2lab.cli import main, parse_lambda_spec
 from gamma2lab.fock import SectorSizeError, enumerate_sector
 from gamma2lab.pairing import (BATCH_ENTRIES, PairOperator, admit_pair_blocks,
@@ -64,14 +64,15 @@ def dense_gap(op, N):
 
 def embedded_expectation(lams, state):
     """<phi, G phi> through the full-sector embedding of the pairing state."""
-    return expectation_fast(canonical_from_lambdas(lams), state.vector.normalized())
+    return expectation_fast(reconstruct(canonical_from_lambdas(lams)),
+                            state.vector.normalized())
 
 
 class TestOracles:
     @given(profiles)
     @settings(max_examples=25, deadline=None)
     def test_gap_matches_dense(self, raw):
-        op = PairOperator.from_lambdas(normalized(raw))
+        op = PairOperator(normalized(raw))
         for N in range(2, 2 * op.n_pairs + 1, 2):
             result = proposition_gap(op, N)
             min_eig, residual = dense_gap(op, N)
@@ -95,7 +96,7 @@ class TestOracles:
     @settings(max_examples=25, deadline=None)
     def test_pair_expectation_matches_embedding(self, raw):
         lams = normalized(raw)
-        op = PairOperator.from_lambdas(lams)
+        op = PairOperator(lams)
         for N in range(2, 2 * len(lams) + 1, 2):
             state = build_pairing_state(op, N // 2)
             if state.norm_sq == 0.0:
@@ -115,7 +116,7 @@ class TestOracles:
         for N in range(2, K + 1, 2):
             uniform = np.zeros(K)
             uniform[:N] = 1.0 / np.sqrt(N)
-            state = build_pairing_state(PairOperator.from_lambdas(uniform), N // 2)
+            state = build_pairing_state(PairOperator(uniform), N // 2)
             report = counterexample_driver(lams, N)
             assert abs(report.observed - embedded_expectation(lams, state)) <= ORACLE_TOL
 
@@ -151,7 +152,7 @@ class TestBlockStructure:
         # Each block stands for its 2**s spin copies; together they must
         # reproduce the spectrum of B*B and the pair-number diagonal on
         # the full sector, odd N included.
-        op = PairOperator.from_lambdas(normalized(np.arange(K, 0, -1) + 0.5))
+        op = PairOperator(normalized(np.arange(K, 0, -1) + 0.5))
         for N in range(2, 2 * K + 1):
             sec = enumerate_sector(2 * K, N)
             bmat = dense_b_matrix(op, N)
@@ -252,7 +253,7 @@ class TestAdmission:
 
     def test_pairing_state_refused_by_arithmetic(self, no_enumeration):
         # C(40, 20) ~ 1.4e11 pair states: refused before any enumeration.
-        op = PairOperator.from_lambdas(np.full(40, 1 / np.sqrt(40)))
+        op = PairOperator(np.full(40, 1 / np.sqrt(40)))
         with pytest.raises(SectorSizeError):
             build_pairing_state(op, 20)
         # C(40, 38) = 780 is small, but the build passes through C(40, 20).
@@ -260,7 +261,7 @@ class TestAdmission:
             build_pairing_state(op, 38)
 
     def test_gap_refused_by_arithmetic(self, no_enumeration):
-        op = PairOperator.from_lambdas(np.full(40, 1 / np.sqrt(40)))
+        op = PairOperator(np.full(40, 1 / np.sqrt(40)))
         with pytest.raises(SectorSizeError):
             proposition_gap(op, 40)
         with pytest.raises(SectorSizeError):
@@ -286,7 +287,7 @@ class TestAdmission:
         monkeypatch.setattr(pairing, "comb", narrow_comb)
         width = f"{K} pairs exceed the mask width of {pairing.MAX_PAIRS}"
         lams = np.full(K, 1 / np.sqrt(K))
-        op = PairOperator.from_lambdas(lams)
+        op = PairOperator(lams)
         top_n = K - K % 2
         for N in (2, top_n):
             for top in (False, True):
@@ -320,21 +321,21 @@ class TestAdmission:
         [report] = explore_conjecture(lams, [4])
         assert abs(report.details["sup_full"] - sup_over_states(lams, 4, "dense")) <= ORACLE_TOL
         with pytest.raises(SectorSizeError):
-            proposition_gap(PairOperator.from_lambdas(lams), 4)
+            proposition_gap(PairOperator(lams), 4)
 
     def test_only_the_gram_is_admitted(self, no_enumeration):
         # N = 22 on 16 pairs: the Gram has C(16, 11) = 4368 rows; B, which
         # is never built, would have C(16, 10) = 8008
-        bounds.admit_proposition(PairOperator.from_lambdas(np.full(16, 0.25)), 22)
+        bounds.admit_proposition(PairOperator(np.full(16, 0.25)), 22)
 
     def test_mask_width(self, no_enumeration):
         with pytest.raises(SectorSizeError):
-            build_pairing_state(PairOperator.from_lambdas(np.full(70, 1 / np.sqrt(70))), 1)
+            build_pairing_state(PairOperator(np.full(70, 1 / np.sqrt(70))), 1)
 
     def test_beyond_full_sector_cap(self):
         # d = 28 is above the full-sector cap, the pair basis (3432 states)
         # is not; the embedding is only built, and refused, on demand.
-        op = PairOperator.from_lambdas(np.full(14, 1 / np.sqrt(14)))
+        op = PairOperator(np.full(14, 1 / np.sqrt(14)))
         state = build_pairing_state(op, 7)
         assert len(state.pair_amplitudes) == 3432
         with pytest.raises(SectorSizeError):
@@ -361,7 +362,7 @@ class TestAdmission:
         # the kernel vector is read off the closed form on the block's own
         # basis, C(30, 28) = 435 states; the B* chain would pass through
         # C(30, 15) ~ 1.6e8
-        result = proposition_gap(PairOperator.from_lambdas(np.full(30, 1 / np.sqrt(30))), 56)
+        result = proposition_gap(PairOperator(np.full(30, 1 / np.sqrt(30))), 56)
         assert not result.degenerate
         assert result.min_eigenvalue >= -1e-10
         assert result.kernel_residual < 1e-10

@@ -15,7 +15,8 @@ import gamma2lab.rdm as rdm
 from gamma2lab.canonical import (AntisymmetricTensor, NotNormalizedError,
                                  canonical_from_lambdas,
                                  correlation_measures, elementary_wedge,
-                                 random_tensor, tensor_inner, youla_decompose)
+                                 random_tensor, reconstruct, tensor_inner,
+                                 youla_decompose)
 from gamma2lab.cli import random_state
 from gamma2lab.fock import (SectorMismatchError, SectorSizeError,
                             apply_annihilate, apply_annihilate_vector,
@@ -29,7 +30,7 @@ ORACLE_TOL = 1e-12
 
 
 def yang_state(n_pairs, m):
-    op = PairOperator.from_lambdas(np.full(n_pairs, 1 / np.sqrt(n_pairs)))
+    op = PairOperator(np.full(n_pairs, 1 / np.sqrt(n_pairs)))
     return build_pairing_state(op, m).vector.normalized()
 
 
@@ -81,7 +82,6 @@ class TestSpectralDecompose:
 
     def test_yang_top_eigenvector_is_uniform(self):
         sd = spectral_decompose(compute_gamma2(yang_state(4, 2)))
-        from gamma2lab.canonical import reconstruct
         phi_n = reconstruct(canonical_from_lambdas(np.full(4, 0.5)))
         assert abs(tensor_inner(phi_n, AntisymmetricTensor(8, sd.matrices[0]))) > 1 - 1e-10
 
@@ -118,8 +118,8 @@ class TestExpectation:
 class TestExpectationFast:
     def test_slater_saturation(self):
         psi = slater_state(2, [0, 1])
-        form = canonical_from_lambdas([1.0])
-        assert abs(expectation_fast(form, psi) - 2.0) < 1e-12
+        phi = reconstruct(canonical_from_lambdas([1.0]))
+        assert abs(expectation_fast(phi, psi) - 2.0) < 1e-12
 
     def test_absent_pairs_give_zero(self):
         from gamma2lab.canonical import CanonicalForm
@@ -127,17 +127,17 @@ class TestExpectationFast:
         vecs = np.zeros((8, 2), dtype=complex)
         vecs[6, 0] = 1.0  # the single pair sits on unoccupied orbitals 6, 7
         vecs[7, 1] = 1.0
-        form = CanonicalForm(np.array([1.0]), vecs)
-        assert expectation_fast(form, psi) == 0.0
+        phi = reconstruct(CanonicalForm(np.array([1.0]), vecs))
+        assert expectation_fast(phi, psi) == 0.0
 
     def test_uniform_on_pairing_state(self):
         psi = yang_state(4, 2)
-        form = canonical_from_lambdas(np.full(4, 0.5))
-        assert abs(expectation_fast(form, psi) - 3.0) < 1e-9
+        phi = reconstruct(canonical_from_lambdas(np.full(4, 0.5)))
+        assert abs(expectation_fast(phi, psi) - 3.0) < 1e-9
 
     def test_a_stack_is_refused(self):
         with pytest.raises(SectorMismatchError, match="stack"):
-            expectation_fast(canonical_from_lambdas(np.full(3, 3 ** -0.5)),
+            expectation_fast(reconstruct(canonical_from_lambdas(np.full(3, 3 ** -0.5))),
                              random_state(6, 3, [1, 2]))
 
     @pytest.mark.parametrize("seed", range(8))
@@ -148,7 +148,7 @@ class TestExpectationFast:
         g = compute_gamma2(psi)
         slow = expectation(phi, g)
         fast_tensor = expectation_fast(phi, psi)
-        fast_form = expectation_fast(youla_decompose(phi), psi)
+        fast_form = expectation_fast(reconstruct(youla_decompose(phi)), psi)
         assert abs(slow - fast_tensor) < 1e-9
         assert abs(slow - fast_form) < 1e-9
 
@@ -168,7 +168,7 @@ def states(draw):
         lams = np.sort(np.asarray(raw))[::-1]
         if np.count_nonzero(lams) < m:  # the state would vanish
             lams = np.ones(len(raw))
-        op = PairOperator.from_lambdas(lams / np.linalg.norm(lams))
+        op = PairOperator(lams / np.linalg.norm(lams))
         return build_pairing_state(op, m).vector.normalized()
     d = draw(st.integers(2, 10))
     n = draw(st.integers(2, d))

@@ -10,10 +10,20 @@ Each must be entered by some command or be a key of ``ORACLES``, the
 brute-force and full-sector code that the tests compare a command path
 against, mapped to the command-path function it checks; and no command may
 enter an oracle.
+
+Each function also has one name and takes one form of each input: the
+package binds no function of its own, so every function is reached through
+its module, and a canonical form is taken only by ``canonical``, every
+other module being passed its tensor or its coefficients.
 """
 
+import ast
 import types
 from pathlib import Path
+
+import gamma2lab
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gamma2lab"
 
 
 # oracle -> the command-path function the tests check with it
@@ -21,7 +31,7 @@ ORACLES = {
     "bounds.sup_over_states": "bounds.block_sups",
     "bounds.sup_over_states.matvec": "bounds.block_sups",
     "canonical.AntisymmetricTensor.wedge_amplitudes": "canonical.wedge_matrices",
-    "canonical.canonical_from_lambdas": "bounds.verify_theorem2",
+    "canonical.canonical_from_lambdas": "canonical.correlation_measures",
     "canonical.elementary_wedge": "canonical.youla_decompose",
     "canonical.embed_as_sector_vector": "pairing.pairing_states",
     "canonical.random_tensor": "canonical.youla_decompose",
@@ -44,7 +54,6 @@ ORACLES = {
     "fock.apply_create": "fock._hops",
     "fock.basis_state": "fock._hops",
     "fock.slater_state": "rdm.compute_gamma2",
-    "fock.vacuum_state": "fock._hops",
     "pairing.PairingState.vector": "pairing.pair_expectation_and_norm",
     "pairing.annihilation_identity_check": "pairing.pairing_states",
     "pairing.apply_B": "bounds.block_sups",
@@ -52,7 +61,6 @@ ORACLES = {
     "pairing.build_pairing_state": "pairing.pairing_states",
     "pairing.commutator_defect": "bounds.proposition_gap",
     "pairing.dense_b_matrix": "bounds.proposition_gap",
-    "pairing.norm_sq_oracle": "pairing.pairing_states",
     "pairing.pair_number_diagonal": "bounds.proposition_gap",
     "rdm.apply_pair_annihilator": "rdm.compute_gamma2",
     "rdm.expectation": "rdm.compute_gamma2",
@@ -71,7 +79,7 @@ def _functions():
                 found[file, const.co_firstlineno, const.co_name] = f"{name}.{const.co_name}"
                 walk(const, f"{name}.{const.co_name}", file)
 
-    for path in (Path(__file__).resolve().parents[1] / "src" / "gamma2lab").glob("*.py"):
+    for path in PACKAGE.glob("*.py"):
         walk(compile(path.read_text(encoding="utf-8"), str(path), "exec"), path.stem,
              path.name)
     return found
@@ -86,3 +94,17 @@ def test_every_function_is_on_a_command_path_or_an_oracle(corpus_run):
     assert sorted(missed - set(ORACLES)) == []   # nor leaves a function unused
     assert sorted(set(ORACLES) - missed) == []   # every oracle exists
     assert sorted(set(ORACLES.values()) - entered) == []
+
+
+def test_the_package_binds_only_its_version_and_modules():
+    assert gamma2lab.__version__
+    assert [name for name, obj in vars(gamma2lab).items()
+            if not name.startswith("_") and not isinstance(obj, types.ModuleType)] == []
+
+
+def test_only_canonical_names_the_canonical_form():
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {getattr(node, attr, None) for node in ast.walk(tree)
+                 for attr in ("id", "attr", "name")}  # names, attributes, imports
+        assert path.name == "canonical.py" or "CanonicalForm" not in names, path.name
