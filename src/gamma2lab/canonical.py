@@ -398,30 +398,38 @@ def read_tensor_text(path) -> AntisymmetricTensor:
 
     The tensor is a vector of the (d, 2) sector, so a header d whose
     C(d, 2) exceeds ``fock.DEFAULT_MAX_SECTOR`` (d > 2449) is refused with
-    :class:`SectorSizeError` before any array is allocated.
+    :class:`SectorSizeError` before any array is allocated.  Every other
+    refusal is a ValueError naming the line and its text.
     """
     raw = Path(path).read_text(encoding="utf-8").splitlines()
     rows = [(n, ln.strip()) for n, ln in enumerate(raw, start=1)]
     rows = [(n, ln) for n, ln in rows if ln and not ln.startswith("#")]
     if not rows:
         raise ValueError("empty tensor file")
-    d = int(rows[0][1])
+    (n, head), entries = rows[0], rows[1:]
+    try:
+        d = int(head)
+    except ValueError:
+        d = -1
+    if d < 0:
+        raise ValueError(f"line {n} is not a dimension d >= 0: {head!r}")
     if comb(d, 2) > DEFAULT_MAX_SECTOR:
         raise SectorSizeError(f"tensor of d={d} has {comb(d, 2)} wedge entries, "
                               f"cap is {DEFAULT_MAX_SECTOR}")
     upper = np.zeros((d, d), dtype=np.complex128)
     seen = set()
-    for n, ln in rows[1:]:
-        parts = ln.split()
-        if len(parts) != 4:
-            raise ValueError(f"malformed tensor line {n}: {ln!r}")
-        i, j = int(parts[0]), int(parts[1])
+    for n, ln in entries:
+        try:  # i j re im: two integer indices and two reals
+            i, j, re_part, im_part = ln.split()
+            i, j, val = int(i), int(j), complex(float(re_part), float(im_part))
+        except ValueError:  # a wrong field count, too
+            raise ValueError(f"malformed tensor line {n}: {ln!r}") from None
         if not 0 <= i < j < d:
-            raise ValueError(f"entry ({i}, {j}) is not strictly upper for d={d}")
+            raise ValueError(f"line {n} has entry ({i}, {j}), not strictly upper "
+                             f"for d={d}: {ln!r}")
         if (i, j) in seen:
             raise ValueError(f"line {n} repeats entry ({i}, {j}): {ln!r}")
         seen.add((i, j))
-        val = complex(float(parts[2]), float(parts[3]))
         if not np.isfinite(val):
             raise ValueError(f"line {n} has a non-finite value: {ln!r}")
         upper[i, j] = val

@@ -377,7 +377,13 @@ def _particles_list(text: str) -> list[int]:
         raise ValueError(f"no particle number in {text!r}")
     if not all(fields):
         raise ValueError(f"empty particle number in {text!r}")
-    return [int(p) for p in fields]
+    numbers = []
+    for field in fields:
+        try:
+            numbers.append(int(field))
+        except ValueError:
+            raise ValueError(f"non-integer particle number {field!r} in {text!r}") from None
+    return numbers
 
 
 def _cmd_canonical(args) -> tuple[dict, list]:

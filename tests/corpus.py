@@ -40,6 +40,12 @@ def write_inputs(path):
         write_tensor_text(path / name, random_tensor(6, np.random.default_rng(0)))
     (path / "big.txt").write_text("4\n0 1 1e200 0\n2 3 1e200 0\n")
     (path / "huge.txt").write_text("1000000000\n")  # a header, refused before any array
+    # refused inputs: no line but comments, a header or entry that does not
+    # parse, an entry of three fields
+    (path / "comments.txt").write_text("# no tensor\n\n# and no coefficient\n")
+    (path / "xhead.txt").write_text("x\n")
+    (path / "xentry.txt").write_text("4\n0 x 1 0\n")
+    (path / "short.txt").write_text("4\n0 1 1\n")
     # pairs of 1e-8 and 1e-9 on Hadamard columns: the partners found in
     # their merged cluster are orthonormal only to 6.9e-8 and get repaired
     h = np.array([[1.0]])

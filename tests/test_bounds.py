@@ -173,7 +173,22 @@ class TestVerifyTheorem2:
     def test_skips_short_support(self):
         lams = np.array([np.sqrt(0.5), np.sqrt(0.5), 0.0, 0.0])
         report = verify_theorem2(lams, 6)
-        assert report.passed is None
+        assert report.passed is None and "admissible" in report.note
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_short_support_is_outside_the_regime(self, data):
+        # support s < N/2 forces N lam_max**2 >= N/s > 1: every such profile
+        # is skipped before its pairing state is built
+        k = data.draw(st.integers(2, 8))
+        support = data.draw(st.integers(1, k - 1))
+        n = data.draw(st.sampled_from(range(2 * support + 2, 2 * k + 1, 2)))
+        weights = data.draw(st.lists(st.floats(1e-3, 1.0), min_size=support,
+                                     max_size=support))
+        lams = np.sqrt(np.sort(weights)[::-1] / np.sum(weights))
+        lams = np.concatenate([lams, np.zeros(k - support)])
+        report = verify_theorem2(lams, n)
+        assert report.passed is None and "admissible" in report.note
 
     def test_refuses_ascending_profile(self):
         with pytest.raises(ValueError, match="descending"):

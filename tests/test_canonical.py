@@ -369,6 +369,21 @@ class TestTextFormat:
         with pytest.raises(ValueError):
             read_tensor_text(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ("x\n", "line 1 is not a dimension d >= 0: 'x'"),
+        ("# d\n-5\n", "line 2 is not a dimension d >= 0: '-5'"),
+        ("4\n0 x 1 0\n", "malformed tensor line 2: '0 x 1 0'"),
+        ("4\n0 1 0.5 0\n\n0 2 a 0\n", "malformed tensor line 4: '0 2 a 0'"),
+        ("4\n2 1 1 0\n",
+         "line 2 has entry (2, 1), not strictly upper for d=4: '2 1 1 0'"),
+    ], ids=["header", "negative-header", "index", "value", "lower-entry"])
+    def test_refusals_name_the_line(self, tmp_path, text, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError) as refused:
+            read_tensor_text(path)
+        assert str(refused.value) == message
+
     @pytest.mark.parametrize("value", ["nan 0.0", "0.5 inf", "-inf -inf"])
     def test_rejects_non_finite_values(self, tmp_path, value):
         path = tmp_path / "bad.txt"

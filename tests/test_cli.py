@@ -6,8 +6,6 @@ import math
 import os
 import platform
 import shlex
-import subprocess
-import sys
 import time
 from pathlib import Path
 
@@ -568,14 +566,20 @@ class TestSubcommands:
         (["explore", "--lambda", "uniform:4", "--particles", "2,4,",
           "--out", "report.json"], None, 1,
          "ValueError: empty particle number in '2,4,'"),
+        (THM2[:-1] + ["4,x", "--out", "report.json"], None, 1,
+         "ValueError: non-integer particle number 'x' in '4,x'"),
+        (["explore", "--lambda", "uniform:4", "--particles", "2,x",
+          "--out", "report.json"], None, 1,
+         "ValueError: non-integer particle number 'x' in '2,x'"),
     ], ids=["out-under-a-file", "out-deep-under-a-file", "outdir-is-a-file",
             "out-under-unwritable", "out-deep-under-unwritable", "outdir-is-unwritable",
-            "threads-0", "threads-negative", "empty-field", "trailing-comma"])
+            "threads-0", "threads-negative", "empty-field", "trailing-comma",
+            "non-integer-field", "explore-non-integer-field"])
     def test_refused_arguments(self, tmp_path, capsys, monkeypatch, refuse, argv,
                                outdir, code, message):
         # a usage error exits 2 with one stderr line before any handler
-        # runs, and writes nothing; an empty --particles field is an error
-        # report, as an empty list is.  Root passes every permission check,
+        # runs, and writes nothing; an empty or non-integer --particles field
+        # is an error report, as an empty list is.  Root passes every permission check,
         # so the directory ro is made unwritable through os.access.
         real_access, ro = os.access, tmp_path.resolve() / "ro"
         monkeypatch.setattr(cli.os, "access", lambda path, mode: (
@@ -884,38 +888,6 @@ class TestDocumentedCommands:
             out = (argv[argv.index("--out") + 1] if "--out" in argv
                    else f"{argv[0]}_report.json")
             _read_report(out)
-
-    def test_theorem_sweep_script(self, tmp_path):
-        subprocess.run([sys.executable, str(ROOT / "scripts/run_theorem_sweep.py"),
-                        "--dim", "6", "--particles", "3", "--trials", "2",
-                        "--outdir", str(tmp_path)], check=True, capture_output=True)
-        for check in ("thm1", "occupation"):
-            _read_report(tmp_path / f"{check}_d6_n3.json")
-
-    def test_conjecture_scan_script(self, tmp_path):
-        def scan(particles, outdir):
-            return subprocess.run(
-                [sys.executable, str(ROOT / "scripts/run_conjecture_scan.py"),
-                 "--profiles", "uniform:4", "power:1:6", "--particles", particles,
-                 "--outdir", str(outdir)], capture_output=True, text=True)
-
-        done = scan("2,4", tmp_path)
-        assert done.returncode == 0
-        for name in ("uniform_4.csv", "power_1_6.csv"):
-            assert len(_read_report(tmp_path / name)) == 3
-        # each report is the one `explore` writes
-        assert main(["explore", "--lambda", "uniform:4", "--particles", "2,4",
-                     "--out", str(tmp_path / "own.csv")]) == 0
-        own, scanned = tmp_path / "own.csv", tmp_path / "uniform_4.csv"
-        assert own.read_bytes() == scanned.read_bytes()
-        # an empty field is an error report per profile and a failed scan,
-        # not a traceback
-        done = scan("2,,4", tmp_path / "bad")
-        assert done.returncode == 1 and "Traceback" not in done.stderr
-        for name in ("uniform_4.csv", "power_1_6.csv"):
-            rows = _read_report(tmp_path / "bad" / name)
-            assert [row[0] for row in rows[1:]] == ["error"]
-        assert done.stdout.count("empty particle number in '2,,4'") == 2
 
 
 ENVIRONMENT = """
