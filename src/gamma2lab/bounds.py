@@ -21,14 +21,17 @@ of the batch from one batched product over that stack, and
 ``prop_occupation`` reads the pair planes of its matrices off one batched
 SVD and takes the minimum of every ||c(w) psi||^2 over each plane, a
 quadratic form in its state's one-body matrix, which is a partial trace of
-the reduced operator.  Neither touches the state again.
+the reduced operator.  Neither touches the state again.  Each returns the
+rows of the whole batch as one :class:`EigenpairRows`: the arrays it
+computed, held as columns, and a sequence of reports built when read.
 
 Default tolerances: 1e-8 for bound margins, 1e-10 for structural identities.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass, field, replace
 from math import comb
 from typing import NamedTuple
 
@@ -105,28 +108,71 @@ def _kept(spectral: SpectralData, tol: float, tag: dict | list[dict] | None):
     return members, keep, values[members, keep], mats, tags
 
 
-def _eigenpair_reports(kind: str, spectral: SpectralData, members: np.ndarray,
-                       keep: np.ndarray, observed, bound, margin, details: dict,
-                       tol: float, tags: list[dict]) -> list[TheoremReport]:
-    """One ``kind`` report per kept eigenpair ``keep[i]`` of state
-    ``members[i]``, tagged ``tags[members[i]]``, from the i-th entry of each
-    array: ``observed``, ``bound``, ``margin`` (pass means margin >= -tol)
-    and every column of ``details``."""
-    d, N = spectral.operator.d, spectral.operator.n_particles
-    columns = zip(members.tolist(), keep.tolist(), observed.tolist(), bound.tolist(),
-                  margin.tolist(), *(col.tolist() for col in details.values()))
-    return [TheoremReport(kind=kind, params={"d": d, "N": N, "eigen_index": idx,
-                                             **tags[m]},
-                          observed=obs, bound=bnd, margin=mar, passed=mar >= -tol,
-                          details=dict(zip(details, row)))
-            for m, idx, obs, bnd, mar, *row in columns]
+@dataclass(frozen=True, eq=False)
+class EigenpairRows(Sequence):
+    """The ``kind`` rows of the kept eigenpairs of a batch of (d, N) states,
+    held as columns until they are written.
+
+    Batch row i checks eigenpair ``keep[i]`` of state ``members[i]``, tagged
+    ``tags[members[i]]``, by the i-th entry of ``observed``, ``bound`` and
+    ``margin`` (pass means margin >= -tol) and of each column of
+    ``details``.  ``members`` ascend, so each state's rows are contiguous.
+    As a read-only sequence it holds the batch rows of ``span``, all of
+    them unless sliced, each a :class:`TheoremReport` built when read; a
+    slice shares the batch's arrays.
+    """
+
+    kind: str
+    d: int
+    N: int
+    tol: float
+    tags: list[dict]
+    members: np.ndarray
+    keep: np.ndarray
+    observed: np.ndarray
+    bound: np.ndarray
+    margin: np.ndarray
+    details: dict[str, np.ndarray]
+    span: range | None = None
+
+    def __post_init__(self):
+        if self.span is None:
+            object.__setattr__(self, "span", range(len(self.members)))
+
+    def __len__(self) -> int:
+        return len(self.span)
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return replace(self, span=self.span[i])
+        j = self.span[i]
+        return TheoremReport(
+            kind=self.kind, params=self.params(self.members[j].item(), self.keep[j].item()),
+            observed=self.observed[j].item(), bound=self.bound[j].item(),
+            margin=self.margin[j].item(), passed=bool(self.margin[j] >= -self.tol),
+            details={key: col[j].item() for key, col in self.details.items()})
+
+    def params(self, member: int, eigen_index) -> dict:
+        """The params of the rows of state ``member`` at ``eigen_index``."""
+        return {"d": self.d, "N": self.N, "eigen_index": eigen_index, **self.tags[member]}
+
+    @property
+    def passed(self) -> bool:
+        """Whether every row passes."""
+        rows = np.arange(self.span.start, self.span.stop, self.span.step)
+        return bool(np.all(self.margin[rows] >= -self.tol))
 
 
 def verify_theorem1(spectral: SpectralData, tol: float = BOUND_TOL,
-                    tag: dict | list[dict] | None = None) -> list[TheoremReport]:
+                    tag: dict | list[dict] | None = None) -> EigenpairRows:
     """Check the correlational ceiling on every nonzero eigenpair of a
     two-body reduced operator, or of each operator of a batch, whose rows
-    come in trial order, each tagged by its entry of the list ``tag``.
+    come in trial order, each tagged by its entry of the list ``tag``; the
+    ``thm1`` rows of the whole batch are one :class:`EigenpairRows`, with
+    details ``sum_lambda4`` and ``lambda_max``.
 
     Eigenvalues below ``tol`` are excluded: their eigenvectors are arbitrary
     within the numerical kernel and the ceiling is trivial there anyway.
@@ -137,10 +183,11 @@ def verify_theorem1(spectral: SpectralData, tol: float = BOUND_TOL,
     """
     members, keep, eigenvalues, mats, tags = _kept(spectral, tol, tag)
     sum_lambda4, lambda_max = correlation_invariants(mats)
-    ceilings = theorem1_rhs(spectral.operator.n_particles, sum_lambda4)
-    return _eigenpair_reports(
-        "thm1", spectral, members, keep, eigenvalues, ceilings, ceilings - eigenvalues,
-        {"sum_lambda4": sum_lambda4, "lambda_max": lambda_max}, tol, tags)
+    g = spectral.operator
+    ceilings = theorem1_rhs(g.n_particles, sum_lambda4)
+    return EigenpairRows("thm1", g.d, g.n_particles, tol, tags, members, keep,
+                         eigenvalues, ceilings, ceilings - eigenvalues,
+                         {"sum_lambda4": sum_lambda4, "lambda_max": lambda_max})
 
 
 def theorem2_floor(N: int, sum_lambda4: float, lambda_max_sq: float) -> float:
@@ -262,7 +309,7 @@ def proposition_report(op: PairOperator, N: int,
 
 
 def eigenvector_occupation_check(spectral: SpectralData, tol: float = BOUND_TOL,
-                                 tag: dict | list[dict] | None = None) -> list[TheoremReport]:
+                                 tag: dict | list[dict] | None = None) -> EigenpairRows:
     """Occupation floor ||c(w) psi||^2 >= (Lambda/2) lam_k**2 for each
     eigenpair with Lambda > ``tol``, each pair k of the canonical form of the
     eigenvector's coefficient matrix in ``spectral.matrices``, and every
@@ -278,18 +325,19 @@ def eigenvector_occupation_check(spectral: SpectralData, tol: float = BOUND_TOL,
     over the planes of all kept eigenvectors of the batch, each against its
     own state's one-body matrix, from one batched SVD.  A tie of
     several pairs is one space, compared with its smallest lam and named by
-    its first pair.  Each report names its worst pair k.
+    its first pair.  The ``prop_occupation`` rows of the whole batch are one
+    :class:`EigenpairRows`; each names its worst pair k, with its
+    ``occupation`` and ``required`` floor, in its details.
     """
     members, keep, eigenvalues, mats, tags = _kept(spectral, tol, tag)
-    d = spectral.operator.d
-    lams, occ = plane_minima(mats, spectral.one_body.reshape(-1, d, d)[members])
+    g = spectral.operator
+    lams, occ = plane_minima(mats, spectral.one_body.reshape(-1, g.d, g.d)[members])
     need = 0.5 * eigenvalues[:, None] * lams ** 2
     excess = occ - need
     rows, k = np.arange(len(keep)), np.argmin(excess, axis=1)
-    return _eigenpair_reports(
-        "prop_occupation", spectral, members, keep, occ[rows, k], need[rows, k],
-        excess[rows, k], {"k": k, "occupation": occ[rows, k],
-                          "required": need[rows, k]}, tol, tags)
+    return EigenpairRows("prop_occupation", g.d, g.n_particles, tol, tags, members, keep,
+                         occ[rows, k], need[rows, k], excess[rows, k],
+                         {"k": k, "occupation": occ[rows, k], "required": need[rows, k]})
 
 
 def norm_recursion_check(op: PairOperator, M_max: int,

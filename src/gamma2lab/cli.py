@@ -18,7 +18,12 @@ to sum lam**2 = 1 and sorted descending.
 
 Checks hold plain JSON values when built (None where a value does not
 apply), so the writers convert nothing; the JSON writer raises on a
-non-finite float rather than write ``NaN`` or ``Infinity``.
+non-finite float rather than write ``NaN`` or ``Infinity``.  The eigenpair
+rows of a sweep batch are the exception: they stay the arrays of one
+:class:`bounds.EigenpairRows` until written.  The JSON writer writes them
+from one row template per batch, cut from ``json``'s own text of a row, and
+everything else with ``json``; the CSV writer expands them into reports.
+The bytes are those of ``json.dumps`` of the expanded report.
 
 Reports are deterministic: identical single-threaded runs write
 byte-identical files.  Wall-clock timing therefore goes to stderr and is
@@ -81,7 +86,7 @@ SCHEMA_VERSION = 1
 RNG_NAME = "philox4x64"
 OUTDIR_ENV = "GAMMA2LAB_OUTDIR"
 SWEEP_BATCH_BYTES = 1 << 21  # a sweep's working set per batch of trials
-SWEEP_ROW_BYTES = 1700       # one report row held until written, with its JSON text
+SWEEP_ROW_BYTES = 1700       # one report row at its largest, expanded with its text
 SWEEP_MAX_ROWS = 1_000_000   # one sweep's budget, in rows of SWEEP_ROW_BYTES: 1.7 GB
 DUMP_FLOAT_BYTES = 100       # one dumped float: object, list slot and JSON text
 MAX_PROFILE_PAIRS = 1_000_000  # one log-form scan of ~10 us per pair: ~10 s
@@ -243,8 +248,12 @@ def admit_sweep(d: int, trials: int, dumps: int = 0) -> None:
     1 + P rows in all, P = d(d-1)/2.  Each of the ``dumps`` flags
     (``--eigenvectors``, ``--dump-operator``) adds P x P complex entries to
     the spectrum row, 2 P^2 floats of ``DUMP_FLOAT_BYTES`` each.  The rows
-    stay in memory until the report is written, so the budget bounds that
-    memory; the refusal counts the dumps in rows' worth of bytes.
+    stay in memory until the report is written.  An eigenpair row is held
+    as a few array entries until then, and is largest when the CSV writer
+    expands it into a report and a dict next to its text, which
+    ``SWEEP_ROW_BYTES`` bounds; the JSON writer holds only its text, twice.
+    So the budget bounds that memory; the refusal counts the dumps in
+    rows' worth of bytes.
     """
     n_pairs = d * (d - 1) // 2
     rows = trials * (1 + n_pairs)
@@ -292,7 +301,8 @@ def build_report(config: dict, checks: list, timing: float | None) -> dict:
     :func:`_environment`, which starts no process).  The scipy version is
     :data:`SCIPY_VERSION`, read at import from scipy's ``version.py``
     without importing scipy, and None where scipy is not installed.
-    ``config`` is stored as given, each check as its ``to_dict()``.
+    ``config`` is stored as given, each check as its ``to_dict()``, except
+    that a :class:`bounds.EigenpairRows` stays as it is for the writers.
     """
     return {
         "schema_version": SCHEMA_VERSION,
@@ -306,21 +316,85 @@ def build_report(config: dict, checks: list, timing: float | None) -> dict:
             "environment": _environment(),
         },
         "config": config,
-        "checks": [c.to_dict() for c in checks],
+        "checks": [c if isinstance(c, bounds.EigenpairRows) else c.to_dict()
+                   for c in checks],
         "timing": None if timing is None else {"elapsed_s": timing},
     }
 
 
 def report_to_json(report: dict) -> str:
-    """One line of JSON with sorted keys.  Without ``indent`` the encoder
-    runs in C; any indent falls back to the pure-Python one.  A NaN or
-    infinite float raises ValueError: neither is JSON."""
-    return json.dumps(report, sort_keys=True, allow_nan=False) + "\n"
+    """One line of JSON with sorted keys, the text of ``json.dumps(report,
+    sort_keys=True, allow_nan=False)`` with every :class:`bounds.EigenpairRows`
+    expanded into its rows' ``to_dict()``.  ``json`` writes every value but
+    the eigenpair rows, which :func:`_batch_texts` writes from one template
+    per batch.  A NaN or infinite float raises ValueError: neither is JSON.
+    """
+    encode = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
+    batches: dict[int, list[str]] = {}  # the slices of a batch share its arrays
+    checks = []
+    for c in report["checks"]:
+        if isinstance(c, bounds.EigenpairRows):
+            texts = batches.get(id(c.members))
+            if texts is None:
+                texts = batches[id(c.members)] = _batch_texts(c, encode)
+            checks += map(texts.__getitem__, c.span)
+        else:
+            checks.append(encode(c))
+    fields = [f"{encode(k)}: " + (f"[{', '.join(checks)}]" if k == "checks" else encode(v))
+              for k, v in sorted(report.items())]
+    return "{" + ", ".join(fields) + "}\n"
+
+
+def _batch_texts(rows: bounds.EigenpairRows, encode) -> list[str]:
+    """The JSON text of every row of the batch of ``rows``, in batch order.
+
+    The template is ``encode`` of one row whose values that vary are
+    marker strings, so key order, separators and escapes are ``json``'s;
+    it is cut at the markers and filled per row.  The params of each state
+    are encoded once, cut at their eigen index.  Floats are written by
+    ``float.__repr__`` and ints by ``int.__repr__``, as ``json`` writes
+    them; a non-finite float anywhere in the batch raises ValueError.
+    """
+    mark = encode("\0eigen_index")
+    halves = [encode(rows.params(m, "\0eigen_index")).split(mark)
+              for m in range(len(rows.tags))]
+    params = [pre + idx + post for (pre, post), idx in
+              zip(map(halves.__getitem__, rows.members.tolist()), _json_texts(rows.keep))]
+    # in the order of the report's fields: params, observed, bound, margin,
+    # pass, then the details
+    columns = [params, *map(_json_texts, (rows.observed, rows.bound, rows.margin,
+                                          rows.margin >= -rows.tol)),
+               *map(_json_texts, rows.details.values())]
+    markers = [f"\0{i}" for i in range(len(columns))]
+    skeleton = bounds.TheoremReport(rows.kind, *markers[:5], dict(zip(rows.details, markers[5:])))
+    template = encode(skeleton.to_dict()).replace("%", "%%")
+    holes = [encode(m) for m in markers]
+    order = sorted(range(len(columns)), key=lambda i: template.index(holes[i]))
+    for hole in holes:
+        template = template.replace(hole, "%s")
+    return list(map(template.__mod__, zip(*map(columns.__getitem__, order))))
+
+
+def _json_texts(column: np.ndarray) -> list[str]:
+    """Each entry of a column as ``json`` writes it: a bool as true or
+    false, an int by ``int.__repr__``, a float by ``float.__repr__``, which
+    must be finite (else ValueError, as ``json`` raises)."""
+    values = column.tolist()
+    if column.dtype == bool:
+        return list(map(("false", "true").__getitem__, values))
+    if column.dtype.kind == "f":
+        if not np.isfinite(column).all():
+            raise ValueError("Out of range float values are not JSON compliant")
+        return list(map(float.__repr__, values))
+    return list(map(int.__repr__, values))
 
 
 def report_to_csv(report: dict) -> str:
-    """Flatten the checks list into one row per check."""
-    checks = report["checks"]
+    """Flatten the checks list into one row per check, each
+    :class:`bounds.EigenpairRows` into its rows."""
+    checks = [row for c in report["checks"]
+              for row in ([r.to_dict() for r in c] if isinstance(c, bounds.EigenpairRows)
+                          else [c])]
     param_keys = sorted({k for c in checks for k in c.get("params", {})})
     detail_keys = sorted({k for c in checks for k in c.get("details", {})})
     header = (["kind"] + [f"param:{k}" for k in param_keys]
@@ -460,10 +534,12 @@ def _cmd_verify(args) -> tuple[dict, list]:
             tags = [{"seed": args.seed + t, "trial": t} for t in trials]
             psi = random_state(args.dim, args.particles, [tag["seed"] for tag in tags])
             spectral = rdm.spectral_decompose(rdm.compute_gamma2(psi))
-            rows = (_spectrum_rows(psi, spectral, tags, args)
-                    + verify(spectral, tol=args.tol, tag=tags))
-            # stable: each trial's spectrum row, then its checks in eigen order
-            checks += sorted(rows, key=lambda r: r.params["trial"])
+            rows = verify(spectral, tol=args.tol, tag=tags)
+            # each trial's spectrum row, then its rows, which are contiguous
+            ends = np.searchsorted(rows.members, np.arange(len(tags) + 1)).tolist()
+            for spectrum, lo, hi in zip(_spectrum_rows(psi, spectral, tags, args),
+                                        ends, ends[1:]):
+                checks += [spectrum, rows[lo:hi]]
         return config, checks
 
     spec = parse_lambda_spec(args.lambda_spec)

@@ -261,7 +261,7 @@ class TestOccupationCheck:
 
     def test_no_eigenvalue_above_tol(self):
         sd = spectrum(random_state(6, 3, 1))
-        assert eigenvector_occupation_check(sd, tol=2 * sd.eigenvalues[0]) == []
+        assert len(eigenvector_occupation_check(sd, tol=2 * sd.eigenvalues[0])) == 0
 
     @pytest.mark.parametrize("seed", range(5))
     def test_random_sweep(self, seed):

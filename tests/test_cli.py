@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gamma2lab import bounds, cli, pairing, rdm
 from gamma2lab.canonical import random_tensor, write_tensor_text
@@ -771,6 +772,131 @@ class TestReportDeterminism:
         assert len(text.splitlines()) == 2
 
 
+
+def _materialized(report):
+    """``report`` with every eigenpair block expanded into its rows' dicts."""
+    return {**report, "checks": [
+        row for c in report["checks"]
+        for row in ([r.to_dict() for r in c] if isinstance(c, bounds.EigenpairRows)
+                    else [c])]}
+
+
+def _json_oracle(report):
+    return json.dumps(_materialized(report), sort_keys=True, allow_nan=False) + "\n"
+
+
+# finite floats, with the signed zeros, the smallest subnormal and 1e308 often
+FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308]) | st.floats(
+    allow_nan=False, allow_infinity=False)
+DETAILS = {"thm1": {"sum_lambda4": FLOATS, "lambda_max": FLOATS},
+           "prop_occupation": {"k": st.integers(0, 60), "occupation": FLOATS,
+                               "required": FLOATS}}
+
+
+@st.composite
+def eigenpair_blocks(draw):
+    """A batch of 0 to 4 tagged states and 0 to 8 rows of random finite
+    columns, its margins around -tol so that rows pass and fail; one kind
+    holds a quote, a % and a non-ASCII letter for the template to keep."""
+    kind = draw(st.sampled_from([*DETAILS, 'a "%s" kind, 100% \u00e9']))
+    states = draw(st.integers(0, 4))
+    n = draw(st.integers(0, 8)) if states else 0
+    tol = draw(st.sampled_from([0.0, 1e-8, 0.5]))
+    tags = [{"seed": draw(st.integers(0, 2 ** 64 - 1)), "trial": t} for t in range(states)]
+    members = np.sort(np.array(draw(st.lists(st.integers(0, max(states - 1, 0)), min_size=n,
+                                             max_size=n)), dtype=np.intp))
+    floats = [np.array(draw(st.lists(FLOATS, min_size=n, max_size=n))) for _ in range(2)]
+    margin = np.array(draw(st.lists(FLOATS | st.sampled_from([-tol, -2 * tol, tol]),
+                                    min_size=n, max_size=n)))
+    details = {key: np.array(draw(st.lists(strategy, min_size=n, max_size=n)),
+                             dtype=np.intp if key == "k" else np.float64)
+               for key, strategy in DETAILS.get(kind, DETAILS["thm1"]).items()}
+    keep = np.array(draw(st.lists(st.integers(0, 27), min_size=n, max_size=n)),
+                    dtype=np.intp)
+    return bounds.EigenpairRows(kind, draw(st.integers(2, 24)), draw(st.integers(2, 12)),
+                                tol, tags, members, keep, *floats, margin, details)
+
+
+def _sweep_checks(rows):
+    """A spectrum row per state, each followed by its slice of ``rows``, then
+    an empty block, as ``verify thm1/occupation`` lists them."""
+    ends = np.searchsorted(rows.members, np.arange(len(rows.tags) + 1)).tolist()
+    checks = []
+    for m, (lo, hi) in enumerate(zip(ends, ends[1:])):
+        checks += [bounds.TheoremReport(kind="spectrum", params={"trial": m},
+                                        details={"eigenvalues": [1.5, -0.0]}),
+                   rows[lo:hi]]
+    return checks + [rows[len(rows):]]
+
+
+class TestEigenpairWriter:
+    """The JSON writer's row templates against ``json.dumps`` of the
+    expanded report, and the CSV writer against itself on that report."""
+
+    @given(st.lists(eigenpair_blocks(), max_size=3))
+    @settings(max_examples=150, deadline=None)
+    def test_template_writes_the_bytes_of_json(self, blocks):
+        checks = [c for rows in blocks for c in _sweep_checks(rows)] + [
+            bounds.TheoremReport(kind="thm2", params={"N": 4}, observed=1.0, note="50%")]
+        report = build_report({"command": "verify"}, checks, None)
+        assert report_to_json(report) == _json_oracle(report)
+        assert report_to_csv(report) == report_to_csv(_materialized(report))
+
+    def test_empty_blocks_write_nothing(self):
+        empty = bounds.EigenpairRows("thm1", 6, 3, 1e-8, [], np.zeros(0, np.intp),
+                                     np.zeros(0, np.intp), *np.zeros((3, 0)), {})
+        report = build_report({}, [empty, empty], None)
+        assert '"checks": []' in report_to_json(report) == _json_oracle(report)
+
+    @pytest.mark.parametrize("column", ["observed", "bound", "margin", "occupation"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_raises(self, column, bad):
+        values = {"observed": np.array([0.5, 0.25]), "bound": np.array([1.0, 2.0]),
+                  "margin": np.array([0.5, 1.75]), "occupation": np.array([0.5, 0.5])}
+        values[column][1] = bad
+        rows = bounds.EigenpairRows(
+            "prop_occupation", 6, 3, 1e-8, [{"trial": 0}], np.zeros(2, np.intp),
+            np.arange(2), values["observed"], values["bound"], values["margin"],
+            {"k": np.zeros(2, np.intp), "occupation": values["occupation"]})
+        report = build_report({}, [rows[:1], rows[1:]], None)
+        for write in (report_to_json, _json_oracle):
+            with pytest.raises(ValueError):
+                write(report)
+
+    @pytest.mark.parametrize("check", ["thm1", "occupation"])
+    def test_failing_rows_fail_the_run(self, tmp_path, monkeypatch, check):
+        # every other batch row of the one batch falls below its ceiling or
+        # floor, by far more than --tol
+        if check == "thm1":
+            rhs = bounds.theorem1_rhs
+            monkeypatch.setattr(bounds, "theorem1_rhs", lambda n, s4: rhs(n, s4) - np.where(
+                np.arange(len(s4)) % 2, 0.0, 10.0))
+        else:
+            minima = bounds.plane_minima
+
+            def raised_floor(mats, one_body):
+                lams, occ = minima(mats, one_body)
+                lams[::2] *= 10.0
+                return lams, occ
+            monkeypatch.setattr(bounds, "plane_minima", raised_floor)
+        built = []
+
+        def recording(config, checks, timing):
+            built.append(build_report(config, checks, timing))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "build_report", recording)
+        out = tmp_path / "r.json"
+        assert main(["verify", check, "--dim", "6", "--particles", "3", "--trials", "2",
+                     "--out", str(out)]) == 1
+        text = out.read_text(encoding="utf-8")
+        assert text == _json_oracle(built[0])
+        rows = [c for c in json.loads(text)["checks"] if c["kind"] != "spectrum"]
+        assert len(rows) > 2
+        assert [c["pass"] for c in rows] == [i % 2 == 1 for i in range(len(rows))]
+        assert text.count('"pass": false') == (len(rows) + 1) // 2
+
+
 def _no_constant(name):
     raise AssertionError(f"{name} written to a report")
 
@@ -828,6 +954,8 @@ class TestPlainReports:
         monkeypatch.setattr(cli, "build_report", recording_build_report)
         code, report = run_cli(tmp_path, *argv)
         (checks,) = built
+        checks = [r for c in checks
+                  for r in (c if isinstance(c, bounds.EigenpairRows) else [c])]
         assert {c.kind for c in checks} == kinds
         for check in checks:
             _assert_plain(check.to_dict(), check.kind)
