@@ -142,9 +142,6 @@ class EigenpairRows(Sequence):
     def __len__(self) -> int:
         return len(self.span)
 
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self)))
-
     def __getitem__(self, i):
         if isinstance(i, slice):
             return replace(self, span=self.span[i])

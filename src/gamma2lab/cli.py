@@ -20,10 +20,10 @@ Checks hold plain JSON values when built (None where a value does not
 apply), so the writers convert nothing; the JSON writer raises on a
 non-finite float rather than write ``NaN`` or ``Infinity``.  The eigenpair
 rows of a sweep batch are the exception: they stay the arrays of one
-:class:`bounds.EigenpairRows` until written.  The JSON writer writes them
-from one row template per batch, cut from ``json``'s own text of a row, and
-everything else with ``json``; the CSV writer expands them into reports.
-The bytes are those of ``json.dumps`` of the expanded report.
+:class:`bounds.EigenpairRows` until written.  Each writer writes them from
+one row template per batch, cut from its library's own text of a row, and
+everything else with that library, so the bytes are those of
+``json.dumps``, or of ``csv.writer``, over the expanded report.
 
 Reports are deterministic: identical single-threaded runs write
 byte-identical files.  Wall-clock timing therefore goes to stderr and is
@@ -47,10 +47,14 @@ pair masks of its pairing states hold (``pairing.MAX_PAIRS``), which are
 admitted first.  A report is renamed into place once written
 (:func:`write_report`), so no run leaves part of one.
 
-A process pays the command line's fixed costs once and starts no other
-process: :func:`main` builds its parser on the first call and reuses it,
-and ``meta.environment`` is read without ``platform.platform()``'s
-``uname -p`` subprocess on Linux (see :func:`build_report`).  Importing
+A process pays the command line's fixed costs once, and only for the
+command it runs, and starts no other process.  :data:`COMMANDS`, the
+command table, holds each command's help text, argument declarations and
+handler; :func:`main` builds the parser of its command on the first call
+for it and reuses it, a parser that names every command but declares the
+arguments of that one alone (:func:`build_parser`).  ``meta.environment``
+is read without ``platform.platform()``'s ``uname -p`` subprocess on Linux
+(see :func:`build_report`).  Importing
 this module imports no scipy, which the command line does not need:
 ``meta.scipy`` is read from scipy's ``version.py``, or is None where scipy
 is not installed (see :data:`SCIPY_VERSION`).  The import ends with
@@ -72,6 +76,7 @@ import platform
 import re
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -249,11 +254,11 @@ def admit_sweep(d: int, trials: int, dumps: int = 0) -> None:
     (``--eigenvectors``, ``--dump-operator``) adds P x P complex entries to
     the spectrum row, 2 P^2 floats of ``DUMP_FLOAT_BYTES`` each.  The rows
     stay in memory until the report is written.  An eigenpair row is held
-    as a few array entries until then, and is largest when the CSV writer
-    expands it into a report and a dict next to its text, which
-    ``SWEEP_ROW_BYTES`` bounds; the JSON writer holds only its text, twice.
-    So the budget bounds that memory; the refusal counts the dumps in
-    rows' worth of bytes.
+    as a few array entries until then, and as its text, twice, while
+    either writer writes it; ``SWEEP_ROW_BYTES`` bounds that, and a row
+    expanded into a report and a dict next to its text as well.  So the
+    budget bounds that memory; the refusal counts the dumps in rows' worth
+    of bytes.
     """
     n_pairs = d * (d - 1) // 2
     rows = trials * (1 + n_pairs)
@@ -390,26 +395,76 @@ def _json_texts(column: np.ndarray) -> list[str]:
 
 
 def report_to_csv(report: dict) -> str:
-    """Flatten the checks list into one row per check, each
-    :class:`bounds.EigenpairRows` into its rows."""
-    checks = [row for c in report["checks"]
-              for row in ([r.to_dict() for r in c] if isinstance(c, bounds.EigenpairRows)
-                          else [c])]
-    param_keys = sorted({k for c in checks for k in c.get("params", {})})
-    detail_keys = sorted({k for c in checks for k in c.get("details", {})})
-    header = (["kind"] + [f"param:{k}" for k in param_keys]
-              + ["observed", "bound", "margin", "pass"]
-              + [f"detail:{k}" for k in detail_keys] + ["note"])
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
+    """A header row, then one row per check, each
+    :class:`bounds.EigenpairRows` giving one per eigenpair row: the text of
+    ``csv.writer`` over the checks with every eigenpair row expanded into
+    its ``to_dict()``.  The header names, in sorted order, the params and
+    details some row holds.  ``csv`` writes every row but the eigenpair
+    rows, which :func:`_csv_batch_lines` writes from one template per state
+    of their batch."""
+    checks = report["checks"]
+    param_keys, detail_keys = set(), set()
     for c in checks:
-        row = [c["kind"]]
-        row += [_cell(c.get("params", {}).get(k)) for k in param_keys]
-        row += [_cell(c.get(k)) for k in ("observed", "bound", "margin", "pass")]
-        row += [_cell(c.get("details", {}).get(k)) for k in detail_keys]
-        row.append(c.get("note", ""))
-        writer.writerow(row)
+        if isinstance(c, bounds.EigenpairRows):
+            if len(c):
+                states = c.members[np.arange(c.span.start, c.span.stop, c.span.step)]
+                for m in set(states.tolist()):
+                    param_keys.update(c.params(m, None))
+                detail_keys.update(c.details)
+        else:
+            param_keys.update(c.get("params", {}))
+            detail_keys.update(c.get("details", {}))
+    param_keys, detail_keys = sorted(param_keys), sorted(detail_keys)
+    lines = [_csv_line(["kind"] + [f"param:{k}" for k in param_keys]
+                       + ["observed", "bound", "margin", "pass"]
+                       + [f"detail:{k}" for k in detail_keys] + ["note"])]
+    batches: dict[int, list[str]] = {}  # the slices of a batch share its arrays
+    for c in checks:
+        if isinstance(c, bounds.EigenpairRows):
+            if not len(c):  # no row, and perhaps no key of the header
+                continue
+            texts = batches.get(id(c.members))
+            if texts is None:
+                texts = batches[id(c.members)] = _csv_batch_lines(c, param_keys,
+                                                                  detail_keys)
+            lines += map(texts.__getitem__, c.span)
+        else:
+            lines.append(_csv_line(
+                [c["kind"], *(_cell(c.get("params", {}).get(k)) for k in param_keys),
+                 *(_cell(c.get(k)) for k in ("observed", "bound", "margin", "pass")),
+                 *(_cell(c.get("details", {}).get(k)) for k in detail_keys),
+                 c.get("note", "")]))
+    return "".join(lines)
+
+
+def _csv_batch_lines(rows: bounds.EigenpairRows, param_keys: list[str],
+                     detail_keys: list[str]) -> list[str]:
+    """The CSV line of every row of the batch of ``rows``, in batch order,
+    under the header of ``param_keys`` and ``detail_keys``.
+
+    Each state's template is ``csv``'s line of its rows with a NUL for
+    each cell that varies by row, so quoting is ``csv``'s; it is cut at the
+    NULs and filled per row.  Those cells are numbers, which ``csv`` never
+    quotes and writes by ``repr``: ints, finite or non-finite floats, and
+    pass as True or False.  No string of the batch may hold a NUL.
+    """
+    columns = [rows.keep, rows.observed, rows.bound, rows.margin, rows.margin >= -rows.tol,
+               *(rows.details[k] for k in detail_keys if k in rows.details)]
+    hole, templates = "\0", []
+    for m in range(len(rows.tags)):
+        params = rows.params(m, hole)
+        line = _csv_line([rows.kind, *(_cell(params.get(k)) for k in param_keys),
+                          hole, hole, hole, hole,  # observed, bound, margin, pass
+                          *(hole if k in rows.details else None for k in detail_keys), ""])
+        templates.append(line.replace("%", "%%").replace(hole, "%s"))
+    cells = zip(*(map(repr, column.tolist()) for column in columns))
+    return list(map(str.__mod__, map(templates.__getitem__, rows.members.tolist()), cells))
+
+
+def _csv_line(row: list) -> str:
+    """``csv.writer``'s text of one row."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(row)
     return buf.getvalue()
 
 
@@ -528,7 +583,7 @@ def _cmd_verify(args) -> tuple[dict, list]:
         rdm.admit_gamma2(args.dim, args.particles)  # refuse before drawing a state
         admit_sweep(args.dim, args.trials, args.eigenvectors + args.dump_operator)
         batch = _batch_trials(args.dim, args.particles)
-        checks = []
+        checks, kept = [], 0
         for first in range(0, args.trials, batch):
             trials = range(first, min(first + batch, args.trials))
             tags = [{"seed": args.seed + t, "trial": t} for t in trials]
@@ -540,6 +595,10 @@ def _cmd_verify(args) -> tuple[dict, list]:
             for spectrum, lo, hi in zip(_spectrum_rows(psi, spectral, tags, args),
                                         ends, ends[1:]):
                 checks += [spectrum, rows[lo:hi]]
+            kept += len(rows)
+        if not kept:  # a vacuous pass
+            raise ValueError(f"no eigenvalue above --tol {args.tol!r} "
+                             f"in --trials {args.trials}")
         return config, checks
 
     spec = parse_lambda_spec(args.lambda_spec)
@@ -602,66 +661,101 @@ class _Parser(argparse.ArgumentParser):
         raise _Refusal(f"{self.prog}: error: {message}")
 
 
-@lru_cache(maxsize=1)
-def build_parser() -> argparse.ArgumentParser:
-    """The command line's parser, built on the first call and returned by
-    every later one, so a process that calls :func:`main` many times
-    validates its arguments' declarations once.  Nothing builds it at
-    import.  ``parse_args`` reads the parser and fills a new namespace per
-    call, so no state passes from one call to the next.
+def _arg(*flags, **declaration) -> tuple[tuple, dict]:
+    """One argument declaration: ``add_argument``'s positional and keyword
+    arguments."""
+    return flags, declaration
+
+
+class Command:
+    """One command of the command line: its help text, its argument
+    declarations in order, and its handler, which takes the parsed
+    arguments and returns the report's config and checks.  (Not a
+    dataclass, whose methods would be compiled at every import.)"""
+
+    def __init__(self, help: str, arguments: tuple[tuple[tuple, dict], ...],
+                 handler: Callable[[argparse.Namespace], tuple[dict, list]]):
+        self.help, self.arguments, self.handler = help, arguments, handler
+
+
+DESCRIPTION = ("Exact verification of two-body reduced-operator bounds "
+               "on a finite fermionic Fock space.")
+_COMMON = (  # every command's last three
+    _arg("--out", type=str, default=None,
+         help=f"report path (.json or .csv); default under ${OUTDIR_ENV}"),
+    _arg("--tol", type=float, default=bounds.BOUND_TOL),
+    _arg("--timing", action="store_true",
+         help="embed wall-clock timing in the report (breaks byte-identical reruns)"),
+)
+
+# the command table: every command, in the order of the usage line
+COMMANDS = {
+    "canonical": Command("decompose a tensor file", (
+        _arg("--tensor", type=str, required=True),
+        _arg("--normalize", action="store_true",
+             help="rescale the input to unit norm before decomposing"),
+        _arg("--vectors", action="store_true",
+             help="include the canonical vectors in the report"),
+        *_COMMON), _cmd_canonical),
+    "verify": Command("run one family of bound checks", (
+        _arg("check", choices=["thm1", "thm2", "prop", "occupation", "norms"]),
+        _arg("--dim", type=int, default=8),
+        _arg("--particles", type=str, default="4",
+             help="particle number, or comma list where applicable"),
+        _arg("--trials", type=int, default=20),
+        _arg("--seed", type=int, default=0),
+        _arg("--threads", type=int, default=1,
+             help="at least 1; recorded in the report, trials always run in order"),
+        _arg("--lambda", dest="lambda_spec", type=str, default=None,
+             help="coefficient profile, e.g. uniform:4 or power:1:8"),
+        _arg("--m-max", type=int, default=None),
+        _arg("--eigenvectors", action="store_true",
+             help="include eigenvector amplitudes in spectrum rows"),
+        _arg("--dump-operator", action="store_true",
+             help="include the assembled operator matrix per trial"),
+        *_COMMON), _cmd_verify),
+    "explore": Command("empirical-constant sweep (no pass/fail)", (
+        _arg("--lambda", dest="lambda_spec", type=str, required=True),
+        _arg("--particles", type=str, required=True),
+        *_COMMON), _cmd_explore),
+    "counterexample": Command("overlap floor growth in N", (
+        _arg("--lambda", dest="lambda_spec", type=str, required=True),
+        _arg("--particles", type=str, required=True),
+        _arg("--k-equals-n", action="store_true",
+             help="replace K, the profile's last field, by each N; file: refused"),
+        *_COMMON), _cmd_counterexample),
+}
+
+
+@lru_cache(maxsize=len(COMMANDS) + 1)
+def build_parser(command: str | None) -> argparse.ArgumentParser:
+    """The parser of ``command``'s command lines, or with None the bare
+    parser, built on the first call for each and returned by every later
+    one.  Nothing builds one at import.
+
+    Every parser registers each command of :data:`COMMANDS` by name and
+    help text, so its usage line, ``--help`` and ``invalid choice``
+    refusal are those of one tree holding every command; it builds the
+    subparser of ``command`` alone, with that command's arguments.  The
+    other names map to no parser: argparse hands the rest of a command
+    line to the subparser of its first word naming a command, which is
+    ``command`` for every command line :func:`main` parses with it.
+    ``parse_args`` reads the parser and fills a new namespace per call, so
+    no state passes from one call to the next.
     """
-    parser = _Parser(
-        prog="gamma2lab",
-        description="Exact verification of two-body reduced-operator bounds "
-                    "on a finite fermionic Fock space.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    parser = _Parser(prog="gamma2lab", description=DESCRIPTION)
 
-    def common(p):
-        p.add_argument("--out", type=str, default=None,
-                       help=f"report path (.json or .csv); default under ${OUTDIR_ENV}")
-        p.add_argument("--tol", type=float, default=bounds.BOUND_TOL)
-        p.add_argument("--timing", action="store_true",
-                       help="embed wall-clock timing in the report "
-                            "(breaks byte-identical reruns)")
+    def subparser(prog, **kwargs):
+        if prog != f"gamma2lab {command}":
+            return None
+        declared = _Parser(prog=prog, **kwargs)
+        for flags, declaration in COMMANDS[command].arguments:
+            declared.add_argument(*flags, **declaration)
+        return declared
 
-    can = sub.add_parser("canonical", help="decompose a tensor file")
-    can.add_argument("--tensor", type=str, required=True)
-    can.add_argument("--normalize", action="store_true",
-                     help="rescale the input to unit norm before decomposing")
-    can.add_argument("--vectors", action="store_true",
-                     help="include the canonical vectors in the report")
-    common(can)
-
-    ver = sub.add_parser("verify", help="run one family of bound checks")
-    ver.add_argument("check", choices=["thm1", "thm2", "prop", "occupation", "norms"])
-    ver.add_argument("--dim", type=int, default=8)
-    ver.add_argument("--particles", type=str, default="4",
-                     help="particle number, or comma list where applicable")
-    ver.add_argument("--trials", type=int, default=20)
-    ver.add_argument("--seed", type=int, default=0)
-    ver.add_argument("--threads", type=int, default=1,
-                     help="at least 1; recorded in the report, trials always "
-                          "run in order")
-    ver.add_argument("--lambda", dest="lambda_spec", type=str, default=None,
-                     help="coefficient profile, e.g. uniform:4 or power:1:8")
-    ver.add_argument("--m-max", type=int, default=None)
-    ver.add_argument("--eigenvectors", action="store_true",
-                     help="include eigenvector amplitudes in spectrum rows")
-    ver.add_argument("--dump-operator", action="store_true",
-                     help="include the assembled operator matrix per trial")
-    common(ver)
-
-    exp = sub.add_parser("explore", help="empirical-constant sweep (no pass/fail)")
-    exp.add_argument("--lambda", dest="lambda_spec", type=str, required=True)
-    exp.add_argument("--particles", type=str, required=True)
-    common(exp)
-
-    ctr = sub.add_parser("counterexample", help="overlap floor growth in N")
-    ctr.add_argument("--lambda", dest="lambda_spec", type=str, required=True)
-    ctr.add_argument("--particles", type=str, required=True)
-    ctr.add_argument("--k-equals-n", action="store_true",
-                     help="replace K, the profile's last field, by each N; file: refused")
-    common(ctr)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=subparser)
+    for name, entry in COMMANDS.items():
+        sub.add_parser(name, help=entry.help)
     return parser
 
 
@@ -695,8 +789,13 @@ def _usage_error(args, out_path: Path) -> str | None:
 
 
 def main(argv=None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    # argparse runs the first word naming a command: the words before it
+    # can only be options, and the top parser's take no value
+    command = next((word for word in argv if word in COMMANDS), None)
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(command).parse_args(argv)
         out_path = _default_out(args.command, args.out)
         message = _usage_error(args, out_path)
     except _Refusal as exc:
@@ -704,15 +803,13 @@ def main(argv=None) -> int:
     if message is not None:  # before any handler
         print(message, file=sys.stderr)
         return 2
-    handlers = {"canonical": _cmd_canonical, "verify": _cmd_verify,
-                "explore": _cmd_explore, "counterexample": _cmd_counterexample}
     started = time.monotonic()
     failure = None
     try:
-        config, checks = handlers[args.command](args)
+        config, checks = COMMANDS[args.command].handler(args)
     except (ValueError, ArithmeticError, RuntimeError, OSError,
             MemoryError) as exc:
-        config = {"argv": argv if argv is not None else sys.argv[1:]}
+        config = {"argv": argv}
         checks = [bounds.TheoremReport(kind="error", params={}, passed=False,
                                        note=f"{type(exc).__name__}: {exc}")]
         failure = exc

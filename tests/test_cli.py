@@ -1,6 +1,9 @@
 """Profile parsing, seeded state generation, and the report-writing CLI."""
 
+import argparse
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -434,7 +437,7 @@ class TestSubcommands:
         def exhausted(args):
             raise MemoryError("cannot allocate")
 
-        monkeypatch.setattr(cli, "_cmd_explore", exhausted)
+        monkeypatch.setattr(cli.COMMANDS["explore"], "handler", exhausted)
         code, report = run_cli(tmp_path, "explore", "--lambda", "uniform:4",
                                "--particles", "2")
         assert code == 1
@@ -472,6 +475,30 @@ class TestSubcommands:
         assert code == 1
         assert [c["note"] for c in report["checks"]] == [
             f"ValueError: no trial in --trials {trials}"]
+
+    # a --tol at or above every eigenvalue of the run leaves its spectrum
+    # rows alone, a vacuous pass, refused as --trials 0 is
+    @pytest.mark.parametrize("check, particles, trials, tol", [
+        ("thm1", "3", "2", "5"), ("occupation", "4", "1", "1e300")])
+    def test_no_kept_eigenpair_writes_error_report(self, tmp_path, check, particles,
+                                                   trials, tol):
+        code, report = run_cli(tmp_path, "verify", check, "--dim", "6", "--particles",
+                               particles, "--trials", trials, "--tol", tol)
+        assert code == 1
+        assert [c["note"] for c in report["checks"]] == [
+            f"ValueError: no eigenvalue above --tol {float(tol)!r} in --trials {trials}"]
+
+    @pytest.mark.parametrize("check", ["thm1", "occupation"])
+    def test_one_kept_eigenpair_is_enough(self, tmp_path, check):
+        argv = ["verify", check, "--dim", "6", "--particles", "3", "--trials", "2"]
+        code, report = run_cli(tmp_path, *argv)
+        assert code == 0
+        top, below = sorted(v for c in report["checks"] if c["kind"] == "spectrum"
+                            for v in c["details"]["eigenvalues"])[:-3:-1]
+        code, report = run_cli(tmp_path, *argv, "--tol", repr((top + below) / 2))
+        assert code == 0
+        rows = [c for c in report["checks"] if c["kind"] != "spectrum"]
+        assert len(rows) == 1 and rows[0]["pass"] is True
 
     @pytest.mark.parametrize("m_max", ["0", "-1"])
     def test_no_norm_step_writes_error_report(self, tmp_path, m_max):
@@ -535,7 +562,7 @@ class TestSubcommands:
         assert code in (0, 1) and report["config"]["tol"] == 0.0  # a verdict
 
     def test_directory_out_is_usage_error(self, tmp_path, capsys, refuse):
-        refuse(cli, "_cmd_verify", "a handler ran")
+        refuse(cli.COMMANDS["verify"], "handler", "a handler ran")
         code = main(["verify", "thm2", "--lambda", "uniform:4", "--particles", "4",
                      "--out", str(tmp_path)])
         assert code == 2
@@ -593,8 +620,8 @@ class TestSubcommands:
         else:
             monkeypatch.setenv(cli.OUTDIR_ENV, outdir)
         if code == 2:
-            for name in ("_cmd_verify", "_cmd_explore"):
-                refuse(cli, name, "a handler ran")
+            for name in ("verify", "explore"):
+                refuse(cli.COMMANDS[name], "handler", "a handler ran")
         assert main(argv) == code
         err = capsys.readouterr().err
         if code == 2:
@@ -785,6 +812,28 @@ def _json_oracle(report):
     return json.dumps(_materialized(report), sort_keys=True, allow_nan=False) + "\n"
 
 
+def _csv_oracle(report):
+    """``csv.writer`` over the expanded report: a header of the sorted
+    params and details of every row, then one row per row, a list or dict
+    cell as JSON."""
+    checks = _materialized(report)["checks"]
+    params = sorted({k for c in checks for k in c["params"]})
+    details = sorted({k for c in checks for k in c["details"]})
+
+    def cell(value):
+        return json.dumps(value, sort_keys=True) if isinstance(value, (list, dict)) else value
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["kind", *(f"param:{k}" for k in params), "observed", "bound", "margin",
+                     "pass", *(f"detail:{k}" for k in details), "note"])
+    for c in checks:
+        writer.writerow([c["kind"], *(cell(c["params"].get(k)) for k in params),
+                         *(cell(c[k]) for k in ("observed", "bound", "margin", "pass")),
+                         *(cell(c["details"].get(k)) for k in details), c["note"]])
+    return buf.getvalue()
+
+
 # finite floats, with the signed zeros, the smallest subnormal and 1e308 often
 FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308]) | st.floats(
     allow_nan=False, allow_infinity=False)
@@ -797,12 +846,17 @@ DETAILS = {"thm1": {"sum_lambda4": FLOATS, "lambda_max": FLOATS},
 def eigenpair_blocks(draw):
     """A batch of 0 to 4 tagged states and 0 to 8 rows of random finite
     columns, its margins around -tol so that rows pass and fail; one kind
-    holds a quote, a % and a non-ASCII letter for the template to keep."""
+    holds a quote, a % and a non-ASCII letter for the template to keep, and
+    the states of some batches carry a text tag as well."""
     kind = draw(st.sampled_from([*DETAILS, 'a "%s" kind, 100% \u00e9']))
     states = draw(st.integers(0, 4))
     n = draw(st.integers(0, 8)) if states else 0
     tol = draw(st.sampled_from([0.0, 1e-8, 0.5]))
     tags = [{"seed": draw(st.integers(0, 2 ** 64 - 1)), "trial": t} for t in range(states)]
+    if draw(st.booleans()):  # with quotes, separators, line breaks and %
+        for tag in tags:
+            tag["label"] = draw(st.text(st.characters(blacklist_characters="\0"),
+                                        max_size=6) | st.just('a,"b"\n%s'))
     members = np.sort(np.array(draw(st.lists(st.integers(0, max(states - 1, 0)), min_size=n,
                                              max_size=n)), dtype=np.intp))
     floats = [np.array(draw(st.lists(FLOATS, min_size=n, max_size=n))) for _ in range(2)]
@@ -830,17 +884,38 @@ def _sweep_checks(rows):
 
 
 class TestEigenpairWriter:
-    """The JSON writer's row templates against ``json.dumps`` of the
-    expanded report, and the CSV writer against itself on that report."""
+    """The writers' row templates against ``json.dumps`` and ``csv.writer``
+    of the expanded report."""
 
     @given(st.lists(eigenpair_blocks(), max_size=3))
     @settings(max_examples=150, deadline=None)
     def test_template_writes_the_bytes_of_json(self, blocks):
+        # spectrum, eigenpair and thm2 rows under one header
         checks = [c for rows in blocks for c in _sweep_checks(rows)] + [
             bounds.TheoremReport(kind="thm2", params={"N": 4}, observed=1.0, note="50%")]
         report = build_report({"command": "verify"}, checks, None)
         assert report_to_json(report) == _json_oracle(report)
-        assert report_to_csv(report) == report_to_csv(_materialized(report))
+        assert report_to_csv(report) == _csv_oracle(report)
+
+    @given(eigenpair_blocks(), st.slices(8))
+    @settings(max_examples=100, deadline=None)
+    def test_csv_of_any_slices(self, rows, cut):
+        # slices out of order, reversed, overlapping or empty, alone or with
+        # a plain row; an empty one may leave a key of its batch unheaded
+        for checks in ([rows[cut]], [rows[cut], rows[::-1]], [rows[cut], rows[:1], rows[cut]],
+                       [bounds.TheoremReport(kind="thm2", params={"N": 4}), rows[cut]]):
+            report = build_report({}, checks, None)
+            assert report_to_csv(report) == _csv_oracle(report)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_csv_writes_non_finite_as_csv_does(self, bad):
+        rows = bounds.EigenpairRows(
+            "prop_occupation", 6, 3, 1e-8, [{"trial": 0}], np.zeros(2, np.intp),
+            np.arange(2), np.array([0.5, bad]), np.array([bad, 2.0]), np.array([0.5, bad]),
+            {"k": np.zeros(2, np.intp), "occupation": np.array([bad, 0.5])})
+        report = build_report({}, [rows[:1], rows[1:]], None)
+        assert report_to_csv(report) == _csv_oracle(report)
+        assert repr(bad) in report_to_csv(report)
 
     def test_empty_blocks_write_nothing(self):
         empty = bounds.EigenpairRows("thm1", 6, 3, 1e-8, [], np.zeros(0, np.intp),
@@ -895,6 +970,9 @@ class TestEigenpairWriter:
         assert len(rows) > 2
         assert [c["pass"] for c in rows] == [i % 2 == 1 for i in range(len(rows))]
         assert text.count('"pass": false') == (len(rows) + 1) // 2
+        assert main(["verify", check, "--dim", "6", "--particles", "3", "--trials", "2",
+                     "--out", str(tmp_path / "r.csv")]) == 1
+        assert (tmp_path / "r.csv").read_text(encoding="utf-8") == _csv_oracle(built[1])
 
 
 def _no_constant(name):
@@ -1078,12 +1156,94 @@ class TestCorpus:
         heavy = [argv for _, tags, argv in COMMANDS if "heavy" in tags]
         assert len(heavy) == 5
         for argv in heavy:
-            cli.build_parser().parse_args(argv)
+            cli.build_parser(argv[0]).parse_args(argv)
+
+
+def _full_tree():
+    """One top parser holding every command's arguments, built from the
+    command table."""
+    parser = cli._Parser(prog="gamma2lab", description=cli.DESCRIPTION)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in cli.COMMANDS.items():
+        declared = sub.add_parser(name, help=command.help)
+        for flags, declaration in command.arguments:
+            declared.add_argument(*flags, **declaration)
+    return parser
+
+
+def _parsed(parser, argv):
+    """The namespace ``parser`` reads off ``argv``, or its refusal's text,
+    or the exit code and output of ``--help``."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            return parser.parse_args(argv)
+    except cli._Refusal as exc:
+        return str(exc)
+    except SystemExit as exc:
+        return exc.code, out.getvalue()
+
+
+class TestCommandTable:
+    """The one-command parser of :func:`cli.main` against the full tree."""
+
+    # beyond the corpus: help, no command, an option before the command,
+    # and the refusals of each command's grammar
+    EXTRA = [[], ["-h"], ["--help"], ["nope", "verify"], ["--", "verify", "thm1"],
+             ["-x", "counterexample", "--lambda", "power:1:8", "--particles", "4"],
+             ["--help=1", "verify"], ["verify"], ["verify", "thm1", "--dim", "x"],
+             ["verify", "thm2", "--m-max", "2", "--lambda", "uniform:4", "--bogus"],
+             ["explore", "--particles", "2"], ["canonical"], ["counterexample", "--tensor", "t"],
+             *([name, "--help"] for name in cli.COMMANDS)]
+
+    @pytest.mark.parametrize("argv", [argv for _, _, argv in COMMANDS] + EXTRA,
+                             ids=lambda argv: " ".join(argv) or "(empty)")
+    def test_same_namespace_or_refusal_as_the_full_tree(self, argv):
+        # main's parser for argv: the first word that names a command
+        command = next((word for word in argv if word in cli.COMMANDS), None)
+        # a NaN --tol is unequal to itself, its repr is not
+        assert (repr(_parsed(cli.build_parser(command), argv))
+                == repr(_parsed(_full_tree(), argv)))
+
+    def test_help_of_every_parser_is_the_full_trees(self):
+        full = _full_tree()
+        for command in [None, *cli.COMMANDS]:
+            assert cli.build_parser(command).format_help() == full.format_help()
+        for name in cli.COMMANDS:
+            assert (_parsed(cli.build_parser(name), [name, "--help"])
+                    == _parsed(full, [name, "--help"]))
+
+    def test_one_command_builds_no_other_commands_parser(self, monkeypatch):
+        # a counterexample command line: no subparser and no action of verify
+        built, declared = [], []
+        init, add_argument = argparse.ArgumentParser.__init__, argparse.ArgumentParser.add_argument
+
+        def recording_init(parser, *args, **kwargs):
+            init(parser, *args, **kwargs)
+            built.append(parser.prog)
+
+        def recording_add_argument(parser, *flags, **declaration):
+            declared.append((parser.prog, flags))
+            return add_argument(parser, *flags, **declaration)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", recording_init)
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", recording_add_argument)
+        cli.build_parser.__wrapped__("counterexample")
+        assert built == ["gamma2lab", "gamma2lab counterexample"]
+        assert declared == [("gamma2lab", ("-h", "--help")),
+                            ("gamma2lab counterexample", ("-h", "--help")),
+                            *(("gamma2lab counterexample", flags)
+                              for flags, _ in cli.COMMANDS["counterexample"].arguments)]
+
+    def test_one_parser_per_command_in_the_cache(self):
+        assert cli.build_parser("verify") is cli.build_parser("verify")
+        assert cli.build_parser(None) is cli.build_parser(None) is not cli.build_parser("verify")
+        assert cli.build_parser.cache_info().maxsize == len(cli.COMMANDS) + 1
 
 
 class TestFixedCosts:
-    """One parser per process, no process started for a report, and no
-    scipy imported for one."""
+    """One parser per command per process, no process started for a report,
+    and no scipy imported for one."""
 
     def test_no_process_is_started(self, corpus_run):
         assert corpus_run.codes == corpus_run.expected and corpus_run.processes == []
@@ -1139,9 +1299,12 @@ class TestFixedCosts:
         frozen, tracked = corpus_run.frozen
         assert frozen and not tracked
 
-    def test_one_parser_per_process(self, corpus_run):
+    def test_one_parser_per_command(self, corpus_run):
+        # one per command the corpus runs, and the bare one for `nope`
         at_import, built = corpus_run.parsers
-        assert (at_import, built) == (0, 1)
+        commands = {next((w for w in argv if w in cli.COMMANDS), None)
+                    for _, _, argv in corpus_run.lines}
+        assert None in commands and (at_import, built) == (0, len(commands))
 
     def test_mixed_sequence_matches_fresh_processes(self, tmp_path, monkeypatch):
         # flags set by one call must not reach the next through the parser

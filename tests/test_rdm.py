@@ -293,6 +293,62 @@ class TestIdentityOracles:
             correlation_invariants(1.01 * a[None])
 
 
+def relabeled(psi, perm):
+    """``psi`` with orbital o renamed perm[o]: the amplitude of mask m goes
+    to the mask of the images, times (-1)**inv, inv the number of pairs of
+    m's orbitals whose order perm reverses."""
+    masks = psi.basis.states
+    image, inversions = np.zeros_like(masks), np.zeros_like(masks)
+    for b, to in enumerate(perm):
+        occupied = (masks >> b) & 1
+        image |= occupied << to
+        reversed_below = sum(1 << a for a in range(b) if perm[a] > to)
+        inversions += occupied * np.bitwise_count(masks & reversed_below)
+    amplitudes = np.empty_like(psi.amplitudes)
+    amplitudes[psi.basis.index_of(image)] = np.where(inversions & 1, -psi.amplitudes,
+                                                     psi.amplitudes)
+    return fock.SectorVector(psi.basis, amplitudes)
+
+
+def assert_metamorphic(psi, perm):
+    """gamma2(psi_perm) = S gamma2(psi) S^T, S the signed permutation of the
+    wedges (-1 where perm reverses a pair), to 1e-13; gamma2(conj psi) =
+    conj gamma2(psi) bit for bit."""
+    d, perm = psi.basis.d, np.asarray(perm)
+    g = compute_gamma2(psi).mat
+    i, j = (perm[k] for k in np.triu_indices(d, 1))
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    to, sign = lo * (2 * d - lo - 1) // 2 + hi - lo - 1, np.where(i > j, -1.0, 1.0)
+    expected = np.empty_like(g)
+    expected[np.ix_(to, to)] = sign[:, None] * g * sign
+    assert np.max(np.abs(compute_gamma2(relabeled(psi, perm)).mat - expected)) < 1e-13
+    conj = fock.SectorVector(psi.basis, psi.amplitudes.conj())
+    assert np.array_equal(compute_gamma2(conj).mat, g.conj())
+
+
+class TestMetamorphic:
+    """Relations that need no unchunked factor, so they reach every
+    admitted size: a relabeling of the orbitals moves low orbitals to the
+    top, so each physical pair is read by another kind of the block plan."""
+
+    @given(st.integers(2, 16).flatmap(lambda d: st.tuples(
+        st.integers(2, d), st.permutations(range(d)))), st.integers(0, 2 ** 31))
+    @settings(max_examples=80, deadline=None)
+    def test_relabeling_and_conjugation(self, n_perm, seed):
+        n, perm = n_perm
+        assert_metamorphic(random_state(len(perm), n, seed), perm)
+
+    def test_relabeling_at_the_sector_large_size(self):
+        assert_metamorphic(random_state(20, 10, 2010),
+                           np.random.default_rng(20).permutation(20))
+
+    @pytest.mark.slow
+    def test_relabeling_at_half_filled_24(self):
+        # the unchunked oracle would need 8.7 GB here
+        assert_metamorphic(random_state(24, 12, 2412),
+                           np.random.default_rng(24).permutation(24))
+
+
 class TestGramBlocks:
     @pytest.mark.parametrize("d,n,chunk,shape", [
         (8, 4, rdm.GRAM_CHUNK, (1, 28)),

@@ -100,7 +100,8 @@ def test_sweep_reads_one_assembly_per_batch(tmp_path, monkeypatch):
 
 def _transient_bytes(trials):
     """The tracemalloc peak of a warm d=8, N=4 sweep above what it returns."""
-    warm, args = (cli.build_parser().parse_args(["verify", "thm1", "--trials", str(t)])
+    parser = cli.build_parser("verify")
+    warm, args = (parser.parse_args(["verify", "thm1", "--trials", str(t)])
                   for t in (1, trials))
     warm.particles = args.particles = int(args.particles)
     cli._cmd_verify(warm)  # the sector and table caches
