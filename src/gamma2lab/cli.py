@@ -442,15 +442,17 @@ def _csv_batch_lines(rows: bounds.EigenpairRows, param_keys: list[str],
     """The CSV line of every row of the batch of ``rows``, in batch order,
     under the header of ``param_keys`` and ``detail_keys``.
 
-    Each state's template is ``csv``'s line of its rows with a NUL for
-    each cell that varies by row, so quoting is ``csv``'s; it is cut at the
-    NULs and filled per row.  Those cells are numbers, which ``csv`` never
-    quotes and writes by ``repr``: ints, finite or non-finite floats, and
-    pass as True or False.  No string of the batch may hold a NUL.
+    Each state's template is ``csv``'s line of its rows with U+E000, a
+    private-use character that ``csv`` writes as it is, for each cell that
+    varies by row, so quoting is ``csv``'s; it is cut there and filled per
+    row.  (Not a NUL, which ``csv`` refuses to write before Python 3.11.)
+    Those cells are numbers, which ``csv`` never quotes and writes by
+    ``repr``: ints, finite or non-finite floats, and pass as True or
+    False.  No string of the batch may hold U+E000.
     """
     columns = [rows.keep, rows.observed, rows.bound, rows.margin, rows.margin >= -rows.tol,
                *(rows.details[k] for k in detail_keys if k in rows.details)]
-    hole, templates = "\0", []
+    hole, templates = "\ue000", []
     for m in range(len(rows.tags)):
         params = rows.params(m, hole)
         line = _csv_line([rows.kind, *(_cell(params.get(k)) for k in param_keys),
@@ -733,30 +735,32 @@ def build_parser(command: str | None) -> argparse.ArgumentParser:
     parser, built on the first call for each and returned by every later
     one.  Nothing builds one at import.
 
-    Every parser registers each command of :data:`COMMANDS` by name and
-    help text, so its usage line, ``--help`` and ``invalid choice``
-    refusal are those of one tree holding every command; it builds the
-    subparser of ``command`` alone, with that command's arguments.  The
-    other names map to no parser: argparse hands the rest of a command
-    line to the subparser of its first word naming a command, which is
-    ``command`` for every command line :func:`main` parses with it.
-    ``parse_args`` reads the parser and fills a new namespace per call, so
-    no state passes from one call to the next.
+    Every parser has a subparser for each command of :data:`COMMANDS`, with
+    its name and help text, so its usage line, ``--help`` and ``invalid
+    choice`` refusal are those of one tree holding every command; only the
+    subparser of ``command`` declares arguments, ``-h`` among them.
+    argparse hands the rest of a command line to the subparser of its first
+    word naming a command, which is ``command`` for every command line
+    :func:`main` parses with it (:func:`_command_of`), so the others are
+    never run.  ``parse_args`` reads the parser and fills a new namespace
+    per call, so no state passes from one call to the next.
     """
     parser = _Parser(prog="gamma2lab", description=DESCRIPTION)
-
-    def subparser(prog, **kwargs):
-        if prog != f"gamma2lab {command}":
-            return None
-        declared = _Parser(prog=prog, **kwargs)
-        for flags, declaration in COMMANDS[command].arguments:
-            declared.add_argument(*flags, **declaration)
-        return declared
-
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=subparser)
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, entry in COMMANDS.items():
-        sub.add_parser(name, help=entry.help)
+        declared = sub.add_parser(name, help=entry.help, add_help=name == command)
+        if name == command:
+            for flags, declaration in entry.arguments:
+                declared.add_argument(*flags, **declaration)
     return parser
+
+
+def _command_of(argv: list[str]) -> str | None:
+    """The command of a command line, whose parser :func:`main` uses: its
+    first word naming one, or None.  argparse runs that word's subparser;
+    the words before it can only be options, and the top parser's take no
+    value."""
+    return next((word for word in argv if word in COMMANDS), None)
 
 
 def _usage_error(args, out_path: Path) -> str | None:
@@ -791,11 +795,8 @@ def _usage_error(args, out_path: Path) -> str | None:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # argparse runs the first word naming a command: the words before it
-    # can only be options, and the top parser's take no value
-    command = next((word for word in argv if word in COMMANDS), None)
     try:
-        args = build_parser(command).parse_args(argv)
+        args = build_parser(_command_of(argv)).parse_args(argv)
         out_path = _default_out(args.command, args.out)
         message = _usage_error(args, out_path)
     except _Refusal as exc:
